@@ -10,6 +10,9 @@
 //                               seconds per likelihood evaluation under a
 //                               branch-move loop, over {serial,threaded} ×
 //                               {percall,plan} × site repeats {off,on}
+//   mcmc.e2e.real20.<sr>        seconds per generation of 4-chain MC3 with
+//                               the full move mix on the real-data
+//                               stand-in, site repeats {off,auto}
 //
 // Noise discipline: every case value is the MINIMUM over --reps repetitions
 // of the identical deterministic workload — the least-disturbed observation —
@@ -428,6 +431,51 @@ CaseStat telemetry_case(const phylo::PatternMatrix& data,
   return cs;
 }
 
+/// End-to-end MC3 on the real-data stand-in (seqgen data seed 42: 20 taxa,
+/// 28,740 columns): s/gen of mrbayes_lite's default run — 4 coupled chains
+/// on one 2-worker threaded pool, GTR+I+G, the NNI/eSPR/branch/model move
+/// mix — with only the site-repeats mode varied. Unlike the engine.* cases,
+/// which move branch lengths only, these exercise topology moves and hence
+/// repeat identification.
+CaseStat e2e_case(const seqgen::Dataset& ds, core::SiteRepeatsMode repeats,
+                  std::uint64_t gens, int reps) {
+  CaseStat cs;
+  cs.name = std::string("mcmc.e2e.real20.sr-") + core::to_string(repeats);
+  cs.unit = "s/gen";
+  cs.iters = gens;
+  cs.threshold = 0.40;
+
+  constexpr std::size_t kChains = 4;
+  const phylo::Tree start = phylo::Tree::from_newick(
+      ds.tree.rerooted(0).to_newick(), ds.patterns.names());
+  phylo::GtrParams params;
+  params.p_invariant = 0.1;
+  par::ThreadPool pool(kPoolWorkers);
+  core::ThreadedBackend backend(pool);
+  std::vector<std::unique_ptr<core::PlfEngine>> engines;
+  for (std::size_t i = 0; i < kChains; ++i) {
+    engines.push_back(std::make_unique<core::PlfEngine>(
+        ds.patterns, params, start, backend, core::KernelVariant::kSimdCol,
+        repeats));
+  }
+  mcmc::CoupledOptions opts;
+  opts.chain.seed = 4545;
+  opts.chain.w_pinv = 0.7;
+  opts.chain.w_spr = 1.5;
+  mcmc::CoupledChains mc3(std::move(engines), opts);
+
+  std::uint64_t target = 5;  // warm-up: plans, pair tables, first classes
+  mc3.run(target);
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = now_s();
+    target += gens;
+    mc3.run(target);
+    const double t1 = now_s();
+    cs.values.push_back((t1 - t0) / static_cast<double>(gens));
+  }
+  return cs;
+}
+
 /// Partitioned model: 4 uniform partitions of one alignment, each with its
 /// own engine, summed per-evaluation through the shared-pool scheduler.
 CaseStat partitioned_case(const phylo::Alignment& aln,
@@ -650,6 +698,18 @@ int main(int argc, char** argv) {
         telemetry_case(data, tree, params, telemetry_on, coupled_gens, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
               << " ms/gen (min of " << reps << ")\n";
+  }
+  // End-to-end MC3 on the real-data stand-in, site repeats off vs the
+  // default auto.
+  {
+    const seqgen::Dataset real20 = seqgen::make_real_dataset(42);
+    const std::uint64_t e2e_gens = quick ? 10 : 40;
+    for (const core::SiteRepeatsMode sr :
+         {core::SiteRepeatsMode::kOff, core::SiteRepeatsMode::kAuto}) {
+      cases.push_back(e2e_case(real20, sr, e2e_gens, reps));
+      std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
+                << " ms/gen (min of " << reps << ")\n";
+    }
   }
   {
     phylo::SubstitutionModel model(params);

@@ -7,14 +7,8 @@
 // like 0.5 of the unbudgeted footprint); evicted vectors are recomputed on
 // demand, bit-identically.
 //
-// Usage: mrbayes_lite [--site-repeats=on|off|auto] [--dispatch=percall|plan]
-//                     [--clv-budget=BYTES|FRACTION] [--profile[=FILE]]
-//                     [--metrics-json[=FILE]] [--shared-pool[=DRIVERS]]
-//                     [--checkpoint-every=N] [--checkpoint=FILE]
-//                     [--resume=FILE] [--partitions=N|SPEC]
-//                     [--telemetry[=FILE]] [--telemetry-every=N]
-//                     [--status-file=FILE] [--stop-at-ess=N]
-//                     [alignment-file] [generations] [chains] [seed]
+// Usage: see kUsage below (`mrbayes_lite --help` prints it; an unknown
+// --option prints it to stderr and exits 2).
 //
 // --telemetry streams one plf-telemetry-v1 JSONL record (gen, lnL, streaming
 // ESS, R-hat, acceptance + swap rates, metrics snapshot) every
@@ -97,6 +91,16 @@ plf::phylo::Alignment load_or_simulate(const char* path, std::uint64_t seed) {
   return ev.evolve(1500, rng);
 }
 
+constexpr const char* kUsage =
+    "usage: mrbayes_lite [--site-repeats=on|off|auto] [--dispatch=percall|plan]\n"
+    "                    [--clv-budget=BYTES|FRACTION] [--profile[=FILE]]\n"
+    "                    [--metrics-json[=FILE]] [--shared-pool[=DRIVERS]]\n"
+    "                    [--checkpoint-every=N] [--checkpoint=FILE]\n"
+    "                    [--resume=FILE] [--partitions=N|SPEC]\n"
+    "                    [--telemetry[=FILE]] [--telemetry-every=N]\n"
+    "                    [--status-file=FILE] [--stop-at-ess=N]\n"
+    "                    [alignment-file] [generations] [chains] [seed]\n";
+
 }  // namespace
 
 int run_main(int argc, char** argv) {
@@ -165,6 +169,12 @@ int run_main(int argc, char** argv) {
     } else if (arg.rfind("--stop-at-ess=", 0) == 0) {
       stop_at_ess = std::strtod(
           arg.c_str() + std::strlen("--stop-at-ess="), nullptr);
+    } else if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "mrbayes_lite: unknown option '" << arg << "'\n" << kUsage;
+      return 2;
     } else {
       pos.push_back(argv[i]);
     }

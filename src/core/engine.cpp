@@ -146,11 +146,13 @@ void PlfEngine::begin_proposal() {
   nni_log_.clear();
   spr_log_.clear();
   old_params_.reset();
+  if (repeats_enabled_) repeats_.begin_proposal();
 }
 
 void PlfEngine::accept() {
   PLF_CHECK(in_proposal_, "accept: no open proposal");
   in_proposal_ = false;
+  if (repeats_enabled_) repeats_.accept();
 }
 
 void PlfEngine::reject() {
@@ -169,16 +171,10 @@ void PlfEngine::reject() {
   for (auto it = spr_log_.rbegin(); it != spr_log_.rend(); ++it) {
     tree_.undo_spr(*it);
   }
-  // Topology is back to the pre-proposal shape, but the repeat classes were
-  // re-marked against the proposal's topology: re-identify against the
-  // restored one. (CLV buffers flip back pointer-wise below; classes have no
-  // double buffer — they are recomputed, which is cheap relative to kernels.)
-  if (repeats_enabled_) {
-    for (auto it = nni_log_.rbegin(); it != nni_log_.rend(); ++it) {
-      repeats_.invalidate_path(tree_, it->first);
-    }
-    if (!spr_log_.empty()) repeats_.invalidate_all();
-  }
+  // Topology is back to the pre-proposal shape: every node the proposal
+  // invalidated gets its pre-proposal repeat classes swapped back in, like
+  // the CLV flips below — nothing is re-identified.
+  if (repeats_enabled_) repeats_.reject();
   // Undo model change.
   if (old_params_) {
     model_ = phylo::SubstitutionModel(*old_params_);
@@ -244,10 +240,15 @@ void PlfEngine::apply_spr(int s, int target, double split_x) {
   mark_branch_dirty(undo.u);
   mark_branch_dirty(undo.w);
   mark_branch_dirty(undo.target);
-  mark_path_dirty(tree_.node(undo.w).parent);  // where the subtree left
-  mark_path_dirty(undo.u);                     // where it arrived
-  // SPR rewires ancestry broadly; re-identify all repeat classes.
-  if (repeats_enabled_) repeats_.invalidate_all();
+  const int p = tree_.node(undo.w).parent;
+  mark_path_dirty(p);       // where the subtree left
+  mark_path_dirty(undo.u);  // where it arrived
+  // Only these two root paths gained or lost descendants, so only their
+  // repeat classes change.
+  if (repeats_enabled_) {
+    repeats_.invalidate_path(tree_, p);
+    repeats_.invalidate_path(tree_, undo.u);
+  }
   scaler_resum_ = true;  // topology change: rebuild the scaler total
 }
 
@@ -692,7 +693,7 @@ void PlfEngine::evaluate() {
   if (repeats_enabled_ && repeats_.any_stale()) {
     PLF_PROF_SCOPE(obs::kTimerRepeatIdentify);
     Stopwatch repeat_sw;
-    repeats_.refresh(tree_);
+    stats_.repeat_node_rebuilds += repeats_.refresh(tree_);
     stats_.repeat_rebuild_seconds += repeat_sw.seconds();
   }
 
@@ -851,6 +852,8 @@ void PlfEngine::publish_stats(obs::MetricsRegistry& registry) const {
   set(obs::kGaugeRepeatScaleHitRate, stats_.scale_repeat_hit_rate());
   set(obs::kGaugeRepeatCompressionRatio, stats_.repeat_compression_ratio());
   set(obs::kGaugeRepeatRebuildSeconds, stats_.repeat_rebuild_seconds);
+  set(obs::kGaugeRepeatNodeRebuilds,
+      static_cast<double>(stats_.repeat_node_rebuilds));
   set(obs::kGaugeEnginePlanBuilds, static_cast<double>(stats_.plan_builds));
   set(obs::kGaugeEnginePlanOps, static_cast<double>(stats_.plan_ops));
   set(obs::kGaugeEnginePlanLevels, static_cast<double>(stats_.plan_levels));

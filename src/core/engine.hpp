@@ -62,6 +62,7 @@ struct EngineStats {
   std::uint64_t repeat_sites_total = 0;     ///< m summed over compacted calls
   std::uint64_t repeat_sites_computed = 0;  ///< unique classes summed over them
   double repeat_rebuild_seconds = 0.0;      ///< class identification time
+  std::uint64_t repeat_node_rebuilds = 0;   ///< nodes whose classes were rebuilt
 
   // Plan dispatch (docs/EXECUTION_PLAN.md). One build per evaluation with
   // dirty nodes; plan_ops/plan_levels accumulate over builds, so their ratio
@@ -208,6 +209,9 @@ class PlfEngine {
   double repeat_mean_compression() const {
     return repeats_.initialized() ? repeats_.mean_compression() : 1.0;
   }
+  /// The engine's repeat classes (tests/diagnostics; uninitialized when
+  /// site repeats are disabled).
+  const SiteRepeats& site_repeats() const { return repeats_; }
 
   /// Read-only view of an internal node's active conditional likelihoods
   /// (tests/diagnostics). PLF_CHECKs that the buffer is arena-resident — an
@@ -326,7 +330,8 @@ class PlfEngine {
 
   // Site-repeat caching (see core/repeats.hpp). Classes are invariant under
   // branch-length/model changes; topology moves invalidate the affected
-  // root paths and evaluate() refreshes lazily.
+  // root paths, evaluate() refreshes lazily, and reject() swaps the
+  // pre-proposal classes back (SiteRepeats' own double buffer).
   SiteRepeatsMode repeats_mode_ = SiteRepeatsMode::kAuto;
   bool repeats_enabled_ = false;  ///< mode != off && backend supports it
   SiteRepeats repeats_;

@@ -261,7 +261,8 @@ inline void check_arena(const ClvArena& arena) {
 /// slot (tip children use masks, not CLVs, and are engine-owned). An evicted
 /// slot frees its storage, so a stale pointer cannot match any resident
 /// slot and the scan aborts before a kernel dereferences it.
-inline void check_arena(const ClvArena& arena, const PlfPlan& plan) {
+inline void check_arena(const ClvArena& arena,
+                        [[maybe_unused]] const PlfPlan& plan) {
   check_arena(arena);
 #if PLF_CONTRACTS_LEVEL
   for (const PlfOp& op : plan.ops()) {

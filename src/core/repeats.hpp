@@ -18,14 +18,23 @@
 // rely on that for the O(1) bound contract, and the engine's scatter relies
 // on every representative preceding its duplicates.
 //
+// Each internal node's pass is a pair ranker, O(m + n_left + n_right) with
+// no hashing: counting-sort the sites by left-child class, rank the
+// right-child classes inside each bucket with a stamped table, then renumber
+// once in site order so the ids are first-occurrence ids.
+//
 // Classes are invariant under branch-length and model changes; only topology
 // moves (NNI/SPR) change which sites repeat, and only for the nodes whose
 // descendant set changed. The engine invalidates those paths and calls
-// refresh() before the next evaluation.
+// refresh() before the next evaluation. Inside a proposal the classes are
+// double-buffered like the engine's CLVs: the first invalidation of a node
+// parks its classes in a back slot, and reject() swaps them back without
+// re-identifying anything.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "phylo/patterns.hpp"
@@ -81,17 +90,28 @@ class SiteRepeats {
   bool initialized() const { return data_ != nullptr; }
 
   /// Mark `from_node` and every ancestor stale (the nodes whose descendant
-  /// set an NNI across the branch above `from_node` can change).
+  /// set a topology move below or at `from_node` can change).
   void invalidate_path(const phylo::Tree& tree, int from_node);
 
-  /// Mark every internal node stale (SPR moves, or initial state).
+  /// Mark every node stale (initial state, checkpoint restore).
   void invalidate_all();
 
   bool any_stale() const { return any_stale_; }
 
-  /// Recompute every stale node's classes, children before parents. The tree
-  /// must have the same node-id space as at construction.
-  void refresh(const phylo::Tree& tree);
+  // --- proposal protocol (mirrors PlfEngine's) ---
+  /// Open an undo log: until accept()/reject(), the first invalidation of a
+  /// node swaps its classes into the back slot and records its stale flag.
+  void begin_proposal();
+  /// Drop the undo log; the current classes stand.
+  void accept();
+  /// Swap every logged node's classes back and restore its stale flag:
+  /// O(nodes touched), no re-identification.
+  void reject();
+
+  /// Recompute every stale node's classes, children before parents; returns
+  /// how many nodes were rebuilt. The tree must have the same node-id space
+  /// as at construction.
+  std::size_t refresh(const phylo::Tree& tree);
 
   /// Classes of internal node `id`. Must not be stale (refresh() first).
   const NodeRepeats& node(int id) const;
@@ -103,16 +123,49 @@ class SiteRepeats {
   double mean_compression() const;
 
  private:
+  void invalidate_node(int id);
   void rebuild_node(const phylo::Tree& tree, int id);
-  /// Child's per-site class ids: tip masks widened, or the child's table.
+  /// Per-site class ids of `child` and their count (the ranker's table
+  /// size): a tip's masks widened into `scratch` (16 classes), or an inner
+  /// child's own classes.
   const std::uint32_t* child_classes(const phylo::Tree& tree, int child,
-                                     std::vector<std::uint32_t>& scratch) const;
+                                     std::vector<std::uint32_t>& scratch,
+                                     std::uint32_t& n_classes) const;
+  /// Widen a tip row into `scratch` (masks as class ids, 16 classes).
+  const std::uint32_t* widen_tip(const phylo::StateMask* row,
+                                 std::vector<std::uint32_t>& scratch) const;
+  /// Rank the site pairs (a[c], b[c]), a[c] < na, b[c] < nb: writes a dense
+  /// group id per site to rank_ and returns the group count. Group ids are
+  /// NOT in first-occurrence order; renumber() makes them so.
+  std::uint32_t rank_pairs(const std::uint32_t* a, std::uint32_t na,
+                           const std::uint32_t* b, std::uint32_t nb);
+  /// First-occurrence renumbering of rank_ (n_groups groups) into `nr`.
+  void renumber(std::uint32_t n_groups, NodeRepeats& nr);
 
   const phylo::PatternMatrix* data_ = nullptr;
   std::size_t m_ = 0;
   std::vector<NodeRepeats> nodes_;  ///< indexed by node id; internals only
+  std::vector<NodeRepeats> back_;   ///< pre-proposal classes (logged nodes)
   std::vector<char> stale_;
   bool any_stale_ = false;
+
+  // Proposal undo log: (node, stale flag before the proposal), one entry per
+  // node on its first invalidation; logged_ dedups.
+  bool in_proposal_ = false;
+  bool saved_any_stale_ = false;
+  std::vector<std::pair<int, char>> log_;
+  std::vector<char> logged_;
+
+  // Ranker scratch. Members, not thread_locals: concurrent MC3 chains each
+  // own an engine, hence a SiteRepeats.
+  std::vector<std::uint32_t> left_tip_, right_tip_, out_tip_;
+  std::vector<std::uint32_t> bucket_end_;  ///< per left class
+  std::vector<std::uint32_t> order_;       ///< sites sorted by left class
+  std::vector<std::uint32_t> stamp_, slot_;  ///< per right class
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> rank_;   ///< site -> group
+  std::vector<std::uint32_t> pairs_;  ///< root: site -> (left, right) group
+  std::vector<std::uint32_t> remap_;  ///< group -> first-occurrence id
 };
 
 }  // namespace plf::core

@@ -98,6 +98,8 @@ inline constexpr const char* kGaugeRepeatCompressionRatio =
     "engine.repeat_compression_ratio";
 inline constexpr const char* kGaugeRepeatRebuildSeconds =
     "engine.repeat_rebuild_s";
+inline constexpr const char* kGaugeRepeatNodeRebuilds =
+    "engine.repeat_node_rebuilds";
 inline constexpr const char* kGaugeEnginePlanBuilds = "engine.plan_builds";
 inline constexpr const char* kGaugeEnginePlanOps = "engine.plan_ops";
 inline constexpr const char* kGaugeEnginePlanLevels = "engine.plan_levels";

@@ -19,34 +19,6 @@
 
 namespace plf::phylo {
 
-/// Subtree-pattern keys: site-repeat identification (core/repeats) labels
-/// every site at every node with a repeat-class id such that two sites share
-/// an id iff the alignment columns restricted to the node's subtree are
-/// identical. A node's key for one site packs the repeat-class ids of its two
-/// children (tips contribute their 4-bit state mask); the root additionally
-/// folds in the outgroup mask. Class ids are bounded by the pattern count
-/// (< 2^32) and masks by 16, so both packings are collision-free.
-inline std::uint64_t subtree_pattern_key(std::uint32_t left_class,
-                                         std::uint32_t right_class) {
-  return (static_cast<std::uint64_t>(left_class) << 32) | right_class;
-}
-inline std::uint64_t subtree_pattern_key_with_mask(std::uint32_t node_class,
-                                                   StateMask mask) {
-  return (static_cast<std::uint64_t>(node_class) << 4) | mask;
-}
-
-/// Hash functor for subtree-pattern keys. Keys are dense bit-packs, so the
-/// identity hash would cluster buckets badly; this is the splitmix64
-/// finalizer, which mixes every input bit into every output bit.
-struct SubtreePatternHash {
-  std::uint64_t operator()(std::uint64_t x) const noexcept {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-};
-
 /// A compressed alignment: one column per *distinct* site pattern plus an
 /// integer weight (multiplicity). This is the structure the PLF kernels
 /// iterate over; its pattern count is the paper's "m".

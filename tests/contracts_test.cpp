@@ -550,7 +550,11 @@ TEST(ArenaContractDeathTest, EvictedClvReachingAKernelAborts) {
         op.args.down.left.cl = child;
         op.run_m = 4;
         plan.add(op, 0);
-        arena.acquire(2);  // evicts slot 0: op.left.cl now dangles
+        // Evict slot 0 so op.left.cl dangles. Not via acquire(2): that frees
+        // slot 0 and at once allocates a block of the same size, which an
+        // allocator without a quarantine (ThreadSanitizer's) hands back at
+        // the same address, making the stale pointer resident again.
+        arena.evict_slot_for_test(0);
         core::detail::check_arena(arena, plan);
       },
       "kernel would read an evicted CLV pointer");
