@@ -1,9 +1,11 @@
-// Ablation: batched plan dispatch (docs/EXECUTION_PLAN.md) vs per-call.
+// Ablation: the threaded backend's fused plan executor
+// (docs/EXECUTION_PLAN.md) vs the per-call structure of PerCallBackend.
 //
-// Same engine, same threaded backend, same kernels — only the dispatch path
-// differs, and results are bit-identical (tests/backend_diff_test.cpp), so
-// any wall-time gap is pure dispatch overhead: spawn/sync barriers and the
-// extra memory pass the unfused CondLikeScaler makes over each CLV block.
+// Same engine, same plans, same thread pool, same kernels — only the
+// executor differs, and results are bit-identical
+// (tests/backend_diff_test.cpp), so any wall-time gap is pure dispatch
+// overhead: spawn/sync barriers and the extra memory pass the unfused
+// CondLikeScaler makes over each CLV block.
 // The pattern count matches the paper's real ssu-rRNA alignment (8,543
 // distinct patterns, §4) and the tree its 20-taxon scaling study.
 //
@@ -48,16 +50,16 @@ phylo::PatternMatrix make_columns(const std::vector<std::string>& names,
 
 struct RunResult {
   double wall_s = 0.0;
-  double plf_s = 0.0;  ///< time inside backend dispatch (the ablated part)
+  double plf_s = 0.0;  ///< time inside the backend (the ablated part)
   double mean_level_width = 0.0;
 };
 
 RunResult run(const phylo::PatternMatrix& data, const phylo::Tree& tree,
               const phylo::GtrParams& params, core::ExecutionBackend& backend,
-              core::DispatchMode dispatch, bool full_reval, int iterations) {
+              bool full_reval, int iterations) {
   core::PlfEngine engine(data, params, tree, backend,
                          core::KernelVariant::kSimdCol,
-                         core::SiteRepeatsMode::kOff, dispatch);
+                         core::SiteRepeatsMode::kOff);
   engine.log_likelihood();  // warm up: buffers touched, matrices built
   engine.reset_stats();
 
@@ -88,12 +90,11 @@ RunResult run(const phylo::PatternMatrix& data, const phylo::Tree& tree,
 /// right statistic for comparing two fixed workloads on a shared host.
 RunResult best_of(const phylo::PatternMatrix& data, const phylo::Tree& tree,
                   const phylo::GtrParams& params,
-                  core::ExecutionBackend& backend, core::DispatchMode dispatch,
-                  bool full_reval, int iterations, int reps) {
+                  core::ExecutionBackend& backend, bool full_reval,
+                  int iterations, int reps) {
   RunResult best;
   for (int i = 0; i < reps; ++i) {
-    const RunResult r =
-        run(data, tree, params, backend, dispatch, full_reval, iterations);
+    const RunResult r = run(data, tree, params, backend, full_reval, iterations);
     if (i == 0 || r.wall_s < best.wall_s) best = r;
   }
   return best;
@@ -117,8 +118,9 @@ int main(int argc, char** argv) {
 
   par::ThreadPool pool(workers);
   core::ThreadedBackend backend(pool);
+  core::PerCallBackend percall(backend);
 
-  Table t("Plan-dispatch ablation: threaded(" + std::to_string(workers) +
+  Table t("Plan-fusion ablation: threaded(" + std::to_string(workers) +
           "), simd-col, " + std::to_string(kTaxa) + " taxa, " +
           std::to_string(data.n_patterns()) + " patterns");
   t.header({"workload", "evals", "percall plf s", "plan plf s", "speedup",
@@ -129,11 +131,9 @@ int main(int argc, char** argv) {
   for (const bool full : {false, true}) {
     const int iters = full ? model_iters : branch_iters;
     const RunResult pc =
-        best_of(data, tree, params, backend, core::DispatchMode::kPerCall,
-                full, iters, kReps);
+        best_of(data, tree, params, percall, full, iters, kReps);
     const RunResult pl =
-        best_of(data, tree, params, backend, core::DispatchMode::kPlan, full,
-                iters, kReps);
+        best_of(data, tree, params, backend, full, iters, kReps);
     const double speedup = pc.plf_s / pl.plf_s;
     if (full) headline = pc.wall_s / pl.wall_s;
     t.row({full ? "model move (all nodes)" : "branch move (one path)",
@@ -147,12 +147,12 @@ int main(int argc, char** argv) {
   std::cout << "Both paths produce bit-identical likelihoods; the gap is\n"
                "dispatch overhead only: per-call opens two parallel regions\n"
                "per node (down/root, then scale) and re-reads the CLV block\n"
-               "for the scale pass, while plan dispatch fuses runs of dense\n"
-               "dependency levels into single regions with the rescale done\n"
+               "for the scale pass, while the fused executor runs dense\n"
+               "dependency levels as single regions with the rescale done\n"
                "inside each worker's still-hot chunk. The plf columns time\n"
                "exactly the dispatched work; wall adds the per-evaluation\n"
-               "costs the dispatch mode cannot change (matrix rebuilds,\n"
-               "scaler totals, root reduction).\n";
+               "costs the executor cannot change (matrix rebuilds, plan\n"
+               "builds, scaler totals, root reduction).\n";
   std::cout << "fused plan dispatch speedup (full re-evaluations, wall): "
             << Table::num(headline, 2) << "x\n";
   return 0;

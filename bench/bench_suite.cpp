@@ -6,10 +6,13 @@
 //   kernel.<op>.<variant>       raw per-call kernel time at the paper's
 //                               8,543-pattern width, for scalar / simd-row /
 //                               simd-col (the approach (i)/(ii) distinction)
-//   engine.<backend>.<dispatch>.<sr>
+//   engine.<backend>.<executor>.<sr>
 //                               seconds per likelihood evaluation under a
 //                               branch-move loop, over {serial,threaded} ×
-//                               {percall,plan} × site repeats {off,on}
+//                               {percall,plan} × site repeats {off,on};
+//                               percall runs the backend under
+//                               core::PerCallBackend (two synchronous calls
+//                               per op), plan runs its own run_plan
 //   mcmc.e2e.real20.<sr>        seconds per generation of 4-chain MC3 with
 //                               the full move mix on the real-data
 //                               stand-in, site repeats {off,auto}
@@ -288,13 +291,12 @@ phylo::PatternMatrix make_columns(const std::vector<std::string>& names,
 CaseStat engine_case(const phylo::PatternMatrix& data,
                      const phylo::Tree& tree, const phylo::GtrParams& params,
                      core::ExecutionBackend& backend,
-                     const char* backend_label, core::DispatchMode dispatch,
+                     const char* backend_label, const char* executor_label,
                      core::SiteRepeatsMode repeats, std::uint64_t evals,
                      int reps, core::ClvBudget budget = core::ClvBudget{},
                      const char* name_suffix = "") {
   CaseStat cs;
-  cs.name = std::string("engine.") + backend_label + "." +
-            (dispatch == core::DispatchMode::kPlan ? "plan" : "percall") +
+  cs.name = std::string("engine.") + backend_label + "." + executor_label +
             "." +
             (repeats == core::SiteRepeatsMode::kOn ? "sr-on" : "sr-off") +
             name_suffix;
@@ -305,8 +307,7 @@ CaseStat engine_case(const phylo::PatternMatrix& data,
   cs.threshold = std::string(backend_label) == "threaded" ? 0.40 : 0.25;
 
   core::PlfEngine engine(data, params, tree, backend,
-                         core::KernelVariant::kSimdCol, repeats, dispatch,
-                         budget);
+                         core::KernelVariant::kSimdCol, repeats, budget);
   engine.log_likelihood();  // warm-up: buffers, matrices, plan cache
   const int n_leaves = static_cast<int>(data.n_taxa());
   for (int rep = 0; rep < reps; ++rep) {
@@ -645,12 +646,14 @@ int main(int argc, char** argv) {
   const BackendRow backends[] = {{&serial, "serial"}, {&threaded, "threaded"}};
 
   for (const BackendRow& b : backends) {
-    for (const core::DispatchMode dispatch :
-         {core::DispatchMode::kPerCall, core::DispatchMode::kPlan}) {
+    core::PerCallBackend percall(*b.backend);
+    const BackendRow executors[] = {{&percall, "percall"},
+                                    {b.backend, "plan"}};
+    for (const BackendRow& x : executors) {
       for (const core::SiteRepeatsMode sr :
            {core::SiteRepeatsMode::kOff, core::SiteRepeatsMode::kOn}) {
-        cases.push_back(engine_case(data, tree, params, *b.backend, b.label,
-                                    dispatch, sr, engine_evals, reps));
+        cases.push_back(engine_case(data, tree, params, *x.backend, b.label,
+                                    x.label, sr, engine_evals, reps));
         std::cerr << cases.back().name << ": "
                   << cases.back().min() * 1e3 << " ms/eval (min of " << reps
                   << ")\n";
@@ -659,11 +662,12 @@ int main(int argc, char** argv) {
   }
 
   // CLV-budget sweep: the recompute-vs-memory tradeoff of the budgeted
-  // arena, serial plan dispatch (the least noisy engine path). 1.00 holds
-  // every buffer (eager unlimited twin of the row above); shrinking budgets
-  // trade resident bytes for rematerialization kernel work. 0.25 requests
-  // below the feasibility floor and clamps up to 0.50 — kept in the sweep so
-  // the gate notices if the clamp ever stops holding that cost constant.
+  // arena, on the serial backend's own plan executor (the least noisy engine
+  // path). 1.00 holds every buffer (eager unlimited twin of the row above);
+  // shrinking budgets trade resident bytes for rematerialization kernel
+  // work. 0.25 requests below the feasibility floor and clamps up to 0.50 —
+  // kept in the sweep so the gate notices if the clamp ever stops holding
+  // that cost constant.
   struct BudgetRow {
     const char* spec;
     const char* suffix;
@@ -673,8 +677,7 @@ int main(int argc, char** argv) {
                                {"0.5", ".budget-0.50"},
                                {"0.25", ".budget-0.25"}};
   for (const BudgetRow& b : budgets) {
-    cases.push_back(engine_case(data, tree, params, serial, "serial",
-                                core::DispatchMode::kPlan,
+    cases.push_back(engine_case(data, tree, params, serial, "serial", "plan",
                                 core::SiteRepeatsMode::kOff, engine_evals,
                                 reps, core::clv_budget_from_string(b.spec),
                                 b.suffix));

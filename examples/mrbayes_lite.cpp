@@ -92,9 +92,9 @@ plf::phylo::Alignment load_or_simulate(const char* path, std::uint64_t seed) {
 }
 
 constexpr const char* kUsage =
-    "usage: mrbayes_lite [--site-repeats=on|off|auto] [--dispatch=percall|plan]\n"
-    "                    [--clv-budget=BYTES|FRACTION] [--profile[=FILE]]\n"
-    "                    [--metrics-json[=FILE]] [--shared-pool[=DRIVERS]]\n"
+    "usage: mrbayes_lite [--site-repeats=on|off|auto] [--clv-budget=BYTES|FRACTION]\n"
+    "                    [--profile[=FILE]] [--metrics-json[=FILE]]\n"
+    "                    [--shared-pool[=DRIVERS]]\n"
     "                    [--checkpoint-every=N] [--checkpoint=FILE]\n"
     "                    [--resume=FILE] [--partitions=N|SPEC]\n"
     "                    [--telemetry[=FILE]] [--telemetry-every=N]\n"
@@ -107,7 +107,6 @@ int run_main(int argc, char** argv) {
   using namespace plf;
 
   core::SiteRepeatsMode repeats = core::SiteRepeatsMode::kAuto;
-  core::DispatchMode dispatch = core::DispatchMode::kPlan;
   core::ClvBudget clv_budget;  // default: unlimited
   std::string profile_path;   // empty: profiling report/trace off
   std::string metrics_path;   // empty: metrics JSON off
@@ -128,9 +127,6 @@ int run_main(int argc, char** argv) {
     if (std::strncmp(argv[i], kRepeatsFlag, std::strlen(kRepeatsFlag)) == 0) {
       repeats = core::site_repeats_mode_from_string(
           argv[i] + std::strlen(kRepeatsFlag));
-    } else if (arg.rfind("--dispatch=", 0) == 0) {
-      dispatch = core::dispatch_mode_from_string(
-          arg.substr(std::strlen("--dispatch=")));
     } else if (arg.rfind("--clv-budget=", 0) == 0) {
       clv_budget = core::clv_budget_from_string(
           arg.substr(std::strlen("--clv-budget=")));
@@ -198,8 +194,7 @@ int run_main(int argc, char** argv) {
   std::cout << "run: " << gens << " generations, " << n_chains
             << " coupled chains (1 cold + " << (n_chains - 1)
             << " heated), GTR+I+G, seed " << seed << ", site repeats "
-            << core::to_string(repeats) << ", dispatch "
-            << core::to_string(dispatch) << ", clv budget "
+            << core::to_string(repeats) << ", clv budget "
             << core::to_string(clv_budget) << "\n\n";
 
   // Starting state: a random tree, default model with +I enabled.
@@ -218,7 +213,7 @@ int run_main(int argc, char** argv) {
     start = phylo::Tree::from_newick(start.to_newick(), aln.names());
     engines.push_back(std::make_unique<core::PlfEngine>(
         data, start_params, start, backend, core::KernelVariant::kSimdCol,
-        repeats, dispatch, clv_budget));
+        repeats, clv_budget));
   }
 
   if (!partitions_spec.empty()) {
@@ -233,7 +228,6 @@ int run_main(int argc, char** argv) {
                                               aln.n_columns());
     exec::PartitionedEngine::Config pcfg;
     pcfg.site_repeats = repeats;
-    pcfg.dispatch = dispatch;
     pcfg.clv_budget = clv_budget;
     std::unique_ptr<exec::InstanceScheduler> psched;
     if (shared_pool) {

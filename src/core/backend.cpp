@@ -40,10 +40,9 @@ inline void run_op_fused(const KernelSet& ks, const PlfOp& op,
 void ExecutionBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   detail::check_plan(plan);
   // Reference executor: ops in plan (level) order through the per-call
-  // entries. Level order subsumes the engine's postorder, so this is
-  // bit-identical to per-call dispatch — and keeps the per-kernel plf.*
-  // timer attribution, since each call still runs under its own scope on
-  // the calling thread.
+  // entries, the paper's per-call structure. Every fused executor must match
+  // it bit for bit — and it keeps the per-kernel plf.* timer attribution,
+  // since each call still runs under its own scope on the calling thread.
   for (const PlfOp& op : plan.ops()) {
     if (op.is_root) {
       PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
@@ -245,6 +244,28 @@ void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
       }
     }
   }
+}
+
+std::string PerCallBackend::name() const {
+  return "percall(" + inner_.name() + ")";
+}
+
+void PerCallBackend::run_down(const KernelSet& ks, const DownArgs& a,
+                              std::size_t m) {
+  inner_.run_down(ks, a, m);
+}
+void PerCallBackend::run_root(const KernelSet& ks, const RootArgs& a,
+                              std::size_t m) {
+  inner_.run_root(ks, a, m);
+}
+void PerCallBackend::run_scale(const KernelSet& ks, const ScaleArgs& a,
+                               std::size_t m) {
+  inner_.run_scale(ks, a, m);
+}
+double PerCallBackend::run_root_reduce(const KernelSet& ks,
+                                       const RootReduceArgs& a,
+                                       std::size_t m) {
+  return inner_.run_root_reduce(ks, a, m);
 }
 
 }  // namespace plf::core

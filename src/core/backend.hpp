@@ -14,10 +14,11 @@
 //       one synchronization per call (the paper's per-call structure whose
 //       spawn/sync overhead drives Fig. 9);
 //   run_plan — a whole evaluation's dependency-leveled batch of PlfOps
-//       (core/plan.hpp). The default implementation loops ops through the
-//       per-call entries, so every backend is plan-capable and bit-identical
-//       to per-call dispatch from day one; backends advertising kFusedPlan
-//       override it to amortize synchronization across a level.
+//       (core/plan.hpp), the engine's only way in. The default
+//       implementation loops ops through the per-call entries, so every
+//       backend is plan-capable and bit-identical to the per-call structure
+//       from day one; fused backends override it to amortize synchronization
+//       across a level. PerCallBackend pins any backend to that default.
 #pragma once
 
 #include <cstddef>
@@ -40,18 +41,12 @@ enum class Capabilities : std::uint32_t {
   /// path only; the engine falls back automatically and their run_* entries
   /// reject indexed arguments outright.
   kSiteRepeats = 1u << 0,
-  /// run_plan is a real batched implementation (fused kernels and/or one
-  /// synchronization per dependency level), not the default per-op loop.
-  kFusedPlan = 1u << 1,
-  /// run_plan coalesces host<->device transfers across a batch instead of
-  /// paying a full round trip per kernel invocation.
-  kBatchedTransfers = 1u << 2,
   /// run_plan dispatches tip-specialized ops (PlfOpKind::kTipTip/kTipInner)
   /// to the lookup-table kernels instead of the generic entries. The engine
   /// only builds pair tables and sets op kinds for backends advertising this
   /// (docs/KERNELS.md); everyone else executes the always-valid generic
   /// argument block, bit-identically.
-  kTipKernels = 1u << 3,
+  kTipKernels = 1u << 1,
 };
 
 constexpr Capabilities operator|(Capabilities a, Capabilities b) {
@@ -89,9 +84,10 @@ class ExecutionBackend {
   /// Execute a finalized dependency-leveled batch (see core/plan.hpp):
   /// every op's fused down/root + scale kernels, plus the repeat scatter for
   /// compacted ops, respecting level order. The default walks ops in plan
-  /// order through the per-call entries above — bit-identical to per-call
-  /// dispatch. Overrides must preserve that bit-identity (per-site math is
-  /// partition-invariant; level order keeps the data dependencies).
+  /// order through the per-call entries above: two synchronous calls per op,
+  /// the paper's per-call structure. Overrides must stay bit-identical to it
+  /// (per-site math is partition-invariant; level order keeps the data
+  /// dependencies).
   virtual void run_plan(const KernelSet& ks, const PlfPlan& plan);
 };
 
@@ -100,8 +96,7 @@ class SerialBackend final : public ExecutionBackend {
  public:
   std::string name() const override { return "serial"; }
   Capabilities capabilities() const override {
-    return Capabilities::kSiteRepeats | Capabilities::kFusedPlan |
-           Capabilities::kTipKernels;
+    return Capabilities::kSiteRepeats | Capabilities::kTipKernels;
   }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;
@@ -126,8 +121,7 @@ class ThreadedBackend final : public ExecutionBackend {
 
   std::string name() const override;
   Capabilities capabilities() const override {
-    return Capabilities::kSiteRepeats | Capabilities::kFusedPlan |
-           Capabilities::kTipKernels;
+    return Capabilities::kSiteRepeats | Capabilities::kTipKernels;
   }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;
@@ -140,6 +134,31 @@ class ThreadedBackend final : public ExecutionBackend {
 
  private:
   par::ThreadPool& pool_;
+};
+
+/// The paper's per-call structure over any backend: forwards the four
+/// per-call entries to `inner` but keeps the base run_plan, so every plan op
+/// costs two synchronous calls (down/root, then scale) — on a ThreadedBackend
+/// two parallel regions per op, the Fig. 9 spawn/sync overhead. Bit-identical
+/// to `inner` by the run_plan contract; the A/B reference for the fusion
+/// ablation and the 0-ULP twins. Advertises only inner's kSiteRepeats, so the
+/// engine never hands it tip-specialized ops. `inner` must outlive it.
+class PerCallBackend final : public ExecutionBackend {
+ public:
+  explicit PerCallBackend(ExecutionBackend& inner) : inner_(inner) {}
+
+  std::string name() const override;
+  Capabilities capabilities() const override {
+    return inner_.capabilities() & Capabilities::kSiteRepeats;
+  }
+  void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
+  void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;
+  void run_scale(const KernelSet& ks, const ScaleArgs& a, std::size_t m) override;
+  double run_root_reduce(const KernelSet& ks, const RootReduceArgs& a,
+                         std::size_t m) override;
+
+ private:
+  ExecutionBackend& inner_;
 };
 
 }  // namespace plf::core

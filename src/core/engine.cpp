@@ -16,14 +16,13 @@ namespace plf::core {
 PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
                      phylo::Tree tree, ExecutionBackend& backend,
                      KernelVariant variant, SiteRepeatsMode site_repeats,
-                     DispatchMode dispatch, ClvBudget clv_budget)
+                     ClvBudget clv_budget)
     : data_(std::move(data)),
       model_(params),
       tree_(std::move(tree)),
       backend_(&backend),
       kernels_(&kernels(variant)),
-      repeats_mode_(site_repeats),
-      dispatch_(dispatch) {
+      repeats_mode_(site_repeats) {
   PLF_CHECK(data_.n_taxa() == tree_.n_taxa(),
             "pattern matrix and tree disagree on taxon count");
   m_ = data_.n_patterns();
@@ -90,10 +89,7 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
     repeats_ = SiteRepeats(data_, tree_);
   }
 
-  // Tip-specialized kernels ride plan dispatch only: the per-call path stays
-  // fully generic so --dispatch=percall remains the exact A/B baseline.
   tip_kernels_enabled_ =
-      dispatch_ == DispatchMode::kPlan &&
       has_capability(backend_->capabilities(), Capabilities::kTipKernels);
 
   // Publish the CLV footprint gauges immediately: a --metrics-json snapshot
@@ -313,34 +309,20 @@ ChildArgs PlfEngine::make_child(int node) const {
     ch.mask = data_.row(static_cast<std::size_t>(tree_.node(node).taxon));
     ch.tp = b.tp[static_cast<std::size_t>(b.active)].data();
   } else {
-    const NodeState& st = nodes_[static_cast<std::size_t>(node)];
-    // stage_arena() pinned this buffer for the whole evaluation, so the
-    // residency check cannot fire on a kernel-bound pointer.
-    ch.cl = arena_.data(clv_slot(node, st.active));
+    // A child this plan also recomputes (in an earlier level) is read from
+    // the buffer its op writes, which becomes active only at post-processing;
+    // its pre-evaluation buffer may be evicted (only the target is staged).
+    // Any other child reads its active buffer. stage_arena() pinned both
+    // kinds for the whole evaluation, so the residency check cannot fire on
+    // a kernel-bound pointer.
+    const int target = plan_target_[static_cast<std::size_t>(node)];
+    const int buf =
+        target >= 0 ? target : nodes_[static_cast<std::size_t>(node)].active;
+    ch.cl = arena_.data(clv_slot(node, buf));
   }
   ch.p = tm.row_major();
   ch.pt = tm.col_major();
   return ch;
-}
-
-ChildArgs PlfEngine::make_plan_child(int node) const {
-  if (!tree_.node(node).is_leaf()) {
-    const int target = plan_target_[static_cast<std::size_t>(node)];
-    if (target >= 0) {
-      // The child is recomputed by this same plan (an earlier level): read
-      // the buffer its op writes, which becomes active at post-processing.
-      // Resolved directly — the child's PRE-evaluation active buffer may be
-      // evicted (only the target is staged), so make_child must not touch it.
-      const BranchState& b = branches_[static_cast<std::size_t>(node)];
-      const auto& tm = b.tm[static_cast<std::size_t>(b.active)];
-      ChildArgs ch;
-      ch.cl = arena_.data(clv_slot(node, target));
-      ch.p = tm.row_major();
-      ch.pt = tm.col_major();
-      return ch;
-    }
-  }
-  return make_child(node);
 }
 
 const NodeRepeats* PlfEngine::repeats_for(int id) const {
@@ -353,11 +335,6 @@ const NodeRepeats* PlfEngine::repeats_for(int id) const {
     return nullptr;  // too few repeats to pay for the scatter pass
   }
   return &nr;
-}
-
-void PlfEngine::scatter_repeats(const NodeRepeats& nr, float* cl,
-                                float* ln_scaler) const {
-  core::scatter_repeats(nr, k_, cl, ln_scaler);  // core/plan.cpp
 }
 
 void PlfEngine::collect_recompute_targets() {
@@ -475,8 +452,8 @@ void PlfEngine::build_plan() {
     op.is_root = id == tree_.root();
     op.repeats = nr;
     op.run_m = nr != nullptr ? nr->n_classes : m_;
-    op.args.down.left = make_plan_child(n.left);
-    op.args.down.right = make_plan_child(n.right);
+    op.args.down.left = make_child(n.left);
+    op.args.down.right = make_child(n.right);
     op.args.down.out = out;
     op.args.down.K = k_;
     op.args.down.site_index = nr != nullptr ? nr->unique_sites.data() : nullptr;
@@ -540,7 +517,8 @@ void PlfEngine::build_plan() {
     plan_.add(op, static_cast<std::size_t>(
                       levels[static_cast<std::size_t>(id)]));
 
-    // Work accounting identical to what the per-call loop counts.
+    // Work accounting: one down/root and one scale call per op, whether the
+    // backend fuses them or not.
     if (op.is_root) {
       ++stats_.root_calls;
       if (nr != nullptr) ++stats_.repeat_root_hits;
@@ -585,93 +563,6 @@ void PlfEngine::post_process_plan() {
   }
 }
 
-void PlfEngine::execute_percall() {
-  for (const RecomputeEntry& e : recompute_targets_) {
-    const int id = e.node;
-    const int target = e.target;
-    NodeState& st = nodes_[static_cast<std::size_t>(id)];
-    if (in_proposal_ && st.dirty && st.dirty_epoch != proposal_epoch_) {
-      pre_dirty_nodes_.push_back(id);
-      st.dirty_epoch = proposal_epoch_;
-    }
-    const phylo::TreeNode& n = tree_.node(id);
-    float* out = arena_.data(clv_slot(id, target));
-    float* ln_scaler = st.scaler[static_cast<std::size_t>(target)].data();
-
-    // Site-repeat compaction: compute only the class representatives, then
-    // scatter their CLV blocks (and scaler entries) to the duplicate sites.
-    const NodeRepeats* nr = repeats_for(id);
-    const std::uint32_t* site_index =
-        nr != nullptr ? nr->unique_sites.data() : nullptr;
-    const std::size_t run_m = nr != nullptr ? nr->n_classes : m_;
-
-    Stopwatch plf_sw;
-    if (id == tree_.root()) {
-      RootArgs ra;
-      ra.down.left = make_child(n.left);
-      ra.down.right = make_child(n.right);
-      ra.down.out = out;
-      ra.down.K = k_;
-      ra.down.site_index = site_index;
-      ra.down.n_sites = m_;
-      const int og = tree_.outgroup();
-      const BranchState& ob = branches_[static_cast<std::size_t>(og)];
-      ra.out_mask = data_.row(static_cast<std::size_t>(tree_.node(og).taxon));
-      ra.out_tp = ob.tp[static_cast<std::size_t>(ob.active)].data();
-      {
-        PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
-        backend_->run_root(*kernels_, ra, run_m);
-      }
-      ++stats_.root_calls;
-      if (nr != nullptr) ++stats_.repeat_root_hits;
-    } else {
-      DownArgs da;
-      da.left = make_child(n.left);
-      da.right = make_child(n.right);
-      da.out = out;
-      da.K = k_;
-      da.site_index = site_index;
-      da.n_sites = m_;
-      {
-        PLF_PROF_SCOPE(obs::kTimerCondLikeDown);
-        backend_->run_down(*kernels_, da, run_m);
-      }
-      ++stats_.down_calls;
-      if (nr != nullptr) ++stats_.repeat_down_hits;
-    }
-
-    ScaleArgs sa;
-    sa.cl = out;
-    sa.ln_scaler = ln_scaler;
-    sa.K = k_;
-    sa.site_index = site_index;
-    sa.n_sites = m_;
-    {
-      PLF_PROF_SCOPE(obs::kTimerCondLikeScaler);
-      backend_->run_scale(*kernels_, sa, run_m);
-    }
-    ++stats_.scale_calls;
-    if (nr != nullptr) {
-      ++stats_.repeat_scale_hits;
-      stats_.repeat_sites_total += m_;
-      stats_.repeat_sites_computed += run_m;
-      PLF_PROF_SCOPE(obs::kTimerRepeatScatter);
-      scatter_repeats(*nr, out, ln_scaler);
-    }
-    stats_.pattern_iterations += 2 * run_m;  // one PLF pass + one scaler pass
-    stats_.plf_seconds += plf_sw.seconds();
-
-    if (target != st.active) {
-      st.active = target;
-      if (in_proposal_) {
-        flipped_nodes_.push_back(id);
-        st.flip_epoch = proposal_epoch_;
-      }
-    }
-    st.dirty = false;
-  }
-}
-
 void PlfEngine::evaluate() {
   Stopwatch serial_sw;
 
@@ -699,7 +590,7 @@ void PlfEngine::evaluate() {
 
   // 2. Recompute dirty internal nodes, children before parents: collect the
   // dirty postorder (with each node's resolved write target) once, then
-  // dispatch it per-call or as one dependency-leveled plan.
+  // execute it as one dependency-leveled plan.
   collect_recompute_targets();
 
   // 2a'. Pin every CLV buffer this evaluation reads or writes (acquiring
@@ -708,9 +599,9 @@ void PlfEngine::evaluate() {
   stage_arena();
 
   // 2a. Retire the recomputed nodes' old scaler-total contributions while
-  // their pre-evaluation buffers are still active. Shared by both dispatch
-  // modes and walked in the same order as the post-kernel addition pass, so
-  // scaler_total_ stays bit-identical between --dispatch=percall and plan.
+  // their pre-evaluation buffers are still active. Walked in the same order
+  // as the post-kernel addition pass, so scaler_total_ stays bit-identical
+  // whichever executor the backend runs the plan with.
   // Rematerializations are skipped: their recomputed scaler row is bit-
   // identical to the one already absorbed, and (t - x) + x != t in floating
   // point — touching the total would break budgeted/unbudgeted bit-identity.
@@ -729,28 +620,24 @@ void PlfEngine::evaluate() {
   }
 
   // 2b. Execute.
-  if (dispatch_ == DispatchMode::kPlan) {
-    if (!recompute_targets_.empty()) {
-      serial_sw.reset();
-      {
-        PLF_PROF_SCOPE(obs::kTimerPlanBuild);
-        Stopwatch build_sw;
-        build_plan();
-        stats_.plan_build_seconds += build_sw.seconds();
-      }
-      stats_.serial_seconds += serial_sw.seconds();
-
-      Stopwatch plf_sw;
-      {
-        PLF_PROF_SCOPE(obs::kTimerPlanExecute);
-        backend_->run_plan(*kernels_, plan_);
-      }
-      stats_.plf_seconds += plf_sw.seconds();
-
-      post_process_plan();
+  if (!recompute_targets_.empty()) {
+    serial_sw.reset();
+    {
+      PLF_PROF_SCOPE(obs::kTimerPlanBuild);
+      Stopwatch build_sw;
+      build_plan();
+      stats_.plan_build_seconds += build_sw.seconds();
     }
-  } else {
-    execute_percall();
+    stats_.serial_seconds += serial_sw.seconds();
+
+    Stopwatch plf_sw;
+    {
+      PLF_PROF_SCOPE(obs::kTimerPlanExecute);
+      backend_->run_plan(*kernels_, plan_);
+    }
+    stats_.plf_seconds += plf_sw.seconds();
+
+    post_process_plan();
   }
 
   // 3. Fold the new scaler rows into the per-pattern total — incrementally
@@ -1024,9 +911,11 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   lik_valid_ = r.u8() != 0;
 
   // Repeat classes re-identify lazily (deterministic from data + tree), and
-  // the proposal undo machinery starts from a clean slate.
+  // the proposal undo logs start from a clean slate. proposal_epoch_ is NOT
+  // rewound: nodes and branches keep their dirty_epoch stamps, and an epoch
+  // that matched a stale stamp would hide a pre-dirty entry from the next
+  // proposal, so reject() would restore an outdated buffer as clean.
   if (repeats_enabled_) repeats_.invalidate_all();
-  proposal_epoch_ = 0;
   saved_ln_lik_ = 0.0;
   saved_lik_valid_ = false;
   flipped_nodes_.clear();

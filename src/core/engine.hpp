@@ -116,7 +116,6 @@ class PlfEngine {
             phylo::Tree tree, ExecutionBackend& backend,
             KernelVariant variant = KernelVariant::kSimdCol,
             SiteRepeatsMode site_repeats = SiteRepeatsMode::kAuto,
-            DispatchMode dispatch = DispatchMode::kPlan,
             ClvBudget clv_budget = ClvBudget{});
 
   /// Evaluate the log likelihood, recomputing whatever is dirty.
@@ -180,9 +179,9 @@ class PlfEngine {
   /// proposal. EngineStats are run-local and intentionally not saved.
   void save_state(util::BinaryWriter& w) const;
   /// Inverse of save_state, into an engine constructed with the SAME data,
-  /// backend, kernel variant, dispatch mode, and rate-category count (a
-  /// config fingerprint is checked; bit-identity additionally requires the
-  /// same kernel configuration, which cannot be fingerprinted). Branch
+  /// backend, kernel variant, and rate-category count (a config fingerprint
+  /// is checked; bit-identity additionally requires the same kernel
+  /// configuration, which cannot be fingerprinted). Branch
   /// transition matrices are rebuilt eagerly (pure functions of model x
   /// length), non-resident CLVs rematerialize on the next evaluation, and
   /// site-repeat classes re-identify lazily — all deterministic, so the
@@ -190,13 +189,9 @@ class PlfEngine {
   /// uninterrupted run's.
   void restore_state(util::BinaryReader& r);
 
-  /// How evaluations reach the backend: per-call kernels or dependency-
-  /// leveled plans. Fixed at construction; results are bit-identical.
-  DispatchMode dispatch_mode() const { return dispatch_; }
-
-  /// True when plan dispatch marks cherry/tip-child ops for the lookup-table
-  /// kernels (backend advertises Capabilities::kTipKernels; per-call dispatch
-  /// stays fully generic as the A/B baseline).
+  /// True when plans mark cherry/tip-child ops for the lookup-table kernels
+  /// (the backend advertises Capabilities::kTipKernels; PerCallBackend does
+  /// not, so it stays fully generic as the A/B baseline).
   bool tip_kernels_enabled() const { return tip_kernels_enabled_; }
 
   /// Requested site-repeats policy (the effective path also depends on the
@@ -227,7 +222,7 @@ class PlfEngine {
   /// its recompute set with this ancestor (test hook for the remat path).
   void evict_node_for_test(int node);
   /// The most recently built execution plan (tests: leveling of evicted
-  /// ancestors). Meaningful after a plan-dispatch evaluation.
+  /// ancestors). Meaningful after an evaluation that recomputed a node.
   const PlfPlan& last_plan() const { return plan_; }
 
  private:
@@ -285,16 +280,16 @@ class PlfEngine {
   void mark_path_dirty(int from_node);
   void mark_branch_dirty(int node);
   void rebuild_branch(int node) PLF_REQUIRES(checker_);
+  /// Kernel arguments for reading child `node` inside the plan being built.
+  /// A child this evaluation also recomputes resolves to its TARGET buffer:
+  /// the plan defers all flips to post-processing, so the active index still
+  /// names the pre-evaluation state while the plan's ops must read what
+  /// earlier levels will have written.
   ChildArgs make_child(int node) const;
-  /// make_child, except a child this evaluation also recomputes resolves to
-  /// its TARGET buffer: plan dispatch defers all flips to post-processing,
-  /// so the active index still names the pre-evaluation state while the
-  /// plan's ops must read what earlier levels will have written.
-  ChildArgs make_plan_child(int node) const;
   void evaluate() PLF_REQUIRES(checker_);
   /// The evaluation phases evaluate() composes (docs/EXECUTION_PLAN.md):
-  /// collect the dirty postorder with each node's write target, then either
-  /// replay the per-call loop or build-plan / execute-plan / post-process.
+  /// collect the dirty postorder with each node's write target, then
+  /// build-plan / execute-plan / post-process.
   void collect_recompute_targets() PLF_REQUIRES(checker_);
   /// Pin every CLV buffer this evaluation reads or writes, in the documented
   /// LRU touch order (external reads in recompute postorder, then write
@@ -302,15 +297,11 @@ class PlfEngine {
   /// Runs before any kernel, so no kernel ever sees an evicted pointer.
   void stage_arena() PLF_REQUIRES(checker_);
   void build_plan() PLF_REQUIRES(checker_);
-  void execute_percall() PLF_REQUIRES(checker_);
   /// Deferred flips + dirty clearing after a plan executes.
   void post_process_plan() PLF_REQUIRES(checker_);
   /// Repeat classes to compact node `id` with, or nullptr for the dense path
   /// (mode/backend/compression gate). Identification must be fresh.
   const NodeRepeats* repeats_for(int id) const;
-  /// Copy each repeat class's representative CLV block and scaler entry to
-  /// the class's duplicate sites (representatives precede duplicates).
-  void scatter_repeats(const NodeRepeats& nr, float* cl, float* ln_scaler) const;
   /// Arena footprint gauges (engine.clv_bytes + arena.*). Called from the
   /// constructor against the global registry — before the first snapshot any
   /// --metrics-json run takes — and from publish_stats.
@@ -342,10 +333,9 @@ class PlfEngine {
   std::uint64_t tp_builds_ = 0;
 
   // Batched dispatch (core/plan.hpp). recompute_targets_ is the dirty
-  // postorder with each node's resolved write target — the shared input of
-  // both dispatch paths and of the incremental scaler passes, which must
-  // walk it in identical order for cross-mode bit-identity.
-  DispatchMode dispatch_ = DispatchMode::kPlan;
+  // postorder with each node's resolved write target — the input of the plan
+  // build and of the incremental scaler passes, which must walk it in
+  // identical order so the subtract and add passes pair up.
   PlfPlan plan_;
   std::vector<RecomputeEntry> recompute_targets_;
   std::vector<char> recompute_;    ///< node id -> in recompute set (scratch)

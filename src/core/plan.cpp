@@ -8,20 +8,6 @@
 
 namespace plf::core {
 
-std::string to_string(DispatchMode m) {
-  switch (m) {
-    case DispatchMode::kPerCall: return "percall";
-    case DispatchMode::kPlan: return "plan";
-  }
-  return "?";
-}
-
-DispatchMode dispatch_mode_from_string(const std::string& s) {
-  if (s == "percall") return DispatchMode::kPerCall;
-  if (s == "plan") return DispatchMode::kPlan;
-  throw Error("unknown dispatch mode '" + s + "' (expected percall|plan)");
-}
-
 void PlfPlan::reset(std::size_t n_nodes, std::size_t m) {
   ops_.clear();
   op_level_.clear();
@@ -48,7 +34,8 @@ void PlfPlan::finalize() {
   std::size_t n_levels = 0;
   for (std::size_t l : op_level_) n_levels = std::max(n_levels, l + 1);
   // Counting sort by level: stable, so within a level the engine's postorder
-  // insertion order — the order per-call dispatch uses — is preserved.
+  // insertion order — the recompute order of the scaler passes — is
+  // preserved.
   std::vector<std::size_t> counts(n_levels, 0);
   for (std::size_t l : op_level_) counts[l]++;
   level_offsets_.assign(n_levels + 1, 0);

@@ -1,6 +1,6 @@
 // Batched operation-plan dispatch for the PLF (BEAGLE-style updatePartials).
 //
-// The per-call engine issues three synchronous backend calls per dirty node
+// A per-call engine issues two synchronous backend calls per dirty node
 // (down/root, then scale, each with its own spawn/sync barrier) — the
 // overhead structure the paper blames for the Fig. 9 scaling loss. A
 // `PlfPlan` replaces that with ONE dependency-ordered batch per evaluation:
@@ -14,15 +14,14 @@
 //
 // Each backend then executes the batch its own way: the base
 // ExecutionBackend::run_plan loops ops through the per-call entries
-// (bit-identical to per-call dispatch by construction), the threaded backend
+// (the per-call structure; PerCallBackend pins it), the threaded backend
 // opens one parallel region per level with down+scale fused per site chunk
-// (~3 barriers/node -> 1 barrier/level), and the GPU backend keeps each op's
+// (2 barriers/node -> 1 barrier/level), and the GPU backend keeps each op's
 // CLV block device-resident between the down and scale kernels, coalescing
 // the PCIe round trip. See docs/EXECUTION_PLAN.md.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -30,19 +29,6 @@
 #include "phylo/tree.hpp"
 
 namespace plf::core {
-
-/// Engine dispatch strategy (--dispatch=percall|plan). Results are required
-/// to be bit-identical; plan dispatch is the default and per-call dispatch is
-/// kept as the A/B baseline for the fusion ablation.
-enum class DispatchMode {
-  kPerCall,  ///< three synchronous backend calls per dirty node
-  kPlan,     ///< one dependency-leveled batch per evaluation
-};
-
-std::string to_string(DispatchMode m);
-
-/// Parse a percall|plan flag value; throws plf::Error on anything else.
-DispatchMode dispatch_mode_from_string(const std::string& s);
 
 /// Which kernel entry recomputes an op fastest. The generic argument block
 /// (PlfOp::args) is ALWAYS fully populated regardless of kind, so executors

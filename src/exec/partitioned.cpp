@@ -25,8 +25,7 @@ PartitionedEngine::PartitionedEngine(const phylo::Alignment& aln,
     const phylo::GtrParams& p = params[params.size() == 1 ? 0 : i];
     engines_.push_back(std::make_unique<core::PlfEngine>(
         phylo::PatternMatrix::compress(parts[i]), p, tree, backend,
-        config.variant, config.site_repeats, config.dispatch,
-        config.clv_budget));
+        config.variant, config.site_repeats, config.clv_budget));
     if (scheduler_ != nullptr) {
       instance_ids_.push_back(
           scheduler_->register_instance(*engines_.back(), spec_.range(i).name));

@@ -36,7 +36,6 @@ namespace plf::exec {
 struct PartitionedConfig {
   core::KernelVariant variant = core::KernelVariant::kSimdCol;
   core::SiteRepeatsMode site_repeats = core::SiteRepeatsMode::kAuto;
-  core::DispatchMode dispatch = core::DispatchMode::kPlan;
   core::ClvBudget clv_budget;
 };
 

@@ -235,7 +235,7 @@ double GpuPlf::down_like(const core::DownArgs& a, std::size_t m,
   stats_.global_partitions += partitions - 1;
   if (fused_scale != nullptr) {
     ++stats_.plan_fused_ops;
-    // Per-call dispatch would H2D the whole CLV block into run_scale and D2H
+    // The per-call path would H2D the whole CLV block into run_scale and D2H
     // it back out again; fusion eliminates both transfers.
     stats_.pcie_bytes_saved += 2 * m * cl_pp;
   }

@@ -53,7 +53,7 @@ struct GpuRunStats {
   std::uint64_t d2h_bytes = 0;
   // Plan batching (run_plan): ops whose scale stage ran on the CLV block
   // still device-resident from the down/root kernel, and the PCIe traffic
-  // that saved versus per-call dispatch (one H2D + one D2H of the block).
+  // that saved versus the per-call path (one H2D + one D2H of the block).
   std::uint64_t plan_fused_ops = 0;
   std::uint64_t pcie_bytes_saved = 0;
 };
@@ -64,13 +64,10 @@ class GpuPlf final : public core::ExecutionBackend {
 
   std::string name() const override;
 
-  /// Dense-only (site-index indirection would break the three-level grid
-  /// partitioning and the coalesced layout), but plan-batched: run_plan
-  /// fuses each op's scale onto the device-resident down/root output and
-  /// coalesces the PCIe round trips the per-call path pays between kernels.
-  core::Capabilities capabilities() const override {
-    return core::Capabilities::kFusedPlan | core::Capabilities::kBatchedTransfers;
-  }
+  // Capabilities: none. Dense-only (site-index indirection would break the
+  // three-level grid partitioning and the coalesced layout), but run_plan
+  // fuses each op's scale onto the device-resident down/root output and
+  // coalesces the PCIe round trips the per-call path pays between kernels.
 
   void run_down(const core::KernelSet& ks, const core::DownArgs& a,
                 std::size_t m) override;
@@ -97,7 +94,7 @@ class GpuPlf final : public core::ExecutionBackend {
 
  private:
   /// One staged invocation: H2D inputs, down/root kernel, and — when
-  /// `fused_scale` is non-null (plan dispatch) — the scale kernel on the
+  /// `fused_scale` is non-null (run_plan) — the scale kernel on the
   /// still-device-resident output before the single D2H, so the per-call
   /// H2D+D2H round trip between the two kernels disappears.
   double down_like(const core::DownArgs& a, std::size_t m,

@@ -23,7 +23,7 @@ inline constexpr const char* kTimerRepeatScatter = "engine.RepeatScatter";
 
 // Plan dispatch (batched engine->backend interface, docs/EXECUTION_PLAN.md).
 // plan.build/plan.execute bracket the engine's two phases; plan.level is the
-// wall time of one dependency level's fused batch on a kFusedPlan backend
+// wall time of one dependency level's fused batch on the threaded backend
 // (the report counts it toward the PLF section — when kernels are fused into
 // one region per level, per-kernel attribution is by design unavailable).
 inline constexpr const char* kTimerPlanBuild = "plan.build";
@@ -31,8 +31,9 @@ inline constexpr const char* kTimerPlanExecute = "plan.execute";
 inline constexpr const char* kTimerPlanLevel = "plan.level";
 inline constexpr const char* kCounterPlanLevels = "plan.levels";
 inline constexpr const char* kCounterPlanOps = "plan.ops";
-/// Parallel regions NOT opened relative to per-call dispatch (2 per op minus
-/// 1 per level) — the reclaimed spawn/sync the Fig. 12 breakdown attributes.
+/// Parallel regions NOT opened relative to the per-call structure of
+/// PerCallBackend (2 per op minus 1 per fused region) — the reclaimed
+/// spawn/sync the Fig. 12 breakdown attributes.
 inline constexpr const char* kCounterPlanRegionsSaved = "plan.regions_saved";
 
 // Thread pool (multi-core backend, §3.2).

@@ -33,11 +33,11 @@ Breakdown build_breakdown(const Snapshot& snapshot, double total_s,
       kernel_share(snapshot, kTimerCondLikeRoot, "CondLikeRoot"),
       kernel_share(snapshot, kTimerCondLikeScaler, "CondLikeScaler"),
       kernel_share(snapshot, kTimerRootReduce, "RootReduce"),
-      // Plan dispatch on a fused backend runs down/root + scale inside one
-      // region per dependency level: the kernels are deliberately
-      // indistinguishable there, so the level wall time is its own PLF row
-      // (per-call dispatch and the default per-op plan executor keep filling
-      // the per-kernel rows above instead).
+      // The threaded backend runs down/root + scale inside one region per
+      // fused level run: the kernels are deliberately indistinguishable
+      // there, so the level wall time is its own PLF row (the serial
+      // backend and the base per-op executor — Cell, PerCallBackend — keep
+      // filling the per-kernel rows above instead).
       kernel_share(snapshot, kTimerPlanLevel, "PlanLevel(fused)"),
   };
   for (const KernelShare& k : b.kernels) b.plf_s += k.seconds;

@@ -1,13 +1,14 @@
-// Cross-backend differential harness for the site-repeat and plan-dispatch
-// paths.
+// Cross-backend differential harness for the site-repeat path and the plan
+// executors.
 //
 // Properties under test: (a) site-repeat compaction only skips arithmetic
 // whose result is already known, so for any (data, tree, model) the compacted
 // engine must match the dense engine BIT FOR BIT on the same backend and
-// kernel variant — 0 ULP, not "close"; (b) batched PlfPlan dispatch only
-// regroups and fuses the identical per-site kernel work, so a plan-dispatch
-// engine must match its per-call twin bit for bit on every backend × variant
-// × repeats combination, through proposals and rejects. Across backends and variants the
+// kernel variant — 0 ULP, not "close"; (b) a backend's own run_plan only
+// regroups and fuses the identical per-site kernel work, so an engine on it
+// must match its PerCallBackend twin (the base per-op executor over the same
+// backend) bit for bit on every backend × variant × repeats combination,
+// through proposals and rejects. Across backends and variants the
 // summation order changes, so those comparisons get per-backend tolerances
 // (ULP bounds on CLV entries, relative bounds on lnL against an independent
 // double-precision reference).
@@ -151,24 +152,24 @@ TEST_P(BackendDiffTest, RepeatsOnOffAgreeBitwiseAndMatchReference) {
 
         BackendHolder h_off = BackendHolder::make(kind);
         BackendHolder h_on = BackendHolder::make(kind);
-        PlfEngine dense(d.data, d.params, d.tree, *h_off.backend, variant,
-                        SiteRepeatsMode::kOff, DispatchMode::kPerCall);
-        PlfEngine compact(d.data, d.params, d.tree, *h_on.backend, variant,
-                          SiteRepeatsMode::kOn, DispatchMode::kPerCall);
+        PerCallBackend percall_off(*h_off.backend);
+        PerCallBackend percall_on(*h_on.backend);
+        PlfEngine dense(d.data, d.params, d.tree, percall_off, variant,
+                        SiteRepeatsMode::kOff);
+        PlfEngine compact(d.data, d.params, d.tree, percall_on, variant,
+                          SiteRepeatsMode::kOn);
 
-        // Plan-dispatch twins: same backend kind, same variant, same repeat
-        // mode — only the dispatch path differs. Every comparison between a
+        // Native-executor twins: same backend kind, same variant, same repeat
+        // mode — only the plan executor differs. Every comparison between a
         // per-call engine and its twin below is exact (EXPECT_EQ, memcmp),
-        // which is the acceptance bar for the PlfPlan refactor: batching and
+        // which is the acceptance bar for every fused run_plan: batching and
         // fusing must not move a single bit on any backend.
         BackendHolder h_off_plan = BackendHolder::make(kind);
         BackendHolder h_on_plan = BackendHolder::make(kind);
         PlfEngine dense_plan(d.data, d.params, d.tree, *h_off_plan.backend,
-                             variant, SiteRepeatsMode::kOff,
-                             DispatchMode::kPlan);
+                             variant, SiteRepeatsMode::kOff);
         PlfEngine compact_plan(d.data, d.params, d.tree, *h_on_plan.backend,
-                               variant, SiteRepeatsMode::kOn,
-                               DispatchMode::kPlan);
+                               variant, SiteRepeatsMode::kOn);
 
         const double lnl_dense = dense.log_likelihood();
         const double lnl_compact = compact.log_likelihood();
@@ -180,8 +181,8 @@ TEST_P(BackendDiffTest, RepeatsOnOffAgreeBitwiseAndMatchReference) {
                               m * K * 4 * sizeof(float)),
                   0);
 
-        // Per-call vs plan: bit-identical lnL and root CLVs, repeats on and
-        // off alike, and the plan path must actually have built plans.
+        // Per-call vs native: bit-identical lnL and root CLVs, repeats on and
+        // off alike, from the very same plans.
         EXPECT_EQ(lnl_dense, dense_plan.log_likelihood());
         EXPECT_EQ(lnl_compact, compact_plan.log_likelihood());
         EXPECT_EQ(std::memcmp(dense.node_cl(dense.tree().root()),
@@ -192,16 +193,16 @@ TEST_P(BackendDiffTest, RepeatsOnOffAgreeBitwiseAndMatchReference) {
                               compact_plan.node_cl(compact_plan.tree().root()),
                               m * K * 4 * sizeof(float)),
                   0);
-        EXPECT_EQ(dense.stats().plan_builds, 0u);
-        EXPECT_GT(dense_plan.stats().plan_builds, 0u);
         EXPECT_GT(dense_plan.stats().plan_ops, 0u);
+        EXPECT_EQ(dense.stats().plan_ops, dense_plan.stats().plan_ops);
+        EXPECT_EQ(dense.stats().plan_levels, dense_plan.stats().plan_levels);
         // Identical work, batched: the kernel-call accounting must agree.
         EXPECT_EQ(dense.stats().pattern_iterations,
                   dense_plan.stats().pattern_iterations);
         EXPECT_EQ(compact.stats().pattern_iterations,
                   compact_plan.stats().pattern_iterations);
 
-        // Tip specialization: on tip-capable backends the plan engine must
+        // Tip specialization: on tip-capable backends the native engine must
         // have routed cherries through the pair-table gather (every binary
         // tree with more than one internal node has a cherry below the
         // root), while the per-call engine stays fully generic — it is the
@@ -221,7 +222,7 @@ TEST_P(BackendDiffTest, RepeatsOnOffAgreeBitwiseAndMatchReference) {
 
         // The compacted path must actually have run where supported, and
         // must have fallen back (not silently diverged) where not.
-        if (has_capability(h_on.backend->capabilities(),
+        if (has_capability(percall_on.capabilities(),
                            Capabilities::kSiteRepeats)) {
           ASSERT_TRUE(compact.site_repeats_enabled());
           EXPECT_GT(compact.stats().repeat_down_hits, 0u);
@@ -241,9 +242,9 @@ TEST_P(BackendDiffTest, RepeatsOnOffAgreeBitwiseAndMatchReference) {
         EXPECT_NEAR(lnl_compact, d.ref_lnl, tol);
 
         // Mid-run differential: a branch-length move plus an NNI proposal
-        // exercises class invalidation (and, for the plan engines, partial
-        // plans plus the incremental scaler-total path) under this backend;
-        // all four engines must stay bitwise-locked through it.
+        // exercises class invalidation, partial plans and the incremental
+        // scaler-total path under this backend; all four engines must stay
+        // bitwise-locked through it.
         for (PlfEngine* e :
              {&dense, &compact, &dense_plan, &compact_plan}) {
           e->set_branch_length(e->tree().leaf_of(1), 1.7);
@@ -325,28 +326,39 @@ TEST(BackendDiffCrossBackendTest, SerialVsThreadedBitIdentical) {
 //
 // A budgeted engine rematerializes evicted CLVs through the same kernels the
 // unbudgeted twin used to compute them, so eviction must not move a single
-// bit on ANY backend, in EITHER dispatch mode, repeats on or off. The twins'
+// bit on ANY backend, under EITHER plan executor (the backend's own run_plan
+// or PerCallBackend's per-op loop), repeats on or off. The twins'
 // kernel-call accounting legitimately differs (rematerialization is extra
 // work), so only lnL and CLV bits are compared — never stats.
 
-using BudgetParam = std::tuple<BackendKind, DispatchMode, SiteRepeatsMode>;
+/// Which run_plan executes the engine's plans: the backend's own ("plan",
+/// fused where the backend fuses) or the base per-op loop via PerCallBackend.
+enum class Executor { kPlan, kPerCall };
+
+using BudgetParam = std::tuple<BackendKind, Executor, SiteRepeatsMode>;
 
 class BudgetedDiffTest : public ::testing::TestWithParam<BudgetParam> {};
 
 TEST_P(BudgetedDiffTest, HalfBudgetBitIdenticalToUnbudgetedTwin) {
-  const auto [kind, dispatch, mode] = GetParam();
+  const auto [kind, executor, mode] = GetParam();
   const Dataset d = make_dataset(59, 4, 0.1);
   const std::size_t m = d.data.n_patterns();
 
   BackendHolder h_budget = BackendHolder::make(kind);
   BackendHolder h_full = BackendHolder::make(kind);
+  PerCallBackend percall_budget(*h_budget.backend);
+  PerCallBackend percall_full(*h_full.backend);
+  const bool per_call = executor == Executor::kPerCall;
+  ExecutionBackend& b_budget =
+      per_call ? percall_budget : *h_budget.backend;
+  ExecutionBackend& b_full = per_call ? percall_full : *h_full.backend;
   ClvBudget half;
   half.kind = ClvBudget::Kind::kFraction;
   half.fraction = 0.5;  // the minimum feasible working set
-  PlfEngine budgeted(d.data, d.params, d.tree, *h_budget.backend,
-                     KernelVariant::kSimdCol, mode, dispatch, half);
-  PlfEngine full(d.data, d.params, d.tree, *h_full.backend,
-                 KernelVariant::kSimdCol, mode, dispatch);
+  PlfEngine budgeted(d.data, d.params, d.tree, b_budget,
+                     KernelVariant::kSimdCol, mode, half);
+  PlfEngine full(d.data, d.params, d.tree, b_full, KernelVariant::kSimdCol,
+                 mode);
 
   EXPECT_EQ(budgeted.log_likelihood(), full.log_likelihood());
 
@@ -400,11 +412,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded,
                           BackendKind::kCell, BackendKind::kGpu),
-        ::testing::Values(DispatchMode::kPerCall, DispatchMode::kPlan),
+        ::testing::Values(Executor::kPerCall, Executor::kPlan),
         ::testing::Values(SiteRepeatsMode::kOff, SiteRepeatsMode::kOn)),
     [](const ::testing::TestParamInfo<BudgetParam>& info) {
       return std::string(name_of(std::get<0>(info.param))) + "_" +
-             to_string(std::get<1>(info.param)) + "_repeats_" +
+             (std::get<1>(info.param) == Executor::kPerCall ? "percall"
+                                                            : "plan") +
+             "_repeats_" +
              (std::get<2>(info.param) == SiteRepeatsMode::kOn ? "on" : "off");
     });
 

@@ -3,7 +3,7 @@
 // The contract under test is exact resumption: serialize a running
 // engine+chain (or a whole coupled run), restore into a freshly constructed
 // twin, continue both, and every subsequent log likelihood matches to the
-// LAST BIT (0 ULP) — across backends, dispatch modes, and the budgeted CLV
+// LAST BIT (0 ULP) — across backends, plan executors, and the budgeted CLV
 // arena, whose evicted vectors are rematerialized rather than serialized.
 // Anything weaker would make a resumed run a different run.
 #include <gtest/gtest.h>
@@ -48,20 +48,19 @@ Instance make_instance(std::size_t taxa, std::size_t cols, std::uint64_t seed) {
 struct Combo {
   const char* name;
   bool threaded;
-  core::DispatchMode dispatch;
+  bool per_call;       // run the backend under core::PerCallBackend
   const char* budget;  // nullptr: unlimited
 };
 
 constexpr Combo kCombos[] = {
-    {"serial/percall/unlimited", false, core::DispatchMode::kPerCall, nullptr},
-    {"serial/plan/unlimited", false, core::DispatchMode::kPlan, nullptr},
-    {"threaded/percall/unlimited", true, core::DispatchMode::kPerCall,
-     nullptr},
-    {"threaded/plan/unlimited", true, core::DispatchMode::kPlan, nullptr},
-    {"serial/percall/0.5", false, core::DispatchMode::kPerCall, "0.5"},
-    {"serial/plan/0.5", false, core::DispatchMode::kPlan, "0.5"},
-    {"threaded/percall/0.5", true, core::DispatchMode::kPerCall, "0.5"},
-    {"threaded/plan/0.5", true, core::DispatchMode::kPlan, "0.5"},
+    {"serial/percall/unlimited", false, true, nullptr},
+    {"serial/plan/unlimited", false, false, nullptr},
+    {"threaded/percall/unlimited", true, true, nullptr},
+    {"threaded/plan/unlimited", true, false, nullptr},
+    {"serial/percall/0.5", false, true, "0.5"},
+    {"serial/plan/0.5", false, false, "0.5"},
+    {"threaded/percall/0.5", true, true, "0.5"},
+    {"threaded/plan/0.5", true, false, "0.5"},
 };
 
 TEST(CheckpointTest, EngineChainRoundTripResumesBitExact) {
@@ -72,17 +71,19 @@ TEST(CheckpointTest, EngineChainRoundTripResumesBitExact) {
 
   for (const Combo& c : kCombos) {
     SCOPED_TRACE(c.name);
-    core::ExecutionBackend& backend = c.threaded
-                                          ? static_cast<core::ExecutionBackend&>(threaded)
-                                          : serial;
+    core::ExecutionBackend& native = c.threaded
+                                         ? static_cast<core::ExecutionBackend&>(threaded)
+                                         : serial;
+    core::PerCallBackend per_call(native);
+    core::ExecutionBackend& backend =
+        c.per_call ? static_cast<core::ExecutionBackend&>(per_call) : native;
     const core::ClvBudget budget = c.budget == nullptr
                                        ? core::ClvBudget{}
                                        : core::clv_budget_from_string(c.budget);
     const auto make_engine = [&] {
       return std::make_unique<core::PlfEngine>(
           inst.data, inst.params, inst.tree, backend,
-          core::KernelVariant::kSimdCol, core::SiteRepeatsMode::kOn,
-          c.dispatch, budget);
+          core::KernelVariant::kSimdCol, core::SiteRepeatsMode::kOn, budget);
     };
     McmcOptions mo;
     mo.seed = 33;
@@ -167,6 +168,44 @@ TEST(CheckpointTest, RestoredEngineEvaluatesCheckpointedLikelihood) {
   (void)b.log_likelihood();
   b.set_branch_length(leaf, len);
   EXPECT_EQ(b.log_likelihood(), at_checkpoint);
+}
+
+TEST(CheckpointTest, RestoreIntoSameEngineKeepsProposalEpochsMonotone) {
+  // Restoring into the engine that wrote the checkpoint leaves its nodes and
+  // branches carrying dirty_epoch stamps from before the save. If restore
+  // rewound the proposal epoch, the next proposal would reuse a stamped
+  // epoch: a branch dirtied outside that proposal would look freshly
+  // dirtied inside it, reject() would flip back to its stale buffer and mark
+  // it clean, and the engine would report the checkpointed tree's lnL.
+  core::SerialBackend backend;
+  const Instance inst = make_instance(10, 300, 96);
+  core::PlfEngine e(inst.data, inst.params, inst.tree, backend);
+  const int leaf = e.tree().leaf_of(0);
+  e.begin_proposal();
+  e.set_branch_length(leaf, 0.3);
+  (void)e.log_likelihood();
+  e.accept();
+
+  std::ostringstream os;
+  {
+    util::BinaryWriter w(os);
+    e.save_state(w);
+  }
+  std::istringstream is(os.str());
+  {
+    util::BinaryReader r(is);
+    e.restore_state(r);
+  }
+
+  e.set_branch_length(leaf, 0.05);  // outside any proposal
+  e.begin_proposal();
+  (void)e.log_likelihood();
+  e.reject();
+  const double lnl = e.log_likelihood();
+
+  core::SerialBackend fresh_backend;
+  core::PlfEngine fresh(inst.data, e.model_params(), e.tree(), fresh_backend);
+  EXPECT_EQ(lnl, fresh.log_likelihood());
 }
 
 TEST(CheckpointTest, RestoreRejectsMismatchedShape) {

@@ -270,10 +270,9 @@ void twin_storm(BackendKind kind, SiteRepeatsMode mode, ClvBudget budget,
   BackendHolder h_budget = BackendHolder::make(kind);
   BackendHolder h_full = BackendHolder::make(kind);
   PlfEngine budgeted(d.data, d.params, d.tree, *h_budget.backend,
-                     KernelVariant::kSimdCol, mode, DispatchMode::kPlan,
-                     budget);
+                     KernelVariant::kSimdCol, mode, budget);
   PlfEngine full(d.data, d.params, d.tree, *h_full.backend,
-                 KernelVariant::kSimdCol, mode, DispatchMode::kPlan);
+                 KernelVariant::kSimdCol, mode);
 
   ASSERT_LE(budgeted.arena().budget_bytes(), full.arena().budget_bytes());
   EXPECT_EQ(budgeted.log_likelihood(), full.log_likelihood());
@@ -414,7 +413,7 @@ TEST(ClvArenaEngineTest, TinyBudgetClampsToOneBufferPerInternalNode) {
   b.kind = ClvBudget::Kind::kBytes;
   b.bytes = 1;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan, b);
+              SiteRepeatsMode::kOff, b);
   std::size_t n_internal = 0;
   for (std::size_t id = 0; id < d.tree.n_nodes(); ++id) {
     if (!d.tree.node(static_cast<int>(id)).is_leaf()) ++n_internal;
@@ -447,9 +446,9 @@ TEST(ClvArenaEngineTest, EvictedAncestorIsRematerializedTransparently) {
   const Dataset d = make_dataset(7, 10);
   SerialBackend b1, b2;
   PlfEngine e(d.data, d.params, d.tree, b1, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan, fraction_budget(1.0));
+              SiteRepeatsMode::kOff, fraction_budget(1.0));
   PlfEngine twin(d.data, d.params, d.tree, b2, KernelVariant::kSimdCol,
-                 SiteRepeatsMode::kOff, DispatchMode::kPlan);
+                 SiteRepeatsMode::kOff);
   EXPECT_EQ(e.log_likelihood(), twin.log_likelihood());
 
   // Evict an internal node OFF the dirty path: the next evaluation only

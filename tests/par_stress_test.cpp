@@ -219,13 +219,13 @@ TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
   seqgen::SequenceEvolver ev(tree, model);
   auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
 
+  core::PerCallBackend per_call(threaded);
   core::PlfEngine plan(data, params, tree, threaded,
                        core::KernelVariant::kSimdCol,
-                       core::SiteRepeatsMode::kOn, core::DispatchMode::kPlan);
-  core::PlfEngine percall(data, params, tree, threaded,
+                       core::SiteRepeatsMode::kOn);
+  core::PlfEngine percall(data, params, tree, per_call,
                           core::KernelVariant::kSimdCol,
-                          core::SiteRepeatsMode::kOn,
-                          core::DispatchMode::kPerCall);
+                          core::SiteRepeatsMode::kOn);
 
   std::atomic<bool> stop{false};
   std::thread flusher([&] {
@@ -288,11 +288,10 @@ TEST(ParStressTest, BudgetedArenaHammeredWhileMetricsFlusherReads) {
   core::PlfEngine budgeted(data, params, tree, threaded,
                            core::KernelVariant::kSimdCol,
                            core::SiteRepeatsMode::kOn,
-                           core::DispatchMode::kPlan,
                            core::clv_budget_from_string("0.5"));
   core::PlfEngine full(data, params, tree, threaded,
                        core::KernelVariant::kSimdCol,
-                       core::SiteRepeatsMode::kOn, core::DispatchMode::kPlan);
+                       core::SiteRepeatsMode::kOn);
 
   std::atomic<bool> stop{false};
   std::thread flusher([&] {
@@ -363,13 +362,13 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
   seqgen::SequenceEvolver ev(tree, model);
   auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
 
+  core::PerCallBackend per_call(threaded);
   core::PlfEngine plan(data, params, tree, threaded,
                        core::KernelVariant::kSimdCol,
-                       core::SiteRepeatsMode::kOff, core::DispatchMode::kPlan);
-  core::PlfEngine percall(data, params, tree, threaded,
+                       core::SiteRepeatsMode::kOff);
+  core::PlfEngine percall(data, params, tree, per_call,
                           core::KernelVariant::kSimdCol,
-                          core::SiteRepeatsMode::kOff,
-                          core::DispatchMode::kPerCall);
+                          core::SiteRepeatsMode::kOff);
   ASSERT_TRUE(plan.tip_kernels_enabled());
 
   std::atomic<bool> stop{false};
@@ -438,12 +437,11 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
   for (std::size_t i = 0; i < kInstances; ++i) {
     engines.push_back(std::make_unique<core::PlfEngine>(
         data, params, tree, threaded, core::KernelVariant::kSimdCol,
-        core::SiteRepeatsMode::kOn, core::DispatchMode::kPlan));
+        core::SiteRepeatsMode::kOn));
   }
   core::PlfEngine reference(data, params, tree, threaded,
                             core::KernelVariant::kSimdCol,
-                            core::SiteRepeatsMode::kOn,
-                            core::DispatchMode::kPlan);
+                            core::SiteRepeatsMode::kOn);
 
   std::atomic<bool> stop{false};
   std::thread flusher([&] {

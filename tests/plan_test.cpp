@@ -6,15 +6,18 @@
 //      (children strictly earlier; every level populated; exact recurrence).
 //   2. PlfPlan as a container: finalize() groups ops by level, stably, and
 //      the level ranges tile the op array exactly.
-//   3. The engine property the refactor promises: a plan-dispatch engine is
-//      BIT-IDENTICAL to its per-call twin on every backend, repeats on and
-//      off, through a randomized proposal/accept/reject storm that also
-//      exercises the incremental scaler-total path.
+//   3. The engine property every plan executor promises: an engine on a
+//      backend's own run_plan is BIT-IDENTICAL to its PerCallBackend twin on
+//      every backend, repeats on and off, through a randomized
+//      proposal/accept/reject storm that also exercises the incremental
+//      scaler-total path. PerCallBackend itself must keep the paper's
+//      per-call structure: two parallel regions per op.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cell/machine.hpp"
@@ -22,6 +25,8 @@
 #include "core/engine.hpp"
 #include "core/plan.hpp"
 #include "gpu/plf_gpu.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
@@ -163,14 +168,6 @@ TEST(PlfPlanTest, DuplicateOpForNodeIsRejected) {
   EXPECT_THROW(plan.add(op, 1), Error);
 }
 
-TEST(DispatchModeTest, StringRoundTrip) {
-  EXPECT_EQ(dispatch_mode_from_string("percall"), DispatchMode::kPerCall);
-  EXPECT_EQ(dispatch_mode_from_string("plan"), DispatchMode::kPlan);
-  EXPECT_EQ(to_string(DispatchMode::kPerCall), "percall");
-  EXPECT_EQ(to_string(DispatchMode::kPlan), "plan");
-  EXPECT_THROW(dispatch_mode_from_string("batched"), Error);
-}
-
 // --- layer 3: engine differential -------------------------------------------
 
 struct Dataset {
@@ -226,7 +223,7 @@ struct BackendHolder {
   }
 };
 
-/// Drive a per-call engine and a plan engine through the same randomized
+/// Drive a per-call engine and a native engine through the same randomized
 /// move/accept/reject sequence and require bit-identical lnL at every
 /// evaluation. Branch-length moves leave the incremental scaler-total path
 /// live; NNIs and rejects force the full-resum fallback — both engines pass
@@ -236,12 +233,12 @@ void lockstep_storm(BackendKind kind, SiteRepeatsMode mode,
   const Dataset d = make_dataset(seed, 10);
   BackendHolder h_pc = BackendHolder::make(kind);
   BackendHolder h_plan = BackendHolder::make(kind);
-  PlfEngine percall(d.data, d.params, d.tree, *h_pc.backend,
-                    KernelVariant::kSimdCol, mode, DispatchMode::kPerCall);
+  PerCallBackend per_call(*h_pc.backend);
+  PlfEngine percall(d.data, d.params, d.tree, per_call,
+                    KernelVariant::kSimdCol, mode);
   PlfEngine plan(d.data, d.params, d.tree, *h_plan.backend,
-                 KernelVariant::kSimdCol, mode, DispatchMode::kPlan);
-  ASSERT_EQ(percall.dispatch_mode(), DispatchMode::kPerCall);
-  ASSERT_EQ(plan.dispatch_mode(), DispatchMode::kPlan);
+                 KernelVariant::kSimdCol, mode);
+  ASSERT_FALSE(percall.tip_kernels_enabled());
 
   EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
 
@@ -268,7 +265,7 @@ void lockstep_storm(BackendKind kind, SiteRepeatsMode mode,
     } else {
       // Two evaluated moves in the same proposal on the same branch: the
       // second recompute must overwrite the ACTIVE buffers (flip-epoch
-      // path), in both dispatch modes identically.
+      // path), under both executors identically.
       const int leaf = percall.tree().leaf_of(
           static_cast<int>(rng.below(percall.data().n_taxa())));
       const double len = rng.uniform(0.01, 1.2);
@@ -322,11 +319,95 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) == SiteRepeatsMode::kOn ? "on" : "off");
     });
 
+// --- PerCallBackend: the paper's per-call structure as a backend ----------
+
+TEST(PerCallBackendTest, AdvertisesOnlySiteRepeatsAndTakesNoTipOps) {
+  par::ThreadPool pool(2);
+  ThreadedBackend threaded(pool);
+  PerCallBackend percall(threaded);
+  EXPECT_EQ(percall.name(), "percall(" + threaded.name() + ")");
+  ASSERT_TRUE(
+      has_capability(threaded.capabilities(), Capabilities::kTipKernels));
+  EXPECT_FALSE(
+      has_capability(percall.capabilities(), Capabilities::kTipKernels));
+  EXPECT_TRUE(
+      has_capability(percall.capabilities(), Capabilities::kSiteRepeats));
+
+  // A dense-only backend stays dense-only behind the adapter.
+  BackendHolder cell = BackendHolder::make(BackendKind::kCell);
+  PerCallBackend percall_cell(*cell.backend);
+  EXPECT_EQ(percall_cell.capabilities(), Capabilities::kNone);
+
+  const Dataset d = make_dataset(19, 10);
+  PlfEngine e(d.data, d.params, d.tree, percall, KernelVariant::kSimdCol,
+              SiteRepeatsMode::kOff);
+  EXPECT_FALSE(e.tip_kernels_enabled());
+  e.log_likelihood();
+  EXPECT_GT(e.stats().plan_ops, 0u);
+  EXPECT_EQ(e.stats().tip_tt_ops, 0u);
+  EXPECT_EQ(e.stats().tip_ti_ops, 0u);
+  EXPECT_EQ(e.stats().tip_tables_built, 0u);
+}
+
+/// The leaf with the longest path to the root.
+int deepest_leaf(const phylo::Tree& tree) {
+  int best = phylo::kNoNode;
+  int best_depth = -1;
+  for (std::size_t t = 0; t < tree.n_taxa(); ++t) {
+    const int leaf = tree.leaf_of(static_cast<int>(t));
+    int depth = 0;
+    for (int id = leaf; id != tree.root(); id = tree.node(id).parent) ++depth;
+    if (depth > best_depth) {
+      best = leaf;
+      best_depth = depth;
+    }
+  }
+  return best;
+}
+
+/// par.regions opened by one evaluation after a single leaf-branch move, and
+/// the op count of the plan that evaluation ran.
+std::pair<std::uint64_t, std::size_t> regions_for_leaf_move(
+    ExecutionBackend& backend, const Dataset& d) {
+  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
+              SiteRepeatsMode::kOff);
+  e.log_likelihood();
+  e.set_branch_length(deepest_leaf(e.tree()), 0.3);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const std::uint64_t before =
+      reg.snapshot().counter_value(obs::kCounterParRegions);
+  e.log_likelihood();
+  const std::uint64_t after =
+      reg.snapshot().counter_value(obs::kCounterParRegions);
+  return {after - before, e.last_plan().n_ops()};
+}
+
+TEST(PerCallBackendTest, LeafMoveOpensTwoRegionsPerOpPlusTheReduction) {
+  // The Fig. 9 per-call structure: down/root and scale each open their own
+  // parallel region per op, and the root reduction one more. The fused
+  // ThreadedBackend runs the same dense dirty path as a single region.
+  const Dataset d = make_dataset(19, 10);
+  par::ThreadPool pool(2);
+  ThreadedBackend threaded(pool);
+  PerCallBackend percall(threaded);
+  const auto [percall_regions, ops] = regions_for_leaf_move(percall, d);
+  const auto [fused_regions, fused_ops] = regions_for_leaf_move(threaded, d);
+  ASSERT_GT(ops, 1u);
+  EXPECT_EQ(fused_ops, ops);
+#if defined(PLF_PROFILING_ENABLED)
+  EXPECT_EQ(percall_regions, 2 * ops + 1);
+  EXPECT_LT(fused_regions, percall_regions);
+#else
+  EXPECT_EQ(percall_regions, 0u);
+  EXPECT_EQ(fused_regions, 0u);
+#endif
+}
+
 TEST(PlanEngineTest, PlanShapeMatchesTreeOnFirstEvaluation) {
   const Dataset d = make_dataset(5, 12);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan);
+              SiteRepeatsMode::kOff);
   e.log_likelihood();
 
   const std::size_t n_internals = d.tree.postorder_internals().size();
@@ -362,7 +443,7 @@ TEST(PlanEngineTest, TipOpKindsMatchTreeShape) {
 
   SerialBackend backend;
   PlfEngine e(data, params, tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan);
+              SiteRepeatsMode::kOff);
   ASSERT_TRUE(e.tip_kernels_enabled());
   e.log_likelihood();
 
@@ -387,7 +468,7 @@ TEST(PlanEngineTest, PairTablesRebuildOnlyWhenCherryBranchesChange) {
   const Dataset d = make_dataset(29, 10);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan);
+              SiteRepeatsMode::kOff);
   e.log_likelihood();
   const std::uint64_t built0 = e.stats().tip_tables_built;
   const std::uint64_t tt0 = e.stats().tip_tt_ops;
@@ -425,7 +506,7 @@ TEST(IncrementalScalerTest, ResumsOnlyOnTopologyChangesAndRejects) {
   const Dataset d = make_dataset(17, 9);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan);
+              SiteRepeatsMode::kOff);
 
   e.log_likelihood();  // first evaluation: full resum, no deltas possible
   EXPECT_EQ(e.stats().scaler_resums, 1u);
@@ -471,8 +552,7 @@ TEST(IncrementalScalerTest, ResumsOnlyOnTopologyChangesAndRejects) {
   // scaler_total differs by accumulated subtract/add rounding at most).
   SerialBackend backend2;
   PlfEngine fresh(d.data, e.model_params(), e.tree(), backend2,
-                  KernelVariant::kSimdCol, SiteRepeatsMode::kOff,
-                  DispatchMode::kPlan);
+                  KernelVariant::kSimdCol, SiteRepeatsMode::kOff);
   const double lnl = e.log_likelihood();
   EXPECT_NEAR(lnl, fresh.log_likelihood(), std::abs(lnl) * 1e-12);
 }
@@ -507,7 +587,7 @@ TEST(PlanArenaTest, EvictedAncestorIsLeveledBeforeItsDependents) {
   half.kind = ClvBudget::Kind::kFraction;
   half.fraction = 0.5;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan, half);
+              SiteRepeatsMode::kOff, half);
   e.log_likelihood();
 
   const int leaf = e.tree().leaf_of(0);
@@ -544,8 +624,7 @@ TEST(PlanArenaTest, RematerializationRidesTheDirtyPlanNotASecondPass) {
   const Dataset d = make_dataset(89, 10);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan,
-              clv_budget_from_string("0.5"));
+              SiteRepeatsMode::kOff, clv_budget_from_string("0.5"));
   e.log_likelihood();
   const std::uint64_t ops_baseline = e.stats().plan_ops;
 

@@ -5,7 +5,8 @@
 // ambiguity-mask pairs, K ∈ {1, 4}, with and without site-repeat compaction,
 // and at branch-length extremes. Comparisons are memcmp (0 ULP), because the
 // backends substitute these entries freely and the engine's A/B guarantees
-// (per-call vs plan dispatch) demand bit identity, not tolerance.
+// (PerCallBackend vs each backend's own run_plan) demand bit identity, not
+// tolerance.
 #include <gtest/gtest.h>
 
 #include <cctype>

@@ -46,7 +46,7 @@ stage_tsan()  { run_preset tsan; }
 
 # Checked-contract build running the site-repeat, plan-dispatch, and
 # tip-kernel differential suites: every backend x repeats on/off x
-# percall/plan cross-check plus the repeat-class, plan, and tip-kernel
+# PerCallBackend/native-executor cross-check plus the repeat-class, plan, and tip-kernel
 # conformance tests, with the PLF_DCHECK-level contracts (index monotonicity,
 # plan leveling, tip-state range etc.) armed.
 stage_checked() {
@@ -56,7 +56,7 @@ stage_checked() {
     cmake --build --preset checked -j "${JOBS}" &&
     note "preset 'checked': differential suite" &&
     ctest --preset checked \
-      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|DispatchMode|IncrementalScaler|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge'
+      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|PerCallBackend|IncrementalScaler|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge'
 }
 
 # Quick bench-suite smoke: produces a schema-valid BENCH json and runs the
