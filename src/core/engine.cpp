@@ -34,12 +34,10 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     const phylo::TreeNode& n = tree_.node(static_cast<int>(id));
     if (!n.is_leaf()) {
-      // Scaler rows stay engine-owned (the full resum must read every
-      // internal node's active row); the CLV storage itself lives in the
-      // budgeted arena below.
-      for (int b = 0; b < 2; ++b) {
-        nodes_[id].scaler[static_cast<std::size_t>(b)].assign(m_, 0.0f);
-      }
+      // Scaler rows stay engine-owned (a cumulative row must outlive its
+      // node's CLV eviction; cumulative rows are allocated on first write);
+      // the CLV storage itself lives in the budgeted arena below.
+      nodes_[id].scaler.assign(m_, 0.0f);
       nodes_[id].dirty = true;
       ++n_internal;
     }
@@ -67,7 +65,6 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
       }
     }
   }
-  scaler_total_.assign(m_, 0.0);
 
   // +I support: which states every taxon could share, per pattern.
   const_mask_.assign(m_, phylo::kGapMask);
@@ -77,7 +74,7 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
       const_mask_[c] = static_cast<phylo::StateMask>(const_mask_[c] & row[c]);
     }
   }
-  const_lik_.assign(m_, 0.0f);
+  assign_model(params);  // const_lik_ needs const_mask_
 
   // Site-repeat caching: identification is deferred to the first evaluation
   // (construction just marks every node stale).
@@ -172,9 +169,7 @@ void PlfEngine::reject() {
   // the CLV flips below — nothing is re-identified.
   if (repeats_enabled_) repeats_.reject();
   // Undo model change.
-  if (old_params_) {
-    model_ = phylo::SubstitutionModel(*old_params_);
-  }
+  if (old_params_) assign_model(*old_params_);
   // Flip buffers back (no recomputation — the MrBayes restore path).
   for (int id : flipped_nodes_) {
     nodes_[static_cast<std::size_t>(id)].active ^= 1;
@@ -202,9 +197,6 @@ void PlfEngine::reject() {
     lik_valid_ = false;
     saved_lik_valid_ = false;
   }
-  // The flips above wholesale-reverted scaler rows the incremental total
-  // already absorbed; only a full resum can reconcile it.
-  scaler_resum_ = true;
   ln_lik_ = saved_ln_lik_;
   lik_valid_ = saved_lik_valid_;
 }
@@ -225,7 +217,6 @@ void PlfEngine::apply_nni(int v, bool swap_left) {
   mark_path_dirty(v);
   // Descendant sets changed for the same nodes: their repeat classes are out.
   if (repeats_enabled_) repeats_.invalidate_path(tree_, v);
-  scaler_resum_ = true;  // topology change: rebuild the scaler total
 }
 
 void PlfEngine::apply_spr(int s, int target, double split_x) {
@@ -245,15 +236,13 @@ void PlfEngine::apply_spr(int s, int target, double split_x) {
     repeats_.invalidate_path(tree_, p);
     repeats_.invalidate_path(tree_, undo.u);
   }
-  scaler_resum_ = true;  // topology change: rebuild the scaler total
 }
 
 void PlfEngine::set_model(const phylo::GtrParams& params) {
   PLF_CHECK(params.n_rate_categories == model_.n_rate_categories(),
             "set_model: rate category count is fixed at engine construction");
   if (in_proposal_ && !old_params_) old_params_ = model_.params();
-  model_ = phylo::SubstitutionModel(params);
-  k_ = model_.n_rate_categories();
+  assign_model(params);
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     if (tree_.node(static_cast<int>(id)).parent != phylo::kNoNode) {
       mark_branch_dirty(static_cast<int>(id));
@@ -267,6 +256,21 @@ void PlfEngine::set_model(const phylo::GtrParams& params) {
     }
   }
   lik_valid_ = false;
+}
+
+void PlfEngine::assign_model(const phylo::GtrParams& params) {
+  model_ = phylo::SubstitutionModel(params);
+  // +I: a pattern's invariant-site likelihood is the pi mass of the states
+  // every taxon could share, so it changes only with pi.
+  const auto& pi = model_.pi();
+  const_lik_.resize(m_);
+  for (std::size_t c = 0; c < m_; ++c) {
+    float s = 0.0f;
+    for (std::size_t st = 0; st < 4; ++st) {
+      if ((const_mask_[c] >> st) & 1u) s += static_cast<float>(pi[st]);
+    }
+    const_lik_[c] = s;
+  }
 }
 
 void PlfEngine::rebuild_branch(int node) {
@@ -380,9 +384,8 @@ void PlfEngine::collect_recompute_targets() {
   for (int id : tree_.postorder_internals()) {
     if (recompute_[static_cast<std::size_t>(id)] == 0) continue;
     const NodeState& st = nodes_[static_cast<std::size_t>(id)];
-    const bool remat = !st.dirty;
     int target;
-    if (remat) {
+    if (!st.dirty) {
       target = st.active;
       ++remat_ops;
     } else {
@@ -393,7 +396,7 @@ void PlfEngine::collect_recompute_targets() {
         target = st.active;
       }
     }
-    recompute_targets_.push_back({id, target, remat});
+    recompute_targets_.push_back({id, target});
   }
   if (remat_ops > 0) arena_.note_recompute(remat_ops);
 }
@@ -442,7 +445,7 @@ void PlfEngine::build_plan() {
     const phylo::TreeNode& n = tree_.node(id);
     NodeState& st = nodes_[static_cast<std::size_t>(id)];
     float* out = arena_.data(clv_slot(id, target));
-    float* ln_scaler = st.scaler[static_cast<std::size_t>(target)].data();
+    float* ln_scaler = st.scaler.data();
     const NodeRepeats* nr = repeats_for(id);
 
     PlfOp op;
@@ -563,6 +566,41 @@ void PlfEngine::post_process_plan() {
   }
 }
 
+void PlfEngine::sum_scalers() {
+  // cum[v] = ln_s[v] + cum[left] + cum[right], summed in exactly that order
+  // with children in tree order (a leaf child contributes nothing). Every
+  // child's active row is final here: it was recomputed earlier in this
+  // postorder, or it is clean and its row is a pure function of its
+  // unchanged subtree.
+  const auto child_cum = [this](int child) -> const double* {
+    if (tree_.node(child).is_leaf()) return nullptr;
+    const NodeState& cs = nodes_[static_cast<std::size_t>(child)];
+    return cs.cum[static_cast<std::size_t>(cs.active)].data();
+  };
+  for (const RecomputeEntry& e : recompute_targets_) {
+    NodeState& st = nodes_[static_cast<std::size_t>(e.node)];
+    const phylo::TreeNode& n = tree_.node(e.node);
+    aligned_vector<double>& row = st.cum[static_cast<std::size_t>(st.active)];
+    row.resize(m_);  // allocated on first write
+    double* cum = row.data();
+    const float* sc = st.scaler.data();
+    const double* l = child_cum(n.left);
+    const double* r = child_cum(n.right);
+    if (l != nullptr && r != nullptr) {
+      for (std::size_t c = 0; c < m_; ++c) {
+        cum[c] = static_cast<double>(sc[c]) + l[c] + r[c];
+      }
+    } else if (l != nullptr || r != nullptr) {
+      const double* one = l != nullptr ? l : r;
+      for (std::size_t c = 0; c < m_; ++c) {
+        cum[c] = static_cast<double>(sc[c]) + one[c];
+      }
+    } else {
+      for (std::size_t c = 0; c < m_; ++c) cum[c] = static_cast<double>(sc[c]);
+    }
+  }
+}
+
 void PlfEngine::evaluate() {
   Stopwatch serial_sw;
 
@@ -593,31 +631,10 @@ void PlfEngine::evaluate() {
   // execute it as one dependency-leveled plan.
   collect_recompute_targets();
 
-  // 2a'. Pin every CLV buffer this evaluation reads or writes (acquiring
+  // 2a. Pin every CLV buffer this evaluation reads or writes (acquiring
   // target storage, evicting LRU unpinned slots under a finite budget)
-  // before any kernel or scaler pass runs.
+  // before any kernel runs.
   stage_arena();
-
-  // 2a. Retire the recomputed nodes' old scaler-total contributions while
-  // their pre-evaluation buffers are still active. Walked in the same order
-  // as the post-kernel addition pass, so scaler_total_ stays bit-identical
-  // whichever executor the backend runs the plan with.
-  // Rematerializations are skipped: their recomputed scaler row is bit-
-  // identical to the one already absorbed, and (t - x) + x != t in floating
-  // point — touching the total would break budgeted/unbudgeted bit-identity.
-  if (!scaler_resum_) {
-    serial_sw.reset();
-    PLF_PROF_SCOPE(obs::kTimerScalerSum);
-    for (const RecomputeEntry& e : recompute_targets_) {
-      if (e.remat) continue;
-      const NodeState& st = nodes_[static_cast<std::size_t>(e.node)];
-      const float* sc = st.scaler[static_cast<std::size_t>(st.active)].data();
-      for (std::size_t c = 0; c < m_; ++c) {
-        scaler_total_[c] -= static_cast<double>(sc[c]);
-      }
-    }
-    stats_.serial_seconds += serial_sw.seconds();
-  }
 
   // 2b. Execute.
   if (!recompute_targets_.empty()) {
@@ -638,57 +655,28 @@ void PlfEngine::evaluate() {
     stats_.plf_seconds += plf_sw.seconds();
 
     post_process_plan();
-  }
 
-  // 3. Fold the new scaler rows into the per-pattern total — incrementally
-  // (same node order as the 2a subtraction), or a full resum over every
-  // internal node when flagged (first evaluation, reject, topology change).
-  serial_sw.reset();
-  {
-    PLF_PROF_SCOPE(obs::kTimerScalerSum);
-    if (scaler_resum_) {
-      scaler_total_.assign(m_, 0.0);
-      for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
-        const phylo::TreeNode& n = tree_.node(static_cast<int>(id));
-        if (n.is_leaf()) continue;
-        const NodeState& st = nodes_[id];
-        const float* sc = st.scaler[static_cast<std::size_t>(st.active)].data();
-        for (std::size_t c = 0; c < m_; ++c) scaler_total_[c] += sc[c];
-      }
-      scaler_resum_ = false;
-      ++stats_.scaler_resums;
-    } else {
-      for (const RecomputeEntry& e : recompute_targets_) {
-        if (e.remat) continue;  // same skip as the 2a subtraction pass
-        const NodeState& st = nodes_[static_cast<std::size_t>(e.node)];
-        const float* sc = st.scaler[static_cast<std::size_t>(e.target)].data();
-        for (std::size_t c = 0; c < m_; ++c) {
-          scaler_total_[c] += static_cast<double>(sc[c]);
-        }
-        ++stats_.scaler_delta_updates;
-      }
+    // 3. Fold the new scaler rows into the cumulative rows.
+    serial_sw.reset();
+    {
+      PLF_PROF_SCOPE(obs::kTimerScalerSum);
+      sum_scalers();
     }
+    stats_.serial_seconds += serial_sw.seconds();
   }
-  stats_.serial_seconds += serial_sw.seconds();
 
   // 4. Root reduction (with the +I invariant-sites mixture when enabled).
+  // The root's cumulative row is the per-pattern total over all nodes.
   Stopwatch reduce_sw;
   RootReduceArgs rr;
   const NodeState& root = nodes_[static_cast<std::size_t>(tree_.root())];
   rr.cl = arena_.data(clv_slot(tree_.root(), root.active));
-  rr.ln_scaler_total = scaler_total_.data();
+  rr.ln_scaler_total = root.cum[static_cast<std::size_t>(root.active)].data();
   rr.weights = data_.weights().data();
   const auto& pi = model_.pi();
   for (std::size_t i = 0; i < 4; ++i) rr.pi[i] = static_cast<float>(pi[i]);
   rr.K = k_;
   if (model_.params().p_invariant > 0.0) {
-    for (std::size_t c = 0; c < m_; ++c) {
-      float s = 0.0f;
-      for (std::size_t st = 0; st < 4; ++st) {
-        if ((const_mask_[c] >> st) & 1u) s += static_cast<float>(pi[st]);
-      }
-      const_lik_[c] = s;
-    }
     rr.const_lik = const_lik_.data();
     rr.p_invariant = static_cast<float>(model_.params().p_invariant);
   }
@@ -744,10 +732,6 @@ void PlfEngine::publish_stats(obs::MetricsRegistry& registry) const {
   set(obs::kGaugeEnginePlanBuilds, static_cast<double>(stats_.plan_builds));
   set(obs::kGaugeEnginePlanOps, static_cast<double>(stats_.plan_ops));
   set(obs::kGaugeEnginePlanLevels, static_cast<double>(stats_.plan_levels));
-  set(obs::kGaugeEngineScalerResums,
-      static_cast<double>(stats_.scaler_resums));
-  set(obs::kGaugeEngineScalerDeltaUpdates,
-      static_cast<double>(stats_.scaler_delta_updates));
   set(obs::kGaugeEngineTipTtOps, static_cast<double>(stats_.tip_tt_ops));
   set(obs::kGaugeEngineTipTiOps, static_cast<double>(stats_.tip_ti_ops));
   set(obs::kGaugeEngineTipTablesBuilt,
@@ -793,31 +777,29 @@ void PlfEngine::save_state(util::BinaryWriter& w) const {
   w.u64(p.n_rate_categories);
   w.f64(p.p_invariant);
 
-  // Internal nodes, in id order: the active buffer index, the active scaler
-  // row (its exact f32 bits — scaler_total_ was accumulated from them), and
-  // the active CLV when it is arena-resident. Evicted CLVs are omitted on
-  // purpose: the recompute closure rematerializes them bit-exactly from the
-  // tips, which is the same guarantee the budgeted arena already relies on.
+  // Internal nodes, in id order: the active buffer index, the dirty flag
+  // (a move still pending evaluation must stay pending), the active
+  // cumulative scaler row of a clean node (exact f64 bits; a parent
+  // recomputed after the resume adds this row as is; a dirty node's row is
+  // stale and omitted), and the active CLV when it is arena-resident.
+  // Evicted CLVs are omitted on purpose: the recompute closure
+  // rematerializes them bit-exactly from the tips, which is the same
+  // guarantee the budgeted arena already relies on.
   w.section("NODE");
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     if (tree_.node(static_cast<int>(id)).is_leaf()) continue;
     const NodeState& st = nodes_[id];
     w.u8(static_cast<std::uint8_t>(st.active));
-    w.f32_array(st.scaler[static_cast<std::size_t>(st.active)].data(), m_);
+    w.u8(st.dirty ? 1 : 0);
+    w.f64_array(st.cum[static_cast<std::size_t>(st.active)].data(),
+                st.dirty ? 0 : m_);
     const int slot = clv_slot(static_cast<int>(id), st.active);
     const bool resident = arena_.resident(slot);
     w.u8(resident ? 1 : 0);
     if (resident) w.f32_array(arena_.data(slot), m_ * k_ * 4);
   }
 
-  // The accumulated scaler total must round-trip bit-exactly: a fresh resum
-  // would differ in the low bits from the incremental subtract/add history,
-  // shifting every subsequent likelihood. The pending-resum flag rides along
-  // so a checkpoint taken right after a reject resums exactly once, like the
-  // uninterrupted run.
   w.section("SCLR");
-  w.f64_array(scaler_total_.data(), m_);
-  w.u8(scaler_resum_ ? 1 : 0);
   w.f64(ln_lik_);
   w.u8(lik_valid_ ? 1 : 0);
 }
@@ -847,7 +829,7 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   p.p_invariant = r.f64();
   PLF_CHECK(p.n_rate_categories == k_,
             "restore_state: rate category count is fixed at construction");
-  model_ = phylo::SubstitutionModel(p);
+  assign_model(p);
 
   // Branch matrices are pure functions of (model, branch length): rebuild
   // every branch eagerly and leave it CLEAN. Leaving branches dirty instead
@@ -884,12 +866,11 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
     const std::uint8_t active = r.u8();
     PLF_CHECK(active <= 1, "restore_state: corrupt buffer index");
     st.active = active;
-    const std::vector<float> scaler = r.f32_array();
-    PLF_CHECK(scaler.size() == m_, "restore_state: scaler row size mismatch");
-    st.scaler[static_cast<std::size_t>(st.active)].assign(scaler.begin(),
-                                                          scaler.end());
-    st.scaler[static_cast<std::size_t>(st.active ^ 1)].assign(m_, 0.0f);
-    st.dirty = false;
+    st.dirty = r.u8() != 0;
+    const std::vector<double> cum = r.f64_array();
+    PLF_CHECK(cum.size() == (st.dirty ? 0 : m_),
+              "restore_state: scaler row size mismatch");
+    st.cum[static_cast<std::size_t>(st.active)].assign(cum.begin(), cum.end());
     st.flip_epoch = 0;
     st.pair_stamp_l = 0;  // pair tables revalidate against the new tp stamps
     st.pair_stamp_r = 0;
@@ -903,10 +884,6 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   }
 
   r.section("SCLR");
-  const std::vector<double> total = r.f64_array();
-  PLF_CHECK(total.size() == m_, "restore_state: scaler total size mismatch");
-  scaler_total_.assign(total.begin(), total.end());
-  scaler_resum_ = r.u8() != 0;
   ln_lik_ = r.f64();
   lik_valid_ = r.u8() != 0;
 

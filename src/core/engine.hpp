@@ -51,7 +51,7 @@ struct EngineStats {
   std::uint64_t tm_builds = 0;            ///< per-branch matrix rebuilds
   std::uint64_t pattern_iterations = 0;   ///< sites actually iterated by kernels
   double plf_seconds = 0.0;               ///< wall time inside kernels
-  double serial_seconds = 0.0;            ///< matrix rebuilds + scaler totals
+  double serial_seconds = 0.0;            ///< matrix rebuilds + scaler sums
 
   // Site-repeat caching (docs/SITE_REPEATS.md). A "hit" is a kernel call that
   // took the compacted path; sites_total/sites_computed cover hits only, so
@@ -72,11 +72,10 @@ struct EngineStats {
   std::uint64_t plan_levels = 0;
   double plan_build_seconds = 0.0;
 
-  // Scaler-total bookkeeping: full O(nodes*m) resums (first evaluation and
-  // after topology changes/rejects) vs incremental delta updates (one
-  // subtract+add per recomputed node).
+  /// No longer incremented: the per-node cumulative scaler rows made the
+  /// full O(nodes*m) resum unnecessary. Kept (always 0) for readers that
+  /// still report it.
   std::uint64_t scaler_resums = 0;
-  std::uint64_t scaler_delta_updates = 0;
 
   // Tip-specialized plan ops (docs/KERNELS.md): cherry ops dispatched to the
   // pair-table gather, tip×inner ops to the branch-free kernel, and how many
@@ -173,9 +172,9 @@ class PlfEngine {
 
   // --- checkpoint/restore (docs/SHARDING.md) ---
   /// Serialize everything a 0-ULP resume needs: tree (exact branch-length
-  /// bits), model parameters, each internal node's active scaler row and —
-  /// when arena-resident — its active CLV buffer, the accumulated
-  /// scaler-total bits, and the cached likelihood. Requires no open
+  /// bits), model parameters, each internal node's dirty flag, active
+  /// cumulative log-scaler row (clean nodes) and — when arena-resident — its
+  /// active CLV buffer, and the cached likelihood. Requires no open
   /// proposal. EngineStats are run-local and intentionally not saved.
   void save_state(util::BinaryWriter& w) const;
   /// Inverse of save_state, into an engine constructed with the SAME data,
@@ -227,7 +226,16 @@ class PlfEngine {
 
  private:
   struct NodeState {
-    std::array<aligned_vector<float>, 2> scaler;
+    /// The scale kernel's per-pattern log scalers for the last op on this
+    /// node: scratch that only the ScalerSum pass reads, so one buffer.
+    aligned_vector<float> scaler;
+    /// Cumulative log scalers: per pattern, the sum of the scaler rows of
+    /// every internal node in this subtree. A pure function of the subtree,
+    /// double-buffered with the CLV (same `active` index), so reject flips,
+    /// topology moves, rematerializations and restores need no special case.
+    /// A buffer is allocated when the scaler pass first writes it; only a
+    /// dirty node's active buffer can still be empty.
+    std::array<aligned_vector<double>, 2> cum;
     int active = 0;
     bool dirty = true;
     /// Last proposal in which this node flipped. A second recomputation
@@ -262,15 +270,12 @@ class PlfEngine {
     std::array<std::uint64_t, 2> tp_stamp{};
   };
 
-  /// One entry of the recompute postorder. `remat` marks an eviction-driven
-  /// rebuild of a CLEAN node: its target is the ACTIVE buffer (no flip, no
-  /// undo-log entry) and the kernels reproduce the evicted bits exactly, so
-  /// the incremental scaler passes skip it — subtracting and re-adding an
-  /// identical row is not a no-op in floating point.
+  /// One entry of the recompute postorder: the node and the CLV buffer it
+  /// writes (an eviction-driven rematerialization of a clean node writes its
+  /// ACTIVE buffer; see collect_recompute_targets).
   struct RecomputeEntry {
     int node;
     int target;
-    bool remat;
   };
 
   /// Arena slot of an internal node's CLV buffer `buf` (0/1).
@@ -299,6 +304,11 @@ class PlfEngine {
   void build_plan() PLF_REQUIRES(checker_);
   /// Deferred flips + dirty clearing after a plan executes.
   void post_process_plan() PLF_REQUIRES(checker_);
+  /// Rebuild the active cumulative scaler row of every recomputed node, in
+  /// recompute postorder (children before parents, after the flips).
+  void sum_scalers() PLF_REQUIRES(checker_);
+  /// The one place model_ is assigned: also refreshes const_lik_.
+  void assign_model(const phylo::GtrParams& params);
   /// Repeat classes to compact node `id` with, or nullptr for the dense path
   /// (mode/backend/compression gate). Identification must be fresh.
   const NodeRepeats* repeats_for(int id) const;
@@ -334,8 +344,8 @@ class PlfEngine {
 
   // Batched dispatch (core/plan.hpp). recompute_targets_ is the dirty
   // postorder with each node's resolved write target — the input of the plan
-  // build and of the incremental scaler passes, which must walk it in
-  // identical order so the subtract and add passes pair up.
+  // build and of the cumulative scaler pass, which relies on its
+  // children-before-parents order.
   PlfPlan plan_;
   std::vector<RecomputeEntry> recompute_targets_;
   std::vector<char> recompute_;    ///< node id -> in recompute set (scratch)
@@ -348,15 +358,9 @@ class PlfEngine {
   /// never evicted.
   ClvArena arena_;
 
-  aligned_vector<double> scaler_total_; ///< per-pattern summed log scalers
-  /// When set, the next evaluation re-sums scaler_total_ from every internal
-  /// node instead of applying per-node deltas: required on first use and
-  /// whenever buffer flips were reverted wholesale (reject) or node
-  /// ancestry changed (NNI/SPR).
-  bool scaler_resum_ = true;
   /// +I support: per-pattern AND of all taxon masks (which states could be
   /// shared by every taxon; fixed by the data) and the resulting
-  /// invariant-site likelihoods under the current pi (refreshed per eval).
+  /// invariant-site likelihoods under the current pi (see assign_model).
   std::vector<phylo::StateMask> const_mask_;
   aligned_vector<float> const_lik_;
 

@@ -104,10 +104,6 @@ inline constexpr const char* kGaugeRepeatNodeRebuilds =
 inline constexpr const char* kGaugeEnginePlanBuilds = "engine.plan_builds";
 inline constexpr const char* kGaugeEnginePlanOps = "engine.plan_ops";
 inline constexpr const char* kGaugeEnginePlanLevels = "engine.plan_levels";
-inline constexpr const char* kGaugeEngineScalerResums =
-    "engine.scaler_resums";
-inline constexpr const char* kGaugeEngineScalerDeltaUpdates =
-    "engine.scaler_delta_updates";
 // Tip-specialized plan ops (docs/KERNELS.md): cherry pair-table gathers,
 // tip×inner matvec-free ops, and pair-table (re)builds this engine performed.
 inline constexpr const char* kGaugeEngineTipTtOps = "engine.tip_tt_ops";

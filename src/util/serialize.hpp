@@ -31,7 +31,10 @@ inline constexpr std::uint64_t kCheckpointMagic = 0x00545048'43464C50ull;
 /// change and document the delta in docs/SHARDING.md.
 ///   v2: MC3C gained a trailing "TDIA" section (streaming-ESS accumulator +
 ///       per-pair swap tallies) so live telemetry resumes bit-consistently.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+///   v3: engine NODE entries carry the active cumulative log-scaler row
+///       (f64) instead of the f32 scaler row; SCLR keeps only the cached
+///       likelihood and its validity flag.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Writes length-prefixed, tag-framed little-endian binary. All `u64`/`f64`
 /// writes are exact bit copies; the header (magic + version) is written by

@@ -242,8 +242,8 @@ TEST_P(BackendDiffTest, RepeatsOnOffAgreeBitwiseAndMatchReference) {
         EXPECT_NEAR(lnl_compact, d.ref_lnl, tol);
 
         // Mid-run differential: a branch-length move plus an NNI proposal
-        // exercises class invalidation, partial plans and the incremental
-        // scaler-total path under this backend; all four engines must stay
+        // exercises class invalidation, partial plans and the cumulative
+        // scaler pass under this backend; all four engines must stay
         // bitwise-locked through it.
         for (PlfEngine* e :
              {&dense, &compact, &dense_plan, &compact_plan}) {

@@ -1,7 +1,8 @@
 // Tests for the bench_compare regression gate (tools/bench_compare_lib).
 // Synthetic documents cover the four verdict paths — regression, improvement,
-// new case, missing case — plus per-case threshold overrides and schema
-// validation, all without spawning processes or timing anything.
+// new case, missing case — plus per-case threshold overrides, schema
+// validation and the host-fingerprint check, all without spawning processes
+// or timing anything.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -127,6 +128,66 @@ TEST(BenchCompare, FormatReportListsVerdicts) {
 
   const auto clean = compare_benches(base, base, CompareOptions{});
   EXPECT_NE(format_report(clean).find("verdict: PASS"), std::string::npos);
+}
+
+json::Value doc_on(const std::string& host, const std::string& cases) {
+  return json::parse(R"({"schema": "plf-bench-v1", "host": {)" + host +
+                     R"(}, "cases": {)" + cases + "}}");
+}
+
+constexpr const char* kHost =
+    R"("hostname": "vm", "cpu": "Xeon", "hardware_threads": 4, )"
+    R"("compiler": "12.2.0", "pointer_bits": 64)";
+
+TEST(BenchCompare, SameHostUnderAnotherHostnameCompares) {
+  const std::string renamed =
+      R"("hostname": "other-vm", "cpu": "Xeon", "hardware_threads": 4, )"
+      R"("compiler": "12.2.0", "pointer_bits": 64)";
+  const auto base = doc_on(kHost, one_case("kernel.down", 1.0e-4));
+  const auto cur = doc_on(renamed, one_case("kernel.down", 1.0e-4));
+  const CompareReport r = compare_benches(base, cur, CompareOptions{});
+  EXPECT_TRUE(r.host_mismatches.empty());
+  EXPECT_FALSE(r.failed());
+}
+
+TEST(BenchCompare, BaselineFromAnotherHostFailsAndNamesTheFields) {
+  // Identical timings still fail: a baseline blessed on another machine
+  // gates nothing.
+  const std::string other =
+      R"("hostname": "vm", "cpu": "EPYC", "hardware_threads": 16, )"
+      R"("compiler": "12.2.0", "pointer_bits": 64)";
+  const auto base = doc_on(kHost, one_case("kernel.down", 1.0e-4));
+  const auto cur = doc_on(other, one_case("kernel.down", 1.0e-4));
+  const CompareReport r = compare_benches(base, cur, CompareOptions{});
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.regressed, 0);
+  ASSERT_EQ(r.host_mismatches.size(), 2u);
+  EXPECT_EQ(r.host_mismatches[0].field, "cpu");
+  EXPECT_EQ(r.host_mismatches[0].baseline, "Xeon");
+  EXPECT_EQ(r.host_mismatches[0].current, "EPYC");
+  EXPECT_EQ(r.host_mismatches[1].field, "hardware_threads");
+  EXPECT_EQ(r.host_mismatches[1].baseline, "4");
+  EXPECT_EQ(r.host_mismatches[1].current, "16");
+
+  const std::string out = format_report(r);
+  EXPECT_NE(out.find("host mismatch: cpu: baseline 'Xeon' vs current 'EPYC'"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("host mismatch: hardware_threads"), std::string::npos);
+  EXPECT_NE(out.find("verdict: FAIL"), std::string::npos);
+}
+
+TEST(BenchCompare, MissingHostFieldIsAMismatch) {
+  const std::string no_compiler =
+      R"("hostname": "vm", "cpu": "Xeon", "hardware_threads": 4, )"
+      R"("pointer_bits": 64)";
+  const auto base = doc_on(kHost, one_case("kernel.down", 1.0e-4));
+  const auto cur = doc_on(no_compiler, one_case("kernel.down", 1.0e-4));
+  const CompareReport r = compare_benches(base, cur, CompareOptions{});
+  ASSERT_EQ(r.host_mismatches.size(), 1u);
+  EXPECT_EQ(r.host_mismatches[0].field, "compiler");
+  EXPECT_EQ(r.host_mismatches[0].current, "(absent)");
+  EXPECT_TRUE(r.failed());
 }
 
 }  // namespace

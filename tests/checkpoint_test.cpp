@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -170,6 +171,33 @@ TEST(CheckpointTest, RestoredEngineEvaluatesCheckpointedLikelihood) {
   EXPECT_EQ(b.log_likelihood(), at_checkpoint);
 }
 
+TEST(CheckpointTest, MoveSavedBeforeItsEvaluationStaysPending) {
+  // A checkpoint taken between a move and its evaluation must resume with
+  // the move still pending: the restored engine evaluates the moved tree,
+  // not the CLVs computed before the move.
+  core::SerialBackend backend;
+  const Instance inst = make_instance(8, 200, 98);
+  core::PlfEngine a(inst.data, inst.params, inst.tree, backend);
+  (void)a.log_likelihood();
+  a.set_branch_length(a.tree().leaf_of(3), 0.77);
+
+  std::ostringstream os;
+  {
+    util::BinaryWriter w(os);
+    a.save_state(w);
+  }
+  core::PlfEngine b(inst.data, inst.params, inst.tree, backend);
+  std::istringstream is(os.str());
+  {
+    util::BinaryReader r(is);
+    b.restore_state(r);
+  }
+  core::PlfEngine fresh(inst.data, a.model_params(), a.tree(), backend);
+  const double expect = fresh.log_likelihood();
+  EXPECT_EQ(b.log_likelihood(), expect);
+  EXPECT_EQ(a.log_likelihood(), expect);
+}
+
 TEST(CheckpointTest, RestoreIntoSameEngineKeepsProposalEpochsMonotone) {
   // Restoring into the engine that wrote the checkpoint leaves its nodes and
   // branches carrying dirty_epoch stamps from before the save. If restore
@@ -222,6 +250,38 @@ TEST(CheckpointTest, RestoreRejectsMismatchedShape) {
   std::istringstream is(os.str());
   util::BinaryReader r(is);
   EXPECT_THROW(b.restore_state(r), Error);
+}
+
+TEST(CheckpointTest, RefusesStreamFromAnotherFormatVersion) {
+  // Version 2 streams carried f32 scaler rows and a serialized scaler total;
+  // a version-3 reader must refuse one up front, naming both versions.
+  core::SerialBackend backend;
+  const Instance inst = make_instance(6, 100, 97);
+  core::PlfEngine a(inst.data, inst.params, inst.tree, backend);
+  (void)a.log_likelihood();
+  std::ostringstream os;
+  {
+    util::BinaryWriter w(os);
+    a.save_state(w);
+  }
+  std::string blob = os.str();
+  const std::uint32_t old_version = 2;
+  ASSERT_NE(old_version, util::kCheckpointVersion);
+  ASSERT_GT(blob.size(), sizeof(std::uint64_t) + sizeof(old_version));
+  std::memcpy(blob.data() + sizeof(std::uint64_t), &old_version,
+              sizeof(old_version));  // the u32 right after the magic
+  std::istringstream is(blob);
+  try {
+    util::BinaryReader r(is);
+    FAIL() << "a version-2 stream was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version " +
+                        std::to_string(util::kCheckpointVersion)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(CheckpointTest, SaveDuringOpenProposalThrows) {

@@ -1,6 +1,6 @@
 // Property and differential tests for batched plan dispatch (core/plan.hpp).
 //
-// Three layers:
+// Four layers:
 //   1. compute_levels as a pure function: for random trees and random
 //      recompute sets, the levels must form a valid topological partition
 //      (children strictly earlier; every level populated; exact recurrence).
@@ -9,14 +9,18 @@
 //   3. The engine property every plan executor promises: an engine on a
 //      backend's own run_plan is BIT-IDENTICAL to its PerCallBackend twin on
 //      every backend, repeats on and off, through a randomized
-//      proposal/accept/reject storm that also exercises the incremental
-//      scaler-total path. PerCallBackend itself must keep the paper's
-//      per-call structure: two parallel regions per op.
+//      proposal/accept/reject storm. PerCallBackend itself must keep the
+//      paper's per-call structure: two parallel regions per op.
+//   4. The cumulative scaler rows carry no history: after any storm of
+//      moves, rejects and a checkpoint resume, the cached lnL equals a fresh
+//      engine's bit for bit, with site repeats and a CLV budget on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -33,6 +37,7 @@
 #include "seqgen/random_tree.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/serialize.hpp"
 
 namespace plf::core {
 namespace {
@@ -225,9 +230,8 @@ struct BackendHolder {
 
 /// Drive a per-call engine and a native engine through the same randomized
 /// move/accept/reject sequence and require bit-identical lnL at every
-/// evaluation. Branch-length moves leave the incremental scaler-total path
-/// live; NNIs and rejects force the full-resum fallback — both engines pass
-/// through the identical sequence of states, so every comparison is exact.
+/// evaluation. Both engines pass through the identical sequence of states,
+/// so every comparison is exact.
 void lockstep_storm(BackendKind kind, SiteRepeatsMode mode,
                     std::uint64_t seed) {
   const Dataset d = make_dataset(seed, 10);
@@ -502,60 +506,128 @@ TEST(PlanEngineTest, PairTablesRebuildOnlyWhenCherryBranchesChange) {
   EXPECT_EQ(e.stats().tip_tt_ops, tt0 + 1);
 }
 
-TEST(IncrementalScalerTest, ResumsOnlyOnTopologyChangesAndRejects) {
-  const Dataset d = make_dataset(17, 9);
+// --- cumulative scaler rows: history-free by construction ------------------
+
+using ScalerStormParam = std::tuple<SiteRepeatsMode, bool /*half budget*/>;
+
+class CumulativeScalerTest
+    : public ::testing::TestWithParam<ScalerStormParam> {};
+
+/// Each node's cumulative log-scaler row is a pure function of its subtree,
+/// so an engine's cached lnL after ANY history must equal, to the last bit, a
+/// fresh engine's on the same tree and parameters. The storm mixes branch,
+/// NNI, SPR and model moves (with +I on and off), accepts and rejects at
+/// random, leaves some moves pending across a proposal boundary, and hands
+/// the run to a restored engine halfway through.
+TEST_P(CumulativeScalerTest, StormMatchesFreshEngineBitForBit) {
+  const SiteRepeatsMode mode = std::get<0>(GetParam());
+  ClvBudget budget;
+  if (std::get<1>(GetParam())) {
+    budget.kind = ClvBudget::Kind::kFraction;
+    budget.fraction = 0.5;
+  }
+  const Dataset d = make_dataset(29, 12);
   SerialBackend backend;
-  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff);
+  const auto make = [&](const phylo::PatternMatrix& data,
+                        const phylo::GtrParams& params,
+                        const phylo::Tree& tree) {
+    return std::make_unique<PlfEngine>(data, params, tree, backend,
+                                       KernelVariant::kSimdCol, mode, budget);
+  };
+  const auto expect_fresh = [&](PlfEngine& e) {
+    const double cached = e.log_likelihood();
+    EXPECT_EQ(cached, make(e.data(), e.model_params(), e.tree())
+                          ->log_likelihood());
+  };
 
-  e.log_likelihood();  // first evaluation: full resum, no deltas possible
-  EXPECT_EQ(e.stats().scaler_resums, 1u);
-  EXPECT_EQ(e.stats().scaler_delta_updates, 0u);
+  std::unique_ptr<PlfEngine> e = make(d.data, d.params, d.tree);
+  ASSERT_TRUE(e->tip_kernels_enabled());
+  expect_fresh(*e);
 
-  // Branch-length move: delta path (subtract stale rows, add fresh rows).
-  e.set_branch_length(e.tree().leaf_of(2), 0.42);
-  e.log_likelihood();
-  EXPECT_EQ(e.stats().scaler_resums, 1u);
-  EXPECT_GT(e.stats().scaler_delta_updates, 0u);
-  const std::uint64_t deltas_after_bl = e.stats().scaler_delta_updates;
+  Rng rng(4242);
+  std::uint64_t remat_ops = 0;
+  constexpr int kSteps = 200;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    if (step == kSteps / 2) {
+      // Resume in a fresh engine built from the ORIGINAL inputs: everything
+      // the storm changed must come from the checkpoint.
+      std::ostringstream os;
+      {
+        util::BinaryWriter w(os);
+        e->save_state(w);
+      }
+      const double before = e->log_likelihood();
+      remat_ops += e->arena().counters().recompute_ops;
+      e = make(d.data, d.params, d.tree);
+      std::istringstream is(os.str());
+      util::BinaryReader r(is);
+      e->restore_state(r);
+      EXPECT_EQ(e->log_likelihood(), before);
+    }
 
-  // Accepted proposal with a length move: still the delta path.
-  e.begin_proposal();
-  e.set_branch_length(e.tree().leaf_of(4), 0.13);
-  e.log_likelihood();
-  e.accept();
-  EXPECT_EQ(e.stats().scaler_resums, 1u);
-  EXPECT_GT(e.stats().scaler_delta_updates, deltas_after_bl);
-
-  // Rejected proposal: the wholesale flip-back invalidates the per-node
-  // deltas. The reject itself restores the cached lnL (no evaluation), but
-  // the NEXT dirty evaluation must resum even though only one path is dirty.
-  e.begin_proposal();
-  e.set_branch_length(e.tree().leaf_of(1), 0.9);
-  e.log_likelihood();
-  e.reject();
-  e.log_likelihood();  // cached: reject restored lnL, nothing recomputes
-  EXPECT_EQ(e.stats().scaler_resums, 1u);
-  e.set_branch_length(e.tree().leaf_of(3), 0.21);
-  e.log_likelihood();
-  EXPECT_EQ(e.stats().scaler_resums, 2u);
-
-  // Topology move: ancestry changed, resum again.
-  const auto edges = e.tree().internal_edge_nodes();
-  ASSERT_FALSE(edges.empty());
-  e.apply_nni(edges.front(), true);
-  e.log_likelihood();
-  EXPECT_EQ(e.stats().scaler_resums, 3u);
-
-  // The incremental path must agree with a from-scratch engine over the
-  // final state (double-rounding headroom only: the CLVs are bitwise equal,
-  // scaler_total differs by accumulated subtract/add rounding at most).
-  SerialBackend backend2;
-  PlfEngine fresh(d.data, e.model_params(), e.tree(), backend2,
-                  KernelVariant::kSimdCol, SiteRepeatsMode::kOff);
-  const double lnl = e.log_likelihood();
-  EXPECT_NEAR(lnl, fresh.log_likelihood(), std::abs(lnl) * 1e-12);
+    const phylo::Tree& t = e->tree();
+    const bool in_proposal = rng.uniform() < 0.9;
+    if (in_proposal) e->begin_proposal();
+    const double u = rng.uniform();
+    if (u < 0.4) {
+      int node;
+      do {
+        node = static_cast<int>(rng.below(t.n_nodes()));
+      } while (node == t.root());
+      e->set_branch_length(node, rng.uniform(0.01, 1.2));
+    } else if (u < 0.6) {
+      const auto edges = t.internal_edge_nodes();
+      ASSERT_FALSE(edges.empty());
+      e->apply_nni(edges[rng.below(edges.size())], rng.uniform() < 0.5);
+    } else if (u < 0.8) {
+      std::vector<int> prunable;
+      for (std::size_t id = 0; id < t.n_nodes(); ++id) {
+        if (!t.spr_valid_targets(static_cast<int>(id)).empty()) {
+          prunable.push_back(static_cast<int>(id));
+        }
+      }
+      ASSERT_FALSE(prunable.empty());
+      const int s = prunable[rng.below(prunable.size())];
+      const auto targets = t.spr_valid_targets(s);
+      const int target = targets[rng.below(targets.size())];
+      e->apply_spr(s, target, t.branch_length(target) * rng.uniform(0.2, 0.8));
+    } else {
+      phylo::GtrParams p = test::random_gtr(rng, d.params.n_rate_categories);
+      p.p_invariant = rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.05, 0.3);
+      e->set_model(p);
+    }
+    if (!in_proposal) {
+      // Left dirty and unevaluated: the next proposal recomputes it and a
+      // reject must re-dirty it rather than restore a stale buffer.
+      continue;
+    }
+    expect_fresh(*e);
+    if (rng.uniform() < 0.5) {
+      e->accept();
+    } else {
+      e->reject();
+    }
+    expect_fresh(*e);
+  }
+  remat_ops += e->arena().counters().recompute_ops;
+  if (std::get<1>(GetParam())) {
+    EXPECT_GT(remat_ops, 0u);  // the budgeted storm did rematerialize
+  } else {
+    EXPECT_EQ(remat_ops, 0u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RepeatsAndBudgets, CumulativeScalerTest,
+    ::testing::Combine(::testing::Values(SiteRepeatsMode::kOff,
+                                         SiteRepeatsMode::kOn),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ScalerStormParam>& info) {
+      return std::string("repeats_") +
+             (std::get<0>(info.param) == SiteRepeatsMode::kOn ? "on" : "off") +
+             (std::get<1>(info.param) ? "_budget_half" : "_budget_unlimited");
+    });
 
 // --- budgeted arena x plan: eviction-driven recompute scheduling ------------
 

@@ -4,8 +4,9 @@
 //                 [--warn-only]
 //
 // Prints the comparison table and exits non-zero when a case regressed past
-// its threshold or vanished from the current run — unless --warn-only (the
-// CI smoke mode, where the runner's hardware is too noisy to gate on).
+// its threshold, vanished from the current run, or the baseline was recorded
+// on another host — unless --warn-only (the CI smoke mode, where the runner's
+// hardware is too noisy or too different to gate on).
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
     std::cout << plf::tools::format_report(report);
     if (report.failed() && !warn_only) return 1;
     if (report.failed()) {
-      std::cout << "(--warn-only: regression not gating this run)\n";
+      std::cout << "(--warn-only: not gating this run)\n";
     }
     return 0;
   } catch (const plf::Error& e) {

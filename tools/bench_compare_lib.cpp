@@ -35,6 +35,20 @@ double case_min(const json::Value& c, const std::string& name,
   return v->as_number();
 }
 
+/// Text form of doc.host.<field>, or "(absent)".
+std::string host_field(const json::Value& doc, const char* field) {
+  const json::Value* host = doc.find("host");
+  const json::Value* v = host != nullptr ? host->find(field) : nullptr;
+  if (v == nullptr) return "(absent)";
+  if (v->is_string()) return v->as_string();
+  if (v->is_number()) {
+    std::ostringstream os;
+    os << v->as_number();
+    return os.str();
+  }
+  return "(not a string or number)";
+}
+
 }  // namespace
 
 const char* to_string(CaseStatus s) {
@@ -56,6 +70,14 @@ CompareReport compare_benches(const json::Value& baseline,
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
   CompareReport report;
+  for (const char* field : {"cpu", "hardware_threads", "compiler",
+                            "pointer_bits"}) {
+    std::string b = host_field(baseline, field);
+    std::string c = host_field(current, field);
+    if (b != c) {
+      report.host_mismatches.push_back({field, std::move(b), std::move(c)});
+    }
+  }
   for (const auto& [name, base_case] : base_cases) {
     CaseResult r;
     r.name = name;
@@ -121,8 +143,14 @@ std::string format_report(const CompareReport& report) {
   os << "summary: " << report.ok << " ok, " << report.improved
      << " improved, " << report.regressed << " regressed, "
      << report.new_cases << " new, " << report.missing << " missing\n";
+  for (const HostMismatch& h : report.host_mismatches) {
+    os << "host mismatch: " << h.field << ": baseline '" << h.baseline
+       << "' vs current '" << h.current << "'\n";
+  }
   if (report.failed()) {
-    os << "verdict: FAIL (perf regression gate)\n";
+    os << (report.host_mismatches.empty()
+               ? "verdict: FAIL (perf regression gate)\n"
+               : "verdict: FAIL (baseline is from another host)\n");
   } else {
     os << "verdict: PASS\n";
   }

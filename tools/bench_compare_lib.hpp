@@ -9,6 +9,10 @@
 // per case (engine/threaded cases are noisier than tight kernel loops), with
 // a CLI default for cases that do not carry one.
 //
+// Timings only compare on the same machine, so the gate also refuses a
+// baseline whose "host" block (cpu, hardware_threads, compiler,
+// pointer_bits; hostname is ignored) differs from the current run's.
+//
 // Split from the CLI so tests/bench_compare_test.cpp can drive the logic on
 // synthetic documents without spawning processes.
 #pragma once
@@ -39,6 +43,14 @@ struct CaseResult {
   double threshold = 0.0;     ///< relative threshold applied to this case
 };
 
+/// One "host" field that differs between the baseline and the current run.
+/// Values are rendered as text; "(absent)" when a document lacks the field.
+struct HostMismatch {
+  std::string field;
+  std::string baseline;
+  std::string current;
+};
+
 struct CompareOptions {
   /// Relative slowdown tolerated before a case regresses, applied when the
   /// baseline case carries no per-case "threshold" key.
@@ -52,9 +64,13 @@ struct CompareReport {
   int regressed = 0;
   int new_cases = 0;
   int missing = 0;
+  std::vector<HostMismatch> host_mismatches;
 
-  /// Gate verdict: regressions and vanished cases fail the build.
-  bool failed() const { return regressed > 0 || missing > 0; }
+  /// Gate verdict: regressions, vanished cases and a baseline from another
+  /// host fail the build.
+  bool failed() const {
+    return regressed > 0 || missing > 0 || !host_mismatches.empty();
+  }
 };
 
 /// Compare two parsed bench documents (both must be schema "plf-bench-v1";
