@@ -13,9 +13,11 @@
 //                               percall runs the backend under
 //                               core::PerCallBackend (two synchronous calls
 //                               per op), plan runs its own run_plan
-//   mcmc.e2e.real20.<sr>        seconds per generation of 4-chain MC3 with
+//   mcmc.e2e.<data>.<sr>        seconds per generation of 4-chain MC3 with
 //                               the full move mix on the real-data
-//                               stand-in, site repeats {off,auto}
+//                               stand-in (real20) and on mrbayes_lite's
+//                               built-in demo data (demo), site repeats
+//                               {off,auto}
 //
 // Noise discipline: every case value is the MINIMUM over --reps repetitions
 // of the identical deterministic workload — the least-disturbed observation —
@@ -432,23 +434,21 @@ CaseStat telemetry_case(const phylo::PatternMatrix& data,
   return cs;
 }
 
-/// End-to-end MC3 on the real-data stand-in (seqgen data seed 42: 20 taxa,
-/// 28,740 columns): s/gen of mrbayes_lite's default run — 4 coupled chains
-/// on one 2-worker threaded pool, GTR+I+G, the NNI/eSPR/branch/model move
-/// mix — with only the site-repeats mode varied. Unlike the engine.* cases,
-/// which move branch lengths only, these exercise topology moves and hence
-/// repeat identification.
-CaseStat e2e_case(const seqgen::Dataset& ds, core::SiteRepeatsMode repeats,
+/// End-to-end MC3 on `data` from `start`: s/gen of mrbayes_lite's default
+/// run — 4 coupled chains on one 2-worker threaded pool, GTR+I+G, the
+/// NNI/eSPR/branch/model move mix — with only the site-repeats mode varied.
+/// Unlike the engine.* cases, which move branch lengths only, these exercise
+/// topology moves and hence repeat identification.
+CaseStat e2e_case(const std::string& workload, const phylo::PatternMatrix& data,
+                  const phylo::Tree& start, core::SiteRepeatsMode repeats,
                   std::uint64_t gens, int reps) {
   CaseStat cs;
-  cs.name = std::string("mcmc.e2e.real20.sr-") + core::to_string(repeats);
+  cs.name = "mcmc.e2e." + workload + ".sr-" + core::to_string(repeats);
   cs.unit = "s/gen";
   cs.iters = gens;
   cs.threshold = 0.40;
 
   constexpr std::size_t kChains = 4;
-  const phylo::Tree start = phylo::Tree::from_newick(
-      ds.tree.rerooted(0).to_newick(), ds.patterns.names());
   phylo::GtrParams params;
   params.p_invariant = 0.1;
   par::ThreadPool pool(kPoolWorkers);
@@ -456,7 +456,7 @@ CaseStat e2e_case(const seqgen::Dataset& ds, core::SiteRepeatsMode repeats,
   std::vector<std::unique_ptr<core::PlfEngine>> engines;
   for (std::size_t i = 0; i < kChains; ++i) {
     engines.push_back(std::make_unique<core::PlfEngine>(
-        ds.patterns, params, start, backend, core::KernelVariant::kSimdCol,
+        data, params, start, backend, core::KernelVariant::kSimdCol,
         repeats));
   }
   mcmc::CoupledOptions opts;
@@ -702,14 +702,42 @@ int main(int argc, char** argv) {
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
               << " ms/gen (min of " << reps << ")\n";
   }
-  // End-to-end MC3 on the real-data stand-in, site repeats off vs the
-  // default auto.
+  // End-to-end MC3, site repeats off vs the default auto, on the real-data
+  // stand-in (seqgen data seed 42: 20 taxa, 28,740 columns, started from the
+  // true tree) and on mrbayes_lite's built-in demo data (10 taxa, 1,500
+  // simulated columns, seed 1, started from a random tree).
   {
     const seqgen::Dataset real20 = seqgen::make_real_dataset(42);
+    const phylo::Tree real20_start = phylo::Tree::from_newick(
+        real20.tree.rerooted(0).to_newick(), real20.patterns.names());
     const std::uint64_t e2e_gens = quick ? 10 : 40;
     for (const core::SiteRepeatsMode sr :
          {core::SiteRepeatsMode::kOff, core::SiteRepeatsMode::kAuto}) {
-      cases.push_back(e2e_case(real20, sr, e2e_gens, reps));
+      cases.push_back(e2e_case("real20", real20.patterns, real20_start, sr,
+                               e2e_gens, reps));
+      std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
+                << " ms/gen (min of " << reps << ")\n";
+    }
+
+    // The demo data exactly as `mrbayes_lite` (no input file, seed 1)
+    // simulates it.
+    Rng demo_rng(1);
+    const phylo::Tree demo_tree = seqgen::yule_tree(10, demo_rng, 1.0, 0.12);
+    phylo::GtrParams demo_params = seqgen::default_gtr_params();
+    demo_params.p_invariant = 0.2;
+    const phylo::SubstitutionModel demo_model(demo_params);
+    const phylo::Alignment demo_aln =
+        seqgen::SequenceEvolver(demo_tree, demo_model).evolve(1500, demo_rng);
+    const phylo::PatternMatrix demo = phylo::PatternMatrix::compress(demo_aln);
+    Rng start_rng(1 ^ 0xABCDEF);
+    const phylo::Tree demo_start = phylo::Tree::from_newick(
+        seqgen::yule_tree(10, start_rng, 1.0, 0.1).rerooted(0).to_newick(),
+        demo_aln.names());
+    const std::uint64_t demo_gens = quick ? 50 : 200;
+    for (const core::SiteRepeatsMode sr :
+         {core::SiteRepeatsMode::kOff, core::SiteRepeatsMode::kAuto}) {
+      cases.push_back(
+          e2e_case("demo", demo, demo_start, sr, demo_gens, reps));
       std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
                 << " ms/gen (min of " << reps << ")\n";
     }

@@ -102,9 +102,10 @@ void CellMachine::run_down(const core::KernelSet& /*ks*/,
   // The SPU program is compiled with the machine's SIMD layout; the caller's
   // kernel variant is not used on the Cell (as on real hardware, where the
   // SPE binary is fixed).
-  PLF_CHECK(a.site_index == nullptr,
+  PLF_CHECK(a.site_index == nullptr && a.left.row_of == nullptr &&
+                a.right.row_of == nullptr,
             "CellMachine is a dense-only backend: the SPU LS chunking streams "
-            "contiguous pattern blocks and cannot honor site_index");
+            "contiguous pattern blocks and cannot honor site_index or row_of");
   SpuJob proto;
   proto.K = a.K;
   proto.down = a;
@@ -113,7 +114,8 @@ void CellMachine::run_down(const core::KernelSet& /*ks*/,
 
 void CellMachine::run_root(const core::KernelSet& /*ks*/,
                            const core::RootArgs& a, std::size_t m) {
-  PLF_CHECK(a.down.site_index == nullptr,
+  PLF_CHECK(a.down.site_index == nullptr && a.down.left.row_of == nullptr &&
+                a.down.right.row_of == nullptr,
             "CellMachine is a dense-only backend (see run_down)");
   SpuJob proto;
   proto.K = a.down.K;
@@ -125,8 +127,6 @@ void CellMachine::run_root(const core::KernelSet& /*ks*/,
 
 void CellMachine::run_scale(const core::KernelSet& /*ks*/,
                             const core::ScaleArgs& a, std::size_t m) {
-  PLF_CHECK(a.site_index == nullptr,
-            "CellMachine is a dense-only backend (see run_down)");
   SpuJob proto;
   proto.K = a.K;
   proto.scale = a;

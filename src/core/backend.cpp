@@ -55,10 +55,6 @@ void ExecutionBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
       PLF_PROF_SCOPE(obs::kTimerCondLikeScaler);
       run_scale(ks, op.scale, op.run_m);
     }
-    if (op.repeats != nullptr) {
-      PLF_PROF_SCOPE(obs::kTimerRepeatScatter);
-      scatter_op(op);
-    }
   }
 }
 
@@ -92,10 +88,6 @@ void SerialBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
     } else {
       PLF_PROF_SCOPE(obs::kTimerCondLikeDown);
       run_op_fused(ks, op, 0, op.run_m);
-    }
-    if (op.repeats != nullptr) {
-      PLF_PROF_SCOPE(obs::kTimerRepeatScatter);
-      scatter_op(op);
     }
   }
 }
@@ -144,25 +136,27 @@ double ThreadedBackend::run_root_reduce(const KernelSet& ks,
 
 void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   detail::check_plan(plan);
-  // Two fusion regimes, both exact because every kernel is per-site
-  // elementwise: site c of an op's output depends only on site c of its
-  // children (and rescaling is per-site), so for a FIXED chunk partition any
+  // Two fusion regimes, both exact because every kernel is per-row
+  // elementwise: row r of an op's output depends only on one row of each
+  // child (and rescaling is per-row), so for a FIXED chunk partition any
   // regrouping of (op, chunk) work onto workers computes bit-identical
   // results, in any order that keeps each chunk's ops in level order.
   //
   //  - Vertical: a maximal run of levels whose ops are all dense and
   //    full-width executes as ONE parallel region over [0, m): each worker
   //    runs the entire op chain — down/root + scale per op, in plan order —
-  //    over its own site chunk. No worker ever reads a chunk another worker
-  //    wrote, so no intra-run barrier is needed at all: a k-node dirty path
-  //    costs 1 region instead of per-call's 2k, and a child's chunk is still
+  //    over its own site chunk. A dense op reads a dense in-run child at the
+  //    same site, so no worker ever reads a chunk another worker wrote and
+  //    no intra-run barrier is needed at all: a k-node dirty path costs 1
+  //    region instead of per-call's 2k, and a child's chunk is still
   //    cache-hot when the parent op consumes it.
   //  - Horizontal: a level containing repeat-compacted ops cannot cross the
-  //    next level without a barrier (a duplicate site's representative may
-  //    live in another worker's chunk, so the caller-thread scatter must
-  //    wait for the end-of-region barrier). Such a level concatenates its
-  //    ops into one iteration space (prefix sums over run_m) and fuses
-  //    down+scale per segment — 1 region per level vs per-call's 2 per op.
+  //    next level without a barrier: a parent reads a compacted child's rows
+  //    through its class map (ChildArgs::row_of), which can land in any
+  //    worker's chunk, so the region's end-of-level barrier must complete
+  //    the child first. Such a level concatenates its ops into one iteration
+  //    space (prefix sums over run_m) and fuses down+scale per segment — 1
+  //    region per level vs per-call's 2 per op.
   const std::vector<PlfOp>& ops = plan.ops();
   std::vector<std::size_t> offs;
   std::size_t level = 0;
@@ -234,14 +228,6 @@ void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
           pos = seg_end;
         }
       });
-    }
-
-    for (std::size_t i = 0; i < n_ops; ++i) {
-      const PlfOp& op = ops[lb + i];
-      if (op.repeats != nullptr) {
-        PLF_PROF_SCOPE(obs::kTimerRepeatScatter);
-        scatter_op(op);
-      }
     }
   }
 }

@@ -35,11 +35,11 @@ namespace plf::core {
 /// contract. The engine consults this instead of per-feature virtuals.
 enum class Capabilities : std::uint32_t {
   kNone = 0,
-  /// Forwards compacted (site-indexed) kernel invocations faithfully — see
-  /// DownArgs::site_index. Backends that stage data through simulated
-  /// hardware paths (Cell DMA chunking, GPU global memory) run the dense
-  /// path only; the engine falls back automatically and their run_* entries
-  /// reject indexed arguments outright.
+  /// Forwards compacted kernel invocations faithfully — see
+  /// DownArgs::site_index and ChildArgs::row_of. Backends that stage data
+  /// through simulated hardware paths (Cell DMA chunking, GPU global memory)
+  /// run the dense path only; the engine falls back automatically and their
+  /// run_* entries reject indexed arguments outright.
   kSiteRepeats = 1u << 0,
   /// run_plan dispatches tip-specialized ops (PlfOpKind::kTipTip/kTipInner)
   /// to the lookup-table kernels instead of the generic entries. The engine
@@ -82,12 +82,11 @@ class ExecutionBackend {
                                  const RootReduceArgs& args, std::size_t m) = 0;
 
   /// Execute a finalized dependency-leveled batch (see core/plan.hpp):
-  /// every op's fused down/root + scale kernels, plus the repeat scatter for
-  /// compacted ops, respecting level order. The default walks ops in plan
-  /// order through the per-call entries above: two synchronous calls per op,
-  /// the paper's per-call structure. Overrides must stay bit-identical to it
-  /// (per-site math is partition-invariant; level order keeps the data
-  /// dependencies).
+  /// every op's fused down/root + scale kernels over its run_m stored rows,
+  /// respecting level order. The default walks ops in plan order through
+  /// the per-call entries above: two synchronous calls per op, the paper's
+  /// per-call structure. Overrides must stay bit-identical to it (per-row
+  /// math is partition-invariant; level order keeps the data dependencies).
   virtual void run_plan(const KernelSet& ks, const PlfPlan& plan);
 };
 

@@ -38,6 +38,7 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
       // node's CLV eviction; cumulative rows are allocated on first write);
       // the CLV storage itself lives in the budgeted arena below.
       nodes_[id].scaler.assign(m_, 0.0f);
+      nodes_[id].rows = {m_, m_};
       nodes_[id].dirty = true;
       ++n_internal;
     }
@@ -46,9 +47,10 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
     }
   }
 
-  // Budgeted CLV arena (docs/MEMORY.md): two buffers of m*K*4 floats per
-  // internal node; the budget is clamped up to one buffer per internal node,
-  // the worst-case pinned working set of a single evaluation.
+  // Budgeted CLV arena (docs/MEMORY.md): two slots of m*K*4 floats per
+  // internal node (a compacted buffer uses the front of its slot); the
+  // budget is clamped up to one slot per internal node, the worst-case
+  // pinned working set of a single evaluation.
   const std::size_t slot_floats = m_ * k_ * 4;
   const std::size_t slot_bytes = slot_floats * sizeof(float);
   arena_.init(2 * tree_.n_nodes(), slot_floats,
@@ -319,10 +321,17 @@ ChildArgs PlfEngine::make_child(int node) const {
     // Any other child reads its active buffer. stage_arena() pinned both
     // kinds for the whole evaluation, so the residency check cannot fire on
     // a kernel-bound pointer.
+    const NodeState& cs = nodes_[static_cast<std::size_t>(node)];
     const int target = plan_target_[static_cast<std::size_t>(node)];
-    const int buf =
-        target >= 0 ? target : nodes_[static_cast<std::size_t>(node)].active;
+    const int buf = target >= 0 ? target : cs.active;
     ch.cl = arena_.data(clv_slot(node, buf));
+    // The buffer's stored rows must be the layout the child's current
+    // classes imply; anything else means classes and CLVs flipped apart.
+    const NodeRepeats* nr = repeats_for(node);
+    PLF_CHECK(cs.rows[static_cast<std::size_t>(buf)] ==
+                  (nr != nullptr ? nr->n_classes : m_),
+              "make_child: child CLV rows disagree with its class map");
+    if (nr != nullptr) ch.row_of = nr->class_of_site.data();
   }
   ch.p = tm.row_major();
   ch.pt = tm.col_major();
@@ -330,13 +339,13 @@ ChildArgs PlfEngine::make_child(int node) const {
 }
 
 const NodeRepeats* PlfEngine::repeats_for(int id) const {
-  if (!repeats_enabled_) return nullptr;
+  if (!repeats_enabled_ || id == tree_.root()) return nullptr;
   const NodeRepeats& nr = repeats_.node(id);
   if (nr.n_classes >= m_) return nullptr;  // nothing repeats: dense is free
   if (repeats_mode_ == SiteRepeatsMode::kAuto &&
       static_cast<double>(nr.n_classes) >
           kSiteRepeatsAutoMaxUniqueFraction * static_cast<double>(m_)) {
-    return nullptr;  // too few repeats to pay for the scatter pass
+    return nullptr;  // too few repeats to pay for the map indirection
   }
   return &nr;
 }
@@ -455,6 +464,7 @@ void PlfEngine::build_plan() {
     op.is_root = id == tree_.root();
     op.repeats = nr;
     op.run_m = nr != nullptr ? nr->n_classes : m_;
+    st.rows[static_cast<std::size_t>(target)] = op.run_m;
     op.args.down.left = make_child(n.left);
     op.args.down.right = make_child(n.right);
     op.args.down.out = out;
@@ -471,8 +481,6 @@ void PlfEngine::build_plan() {
     op.scale.cl = out;
     op.scale.ln_scaler = ln_scaler;
     op.scale.K = k_;
-    op.scale.site_index = op.args.down.site_index;
-    op.scale.n_sites = m_;
 
     // Tip specialization (docs/KERNELS.md): a cherry op becomes a pair-table
     // gather, a one-tip op the branch-free tip×inner kernel. The tip child is
@@ -567,15 +575,30 @@ void PlfEngine::post_process_plan() {
 }
 
 void PlfEngine::sum_scalers() {
-  // cum[v] = ln_s[v] + cum[left] + cum[right], summed in exactly that order
-  // with children in tree order (a leaf child contributes nothing). Every
-  // child's active row is final here: it was recomputed earlier in this
-  // postorder, or it is clean and its row is a pure function of its
-  // unchanged subtree.
-  const auto child_cum = [this](int child) -> const double* {
-    if (tree_.node(child).is_leaf()) return nullptr;
+  // cum[v][r] = ln_s[v][r] + cum[left][row_l(c)] + cum[right][row_r(c)],
+  // summed in exactly that order with children in tree order (a leaf child
+  // contributes nothing). c is row r's site — its class representative when
+  // v is compacted — and row_x(c) is child x's stored row for c. Every site
+  // of a class shares both child classes, so each compacted sum is the dense
+  // sum of any of its sites, bit for bit. Every child's active row is final
+  // here: it was recomputed earlier in this postorder, or it is clean and
+  // its row is a pure function of its unchanged subtree.
+  struct ChildCum {
+    const double* cum = nullptr;  ///< nullptr: leaf child
+    const std::uint32_t* row_of = nullptr;  ///< nullptr: dense child
+    double at(std::size_t c) const {
+      return cum[row_of != nullptr ? row_of[c] : c];
+    }
+  };
+  const auto child_cum = [this](int child) {
+    ChildCum cc;
+    if (tree_.node(child).is_leaf()) return cc;
     const NodeState& cs = nodes_[static_cast<std::size_t>(child)];
-    return cs.cum[static_cast<std::size_t>(cs.active)].data();
+    cc.cum = cs.cum[static_cast<std::size_t>(cs.active)].data();
+    if (const NodeRepeats* nr = repeats_for(child)) {
+      cc.row_of = nr->class_of_site.data();
+    }
+    return cc;
   };
   for (const RecomputeEntry& e : recompute_targets_) {
     NodeState& st = nodes_[static_cast<std::size_t>(e.node)];
@@ -584,19 +607,27 @@ void PlfEngine::sum_scalers() {
     row.resize(m_);  // allocated on first write
     double* cum = row.data();
     const float* sc = st.scaler.data();
-    const double* l = child_cum(n.left);
-    const double* r = child_cum(n.right);
-    if (l != nullptr && r != nullptr) {
-      for (std::size_t c = 0; c < m_; ++c) {
-        cum[c] = static_cast<double>(sc[c]) + l[c] + r[c];
+    const std::size_t rows = st.rows[static_cast<std::size_t>(st.active)];
+    const NodeRepeats* nr = repeats_for(e.node);
+    const std::uint32_t* site =
+        nr != nullptr ? nr->unique_sites.data() : nullptr;
+    const ChildCum l = child_cum(n.left);
+    const ChildCum r = child_cum(n.right);
+    if (l.cum != nullptr && r.cum != nullptr) {
+      for (std::size_t i = 0; i < rows; ++i) {
+        const std::size_t c = site != nullptr ? site[i] : i;
+        cum[i] = static_cast<double>(sc[i]) + l.at(c) + r.at(c);
       }
-    } else if (l != nullptr || r != nullptr) {
-      const double* one = l != nullptr ? l : r;
-      for (std::size_t c = 0; c < m_; ++c) {
-        cum[c] = static_cast<double>(sc[c]) + one[c];
+    } else if (l.cum != nullptr || r.cum != nullptr) {
+      const ChildCum& one = l.cum != nullptr ? l : r;
+      for (std::size_t i = 0; i < rows; ++i) {
+        const std::size_t c = site != nullptr ? site[i] : i;
+        cum[i] = static_cast<double>(sc[i]) + one.at(c);
       }
     } else {
-      for (std::size_t c = 0; c < m_; ++c) cum[c] = static_cast<double>(sc[c]);
+      for (std::size_t i = 0; i < rows; ++i) {
+        cum[i] = static_cast<double>(sc[i]);
+      }
     }
   }
 }
@@ -696,6 +727,11 @@ void PlfEngine::evaluate() {
   lik_valid_ = true;
 }
 
+std::uint8_t PlfEngine::row_layout_policy() const {
+  return static_cast<std::uint8_t>(repeats_enabled_ ? repeats_mode_
+                                                    : SiteRepeatsMode::kOff);
+}
+
 void PlfEngine::set_instance_label(std::string label) {
   checker_.check();
   instance_label_ = std::move(label);
@@ -766,6 +802,7 @@ void PlfEngine::save_state(util::BinaryWriter& w) const {
   w.u64(k_);
   w.u64(tree_.n_nodes());
   w.u64(tree_.n_taxa());
+  w.u8(row_layout_policy());
 
   tree_.save(w);
 
@@ -779,24 +816,27 @@ void PlfEngine::save_state(util::BinaryWriter& w) const {
 
   // Internal nodes, in id order: the active buffer index, the dirty flag
   // (a move still pending evaluation must stay pending), the active
-  // cumulative scaler row of a clean node (exact f64 bits; a parent
-  // recomputed after the resume adds this row as is; a dirty node's row is
-  // stale and omitted), and the active CLV when it is arena-resident.
-  // Evicted CLVs are omitted on purpose: the recompute closure
-  // rematerializes them bit-exactly from the tips, which is the same
-  // guarantee the budgeted arena already relies on.
+  // buffer's stored row count, the live rows of a clean node's active
+  // cumulative scaler row (exact f64 bits; a parent recomputed after the
+  // resume adds this row as is; a dirty node's row is stale and omitted),
+  // and the live rows of the active CLV when it is arena-resident. Evicted
+  // CLVs are omitted on purpose: the recompute closure rematerializes them
+  // bit-exactly from the tips, which is the same guarantee the budgeted
+  // arena already relies on.
   w.section("NODE");
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     if (tree_.node(static_cast<int>(id)).is_leaf()) continue;
     const NodeState& st = nodes_[id];
+    const std::size_t rows = st.rows[static_cast<std::size_t>(st.active)];
     w.u8(static_cast<std::uint8_t>(st.active));
     w.u8(st.dirty ? 1 : 0);
+    w.u64(rows);
     w.f64_array(st.cum[static_cast<std::size_t>(st.active)].data(),
-                st.dirty ? 0 : m_);
+                st.dirty ? 0 : rows);
     const int slot = clv_slot(static_cast<int>(id), st.active);
     const bool resident = arena_.resident(slot);
     w.u8(resident ? 1 : 0);
-    if (resident) w.f32_array(arena_.data(slot), m_ * k_ * 4);
+    if (resident) w.f32_array(arena_.data(slot), rows * k_ * 4);
   }
 
   w.section("SCLR");
@@ -817,6 +857,11 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
                 n_taxa == tree_.n_taxa(),
             "restore_state: checkpoint was written by a differently-"
             "configured engine (pattern/category/tree shape mismatch)");
+  // Stored row layouts follow the site-repeats policy, so a checkpoint only
+  // resumes under the policy that wrote it.
+  PLF_CHECK(r.u8() == row_layout_policy(),
+            "restore_state: checkpoint was written under a different "
+            "site-repeats policy (its CLV row layouts do not apply)");
 
   tree_ = phylo::Tree::load(r);
 
@@ -867,8 +912,13 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
     PLF_CHECK(active <= 1, "restore_state: corrupt buffer index");
     st.active = active;
     st.dirty = r.u8() != 0;
+    const std::uint64_t rows = r.u64();
+    PLF_CHECK(rows >= 1 && rows <= m_,
+              "restore_state: CLV row count out of range");
+    st.rows = {m_, m_};
+    st.rows[static_cast<std::size_t>(st.active)] = rows;
     const std::vector<double> cum = r.f64_array();
-    PLF_CHECK(cum.size() == (st.dirty ? 0 : m_),
+    PLF_CHECK(cum.size() == (st.dirty ? 0 : rows),
               "restore_state: scaler row size mismatch");
     st.cum[static_cast<std::size_t>(st.active)].assign(cum.begin(), cum.end());
     st.flip_epoch = 0;
@@ -877,7 +927,7 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
     if (r.u8() != 0) {
       float* dst = arena_.acquire(clv_slot(static_cast<int>(id), st.active));
       const std::vector<float> cl = r.f32_array();
-      PLF_CHECK(cl.size() == m_ * k_ * 4,
+      PLF_CHECK(cl.size() == rows * k_ * 4,
                 "restore_state: CLV buffer size mismatch");
       std::memcpy(dst, cl.data(), cl.size() * sizeof(float));
     }
@@ -919,6 +969,12 @@ const float* PlfEngine::node_cl(int node) const {
   const NodeState& st = nodes_[static_cast<std::size_t>(node)];
   PLF_CHECK(!tree_.node(node).is_leaf(), "node_cl: leaf nodes carry no cl");
   return arena_.data(clv_slot(node, st.active));
+}
+
+std::size_t PlfEngine::node_rows(int node) const {
+  PLF_CHECK(!tree_.node(node).is_leaf(), "node_rows: leaf nodes carry no cl");
+  const NodeState& st = nodes_[static_cast<std::size_t>(node)];
+  return st.rows[static_cast<std::size_t>(st.active)];
 }
 
 bool PlfEngine::node_resident(int node) const {

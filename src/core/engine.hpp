@@ -172,20 +172,22 @@ class PlfEngine {
 
   // --- checkpoint/restore (docs/SHARDING.md) ---
   /// Serialize everything a 0-ULP resume needs: tree (exact branch-length
-  /// bits), model parameters, each internal node's dirty flag, active
-  /// cumulative log-scaler row (clean nodes) and — when arena-resident — its
-  /// active CLV buffer, and the cached likelihood. Requires no open
-  /// proposal. EngineStats are run-local and intentionally not saved.
+  /// bits), model parameters, each internal node's dirty flag, the stored
+  /// row count of its active buffer, its live cumulative log-scaler rows
+  /// (clean nodes) and — when arena-resident — its live CLV rows, and the
+  /// cached likelihood. Requires no open proposal. EngineStats are run-local
+  /// and intentionally not saved.
   void save_state(util::BinaryWriter& w) const;
   /// Inverse of save_state, into an engine constructed with the SAME data,
-  /// backend, kernel variant, and rate-category count (a config fingerprint
-  /// is checked; bit-identity additionally requires the same kernel
-  /// configuration, which cannot be fingerprinted). Branch
+  /// backend, kernel variant, site-repeats policy and rate-category count
+  /// (a config fingerprint is checked; bit-identity additionally requires
+  /// the same kernel configuration, which cannot be fingerprinted). Branch
   /// transition matrices are rebuilt eagerly (pure functions of model x
   /// length), non-resident CLVs rematerialize on the next evaluation, and
   /// site-repeat classes re-identify lazily — all deterministic, so the
   /// post-restore likelihood trajectory is bit-identical to the
-  /// uninterrupted run's.
+  /// uninterrupted run's. A checkpoint written under another site-repeats
+  /// policy, or with a row count of 0 or above m, is refused.
   void restore_state(util::BinaryReader& r);
 
   /// True when plans mark cherry/tip-child ops for the lookup-table kernels
@@ -209,8 +211,13 @@ class PlfEngine {
 
   /// Read-only view of an internal node's active conditional likelihoods
   /// (tests/diagnostics). PLF_CHECKs that the buffer is arena-resident — an
-  /// evicted CLV has no storage until an evaluation rematerializes it.
+  /// evicted CLV has no storage until an evaluation rematerializes it. The
+  /// view holds node_rows(node) rows of K*4 floats: one per site when the
+  /// node is dense, one per repeat class (row class_of_site[c] for site c)
+  /// when it is compacted.
   const float* node_cl(int node) const;
+  /// Stored rows of an internal node's active buffer (tests/diagnostics).
+  std::size_t node_rows(int node) const;
 
   // --- budgeted CLV arena (docs/MEMORY.md) ---
   /// The arena that owns every internal node's CLV storage.
@@ -226,16 +233,21 @@ class PlfEngine {
 
  private:
   struct NodeState {
-    /// The scale kernel's per-pattern log scalers for the last op on this
-    /// node: scratch that only the ScalerSum pass reads, so one buffer.
+    /// The scale kernel's per-row log scalers for the last op on this node:
+    /// scratch that only the ScalerSum pass reads, so one buffer.
     aligned_vector<float> scaler;
-    /// Cumulative log scalers: per pattern, the sum of the scaler rows of
+    /// Cumulative log scalers: per stored row, the sum of the scaler rows of
     /// every internal node in this subtree. A pure function of the subtree,
-    /// double-buffered with the CLV (same `active` index), so reject flips,
-    /// topology moves, rematerializations and restores need no special case.
-    /// A buffer is allocated when the scaler pass first writes it; only a
-    /// dirty node's active buffer can still be empty.
+    /// double-buffered with the CLV (same `active` index and row layout), so
+    /// reject flips, topology moves, rematerializations and restores need no
+    /// special case. A buffer is allocated when the scaler pass first writes
+    /// it; only a dirty node's active buffer can still be empty.
     std::array<aligned_vector<double>, 2> cum;
+    /// Stored rows of each buffer (CLV and cum alike): the node's class
+    /// count when build_plan compacted it, else m. Unwritten buffers are
+    /// dense (zeroed CLVs). make_child checks it against the child's current
+    /// class map, so classes and CLVs can never flip out of step.
+    std::array<std::size_t, 2> rows{};
     int active = 0;
     bool dirty = true;
     /// Last proposal in which this node flipped. A second recomputation
@@ -310,8 +322,13 @@ class PlfEngine {
   /// The one place model_ is assigned: also refreshes const_lik_.
   void assign_model(const phylo::GtrParams& params);
   /// Repeat classes to compact node `id` with, or nullptr for the dense path
-  /// (mode/backend/compression gate). Identification must be fresh.
+  /// (mode/backend/compression gate; the root is always dense, because the
+  /// root reduction reads its rows by site). Identification must be fresh.
   const NodeRepeats* repeats_for(int id) const;
+  /// The effective site-repeats policy (kOff when compaction can never
+  /// run): with data + tree, it fixes every node's stored row layout, so
+  /// checkpoints carry it in their fingerprint.
+  std::uint8_t row_layout_policy() const;
   /// Arena footprint gauges (engine.clv_bytes + arena.*). Called from the
   /// constructor against the global registry — before the first snapshot any
   /// --metrics-json run takes — and from publish_stats.

@@ -36,6 +36,8 @@ inline void check_child(const ChildArgs& ch, bool needs_transpose) {
              "child must be exactly one of internal (cl) or tip (mask)");
   if (ch.mask != nullptr) {
     PLF_DCHECK(ch.tp != nullptr, "tip child needs its tip-partial table");
+    PLF_DCHECK(ch.row_of == nullptr,
+               "tip child has no stored rows to map (row_of)");
   } else if (needs_transpose) {
     PLF_DCHECK(ch.pt != nullptr,
                "internal child needs the transposed transition matrices");
@@ -58,8 +60,9 @@ inline void check_child_aligned(const ChildArgs& ch) {
 /// Trust boundary of the site-repeat index vector: the engine hands kernels a
 /// compacted site list built by core/repeats. The representative sites are
 /// strictly increasing by construction, so the last entry bounds the whole
-/// range — checked always (O(1), it guards every subsequent indexed store);
-/// the monotonicity itself is re-verified per chunk in checked builds.
+/// range — checked always (O(1), it guards every subsequent indexed mask and
+/// child-map load); the monotonicity itself is re-verified per chunk in
+/// checked builds.
 inline void check_site_index(const std::uint32_t* site_index, std::size_t begin,
                              std::size_t end, std::size_t n_sites) {
   if (site_index == nullptr || begin >= end) return;
@@ -121,7 +124,7 @@ inline void check_down_tt(const TipTipArgs& a, std::size_t begin,
   check_site_index(a.site_index, begin, end, a.n_sites);
 #if PLF_CONTRACTS_LEVEL
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+    const std::size_t c = a.site(idx);
     PLF_DCHECK(a.left_mask[c] < phylo::kNumMasks &&
                    a.right_mask[c] < phylo::kNumMasks,
                "tip-tip down: tip-state code out of range");
@@ -130,15 +133,14 @@ inline void check_down_tt(const TipTipArgs& a, std::size_t begin,
 }
 
 /// Fused down/root + scale trust boundary: the scale block must alias the
-/// down output and describe the same iteration space, otherwise the single
-/// pass would rescale rows the down stage never wrote.
+/// down output at the same row stride, otherwise the single pass would
+/// rescale rows the down stage never wrote. Both stages address output rows
+/// by iteration index, so no site mapping needs to agree.
 inline void check_fused_scale(const ScaleArgs& s, const float* down_out,
-                              std::size_t K, const std::uint32_t* site_index) {
+                              std::size_t K) {
   PLF_DCHECK(s.cl == down_out,
              "fused scale: scale block must alias the down output");
   PLF_DCHECK(s.K == K, "fused scale: rate-category mismatch");
-  PLF_DCHECK(s.site_index == site_index,
-             "fused scale: site-index mismatch with the down stage");
   PLF_DCHECK(s.ln_scaler != nullptr, "fused scale: null scaler row");
 }
 
@@ -160,7 +162,6 @@ inline void check_scale(const ScaleArgs& a, std::size_t begin,
   PLF_DCHECK(a.K >= 1, "cond_like_scaler: needs at least one rate category");
   PLF_DCHECK(a.cl != nullptr && a.ln_scaler != nullptr,
              "cond_like_scaler: null array");
-  check_site_index(a.site_index, begin, end, a.n_sites);
 }
 
 inline void check_root_reduce(const RootReduceArgs& a, std::size_t begin,
@@ -187,7 +188,9 @@ inline void check_root_reduce(const RootReduceArgs& a, std::size_t begin,
 ///     (scale.cl == args.down.out) with a real scaler row to fill, so a
 ///     backend may rescale each site chunk immediately after computing it;
 ///   - run_m never exceeds the plan's pattern count, and a compacted op's
-///     run_m/site_index agree with its repeat classes.
+///     run_m/site_index agree with its repeat classes;
+///   - the root op is dense: the root reduction reads its CLV and scaler
+///     rows by site.
 inline void check_plan(const PlfPlan& plan) {
   PLF_DCHECK(plan.finalized(), "run_plan: plan must be finalized");
 #if PLF_CONTRACTS_LEVEL
@@ -228,6 +231,7 @@ inline void check_plan(const PlfPlan& plan) {
                    "run_plan: tip-inner op must be canonicalized tip-left");
       }
       if (op.repeats != nullptr) {
+        PLF_DCHECK(!op.is_root, "run_plan: the root op must stay dense");
         PLF_DCHECK(op.run_m == op.repeats->n_classes,
                    "run_plan: compacted op must iterate its class count");
         PLF_DCHECK(op.args.down.site_index == op.repeats->unique_sites.data(),

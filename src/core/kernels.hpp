@@ -52,8 +52,24 @@ struct ChildArgs {
   const float* tp = nullptr;        ///< tip-partial table (tip children)
   const float* p = nullptr;         ///< row-major transition matrices (K*16)
   const float* pt = nullptr;        ///< transposed transition matrices (K*16)
+  /// Compacted internal child (docs/SITE_REPEATS.md): site c of the child
+  /// lives in stored row row_of[c] of `cl` (the child's repeat-class map).
+  /// nullptr means the child is dense: site c lives in row c.
+  const std::uint32_t* row_of = nullptr;
 
   bool is_tip() const { return mask != nullptr; }
+
+  /// Stored row of an internal child holding site c.
+  std::size_t stored_row(std::size_t c) const {
+    return row_of != nullptr ? row_of[c] : c;
+  }
+  /// Site c's operand row: the tip-partial row of its mask, or the child's
+  /// stored CLV row for c. Kernels resolve it once per site and index
+  /// k * 4 into it per rate category.
+  const float* row(std::size_t c, std::size_t K) const {
+    if (is_tip()) return tp + static_cast<std::size_t>(mask[c]) * K * 4;
+    return cl + stored_row(c) * K * 4;
+  }
 };
 
 /// Arguments for cond_like_down.
@@ -62,15 +78,22 @@ struct DownArgs {
   ChildArgs right;
   float* out = nullptr;  ///< clP, same layout as inputs
   std::size_t K = 4;     ///< number of discrete rate categories
-  /// Site-repeat compaction (optional). When non-null, iteration index idx in
-  /// [begin, end) addresses pattern site_index[idx] instead of idx — every
-  /// load and the store go through the mapped site, so the kernel computes
-  /// only repeat-class representative sites; the engine scatters the results
-  /// to duplicate sites afterwards. Entries are strictly increasing and
-  /// bounded by n_sites (the contract layer verifies both). Backends that
-  /// cannot honor the indirection must refuse it (Capabilities::kSiteRepeats).
+  /// Site-repeat compaction (optional). The output row is always the
+  /// iteration index idx in [begin, end); when site_index is non-null, row
+  /// idx is computed from its representative site c = site_index[idx]: tip
+  /// masks are read at c and each internal child at its own row for c
+  /// (ChildArgs::row_of). Every site of a repeat class shares both child
+  /// classes, so the compacted row holds exactly the dense row's bits.
+  /// Entries are strictly increasing and bounded by n_sites (the contract
+  /// layer verifies both). Backends that cannot honor the indirection must
+  /// refuse it (Capabilities::kSiteRepeats).
   const std::uint32_t* site_index = nullptr;
   std::size_t n_sites = 0;  ///< exclusive bound on site_index entries
+
+  /// Site output row idx is computed from.
+  std::size_t site(std::size_t idx) const {
+    return site_index != nullptr ? site_index[idx] : idx;
+  }
 };
 
 /// Arguments for cond_like_root: down plus the third (outgroup) neighbor,
@@ -101,17 +124,22 @@ struct TipTipArgs {
   /// Rate-category count the tables were built for; contract-checked == K so
   /// a stale or foreign table cannot be gathered at the wrong row stride.
   std::size_t table_categories = 0;
-  const std::uint32_t* site_index = nullptr;  ///< see DownArgs::site_index
+  /// Masks of output row idx are read at site_index[idx] (see
+  /// DownArgs::site_index); the row written is idx.
+  const std::uint32_t* site_index = nullptr;
   std::size_t n_sites = 0;
+
+  std::size_t site(std::size_t idx) const {
+    return site_index != nullptr ? site_index[idx] : idx;
+  }
 };
 
-/// Arguments for cond_like_scaler.
+/// Arguments for cond_like_scaler. Scales stored rows [begin, end) — dense
+/// or compacted alike, since rescaling reads and writes one row only.
 struct ScaleArgs {
   float* cl = nullptr;         ///< scaled in place
-  float* ln_scaler = nullptr;  ///< per-pattern log scale factor (overwritten)
+  float* ln_scaler = nullptr;  ///< per-row log scale factor (overwritten)
   std::size_t K = 4;
-  const std::uint32_t* site_index = nullptr;  ///< see DownArgs::site_index
-  std::size_t n_sites = 0;
 };
 
 /// Arguments for the root log-likelihood reduction.

@@ -38,21 +38,19 @@ inline Vec4f matvec_cols(const float* pt, const float* cl) {
   return acc;
 }
 
-/// One child's factor for (c, k): column-wise accumulation over j.
-inline Vec4f child_values(const ChildArgs& ch, std::size_t c, std::size_t k,
-                          std::size_t K) {
-  if (ch.is_tip()) {
-    return Vec4f::load(ch.tp + static_cast<std::size_t>(ch.mask[c]) * K * 4 +
-                       k * 4);
-  }
-  return matvec_cols(ch.pt + k * 16, ch.cl + c * K * 4 + k * 4);
+/// One child's factor for category k from its site row (ChildArgs::row):
+/// column-wise accumulation over j.
+inline Vec4f child_values(const ChildArgs& ch, const float* row,
+                          std::size_t k) {
+  if (ch.is_tip()) return Vec4f::load(row + k * 4);
+  return matvec_cols(ch.pt + k * 16, row + k * 4);
 }
 
 /// Per-site SIMD rescale body. Same float ops as the shared scale kernel in
 /// kernels_simd_row.cpp (max is order-invariant; identical 1/max multiply),
 /// duplicated here so the fused entries can inline it.
-inline void scale_site(std::size_t c, const ScaleArgs& a) {
-  float* cl = a.cl + c * a.K * 4;
+inline void scale_site(std::size_t r, const ScaleArgs& a) {
+  float* cl = a.cl + r * a.K * 4;
   Vec4f m = Vec4f::load(cl);
   for (std::size_t k = 1; k < a.K; ++k) {
     m = Vec4f::max(m, Vec4f::load(cl + k * 4));
@@ -63,43 +61,48 @@ inline void scale_site(std::size_t c, const ScaleArgs& a) {
     for (std::size_t k = 0; k < a.K; ++k) {
       (Vec4f::load(cl + k * 4) * inv).store(cl + k * 4);
     }
-    a.ln_scaler[c] = std::log(mx);
+    a.ln_scaler[r] = std::log(mx);
   } else {
-    a.ln_scaler[c] = 0.0f;
+    a.ln_scaler[r] = 0.0f;
   }
 }
 
-inline void down_site(std::size_t c, const DownArgs& a) {
-  float* out = a.out + c * a.K * 4;
+/// Output row r from site c (r == c on the dense path).
+inline void down_site(std::size_t r, std::size_t c, const DownArgs& a) {
+  float* out = a.out + r * a.K * 4;
+  const float* lrow = a.left.row(c, a.K);
+  const float* rrow = a.right.row(c, a.K);
   for (std::size_t k = 0; k < a.K; ++k) {
-    const Vec4f l = child_values(a.left, c, k, a.K);
-    const Vec4f r = child_values(a.right, c, k, a.K);
-    (l * r).store(out + k * 4);
+    const Vec4f l = child_values(a.left, lrow, k);
+    const Vec4f rv = child_values(a.right, rrow, k);
+    (l * rv).store(out + k * 4);
   }
 }
 
 /// down_site with the child kinds known statically (left tip, right inner).
-inline void down_ti_site(std::size_t c, const DownArgs& a) {
-  float* out = a.out + c * a.K * 4;
+inline void down_ti_site(std::size_t r, std::size_t c, const DownArgs& a) {
+  float* out = a.out + r * a.K * 4;
   const float* ltp =
       a.left.tp + static_cast<std::size_t>(a.left.mask[c]) * a.K * 4;
-  const float* rcl = a.right.cl + c * a.K * 4;
+  const float* rcl = a.right.cl + a.right.stored_row(c) * a.K * 4;
   for (std::size_t k = 0; k < a.K; ++k) {
     const Vec4f l = Vec4f::load(ltp + k * 4);
-    const Vec4f r = matvec_cols(a.right.pt + k * 16, rcl + k * 4);
-    (l * r).store(out + k * 4);
+    const Vec4f rv = matvec_cols(a.right.pt + k * 16, rcl + k * 4);
+    (l * rv).store(out + k * 4);
   }
 }
 
-inline void root_site(std::size_t c, const RootArgs& a) {
+inline void root_site(std::size_t r, std::size_t c, const RootArgs& a) {
   const DownArgs& d = a.down;
-  float* out = d.out + c * d.K * 4;
+  float* out = d.out + r * d.K * 4;
   const float* tp = a.out_tp + static_cast<std::size_t>(a.out_mask[c]) * d.K * 4;
+  const float* lrow = d.left.row(c, d.K);
+  const float* rrow = d.right.row(c, d.K);
   for (std::size_t k = 0; k < d.K; ++k) {
-    const Vec4f l = child_values(d.left, c, k, d.K);
-    const Vec4f r = child_values(d.right, c, k, d.K);
+    const Vec4f l = child_values(d.left, lrow, k);
+    const Vec4f rv = child_values(d.right, rrow, k);
     const Vec4f o = Vec4f::load(tp + k * 4);
-    (l * r * o).store(out + k * 4);
+    (l * rv * o).store(out + k * 4);
   }
 }
 
@@ -107,8 +110,7 @@ void down_col(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site(c, a);
+    down_site(idx, a.site(idx), a);
   }
 }
 
@@ -116,8 +118,7 @@ void down_ti_col(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site(c, a);
+    down_ti_site(idx, a.site(idx), a);
   }
 }
 
@@ -125,9 +126,7 @@ void root_col(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site(c, a);
+    root_site(idx, a.down.site(idx), a);
   }
 }
 
@@ -135,11 +134,10 @@ void down_scale_col(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
                     std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
+  detail::check_fused_scale(s, a.out, a.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site(c, a);
-    scale_site(c, s);
+    down_site(idx, a.site(idx), a);
+    scale_site(idx, s);
   }
 }
 
@@ -147,11 +145,10 @@ void down_ti_scale_col(const DownArgs& a, const ScaleArgs& s,
                        std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
+  detail::check_fused_scale(s, a.out, a.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site(c, a);
-    scale_site(c, s);
+    down_ti_site(idx, a.site(idx), a);
+    scale_site(idx, s);
   }
 }
 
@@ -159,23 +156,19 @@ void root_scale_col(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
                     std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K, a.down.site_index);
+  detail::check_fused_scale(s, a.down.out, a.down.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site(c, a);
-    scale_site(c, s);
+    root_site(idx, a.down.site(idx), a);
+    scale_site(idx, s);
   }
 }
 
-/// Two categories (k, k+1) at once in one 8-wide register.
-inline Vec8f child_values8(const ChildArgs& ch, std::size_t c, std::size_t k,
-                           std::size_t K) {
-  if (ch.is_tip()) {
-    return Vec8f::loadu(ch.tp + static_cast<std::size_t>(ch.mask[c]) * K * 4 +
-                       k * 4);
-  }
-  const float* cl = ch.cl + c * K * 4 + k * 4;  // 8 contiguous floats: k, k+1
+/// Two categories (k, k+1) at once in one 8-wide register, from the child's
+/// site row.
+inline Vec8f child_values8(const ChildArgs& ch, const float* row,
+                           std::size_t k) {
+  if (ch.is_tip()) return Vec8f::loadu(row + k * 4);
+  const float* cl = row + k * 4;  // 8 contiguous floats: k, k+1
   const float* pt0 = ch.pt + k * 16;
   const float* pt1 = ch.pt + (k + 1) * 16;
   Vec8f acc = Vec8f::combine(Vec4f(cl[0]), Vec4f(cl[4])) *
@@ -192,74 +185,76 @@ inline Vec8f child_values8(const ChildArgs& ch, std::size_t c, std::size_t k,
   return acc;
 }
 
-/// child_values8 with the tip table row known present (left tip child).
-inline Vec8f tip_values8(const float* tp, std::size_t mask, std::size_t k,
-                         std::size_t K) {
-  return Vec8f::loadu(tp + mask * K * 4 + k * 4);
-}
-
-inline void down_site8(std::size_t c, const DownArgs& a, std::size_t k_pairs) {
-  float* out = a.out + c * a.K * 4;
+inline void down_site8(std::size_t r, std::size_t c, const DownArgs& a,
+                       std::size_t k_pairs) {
+  float* out = a.out + r * a.K * 4;
+  const float* lrow = a.left.row(c, a.K);
+  const float* rrow = a.right.row(c, a.K);
   std::size_t k = 0;
   for (; k < k_pairs; k += 2) {
-    const Vec8f l = child_values8(a.left, c, k, a.K);
-    const Vec8f r = child_values8(a.right, c, k, a.K);
-    (l * r).storeu(out + k * 4);
+    const Vec8f l = child_values8(a.left, lrow, k);
+    const Vec8f rv = child_values8(a.right, rrow, k);
+    (l * rv).storeu(out + k * 4);
   }
   for (; k < a.K; ++k) {
-    const Vec4f l = child_values(a.left, c, k, a.K);
-    const Vec4f r = child_values(a.right, c, k, a.K);
-    (l * r).store(out + k * 4);
+    const Vec4f l = child_values(a.left, lrow, k);
+    const Vec4f rv = child_values(a.right, rrow, k);
+    (l * rv).store(out + k * 4);
   }
 }
 
-inline void down_ti_site8(std::size_t c, const DownArgs& a,
+inline void down_ti_site8(std::size_t r, std::size_t c, const DownArgs& a,
                           std::size_t k_pairs) {
-  float* out = a.out + c * a.K * 4;
-  const std::size_t lm = static_cast<std::size_t>(a.left.mask[c]);
-  const float* rcl = a.right.cl + c * a.K * 4;
+  float* out = a.out + r * a.K * 4;
+  const float* ltp =
+      a.left.tp + static_cast<std::size_t>(a.left.mask[c]) * a.K * 4;
+  const float* rcl = a.right.cl + a.right.stored_row(c) * a.K * 4;
   std::size_t k = 0;
   for (; k < k_pairs; k += 2) {
-    const Vec8f l = tip_values8(a.left.tp, lm, k, a.K);
+    const Vec8f l = Vec8f::loadu(ltp + k * 4);
     const float* pt0 = a.right.pt + k * 16;
     const float* pt1 = a.right.pt + (k + 1) * 16;
     const float* cl = rcl + k * 4;
-    Vec8f r = Vec8f::combine(Vec4f(cl[0]), Vec4f(cl[4])) *
-              Vec8f::combine(Vec4f::load(pt0 + 0), Vec4f::load(pt1 + 0));
-    r = Vec8f::fma(Vec8f::combine(Vec4f(cl[1]), Vec4f(cl[5])),
-                   Vec8f::combine(Vec4f::load(pt0 + 4), Vec4f::load(pt1 + 4)),
-                   r);
-    r = Vec8f::fma(Vec8f::combine(Vec4f(cl[2]), Vec4f(cl[6])),
-                   Vec8f::combine(Vec4f::load(pt0 + 8), Vec4f::load(pt1 + 8)),
-                   r);
-    r = Vec8f::fma(Vec8f::combine(Vec4f(cl[3]), Vec4f(cl[7])),
-                   Vec8f::combine(Vec4f::load(pt0 + 12), Vec4f::load(pt1 + 12)),
-                   r);
-    (l * r).storeu(out + k * 4);
+    Vec8f rv = Vec8f::combine(Vec4f(cl[0]), Vec4f(cl[4])) *
+               Vec8f::combine(Vec4f::load(pt0 + 0), Vec4f::load(pt1 + 0));
+    rv = Vec8f::fma(Vec8f::combine(Vec4f(cl[1]), Vec4f(cl[5])),
+                    Vec8f::combine(Vec4f::load(pt0 + 4), Vec4f::load(pt1 + 4)),
+                    rv);
+    rv = Vec8f::fma(Vec8f::combine(Vec4f(cl[2]), Vec4f(cl[6])),
+                    Vec8f::combine(Vec4f::load(pt0 + 8), Vec4f::load(pt1 + 8)),
+                    rv);
+    rv = Vec8f::fma(Vec8f::combine(Vec4f(cl[3]), Vec4f(cl[7])),
+                    Vec8f::combine(Vec4f::load(pt0 + 12),
+                                   Vec4f::load(pt1 + 12)),
+                    rv);
+    (l * rv).storeu(out + k * 4);
   }
   for (; k < a.K; ++k) {
-    const Vec4f l = Vec4f::load(a.left.tp + lm * a.K * 4 + k * 4);
-    const Vec4f r = matvec_cols(a.right.pt + k * 16, rcl + k * 4);
-    (l * r).store(out + k * 4);
+    const Vec4f l = Vec4f::load(ltp + k * 4);
+    const Vec4f rv = matvec_cols(a.right.pt + k * 16, rcl + k * 4);
+    (l * rv).store(out + k * 4);
   }
 }
 
-inline void root_site8(std::size_t c, const RootArgs& a, std::size_t k_pairs) {
+inline void root_site8(std::size_t r, std::size_t c, const RootArgs& a,
+                       std::size_t k_pairs) {
   const DownArgs& d = a.down;
-  float* out = d.out + c * d.K * 4;
+  float* out = d.out + r * d.K * 4;
   const float* tp = a.out_tp + static_cast<std::size_t>(a.out_mask[c]) * d.K * 4;
+  const float* lrow = d.left.row(c, d.K);
+  const float* rrow = d.right.row(c, d.K);
   std::size_t k = 0;
   for (; k < k_pairs; k += 2) {
-    const Vec8f l = child_values8(d.left, c, k, d.K);
-    const Vec8f r = child_values8(d.right, c, k, d.K);
+    const Vec8f l = child_values8(d.left, lrow, k);
+    const Vec8f rv = child_values8(d.right, rrow, k);
     const Vec8f o = Vec8f::loadu(tp + k * 4);
-    (l * r * o).storeu(out + k * 4);
+    (l * rv * o).storeu(out + k * 4);
   }
   for (; k < d.K; ++k) {
-    const Vec4f l = child_values(d.left, c, k, d.K);
-    const Vec4f r = child_values(d.right, c, k, d.K);
+    const Vec4f l = child_values(d.left, lrow, k);
+    const Vec4f rv = child_values(d.right, rrow, k);
     const Vec4f o = Vec4f::load(tp + k * 4);
-    (l * r * o).store(out + k * 4);
+    (l * rv * o).store(out + k * 4);
   }
 }
 
@@ -268,8 +263,7 @@ void down_col8(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down_aligned(a);
   const std::size_t k_pairs = a.K / 2 * 2;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site8(c, a, k_pairs);
+    down_site8(idx, a.site(idx), a, k_pairs);
   }
 }
 
@@ -278,8 +272,7 @@ void down_ti_col8(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down_aligned(a);
   const std::size_t k_pairs = a.K / 2 * 2;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site8(c, a, k_pairs);
+    down_ti_site8(idx, a.site(idx), a, k_pairs);
   }
 }
 
@@ -288,9 +281,7 @@ void root_col8(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root_aligned(a);
   const std::size_t k_pairs = a.down.K / 2 * 2;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site8(c, a, k_pairs);
+    root_site8(idx, a.down.site(idx), a, k_pairs);
   }
 }
 
@@ -298,12 +289,11 @@ void down_scale_col8(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
                      std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
+  detail::check_fused_scale(s, a.out, a.K);
   const std::size_t k_pairs = a.K / 2 * 2;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site8(c, a, k_pairs);
-    scale_site(c, s);
+    down_site8(idx, a.site(idx), a, k_pairs);
+    scale_site(idx, s);
   }
 }
 
@@ -311,12 +301,11 @@ void down_ti_scale_col8(const DownArgs& a, const ScaleArgs& s,
                         std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
+  detail::check_fused_scale(s, a.out, a.K);
   const std::size_t k_pairs = a.K / 2 * 2;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site8(c, a, k_pairs);
-    scale_site(c, s);
+    down_ti_site8(idx, a.site(idx), a, k_pairs);
+    scale_site(idx, s);
   }
 }
 
@@ -324,13 +313,11 @@ void root_scale_col8(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
                      std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K, a.down.site_index);
+  detail::check_fused_scale(s, a.down.out, a.down.K);
   const std::size_t k_pairs = a.down.K / 2 * 2;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site8(c, a, k_pairs);
-    scale_site(c, s);
+    root_site8(idx, a.down.site(idx), a, k_pairs);
+    scale_site(idx, s);
   }
 }
 

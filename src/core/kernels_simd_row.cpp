@@ -35,53 +35,55 @@ inline Vec4f matvec_rows(const float* p, const Vec4f& clv) {
   return (r0 + r1) + (r2 + r3);
 }
 
-/// One child's factor for (c, k) with row-wise matrix access.
-inline Vec4f child_values(const ChildArgs& ch, std::size_t c, std::size_t k,
-                          std::size_t K) {
-  if (ch.is_tip()) {
-    return Vec4f::load(ch.tp + static_cast<std::size_t>(ch.mask[c]) * K * 4 +
-                       k * 4);
-  }
-  const float* cl = ch.cl + c * K * 4 + k * 4;
-  return matvec_rows(ch.p + k * 16, Vec4f::load(cl));
+/// One child's factor for category k from its site row (ChildArgs::row),
+/// with row-wise matrix access.
+inline Vec4f child_values(const ChildArgs& ch, const float* row,
+                          std::size_t k) {
+  if (ch.is_tip()) return Vec4f::load(row + k * 4);
+  return matvec_rows(ch.p + k * 16, Vec4f::load(row + k * 4));
 }
 
-inline void down_site(std::size_t c, const DownArgs& a) {
-  float* out = a.out + c * a.K * 4;
+/// Output row r from site c (r == c on the dense path).
+inline void down_site(std::size_t r, std::size_t c, const DownArgs& a) {
+  float* out = a.out + r * a.K * 4;
+  const float* lrow = a.left.row(c, a.K);
+  const float* rrow = a.right.row(c, a.K);
   for (std::size_t k = 0; k < a.K; ++k) {
-    const Vec4f l = child_values(a.left, c, k, a.K);
-    const Vec4f r = child_values(a.right, c, k, a.K);
-    (l * r).store(out + k * 4);
+    const Vec4f l = child_values(a.left, lrow, k);
+    const Vec4f rv = child_values(a.right, rrow, k);
+    (l * rv).store(out + k * 4);
   }
 }
 
 /// down_site with the child kinds known statically (left tip, right inner).
-inline void down_ti_site(std::size_t c, const DownArgs& a) {
-  float* out = a.out + c * a.K * 4;
+inline void down_ti_site(std::size_t r, std::size_t c, const DownArgs& a) {
+  float* out = a.out + r * a.K * 4;
   const float* ltp =
       a.left.tp + static_cast<std::size_t>(a.left.mask[c]) * a.K * 4;
-  const float* rcl = a.right.cl + c * a.K * 4;
+  const float* rcl = a.right.cl + a.right.stored_row(c) * a.K * 4;
   for (std::size_t k = 0; k < a.K; ++k) {
     const Vec4f l = Vec4f::load(ltp + k * 4);
-    const Vec4f r = matvec_rows(a.right.p + k * 16, Vec4f::load(rcl + k * 4));
-    (l * r).store(out + k * 4);
+    const Vec4f rv = matvec_rows(a.right.p + k * 16, Vec4f::load(rcl + k * 4));
+    (l * rv).store(out + k * 4);
   }
 }
 
-inline void root_site(std::size_t c, const RootArgs& a) {
+inline void root_site(std::size_t r, std::size_t c, const RootArgs& a) {
   const DownArgs& d = a.down;
-  float* out = d.out + c * d.K * 4;
+  float* out = d.out + r * d.K * 4;
   const float* tp = a.out_tp + static_cast<std::size_t>(a.out_mask[c]) * d.K * 4;
+  const float* lrow = d.left.row(c, d.K);
+  const float* rrow = d.right.row(c, d.K);
   for (std::size_t k = 0; k < d.K; ++k) {
-    const Vec4f l = child_values(d.left, c, k, d.K);
-    const Vec4f r = child_values(d.right, c, k, d.K);
+    const Vec4f l = child_values(d.left, lrow, k);
+    const Vec4f rv = child_values(d.right, rrow, k);
     const Vec4f o = Vec4f::load(tp + k * 4);
-    (l * r * o).store(out + k * 4);
+    (l * rv * o).store(out + k * 4);
   }
 }
 
-inline void scale_site(std::size_t c, const ScaleArgs& a) {
-  float* cl = a.cl + c * a.K * 4;
+inline void scale_site(std::size_t r, const ScaleArgs& a) {
+  float* cl = a.cl + r * a.K * 4;
   Vec4f m = Vec4f::load(cl);
   for (std::size_t k = 1; k < a.K; ++k) {
     m = Vec4f::max(m, Vec4f::load(cl + k * 4));
@@ -92,9 +94,9 @@ inline void scale_site(std::size_t c, const ScaleArgs& a) {
     for (std::size_t k = 0; k < a.K; ++k) {
       (Vec4f::load(cl + k * 4) * inv).store(cl + k * 4);
     }
-    a.ln_scaler[c] = std::log(mx);
+    a.ln_scaler[r] = std::log(mx);
   } else {
-    a.ln_scaler[c] = 0.0f;
+    a.ln_scaler[r] = 0.0f;
   }
 }
 
@@ -102,8 +104,7 @@ void down_row(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/false);
   detail::check_down_aligned(a);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site(c, a);
+    down_site(idx, a.site(idx), a);
   }
 }
 
@@ -111,8 +112,7 @@ void down_ti_row(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
   detail::check_down_aligned(a);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site(c, a);
+    down_ti_site(idx, a.site(idx), a);
   }
 }
 
@@ -120,30 +120,24 @@ void root_row(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/false);
   detail::check_root_aligned(a);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site(c, a);
+    root_site(idx, a.down.site(idx), a);
   }
 }
 
 void scale_simd(const ScaleArgs& a, std::size_t begin, std::size_t end) {
   detail::check_scale(a, begin, end);
   PLF_DCHECK_ALIGNED(a.cl, detail::kKernelAlignBytes);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    scale_site(c, a);
-  }
+  for (std::size_t r = begin; r < end; ++r) scale_site(r, a);
 }
 
 void down_scale_row(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
                     std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/false);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
+  detail::check_fused_scale(s, a.out, a.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site(c, a);
-    scale_site(c, s);
+    down_site(idx, a.site(idx), a);
+    scale_site(idx, s);
   }
 }
 
@@ -151,11 +145,10 @@ void down_ti_scale_row(const DownArgs& a, const ScaleArgs& s,
                        std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
+  detail::check_fused_scale(s, a.out, a.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site(c, a);
-    scale_site(c, s);
+    down_ti_site(idx, a.site(idx), a);
+    scale_site(idx, s);
   }
 }
 
@@ -163,12 +156,10 @@ void root_scale_row(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
                     std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/false);
   detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K, a.down.site_index);
+  detail::check_fused_scale(s, a.down.out, a.down.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site(c, a);
-    scale_site(c, s);
+    root_site(idx, a.down.site(idx), a);
+    scale_site(idx, s);
   }
 }
 

@@ -18,29 +18,29 @@ void down_tip_tip(const TipTipArgs& a, std::size_t begin, std::size_t end) {
   check_down_tt(a, begin, end);
   const std::size_t row = a.K * 4;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+    const std::size_t c = a.site(idx);
     const std::size_t pair =
         static_cast<std::size_t>(a.left_mask[c]) * phylo::kNumMasks +
         static_cast<std::size_t>(a.right_mask[c]);
-    std::memcpy(a.out + c * row, a.pair + pair * row, row * sizeof(float));
+    std::memcpy(a.out + idx * row, a.pair + pair * row, row * sizeof(float));
   }
 }
 
 void down_tip_tip_scale(const TipTipArgs& a, const ScaleArgs& s,
                         std::size_t begin, std::size_t end) {
   check_down_tt(a, begin, end);
-  check_fused_scale(s, a.out, a.K, a.site_index);
+  check_fused_scale(s, a.out, a.K);
   PLF_DCHECK(a.pair_scaled != nullptr && a.pair_ln != nullptr,
              "tip-tip fused scale: prescaled table required");
   const std::size_t row = a.K * 4;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+    const std::size_t c = a.site(idx);
     const std::size_t pair =
         static_cast<std::size_t>(a.left_mask[c]) * phylo::kNumMasks +
         static_cast<std::size_t>(a.right_mask[c]);
-    std::memcpy(a.out + c * row, a.pair_scaled + pair * row,
+    std::memcpy(a.out + idx * row, a.pair_scaled + pair * row,
                 row * sizeof(float));
-    s.ln_scaler[c] = a.pair_ln[pair];
+    s.ln_scaler[idx] = a.pair_ln[pair];
   }
 }
 

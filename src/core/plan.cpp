@@ -1,7 +1,6 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -78,25 +77,6 @@ std::vector<int> compute_levels(const phylo::Tree& tree,
     level[uid] = lvl;
   }
   return level;
-}
-
-void scatter_repeats(const NodeRepeats& nr, std::size_t K, float* cl,
-                     float* ln_scaler) {
-  const std::size_t m = nr.class_of_site.size();
-  const std::size_t block = K * 4;
-  for (std::size_t c = 0; c < m; ++c) {
-    const std::uint32_t rep = nr.unique_sites[nr.class_of_site[c]];
-    if (rep == c) continue;  // representatives are first occurrences
-    std::memcpy(cl + c * block, cl + static_cast<std::size_t>(rep) * block,
-                block * sizeof(float));
-    if (ln_scaler != nullptr) ln_scaler[c] = ln_scaler[rep];
-  }
-}
-
-void scatter_op(const PlfOp& op) {
-  if (op.repeats == nullptr) return;
-  scatter_repeats(*op.repeats, op.args.down.K, op.args.down.out,
-                  op.scale.ln_scaler);
 }
 
 }  // namespace plf::core

@@ -61,12 +61,13 @@ struct PlfOp {
   /// (contract-checked), so a backend may run it per site chunk immediately
   /// after the down/root kernel — rescaling is per-site.
   ScaleArgs scale;
-  /// Sites the kernels iterate: the compacted class count when `repeats` is
-  /// set, else the full pattern count.
+  /// Rows the kernels compute and store: the compacted class count when
+  /// `repeats` is set, else the full pattern count.
   std::size_t run_m = 0;
-  /// Non-null when the op computes repeat-class representatives only; the
-  /// executor must scatter (scatter_op) after the op's kernels and before
-  /// any later-level op reads this node's CLV.
+  /// Non-null when the op's node stores one row per repeat class (row r
+  /// computed from site repeats->unique_sites[r]). Parents read it through
+  /// ChildArgs::row_of, which can land in any row, so a compacted op must
+  /// finish before any later-level op starts (docs/SITE_REPEATS.md).
   const NodeRepeats* repeats = nullptr;
 };
 
@@ -120,14 +121,5 @@ class PlfPlan {
 /// plan property tests verify directly.
 std::vector<int> compute_levels(const phylo::Tree& tree,
                                 const std::vector<char>& recompute);
-
-/// Copy each repeat class's representative CLV block and scaler entry to the
-/// class's duplicate sites (representatives are first occurrences, so every
-/// source block is final before it is copied forward).
-void scatter_repeats(const NodeRepeats& nr, std::size_t K, float* cl,
-                     float* ln_scaler);
-
-/// scatter_repeats for a finished op (no-op when the op ran dense).
-void scatter_op(const PlfOp& op);
 
 }  // namespace plf::core

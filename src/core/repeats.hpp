@@ -15,8 +15,9 @@
 //
 // ids are assigned in first-occurrence order, so each class's representative
 // site (its first member) is strictly increasing across classes — the kernels
-// rely on that for the O(1) bound contract, and the engine's scatter relies
-// on every representative preceding its duplicates.
+// rely on that for the O(1) bound contract. A compacted node stores one CLV
+// row per class (row r computed from site unique_sites[r]); its parent reads
+// site c at row class_of_site[c] (docs/SITE_REPEATS.md).
 //
 // Each internal node's pass is a pair ranker, O(m + n_left + n_right) with
 // no hashing: counting-sort the sites by left-child class, rank the
@@ -58,8 +59,8 @@ SiteRepeatsMode site_repeats_mode_from_string(const std::string& s);
 
 /// kAuto enables the compacted path for a node only when unique classes make
 /// up at most this fraction of its sites: below that the skipped arithmetic
-/// provably outweighs the scatter pass and index indirection (see
-/// docs/SITE_REPEATS.md for the measurement).
+/// no longer clearly outweighs the map indirection (site_index and the
+/// parent's row_of loads; see docs/SITE_REPEATS.md for the measurement).
 inline constexpr double kSiteRepeatsAutoMaxUniqueFraction = 0.9;
 
 /// One internal node's repeat classes over the engine's m patterns.

@@ -87,6 +87,13 @@ KernelProfile GpuPlf::down_profile() const {
 double GpuPlf::down_like(const core::DownArgs& a, std::size_t m,
                          const core::RootArgs* root,
                          const core::ScaleArgs* fused_scale) {
+  // Dense-only backend: the three-level grid partitioning and the coalesced
+  // device layout address contiguous pattern blocks; a site-index or
+  // child-row indirection would break both, so the engine must fall back
+  // (this backend does not advertise Capabilities::kSiteRepeats).
+  PLF_CHECK(a.site_index == nullptr && a.left.row_of == nullptr &&
+                a.right.row_of == nullptr,
+            "GpuPlf is a dense-only backend: site_index/row_of rejected");
   const std::size_t K = a.K;
   const ThreadScheme scheme = config_.scheme;
   const double t_begin = clock_.now();
@@ -250,26 +257,16 @@ double GpuPlf::down_like(const core::DownArgs& a, std::size_t m,
 
 void GpuPlf::run_down(const core::KernelSet& /*ks*/, const core::DownArgs& a,
                       std::size_t m) {
-  // Dense-only backend: the three-level grid partitioning and the coalesced
-  // device layout address contiguous pattern blocks; a site-index indirection
-  // would break both, so the engine must fall back (this backend does not
-  // advertise Capabilities::kSiteRepeats).
-  PLF_CHECK(a.site_index == nullptr,
-            "GpuPlf is a dense-only backend: site_index rejected");
   down_like(a, m, nullptr);
 }
 
 void GpuPlf::run_root(const core::KernelSet& /*ks*/, const core::RootArgs& a,
                       std::size_t m) {
-  PLF_CHECK(a.down.site_index == nullptr,
-            "GpuPlf is a dense-only backend: site_index rejected");
   down_like(a.down, m, &a);
 }
 
 void GpuPlf::run_scale(const core::KernelSet& /*ks*/, const core::ScaleArgs& a,
                        std::size_t m) {
-  PLF_CHECK(a.site_index == nullptr,
-            "GpuPlf is a dense-only backend: site_index rejected");
   const std::size_t K = a.K;
   const double pcie_before = mem_.stats().pcie_busy_s;
   double t = clock_.now();
@@ -341,8 +338,8 @@ void GpuPlf::run_plan(const core::KernelSet& /*ks*/,
     for (std::size_t i = plan.level_begin(level); i < plan.level_end(level);
          ++i) {
       const core::PlfOp& op = plan.ops()[i];
-      PLF_CHECK(op.repeats == nullptr && op.args.down.site_index == nullptr,
-                "GpuPlf is a dense-only backend: site_index rejected");
+      PLF_CHECK(op.repeats == nullptr,
+                "GpuPlf is a dense-only backend: compacted op rejected");
       down_like(op.args.down, op.run_m, op.is_root ? &op.args : nullptr,
                 &op.scale);
     }

@@ -19,7 +19,6 @@ inline constexpr const char* kTimerRootReduce = "plf.RootReduce";
 inline constexpr const char* kTimerTiProbs = "engine.TiProbs";
 inline constexpr const char* kTimerScalerSum = "engine.ScalerSum";
 inline constexpr const char* kTimerRepeatIdentify = "engine.RepeatIdentify";
-inline constexpr const char* kTimerRepeatScatter = "engine.RepeatScatter";
 
 // Plan dispatch (batched engine->backend interface, docs/EXECUTION_PLAN.md).
 // plan.build/plan.execute bracket the engine's two phases; plan.level is the

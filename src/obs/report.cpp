@@ -45,7 +45,6 @@ Breakdown build_breakdown(const Snapshot& snapshot, double total_s,
   b.engine_serial_s = snapshot.timer_total_s(kTimerTiProbs) +
                       snapshot.timer_total_s(kTimerScalerSum) +
                       snapshot.timer_total_s(kTimerRepeatIdentify) +
-                      snapshot.timer_total_s(kTimerRepeatScatter) +
                       snapshot.timer_total_s(kTimerPlanBuild);
 
   b.transfer_sim_s = snapshot.gauge_value(kGaugeTransferSimSeconds);

@@ -34,7 +34,11 @@ inline constexpr std::uint64_t kCheckpointMagic = 0x00545048'43464C50ull;
 ///   v3: engine NODE entries carry the active cumulative log-scaler row
 ///       (f64) instead of the f32 scaler row; SCLR keeps only the cached
 ///       likelihood and its validity flag.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+///   v4: engine NODE entries carry the active buffer's stored row count
+///       (u64) and only that many cumulative-scaler and CLV rows — one per
+///       repeat class when the node is compacted; ENGI gains the effective
+///       site-repeats policy (u8) those row layouts follow.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Writes length-prefixed, tag-framed little-endian binary. All `u64`/`f64`
 /// writes are exact bit copies; the header (magic + version) is written by

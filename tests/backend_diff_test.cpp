@@ -23,6 +23,8 @@
 #include <cstring>
 #include <memory>
 #include <tuple>
+#include <string>
+#include <vector>
 
 #include "cell/machine.hpp"
 #include "core/backend.hpp"
@@ -33,6 +35,8 @@
 #include "seqgen/evolve.hpp"
 #include "seqgen/random_tree.hpp"
 #include "test_support.hpp"
+#include "util/aligned.hpp"
+#include "util/error.hpp"
 
 namespace plf::core {
 namespace {
@@ -421,6 +425,201 @@ INSTANTIATE_TEST_SUITE_P(
              "_repeats_" +
              (std::get<2>(info.param) == SiteRepeatsMode::kOn ? "on" : "off");
     });
+
+// --- compacted CLV storage ---------------------------------------------------
+
+/// Every resident internal node of `compact` must hold exactly the dense
+/// twin's CLV bits in its own layout: row class_of_site[c] (or row c when the
+/// node is dense) equals the dense engine's row c, for every site c. The root
+/// is always dense. Returns how many nodes were compacted.
+std::size_t expect_compacted_layout(const PlfEngine& compact,
+                                    const PlfEngine& dense) {
+  const std::size_t m = dense.data().n_patterns();
+  const std::size_t row = compact.model().n_rate_categories() * 4;
+  const int root = compact.tree().root();
+  EXPECT_EQ(compact.node_rows(root), m) << "the root must stay dense";
+  std::size_t compacted = 0;
+  for (int id : compact.tree().postorder_internals()) {
+    if (!compact.node_resident(id) || !dense.node_resident(id)) continue;
+    const std::size_t rows = compact.node_rows(id);
+    EXPECT_EQ(dense.node_rows(id), m) << "node " << id;
+    const NodeRepeats& nr = compact.site_repeats().node(id);
+    if (rows != m) {
+      EXPECT_EQ(rows, nr.n_classes) << "node " << id;
+      ++compacted;
+    }
+    const float* got = compact.node_cl(id);
+    const float* want = dense.node_cl(id);
+    for (std::size_t c = 0; c < m; ++c) {
+      const std::size_t r = rows == m ? c : nr.class_of_site[c];
+      if (std::memcmp(got + r * row, want + c * row, row * sizeof(float)) !=
+          0) {
+        ADD_FAILURE() << "node " << id << " site " << c << " (row " << r
+                      << ") differs from the dense engine";
+        return compacted;
+      }
+    }
+  }
+  return compacted;
+}
+
+enum class CompactExec { kSerial, kThreads2, kPerCall };
+
+/// One executor for CompactedClvTest: serial, threads(2), or the per-call
+/// adapter over serial.
+struct CompactExecHolder {
+  std::unique_ptr<par::ThreadPool> pool;
+  std::unique_ptr<ExecutionBackend> inner;
+  std::unique_ptr<PerCallBackend> percall;
+
+  explicit CompactExecHolder(CompactExec kind) {
+    if (kind == CompactExec::kThreads2) {
+      pool = std::make_unique<par::ThreadPool>(2);
+      inner = std::make_unique<ThreadedBackend>(*pool);
+    } else {
+      inner = std::make_unique<SerialBackend>();
+    }
+    if (kind == CompactExec::kPerCall) {
+      percall = std::make_unique<PerCallBackend>(*inner);
+    }
+  }
+  ExecutionBackend& backend() {
+    return percall != nullptr ? static_cast<ExecutionBackend&>(*percall)
+                              : *inner;
+  }
+};
+
+using CompactParam = std::tuple<CompactExec, bool /*half CLV budget*/>;
+
+class CompactedClvTest : public ::testing::TestWithParam<CompactParam> {};
+
+TEST_P(CompactedClvTest, RowsMatchDenseEngineThroughMoveStorm) {
+  const auto [exec, half_budget] = GetParam();
+  const Dataset d = make_dataset(71, 4, 1.0);
+  CompactExecHolder h_compact(exec), h_dense(exec);
+  ClvBudget budget;
+  if (half_budget) {
+    budget.kind = ClvBudget::Kind::kFraction;
+    budget.fraction = 0.5;
+  }
+  PlfEngine compact(d.data, d.params, d.tree, h_compact.backend(),
+                    KernelVariant::kSimdCol, SiteRepeatsMode::kOn, budget);
+  PlfEngine dense(d.data, d.params, d.tree, h_dense.backend(),
+                  KernelVariant::kSimdCol, SiteRepeatsMode::kOff);
+  ASSERT_TRUE(compact.site_repeats_enabled());
+
+  const auto check = [&] {
+    EXPECT_EQ(compact.log_likelihood(), dense.log_likelihood());
+    return expect_compacted_layout(compact, dense);
+  };
+  EXPECT_GT(check(), 0u) << "nothing compacted: the test would be vacuous";
+
+  Rng rng(71);
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    for (PlfEngine* e : {&compact, &dense}) e->begin_proposal();
+    const phylo::Tree& t = compact.tree();
+    const double u = rng.uniform();
+    if (u < 0.4) {
+      int node;
+      do {
+        node = static_cast<int>(rng.below(t.n_nodes()));
+      } while (node == t.root());
+      const double len = rng.uniform(0.01, 1.2);
+      for (PlfEngine* e : {&compact, &dense}) e->set_branch_length(node, len);
+    } else if (u < 0.7) {
+      const auto edges = t.internal_edge_nodes();
+      ASSERT_FALSE(edges.empty());
+      const int v = edges[rng.below(edges.size())];
+      const bool swap_left = rng.uniform() < 0.5;
+      for (PlfEngine* e : {&compact, &dense}) e->apply_nni(v, swap_left);
+    } else {
+      std::vector<int> prunable;
+      for (std::size_t id = 0; id < t.n_nodes(); ++id) {
+        if (!t.spr_valid_targets(static_cast<int>(id)).empty()) {
+          prunable.push_back(static_cast<int>(id));
+        }
+      }
+      ASSERT_FALSE(prunable.empty());
+      const int s = prunable[rng.below(prunable.size())];
+      const auto targets = t.spr_valid_targets(s);
+      const int target = targets[rng.below(targets.size())];
+      const double x = t.branch_length(target) * rng.uniform(0.2, 0.8);
+      for (PlfEngine* e : {&compact, &dense}) e->apply_spr(s, target, x);
+    }
+    check();
+    if (rng.uniform() < 0.5) {
+      for (PlfEngine* e : {&compact, &dense}) e->accept();
+    } else {
+      for (PlfEngine* e : {&compact, &dense}) e->reject();
+    }
+    check();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executors, CompactedClvTest,
+    ::testing::Combine(::testing::Values(CompactExec::kSerial,
+                                         CompactExec::kThreads2,
+                                         CompactExec::kPerCall),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<CompactParam>& info) {
+      const CompactExec e = std::get<0>(info.param);
+      return std::string(e == CompactExec::kSerial
+                             ? "serial"
+                             : (e == CompactExec::kThreads2 ? "threads2"
+                                                            : "percall")) +
+             (std::get<1>(info.param) ? "_budget_half" : "_budget_unlimited");
+    });
+
+TEST(CompactedClvRootTest, RootStaysDenseOnUncompressedColumns) {
+  // Raw (uncompressed) columns repeat, so even the root has fewer classes
+  // than sites; it must still store every site, because the root reduction
+  // reads its CLV and cumulative scaler rows by site.
+  const Dataset d = make_dataset(73, 4, 1.0);
+  const std::size_t m = d.data.n_patterns();
+  SerialBackend b_compact, b_dense;
+  PlfEngine compact(d.data, d.params, d.tree, b_compact,
+                    KernelVariant::kSimdCol, SiteRepeatsMode::kOn);
+  PlfEngine dense(d.data, d.params, d.tree, b_dense, KernelVariant::kSimdCol,
+                  SiteRepeatsMode::kOff);
+  EXPECT_EQ(compact.log_likelihood(), dense.log_likelihood());
+  const int root = compact.tree().root();
+  ASSERT_LT(compact.site_repeats().node(root).n_classes, m);
+  EXPECT_EQ(compact.node_rows(root), m);
+  EXPECT_EQ(std::memcmp(compact.node_cl(root), dense.node_cl(root),
+                        m * 4 * 4 * sizeof(float)),
+            0);
+  EXPECT_GT(expect_compacted_layout(compact, dense), 0u);
+}
+
+TEST(DenseOnlyBackendContractTest, RowOfChildIsRejected) {
+  // Cell and GPU stream contiguous pattern blocks, so a compacted child
+  // (ChildArgs::row_of) must be refused at their entries, like site_index.
+  aligned_vector<float> cl(8 * 4 * 4, 0.25f), out(8 * 4 * 4, 0.0f);
+  aligned_vector<float> p(4 * 16, 0.25f);
+  const std::uint32_t row_of[8] = {0, 0, 1, 1, 2, 2, 3, 3};
+  DownArgs a;
+  a.left.cl = cl.data();
+  a.left.p = p.data();
+  a.left.pt = p.data();
+  a.right = a.left;
+  a.right.row_of = row_of;
+  a.out = out.data();
+  a.K = 4;
+  RootArgs ra;
+  ra.down = a;
+  const std::vector<phylo::StateMask> masks(8, phylo::StateMask{1});
+  ra.out_mask = masks.data();
+  ra.out_tp = cl.data();
+  const KernelSet& ks = kernels(KernelVariant::kSimdCol);
+  for (BackendKind kind : {BackendKind::kCell, BackendKind::kGpu}) {
+    SCOPED_TRACE(name_of(kind));
+    BackendHolder h = BackendHolder::make(kind);
+    EXPECT_THROW(h.backend->run_down(ks, a, 8), Error);
+    EXPECT_THROW(h.backend->run_root(ks, ra, 8), Error);
+  }
+}
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendDiffTest,

@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -252,9 +253,9 @@ TEST(CheckpointTest, RestoreRejectsMismatchedShape) {
   EXPECT_THROW(b.restore_state(r), Error);
 }
 
-TEST(CheckpointTest, RefusesStreamFromAnotherFormatVersion) {
-  // Version 2 streams carried f32 scaler rows and a serialized scaler total;
-  // a version-3 reader must refuse one up front, naming both versions.
+/// A valid engine checkpoint with its format version overwritten by `old`
+/// must be refused up front, naming both versions.
+void expect_version_refused(std::uint32_t old_version) {
   core::SerialBackend backend;
   const Instance inst = make_instance(6, 100, 97);
   core::PlfEngine a(inst.data, inst.params, inst.tree, backend);
@@ -265,7 +266,6 @@ TEST(CheckpointTest, RefusesStreamFromAnotherFormatVersion) {
     a.save_state(w);
   }
   std::string blob = os.str();
-  const std::uint32_t old_version = 2;
   ASSERT_NE(old_version, util::kCheckpointVersion);
   ASSERT_GT(blob.size(), sizeof(std::uint64_t) + sizeof(old_version));
   std::memcpy(blob.data() + sizeof(std::uint64_t), &old_version,
@@ -273,15 +273,123 @@ TEST(CheckpointTest, RefusesStreamFromAnotherFormatVersion) {
   std::istringstream is(blob);
   try {
     util::BinaryReader r(is);
-    FAIL() << "a version-2 stream was accepted";
+    FAIL() << "a version-" << old_version << " stream was accepted";
   } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version " + std::to_string(old_version)),
+              std::string::npos)
+        << what;
     EXPECT_NE(what.find("version " +
                         std::to_string(util::kCheckpointVersion)),
               std::string::npos)
         << what;
   }
+}
+
+TEST(CheckpointTest, RefusesStreamFromAnotherFormatVersion) {
+  // Version 2 streams carried f32 scaler rows and a serialized scaler total.
+  expect_version_refused(2);
+}
+
+TEST(CheckpointTest, RefusesVersion3Stream) {
+  // Version 3 NODE entries always held m dense rows, without a row count.
+  expect_version_refused(3);
+}
+
+/// Checkpoint of an engine under `mode` after a short seeded MCMC run.
+std::string checkpoint_after_run(const Instance& inst,
+                                 core::ExecutionBackend& backend,
+                                 core::SiteRepeatsMode mode) {
+  core::PlfEngine e(inst.data, inst.params, inst.tree, backend,
+                    core::KernelVariant::kSimdCol, mode);
+  McmcOptions mo;
+  mo.seed = 12;
+  McmcChain chain(e, mo);
+  for (int g = 0; g < 30; ++g) chain.step();
+  std::ostringstream os;
+  util::BinaryWriter w(os);
+  e.save_state(w);
+  return os.str();
+}
+
+TEST(CheckpointTest, RestoreRefusesOutOfRangeRowCount) {
+  // The first NODE entry is u8 active, u8 dirty, then the u64 row count of
+  // the active buffer: 0 and m + 1 are both corrupt.
+  core::SerialBackend backend;
+  const Instance inst = make_instance(8, 400, 101);
+  const std::string blob =
+      checkpoint_after_run(inst, backend, core::SiteRepeatsMode::kOn);
+  const std::size_t node = blob.find("NODE");
+  ASSERT_NE(node, std::string::npos);
+  const std::size_t rows_at = node + 4 + 2;
+  for (const std::uint64_t bad : {std::uint64_t{0},
+                                  std::uint64_t{inst.data.n_patterns() + 1}}) {
+    SCOPED_TRACE("row count " + std::to_string(bad));
+    std::string patched = blob;
+    std::memcpy(patched.data() + rows_at, &bad, sizeof bad);
+    core::PlfEngine b(inst.data, inst.params, inst.tree, backend,
+                      core::KernelVariant::kSimdCol, core::SiteRepeatsMode::kOn);
+    std::istringstream is(patched);
+    util::BinaryReader r(is);
+    try {
+      b.restore_state(r);
+      FAIL() << "an out-of-range row count was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("row count out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CheckpointTest, RestoreRefusesAnotherSiteRepeatsPolicy) {
+  // Stored row layouts follow the site-repeats policy: a compacted
+  // checkpoint cannot seed a dense engine, and vice versa.
+  core::SerialBackend backend;
+  const Instance inst = make_instance(8, 400, 102);
+  for (const auto& [write, read] :
+       {std::pair{core::SiteRepeatsMode::kOn, core::SiteRepeatsMode::kOff},
+        std::pair{core::SiteRepeatsMode::kOff, core::SiteRepeatsMode::kOn}}) {
+    const std::string blob = checkpoint_after_run(inst, backend, write);
+    core::PlfEngine b(inst.data, inst.params, inst.tree, backend,
+                      core::KernelVariant::kSimdCol, read);
+    std::istringstream is(blob);
+    util::BinaryReader r(is);
+    EXPECT_THROW(b.restore_state(r), Error);
+  }
+}
+
+TEST(CheckpointTest, CompactedEngineStoresOnlyLiveRows) {
+  // A compacted engine writes one CLV and cumulative-scaler row per repeat
+  // class, so its checkpoint is smaller than the dense engine's at the same
+  // state, and it still resumes bit for bit.
+  core::SerialBackend backend;
+  const Instance inst = make_instance(10, 2000, 103);
+  const std::string dense =
+      checkpoint_after_run(inst, backend, core::SiteRepeatsMode::kOff);
+  const std::string compact =
+      checkpoint_after_run(inst, backend, core::SiteRepeatsMode::kOn);
+  EXPECT_LT(compact.size(), dense.size());
+
+  const auto resume = [&](const std::string& blob,
+                          core::SiteRepeatsMode mode) {
+    core::PlfEngine e(inst.data, inst.params, inst.tree, backend,
+                      core::KernelVariant::kSimdCol, mode);
+    McmcOptions mo;
+    mo.seed = 12;
+    McmcChain chain(e, mo);
+    std::istringstream is(blob);
+    util::BinaryReader r(is);
+    e.restore_state(r);
+    std::vector<double> lnl;
+    for (int g = 0; g < 20; ++g) {
+      chain.step();
+      lnl.push_back(chain.ln_likelihood());
+    }
+    return lnl;
+  };
+  EXPECT_EQ(resume(compact, core::SiteRepeatsMode::kOn),
+            resume(dense, core::SiteRepeatsMode::kOff));
 }
 
 TEST(CheckpointTest, SaveDuringOpenProposalThrows) {

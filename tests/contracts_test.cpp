@@ -5,9 +5,11 @@
 // and can be exercised with death tests. The *library* objects keep whatever
 // contract level the build selected; the kernel-entry integration tests query
 // plf::contracts_active() and skip when the library was built unchecked.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -236,21 +238,50 @@ TEST(KernelContractDeathTest, AmbiguousChildTripsEntryContract) {
 }
 
 TEST(KernelContractTest, SiteIndexedRunTouchesOnlyIndexedSites) {
+  // Compacted-storage contract: output row r is computed from site
+  // site_index[r], an internal child is read at its own stored row
+  // row_of[c], and rows at or past the run length stay untouched.
   DownFixture f;
-  DownArgs a = f.args();
+  constexpr std::size_t kRow = DownFixture::kCats * 4;
+  // Left child compacted into 4 rows (sites 2j and 2j+1 share row j), each
+  // row distinct; right child dense, each site distinct.
+  const std::uint32_t row_of[DownFixture::kPatterns] = {0, 0, 1, 1,
+                                                         2, 2, 3, 3};
+  for (std::size_t v = 0; v < f.cl_l.size(); ++v) {
+    f.cl_l[v] = 0.1f + 0.05f * static_cast<float>(v / kRow);
+    f.cl_r[v] = 0.2f + 0.03f * static_cast<float>(v / kRow);
+  }
+  // Reference: the dense run over the left child expanded to one row per
+  // site.
+  aligned_vector<float> left_dense(f.cl_l.size());
+  for (std::size_t c = 0; c < DownFixture::kPatterns; ++c) {
+    std::memcpy(left_dense.data() + c * kRow,
+                f.cl_l.data() + row_of[c] * kRow, kRow * sizeof(float));
+  }
+  aligned_vector<float> ref(f.out.size(), 0.0f);
+  DownArgs d = f.args();
+  d.left.cl = left_dense.data();
+  d.out = ref.data();
+
   const std::uint32_t idx[4] = {0, 2, 5, 7};
+  DownArgs a = f.args();
+  a.left.row_of = row_of;
   a.site_index = idx;
   a.n_sites = DownFixture::kPatterns;
-  core::kernels(KernelVariant::kScalar).down(a, 0, 4);
-  for (std::size_t c = 0; c < DownFixture::kPatterns; ++c) {
-    const bool indexed = c == 0 || c == 2 || c == 5 || c == 7;
-    for (std::size_t j = 0; j < DownFixture::kCats * 4; ++j) {
-      const float x = f.out[c * DownFixture::kCats * 4 + j];
-      if (indexed) {
-        EXPECT_GT(x, 0.0f) << "site " << c;
-      } else {
-        EXPECT_EQ(x, 0.0f) << "site " << c;  // skipped: scatter's job
-      }
+  for (auto variant : {KernelVariant::kScalar, KernelVariant::kSimdRow,
+                       KernelVariant::kSimdCol, KernelVariant::kSimdCol8}) {
+    std::fill(f.out.begin(), f.out.end(), 0.0f);
+    std::fill(ref.begin(), ref.end(), 0.0f);
+    core::kernels(variant).down(d, 0, DownFixture::kPatterns);
+    core::kernels(variant).down(a, 0, 4);
+    for (std::size_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(std::memcmp(f.out.data() + r * kRow,
+                            ref.data() + idx[r] * kRow, kRow * sizeof(float)),
+                0)
+          << "row " << r << " variant " << core::to_string(variant);
+    }
+    for (std::size_t v = 4 * kRow; v < f.out.size(); ++v) {
+      EXPECT_EQ(f.out[v], 0.0f) << "row " << v / kRow << " past run_m";
     }
   }
 }
@@ -360,7 +391,7 @@ TEST(FusedScaleContractDeathTest, NonAliasingScaleBlockIsRejected) {
   s.cl = other.data();  // some other node's CLV, not this op's down output
   s.ln_scaler = scaler.data();
   s.K = DownFixture::kCats;
-  EXPECT_DEATH(core::detail::check_fused_scale(s, d.out, d.K, d.site_index),
+  EXPECT_DEATH(core::detail::check_fused_scale(s, d.out, d.K),
                "must alias the down output");
 }
 

@@ -146,8 +146,9 @@ TEST(ParStressTest, BarrierInsideParallelForRegions) {
 
 TEST(ParStressTest, RepeatCompactedEngineUnderOversubscription) {
   // Site-repeat compaction hands every worker thread the SAME read-only
-  // index vector (NodeRepeats::unique_sites) while they write disjoint CLV
-  // ranges; the scatter then runs on the caller thread after the pool's
+  // class maps (NodeRepeats::unique_sites, and each compacted child's
+  // class_of_site) while they write disjoint compacted row ranges; a parent
+  // level reads those rows, from any worker's chunk, only after the pool's
   // end-of-region barrier. Oversubscribed repeated evaluations give TSan a
   // dense interleaving of those shared reads; under plain presets this
   // doubles as a bitwise on-vs-off equivalence check.

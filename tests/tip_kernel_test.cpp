@@ -3,7 +3,10 @@
 // (down_ti), and every fused down/root+scale twin must reproduce the generic
 // unfused path to the last ULP — across all kernel variants, all 15×15 valid
 // ambiguity-mask pairs, K ∈ {1, 4}, with and without site-repeat compaction,
-// and at branch-length extremes. Comparisons are memcmp (0 ULP), because the
+// and at branch-length extremes. Under compaction, output row r is computed
+// from site site_index[r], internal children are read through their class
+// maps (ChildArgs::row_of), and rows at or past the run length stay
+// untouched. Comparisons are memcmp (0 ULP), because the
 // backends substitute these entries freely and the engine's A/B guarantees
 // (PerCallBackend vs each backend's own run_plan) demand bit identity, not
 // tolerance.
@@ -51,6 +54,10 @@ struct TipFixture {
   std::vector<StateMask> mask_l, mask_r, mask_o;
   aligned_vector<float> cl_r;          // internal right child (tip×inner)
   std::vector<std::uint32_t> repeats;  // strictly increasing site subset
+  // Compacted internal children: site c lives in stored row row_of[c].
+  static constexpr std::size_t kChildRows = 50;
+  std::vector<std::uint32_t> row_of;
+  aligned_vector<float> cl_r_rows;  // compacted right child, kChildRows rows
 
   TipFixture(std::size_t K_, double branch_scale) : K(K_) {
     GtrParams p = test::random_gtr(rng, K);
@@ -71,6 +78,11 @@ struct TipFixture {
     mask_o = test::random_masks(m, rng);
     cl_r = test::random_cl(m, K, rng);
     for (std::uint32_t c = 0; c < m; c += 3) repeats.push_back(c);
+    row_of.resize(m);
+    for (std::size_t c = 0; c < m; ++c) {
+      row_of[c] = static_cast<std::uint32_t>((c * 7) % kChildRows);
+    }
+    cl_r_rows = test::random_cl(kChildRows, K, rng);
   }
 
   ChildArgs tip_left() const {
@@ -89,12 +101,25 @@ struct TipFixture {
     ch.pt = tm_r.col_major();
     return ch;
   }
-  ChildArgs inner_right() const {
+  /// The internal right child: dense, or compacted behind row_of.
+  ChildArgs inner_right(bool use_repeats) const {
     ChildArgs ch;
-    ch.cl = cl_r.data();
+    ch.cl = use_repeats ? cl_r_rows.data() : cl_r.data();
+    ch.row_of = use_repeats ? row_of.data() : nullptr;
     ch.p = tm_r.row_major();
     ch.pt = tm_r.col_major();
     return ch;
+  }
+  /// inner_right(true) expanded to one stored row per site: the dense child
+  /// the compacted one stands for.
+  aligned_vector<float> expanded_right() const {
+    const std::size_t row = K * 4;
+    aligned_vector<float> dense(m * row);
+    for (std::size_t c = 0; c < m; ++c) {
+      std::memcpy(dense.data() + c * row, cl_r_rows.data() + row_of[c] * row,
+                  row * sizeof(float));
+    }
+    return dense;
   }
 
   TipTipArgs tt_args(float* out, bool use_repeats) const {
@@ -122,6 +147,13 @@ void expect_bitwise_equal(const aligned_vector<float>& got,
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
             0);
+}
+
+/// Entries from `first` on were never written (the buffers start zeroed).
+void expect_zero_from(const aligned_vector<float>& v, std::size_t first) {
+  for (std::size_t i = first; i < v.size(); ++i) {
+    ASSERT_EQ(v[i], 0.0f) << "entry " << i << " written past the run";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -188,8 +220,8 @@ using TipParam =
 
 class TipKernelConformanceTest : public ::testing::TestWithParam<TipParam> {
  protected:
-  // Both outputs seeded identically so untouched (non-representative) sites
-  // compare equal under memcmp too.
+  // Both outputs seeded identically so untouched rows (at or past the run
+  // length) compare equal under memcmp too.
   static aligned_vector<float> zeros(std::size_t n) {
     return aligned_vector<float>(n, 0.0f);
   }
@@ -223,7 +255,7 @@ TEST_P(TipKernelConformanceTest, TipInnerMatchesGenericDown) {
 
   DownArgs args;
   args.left = fx.tip_left();
-  args.right = fx.inner_right();
+  args.right = fx.inner_right(use_repeats);
   args.K = K;
   args.site_index = use_repeats ? fx.repeats.data() : nullptr;
   args.n_sites = fx.m;
@@ -237,45 +269,68 @@ TEST_P(TipKernelConformanceTest, TipInnerMatchesGenericDown) {
   expect_bitwise_equal(out_ti, out_gen);
 }
 
+/// Unfused (down then scale) and fused outputs of one op, each over its own
+/// zeroed buffers, plus the scale block both runs use.
+struct FusedPair {
+  aligned_vector<float> out_a, out_b, ln_a, ln_b;
+
+  FusedPair(std::size_t m, std::size_t K)
+      : out_a(m * K * 4, 0.0f),
+        out_b(m * K * 4, 0.0f),
+        ln_a(m, 0.0f),
+        ln_b(m, 0.0f) {}
+
+  ScaleArgs scale_a(std::size_t K) {
+    ScaleArgs s;
+    s.cl = out_a.data();
+    s.ln_scaler = ln_a.data();
+    s.K = K;
+    return s;
+  }
+  ScaleArgs scale_b(std::size_t K) {
+    ScaleArgs s;
+    s.cl = out_b.data();
+    s.ln_scaler = ln_b.data();
+    s.K = K;
+    return s;
+  }
+
+  /// Fused == unfused bit for bit, and nothing at or past row `run_m` was
+  /// written by either.
+  void expect_match(std::size_t run_m, std::size_t K) const {
+    expect_bitwise_equal(out_b, out_a);
+    expect_bitwise_equal(ln_b, ln_a);
+    expect_zero_from(out_a, run_m * K * 4);
+    expect_zero_from(ln_a, run_m);
+  }
+};
+
 TEST_P(TipKernelConformanceTest, FusedDownScaleMatchesUnfusedPair) {
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
-  // Generic inner×inner op (second random CLV as the left child).
+  // Generic inner×inner op (second random CLV as the left child; compacted
+  // runs read it through the same class map as the right child).
   aligned_vector<float> cl_l = test::random_cl(fx.m, K, fx.rng);
 
   DownArgs args;
+  args.left = fx.inner_right(use_repeats);
   args.left.cl = cl_l.data();
   args.left.p = fx.tm_l.row_major();
   args.left.pt = fx.tm_l.col_major();
-  args.right = fx.inner_right();
+  args.right = fx.inner_right(use_repeats);
   args.K = K;
   args.site_index = use_repeats ? fx.repeats.data() : nullptr;
   args.n_sites = fx.m;
+  const std::size_t n = fx.run_m(use_repeats);
 
-  aligned_vector<float> out_a = zeros(fx.m * K * 4);
-  aligned_vector<float> out_b = zeros(fx.m * K * 4);
-  aligned_vector<float> ln_a = zeros(fx.m);
-  aligned_vector<float> ln_b = zeros(fx.m);
-
-  args.out = out_a.data();
-  ScaleArgs sa;
-  sa.cl = out_a.data();
-  sa.ln_scaler = ln_a.data();
-  sa.K = K;
-  sa.site_index = args.site_index;
-  sa.n_sites = fx.m;
-  ks.down(args, 0, fx.run_m(use_repeats));
-  ks.scale(sa, 0, fx.run_m(use_repeats));
-
-  args.out = out_b.data();
-  ScaleArgs sb = sa;
-  sb.cl = out_b.data();
-  sb.ln_scaler = ln_b.data();
-  ks.down_scale(args, sb, 0, fx.run_m(use_repeats));
-
-  expect_bitwise_equal(out_b, out_a);
-  expect_bitwise_equal(ln_b, ln_a);
+  FusedPair fp(fx.m, K);
+  args.out = fp.out_a.data();
+  ks.down(args, 0, n);
+  ks.scale(fp.scale_a(K), 0, n);
+  args.out = fp.out_b.data();
+  ks.down_scale(args, fp.scale_b(K), 0, n);
+  fp.expect_match(n, K);
 }
 
 TEST_P(TipKernelConformanceTest, FusedTipInnerScaleMatchesUnfusedPair) {
@@ -285,64 +340,33 @@ TEST_P(TipKernelConformanceTest, FusedTipInnerScaleMatchesUnfusedPair) {
 
   DownArgs args;
   args.left = fx.tip_left();
-  args.right = fx.inner_right();
+  args.right = fx.inner_right(use_repeats);
   args.K = K;
   args.site_index = use_repeats ? fx.repeats.data() : nullptr;
   args.n_sites = fx.m;
+  const std::size_t n = fx.run_m(use_repeats);
 
-  aligned_vector<float> out_a = zeros(fx.m * K * 4);
-  aligned_vector<float> out_b = zeros(fx.m * K * 4);
-  aligned_vector<float> ln_a = zeros(fx.m);
-  aligned_vector<float> ln_b = zeros(fx.m);
-
-  args.out = out_a.data();
-  ScaleArgs sa;
-  sa.cl = out_a.data();
-  sa.ln_scaler = ln_a.data();
-  sa.K = K;
-  sa.site_index = args.site_index;
-  sa.n_sites = fx.m;
-  ks.down_ti(args, 0, fx.run_m(use_repeats));
-  ks.scale(sa, 0, fx.run_m(use_repeats));
-
-  args.out = out_b.data();
-  ScaleArgs sb = sa;
-  sb.cl = out_b.data();
-  sb.ln_scaler = ln_b.data();
-  ks.down_ti_scale(args, sb, 0, fx.run_m(use_repeats));
-
-  expect_bitwise_equal(out_b, out_a);
-  expect_bitwise_equal(ln_b, ln_a);
+  FusedPair fp(fx.m, K);
+  args.out = fp.out_a.data();
+  ks.down_ti(args, 0, n);
+  ks.scale(fp.scale_a(K), 0, n);
+  args.out = fp.out_b.data();
+  ks.down_ti_scale(args, fp.scale_b(K), 0, n);
+  fp.expect_match(n, K);
 }
 
 TEST_P(TipKernelConformanceTest, FusedTipTipScaleMatchesUnfusedPair) {
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
+  const std::size_t n = fx.run_m(use_repeats);
 
-  aligned_vector<float> out_a = zeros(fx.m * K * 4);
-  aligned_vector<float> out_b = zeros(fx.m * K * 4);
-  aligned_vector<float> ln_a = zeros(fx.m);
-  aligned_vector<float> ln_b = zeros(fx.m);
-
-  TipTipArgs ta = fx.tt_args(out_a.data(), use_repeats);
-  ScaleArgs sa;
-  sa.cl = out_a.data();
-  sa.ln_scaler = ln_a.data();
-  sa.K = K;
-  sa.site_index = ta.site_index;
-  sa.n_sites = fx.m;
-  ks.down_tt(ta, 0, fx.run_m(use_repeats));
-  ks.scale(sa, 0, fx.run_m(use_repeats));
-
-  TipTipArgs tb = fx.tt_args(out_b.data(), use_repeats);
-  ScaleArgs sb = sa;
-  sb.cl = out_b.data();
-  sb.ln_scaler = ln_b.data();
-  ks.down_tt_scale(tb, sb, 0, fx.run_m(use_repeats));
-
-  expect_bitwise_equal(out_b, out_a);
-  expect_bitwise_equal(ln_b, ln_a);
+  FusedPair fp(fx.m, K);
+  ks.down_tt(fx.tt_args(fp.out_a.data(), use_repeats), 0, n);
+  ks.scale(fp.scale_a(K), 0, n);
+  ks.down_tt_scale(fx.tt_args(fp.out_b.data(), use_repeats), fp.scale_b(K), 0,
+                   n);
+  fp.expect_match(n, K);
 }
 
 TEST_P(TipKernelConformanceTest, FusedRootScaleMatchesUnfusedPair) {
@@ -352,36 +376,74 @@ TEST_P(TipKernelConformanceTest, FusedRootScaleMatchesUnfusedPair) {
 
   RootArgs args;
   args.down.left = fx.tip_left();
-  args.down.right = fx.inner_right();
+  args.down.right = fx.inner_right(use_repeats);
   args.down.K = K;
   args.down.site_index = use_repeats ? fx.repeats.data() : nullptr;
   args.down.n_sites = fx.m;
   args.out_mask = fx.mask_o.data();
   args.out_tp = fx.tp_o.data();
+  const std::size_t n = fx.run_m(use_repeats);
 
-  aligned_vector<float> out_a = zeros(fx.m * K * 4);
-  aligned_vector<float> out_b = zeros(fx.m * K * 4);
-  aligned_vector<float> ln_a = zeros(fx.m);
-  aligned_vector<float> ln_b = zeros(fx.m);
+  FusedPair fp(fx.m, K);
+  args.down.out = fp.out_a.data();
+  ks.root(args, 0, n);
+  ks.scale(fp.scale_a(K), 0, n);
+  args.down.out = fp.out_b.data();
+  ks.root_scale(args, fp.scale_b(K), 0, n);
+  fp.expect_match(n, K);
+}
 
-  args.down.out = out_a.data();
-  ScaleArgs sa;
-  sa.cl = out_a.data();
-  sa.ln_scaler = ln_a.data();
-  sa.K = K;
-  sa.site_index = args.down.site_index;
-  sa.n_sites = fx.m;
-  ks.root(args, 0, fx.run_m(use_repeats));
-  ks.scale(sa, 0, fx.run_m(use_repeats));
+TEST_P(TipKernelConformanceTest, CompactedRowsEqualDenseRowsOfTheirSites) {
+  // Row r of a compacted run holds exactly the dense run's row for site
+  // site_index[r], when the dense run reads the compacted child expanded to
+  // one row per site: the layout the engine's class maps stand for. Covers
+  // the generic, tip×inner and root entries (dense params: the identity).
+  const auto [variant, K, scale, use_repeats] = GetParam();
+  TipFixture fx(K, scale);
+  const KernelSet& ks = kernels(variant);
+  const std::size_t n = fx.run_m(use_repeats);
+  const std::size_t row = K * 4;
+  const aligned_vector<float> right_dense =
+      use_repeats ? fx.expanded_right() : fx.cl_r;
 
-  args.down.out = out_b.data();
-  ScaleArgs sb = sa;
-  sb.cl = out_b.data();
-  sb.ln_scaler = ln_b.data();
-  ks.root_scale(args, sb, 0, fx.run_m(use_repeats));
+  RootArgs compact;
+  compact.down.left = fx.tip_left();
+  compact.down.right = fx.inner_right(use_repeats);
+  compact.down.K = K;
+  compact.down.site_index = use_repeats ? fx.repeats.data() : nullptr;
+  compact.down.n_sites = fx.m;
+  compact.out_mask = fx.mask_o.data();
+  compact.out_tp = fx.tp_o.data();
+  RootArgs dense = compact;
+  dense.down.right = fx.inner_right(false);
+  dense.down.right.cl = right_dense.data();
+  dense.down.site_index = nullptr;
 
-  expect_bitwise_equal(out_b, out_a);
-  expect_bitwise_equal(ln_b, ln_a);
+  for (int entry = 0; entry < 3; ++entry) {
+    SCOPED_TRACE(entry == 0 ? "down" : (entry == 1 ? "down_ti" : "root"));
+    aligned_vector<float> out_c = zeros(fx.m * row);
+    aligned_vector<float> out_d = zeros(fx.m * row);
+    compact.down.out = out_c.data();
+    dense.down.out = out_d.data();
+    if (entry == 0) {
+      ks.down(compact.down, 0, n);
+      ks.down(dense.down, 0, fx.m);
+    } else if (entry == 1) {
+      ks.down_ti(compact.down, 0, n);
+      ks.down_ti(dense.down, 0, fx.m);
+    } else {
+      ks.root(compact, 0, n);
+      ks.root(dense, 0, fx.m);
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t c = compact.down.site(r);
+      ASSERT_EQ(std::memcmp(out_c.data() + r * row, out_d.data() + c * row,
+                            row * sizeof(float)),
+                0)
+          << "row " << r << " (site " << c << ")";
+    }
+    expect_zero_from(out_c, n * row);
+  }
 }
 
 TEST_P(TipKernelConformanceTest, TipTipRangeSplitEqualsWholeRange) {
