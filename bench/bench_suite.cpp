@@ -13,6 +13,10 @@
 //                               percall runs the backend under
 //                               core::PerCallBackend (two synchronous calls
 //                               per op), plan runs its own run_plan
+//   par.region.<body>.<gap>     seconds per parallel_for on a kPoolWorkers
+//                               pool: {empty,20us,100us} of spin work split
+//                               over the static blocks, back to back (b2b)
+//                               or after 60 µs of serial caller work (gap60)
 //   mcmc.e2e.<data>.<sr>        seconds per generation of 4-chain MC3 with
 //                               the full move mix on the real-data
 //                               stand-in (real20) and on mrbayes_lite's
@@ -230,6 +234,48 @@ CaseStat kernel_case(const std::string& op_name,
     cs.values.push_back((t1 - t0) / static_cast<double>(iters));
   }
   g_bench_sink = sink;  // keep the timed work observable
+  return cs;
+}
+
+/// Busy-wait `us` microseconds on the calling thread.
+void spin_us(double us) {
+  const double until = now_s() + us * 1e-6;
+  while (now_s() < until) {
+  }
+}
+
+/// par.region.<body>.<gap>: wall time of one parallel_for, the fork-join
+/// cost the paper's §4.1 holds responsible for multi-core scaling. The
+/// region spans 1,500 units; each static block spins its share of
+/// `body_us`, so a perfect split takes body_us / pool.size(). `gap_us` of
+/// serial caller spin before each region (untimed) lets the helpers go idle
+/// the way MCMC's serial engine work does. Region latency is heavy-tailed
+/// under preemption, so each rep's value is its median region time.
+CaseStat par_region_case(par::ThreadPool& pool, const char* body_label,
+                         double body_us, const char* gap_label, double gap_us,
+                         std::uint64_t iters, int reps) {
+  constexpr std::size_t kUnits = 1500;
+  CaseStat cs;
+  cs.name = std::string("par.region.") + body_label + "." + gap_label;
+  cs.unit = "s/call";
+  cs.iters = iters;
+  cs.threshold = 0.50;
+  std::vector<double> times(iters);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      if (gap_us > 0.0) spin_us(gap_us);
+      const double t0 = now_s();
+      pool.parallel_for(0, kUnits, [body_us](par::Range r, std::size_t) {
+        if (body_us > 0.0) {
+          spin_us(body_us * static_cast<double>(r.size()) /
+                  static_cast<double>(kUnits));
+        }
+      });
+      times[i] = now_s() - t0;
+    }
+    std::sort(times.begin(), times.end());
+    cs.values.push_back(times[iters / 2]);
+  }
   return cs;
 }
 
@@ -639,6 +685,24 @@ int main(int argc, char** argv) {
   core::SerialBackend serial;
   par::ThreadPool pool(kPoolWorkers);
   core::ThreadedBackend threaded(pool);
+
+  struct RegionRow {
+    const char* label;
+    double us;
+  };
+  const std::uint64_t region_iters = quick ? 200 : 1000;
+  for (const RegionRow& body :
+       {RegionRow{"empty", 0.0}, RegionRow{"20us", 20.0},
+        RegionRow{"100us", 100.0}}) {
+    for (const RegionRow& gap :
+         {RegionRow{"b2b", 0.0}, RegionRow{"gap60", 60.0}}) {
+      cases.push_back(par_region_case(pool, body.label, body.us, gap.label,
+                                      gap.us, region_iters, reps));
+      std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
+                << " us/region (min of " << reps << ")\n";
+    }
+  }
+
   struct BackendRow {
     core::ExecutionBackend* backend;
     const char* label;

@@ -217,8 +217,9 @@ void PlfEngine::apply_nni(int v, bool swap_left) {
   if (in_proposal_) nni_log_.emplace_back(v, swap_left);
   // v's children changed, so v and everything above it must be recomputed.
   mark_path_dirty(v);
-  // Descendant sets changed for the same nodes: their repeat classes are out.
-  if (repeats_enabled_) repeats_.invalidate_path(tree_, v);
+  // Only v's descendant set changed (its parent keeps the same three
+  // subtrees), so only v's repeat classes are out.
+  if (repeats_enabled_) repeats_.invalidate_nni(v);
 }
 
 void PlfEngine::apply_spr(int s, int target, double split_x) {
@@ -232,12 +233,9 @@ void PlfEngine::apply_spr(int s, int target, double split_x) {
   const int p = tree_.node(undo.w).parent;
   mark_path_dirty(p);       // where the subtree left
   mark_path_dirty(undo.u);  // where it arrived
-  // Only these two root paths gained or lost descendants, so only their
-  // repeat classes change.
-  if (repeats_enabled_) {
-    repeats_.invalidate_path(tree_, p);
-    repeats_.invalidate_path(tree_, undo.u);
-  }
+  // Repeat classes change only where descendant sets did: u, and the two
+  // paths up to (not including) the common ancestor of p and u's new parent.
+  if (repeats_enabled_) repeats_.invalidate_spr(tree_, undo);
 }
 
 void PlfEngine::set_model(const phylo::GtrParams& params) {

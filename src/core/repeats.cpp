@@ -54,10 +54,28 @@ void SiteRepeats::invalidate_node(int id) {
   any_stale_ = true;
 }
 
-void SiteRepeats::invalidate_path(const phylo::Tree& tree, int from_node) {
-  for (int id = from_node; id != phylo::kNoNode; id = tree.node(id).parent) {
-    if (!tree.node(id).is_leaf()) invalidate_node(id);
+void SiteRepeats::invalidate_nni(int v) { invalidate_node(v); }
+
+void SiteRepeats::invalidate_spr(const phylo::Tree& tree,
+                                 const phylo::Tree::SprUndo& undo) {
+  const int p = tree.node(undo.w).parent;
+  const int q = tree.node(undo.u).parent;
+  on_path_.assign(stale_.size(), 0);
+  for (int id = p; id != phylo::kNoNode; id = tree.node(id).parent) {
+    on_path_[static_cast<std::size_t>(id)] = 1;
   }
+  int lca = q;
+  while (on_path_[static_cast<std::size_t>(lca)] == 0) {
+    lca = tree.node(lca).parent;
+  }
+  for (int from : {p, q}) {
+    for (int id = from; id != lca; id = tree.node(id).parent) {
+      invalidate_node(id);
+    }
+  }
+  // u is on p's path (and so already stale) only when the target was an
+  // ancestor-or-self of p; otherwise it sits below q off both walks.
+  invalidate_node(undo.u);
 }
 
 void SiteRepeats::invalidate_all() {

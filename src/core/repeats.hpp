@@ -24,12 +24,16 @@
 // right-child classes inside each bucket with a stamped table, then renumber
 // once in site order so the ids are first-occurrence ids.
 //
-// Classes are invariant under branch-length and model changes; only topology
-// moves (NNI/SPR) change which sites repeat, and only for the nodes whose
-// descendant set changed. The engine invalidates those paths and calls
-// refresh() before the next evaluation. Inside a proposal the classes are
-// double-buffered like the engine's CLVs: the first invalidation of a node
-// parks its classes in a back slot, and reject() swaps them back without
+// Classes are invariant under branch-length and model changes. A node's
+// partition — and with it its first-occurrence ids and unique_sites — depends
+// only on the SET of tips below it, not on the shape of its subtree, so a
+// topology move re-identifies only the nodes whose descendant set changed:
+// one node for an NNI, the moved node plus the nodes strictly below the
+// lowest common ancestor of its old and new parents for an SPR, and never
+// the root. The engine invalidates those nodes and calls refresh() before
+// the next evaluation. Inside a proposal the classes are double-buffered
+// like the engine's CLVs: the first invalidation of a node parks its
+// classes in a back slot, and reject() swaps them back without
 // re-identifying anything.
 #pragma once
 
@@ -80,7 +84,7 @@ struct NodeRepeats {
 };
 
 /// Repeat classes for every internal node of one (data, tree) pair, with
-/// path-wise invalidation for topology moves.
+/// per-move invalidation for topology moves.
 class SiteRepeats {
  public:
   SiteRepeats() = default;
@@ -90,9 +94,17 @@ class SiteRepeats {
 
   bool initialized() const { return data_ != nullptr; }
 
-  /// Mark `from_node` and every ancestor stale (the nodes whose descendant
-  /// set a topology move below or at `from_node` can change).
-  void invalidate_path(const phylo::Tree& tree, int from_node);
+  /// After Tree::nni(v, ...): v's children changed, but its parent keeps the
+  /// same three subtrees below it, so only v's descendant set changed.
+  void invalidate_nni(int v);
+
+  /// After Tree::spr() returned `undo` (call on the post-move tree): the
+  /// moved node u changed (it gained `target` and lost w), and so did every
+  /// node strictly below the lowest common ancestor of p = parent(w) and
+  /// q = parent(u) on their root paths (they lost or gained s). Nothing at
+  /// or above that ancestor changed, the root included.
+  void invalidate_spr(const phylo::Tree& tree,
+                      const phylo::Tree::SprUndo& undo);
 
   /// Mark every node stale (initial state, checkpoint restore).
   void invalidate_all();
@@ -148,6 +160,7 @@ class SiteRepeats {
   std::vector<NodeRepeats> nodes_;  ///< indexed by node id; internals only
   std::vector<NodeRepeats> back_;   ///< pre-proposal classes (logged nodes)
   std::vector<char> stale_;
+  std::vector<char> on_path_;  ///< invalidate_spr scratch: p's root path
   bool any_stale_ = false;
 
   // Proposal undo log: (node, stale flag before the proposal), one entry per

@@ -1,7 +1,13 @@
 #include "par/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "obs/names.hpp"
 #include "obs/profile.hpp"
@@ -11,6 +17,90 @@
 namespace plf::par {
 
 namespace {
+/// How long an idle helper spins on epoch_ before it parks on cv_start_.
+/// A parked helper costs the next region a futex wake-up, which is several
+/// microseconds before the helper even reaches the queue — as much as a
+/// whole 20 µs region's share of work. The gaps that matter are the serial
+/// caller work between two regions: the par.region.*.gap60 cases put 60 µs
+/// there, and a perfbench real20 trace shows about 0.3 ms/gen of serial
+/// engine work (TiProbs, repeat identification, plan build) spread over
+/// about 31 regions/gen, so most gaps are far shorter. 200 µs covers those
+/// gaps with margin, while a pool left idle (at the end of a run, or while
+/// its caller does other work) stops burning its CPUs within a fifth of a
+/// millisecond.
+constexpr std::chrono::microseconds kSpinBeforePark{200};
+
+/// Spin iterations between sched_yield calls (and, for idle helpers, between
+/// clock reads). Keeps a spinner that shares its CPU with the thread it
+/// waits for (oversubscribed pools, sanitizer runs) from starving it for a
+/// whole time slice, at a few microseconds per yield otherwise.
+constexpr unsigned kSpinsPerYield = 128;
+
+/// Hint to the CPU that we are in a spin-wait loop. On x86 this is the
+/// `pause` instruction (reduces the memory-order-violation flush on loop
+/// exit and yields pipeline resources to the sibling hyperthread); elsewhere
+/// it is a no-op and the periodic yield provides the backoff.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// One step of a spin-wait: cpu_relax, and every kSpinsPerYield steps a
+/// yield instead. Returns true on the yield steps.
+bool spin_step(unsigned& spins) {
+  if (++spins % kSpinsPerYield != 0) {
+    cpu_relax();
+    return false;
+  }
+  std::this_thread::yield();
+  return true;
+}
+
+/// CPU for the next helper thread, or -1 to leave it unbound. Helpers take
+/// the process's affinity set round-robin from one process-wide cursor that
+/// starts one past the CPU of the thread constructing the first pool, so the
+/// first helpers avoid the submitter's CPU and several pools spread out
+/// instead of stacking on the same CPUs.
+int next_helper_cpu() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return -1;
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  if (cpus.size() < 2) return -1;
+  static std::atomic<std::size_t> cursor{[&cpus] {
+    const int self = sched_getcpu();
+    const auto it = std::find(cpus.begin(), cpus.end(), self);
+    return it == cpus.end()
+               ? std::size_t{0}
+               : static_cast<std::size_t>(it - cpus.begin()) + 1;
+  }()};
+  return cpus[cursor.fetch_add(1, std::memory_order_relaxed) % cpus.size()];
+#else
+  return -1;
+#endif
+}
+
+/// Pin the calling thread to `cpu` (no-op for -1). Best-effort: on failure
+/// the thread simply stays unbound.
+void bind_current_thread(int cpu) {
+#if defined(__linux__)
+  if (cpu < 0) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+#else
+  (void)cpu;
+#endif
+}
+
 /// Innermost pool whose region body this thread is currently executing.
 /// parallel_for checks it to reject nested submission to the same pool (the
 /// workers it would wait on may be the ones executing the outer body).
@@ -40,7 +130,10 @@ struct ThreadPool::Region {
   // PLF_REQUIRES(m_) helpers that are the only accessors).
   std::size_t next_unit = 0;  ///< units [0, next_unit) are claimed
   std::size_t in_flight = 0;  ///< units claimed but not yet finished
-  bool done = false;          ///< fully executed and unlinked from the queue
+  /// Fully executed and unlinked from the queue. Stored (release) by the last
+  /// finisher as its final touch of the Region; the submitter spins on it
+  /// (acquire) and may destroy the Region as soon as it reads true.
+  std::atomic<bool> done{false};
 
   util::Mutex error_m;
   /// First exception thrown by any participant.
@@ -50,9 +143,10 @@ struct ThreadPool::Region {
     if (!error) error = std::current_exception();
   }
   /// Lock-discipline helper for the caller's post-join rethrow: reads the
-  /// slot under error_m (the final in_flight decrement happens-before the
-  /// caller leaving cv_done_, but TSA proves the simple rule "error is only
-  /// touched under error_m" instead of the wait-edge argument).
+  /// slot under error_m (the done flag's release/acquire pair already orders
+  /// every participant's writes before the caller's read, but TSA proves the
+  /// simple rule "error is only touched under error_m" instead of that
+  /// argument).
   std::exception_ptr take_error() PLF_EXCLUDES(error_m) {
     util::MutexLock lock(error_m);
     return error;
@@ -88,10 +182,14 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (n == 0) {
     n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  // The calling thread is worker 0; spawn n-1 helpers.
+  // The calling thread is worker 0; spawn n-1 helpers, each on its own CPU.
   workers_.reserve(n - 1);
   for (std::size_t i = 1; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    const int cpu = next_helper_cpu();
+    workers_.emplace_back([this, i, cpu] {
+      bind_current_thread(cpu);
+      worker_loop(i);
+    });
   }
 }
 
@@ -99,6 +197,7 @@ ThreadPool::~ThreadPool() {
   {
     util::MutexLock lock(m_);
     shutting_down_ = true;
+    epoch_.fetch_add(1, std::memory_order_relaxed);
   }
   cv_start_.notify_all();
   for (auto& w : workers_) w.join();
@@ -112,16 +211,10 @@ ThreadPool::Region* ThreadPool::claimable_region() {
 }
 
 void ThreadPool::finish_if_complete(Region& region) {
-  if (region.next_unit < region.total_units || region.in_flight != 0 ||
-      region.done) {
-    return;
-  }
+  if (region.next_unit < region.total_units || region.in_flight != 0) return;
   queue_.erase(std::find(queue_.begin(), queue_.end(), &region));
-  region.done = true;
-  // notify_all: several submitters may be parked here, each watching its own
-  // region's done flag. After this the Region (stack-owned by its submitter)
-  // may be destroyed — do not touch it again.
-  cv_done_.notify_all();
+  // Last touch: the submitter may destroy the Region as soon as it reads this.
+  region.done.store(true, std::memory_order_release);
 }
 
 void ThreadPool::run_unit(Region& region, std::size_t unit, std::size_t slot) {
@@ -141,28 +234,52 @@ void ThreadPool::run_unit(Region& region, std::size_t unit, std::size_t slot) {
 void ThreadPool::worker_loop(std::size_t worker_index) {
   // worker_index in [1, size()) is this thread's stable dynamic-schedule
   // claim slot; slot 0 belongs to whichever thread submitted the region.
-  for (;;) {
-    Region* region = nullptr;
-    std::size_t unit = 0;
-    {
-      util::MutexLock lock(m_);
-      // Predicate runs with m_ held by the wait loop itself; TSA analyzes
-      // the lambda without that context, hence the exemption.
-      cv_start_.wait(m_, [&]() PLF_NO_TSA {
-        return shutting_down_ || claimable_region() != nullptr;
-      });
-      if (shutting_down_) return;
-      region = claimable_region();
-      unit = region->next_unit++;
-      ++region->in_flight;
+  m_.lock();
+  while (!shutting_down_) {
+    Region* region = claimable_region();
+    if (region == nullptr) {
+      idle_wait();
+      continue;
     }
+    const std::size_t unit = region->next_unit++;
+    ++region->in_flight;
+    m_.unlock();
     run_unit(*region, unit, worker_index);
-    {
-      util::MutexLock lock(m_);
-      --region->in_flight;
-      finish_if_complete(*region);
+    m_.lock();
+    --region->in_flight;
+    finish_if_complete(*region);
+  }
+  m_.unlock();
+}
+
+void ThreadPool::idle_wait() {
+  // Any enqueue after this read bumps the epoch; one before it is already
+  // visible in the queue our caller just found empty.
+  const std::uint64_t seen = epoch_.load(std::memory_order_relaxed);
+  m_.unlock();
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBeforePark;
+  bool woken = false;
+  for (unsigned spins = 0;;) {
+    if (epoch_.load(std::memory_order_relaxed) != seen) {
+      woken = true;
+      break;
+    }
+    if (spin_step(spins) && std::chrono::steady_clock::now() >= deadline) {
+      break;
     }
   }
+  m_.lock();
+  if (woken) return;
+  // Park. The predicate re-checks the queue under m_ before sleeping, and
+  // every enqueue that finds parked_ > 0 notifies after releasing m_, so a
+  // region enqueued between the spin's last read and here is never missed.
+  ++parked_;
+  // Predicate runs with m_ held by the wait loop itself; TSA analyzes the
+  // lambda without that context, hence the exemption.
+  cv_start_.wait(m_, [&]() PLF_NO_TSA {
+    return shutting_down_ || claimable_region() != nullptr;
+  });
+  --parked_;
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
@@ -211,36 +328,40 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       (*region.body)(r, region.unit_thread_index(u, 0));
     }
   } else {
+    // Enqueue and claim our first unit in one critical section.
+    std::size_t unit = 0;
+    bool wake = false;
     {
       util::MutexLock lock(m_);
       queue_.push_back(&region);
+      epoch_.fetch_add(1, std::memory_order_relaxed);
+      wake = parked_ != 0;
+      unit = region.next_unit++;
+      ++region.in_flight;
     }
-    cv_start_.notify_all();
+    if (wake) cv_start_.notify_all();
     // Participate in our own region only (claim slot 0): helping other
     // queued regions would let their runtimes leak into this caller's
     // latency. Workers drain whatever we leave unclaimed.
-    for (;;) {
-      std::size_t unit;
-      {
-        util::MutexLock lock(m_);
-        if (region.next_unit >= region.total_units) break;
+    for (bool claimed = true; claimed;) {
+      run_unit(region, unit, 0);
+      util::MutexLock lock(m_);
+      --region.in_flight;
+      claimed = region.next_unit < region.total_units;
+      if (claimed) {
         unit = region.next_unit++;
         ++region.in_flight;
-      }
-      run_unit(region, unit, 0);
-      {
-        util::MutexLock lock(m_);
-        --region.in_flight;
+      } else {
         finish_if_complete(region);
       }
     }
-    {
-      util::MutexLock lock(m_);
-      // Predicate runs with m_ held by the wait loop itself (see worker_loop).
-      cv_done_.wait(m_, [&]() PLF_NO_TSA { return region.done; });
+    // Every unit is claimed and running (or done): wait for the in-flight
+    // ones without sleeping, since they are already on their CPUs.
+    for (unsigned spins = 0; !region.done.load(std::memory_order_acquire);) {
+      spin_step(spins);
     }
     // TSA finding (docs/STATIC_ANALYSIS.md): this read used to access
-    // region.error bare — safe only via the cv_done_ wait edge, invisible to
+    // region.error bare — safe only via a happens-before edge invisible to
     // the analysis and fragile under refactoring. Read it under error_m.
     if (std::exception_ptr error = region.take_error()) {
       std::rethrow_exception(error);

@@ -13,11 +13,33 @@
 // claiming work units from the oldest region that still has unclaimed units,
 // so independent engine instances can batch their plans through one shared
 // pool without serializing on a single-region lock. A submitting thread only
-// executes units of its own region (and then blocks until that region
+// executes units of its own region (and then waits until that region
 // completes), which bounds its latency by its own work plus whatever the
 // workers are already committed to. Nested calls — a region body invoking
 // parallel_for on the same pool — remain rejected: they could deadlock the
 // workers executing the outer region.
+//
+// Hand-off protocol (docs/SHARDING.md has the full walk-through):
+//   * Every enqueue (and shutdown) bumps `epoch_` under m_. An idle helper
+//     re-checks the queue under m_, then spins on `epoch_` outside the lock
+//     for a bounded time (kSpinBeforePark in thread_pool.cpp), and only then
+//     parks on cv_start_. `parked_` counts parked helpers under m_, so a
+//     submitter skips notify_all entirely while every helper is spinning.
+//   * The submitter never sleeps on its own region. Once its claim loop
+//     exits, every unit is claimed and running somewhere, so it spins (with a
+//     periodic yield) on the region's atomic `done` flag, which the last
+//     finisher publishes with release order as its final touch of the
+//     stack-owned Region.
+//   * Each helper is bound to one CPU of the process's affinity set, handed
+//     out round-robin from a process-wide cursor that starts one past the
+//     constructing thread's CPU; the submitting thread is never bound. On
+//     hosts whose cpusets disable scheduler load balancing
+//     (cpuset.sched_load_balance = 0), a thread woken by another lands on the
+//     waker's CPU and is never migrated back: unbound, a woken helper shares
+//     the submitter's CPU and every static block of a region runs on that
+//     one CPU. Binding keeps each helper on a CPU of its own. Binding is
+//     best-effort (Linux only; a failed call or a one-CPU set leaves the
+//     helper unbound).
 //
 // Determinism: the static schedule always partitions [begin, end) into
 // exactly `size()` contiguous blocks and passes the BLOCK index as the body's
@@ -26,7 +48,9 @@
 // run_root_reduce) therefore stay bit-identical under region interleaving.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -88,12 +112,16 @@ class ThreadPool {
 
  private:
   struct Region;
-  void worker_loop(std::size_t worker_index);
+  void worker_loop(std::size_t worker_index) PLF_EXCLUDES(m_);
+  /// Idle helper with m_ held and nothing claimable: spin on epoch_ outside
+  /// the lock, then park on cv_start_ if no enqueue arrived meanwhile.
+  /// Returns with m_ held; the caller re-checks the queue and shutdown.
+  void idle_wait() PLF_REQUIRES(m_);
   /// Execute one claimed unit of `region` (block for static, chunk for
   /// dynamic) as claim slot `slot`. Exceptions are captured into the region.
   void run_unit(Region& region, std::size_t unit, std::size_t slot);
   /// Mark `region` finished if all units are claimed and none is running:
-  /// unlinks it from the queue and wakes its submitter.
+  /// unlinks it from the queue and publishes its done flag.
   void finish_if_complete(Region& region) PLF_REQUIRES(m_);
   /// Oldest enqueued region with unclaimed units, or nullptr.
   Region* claimable_region() PLF_REQUIRES(m_);
@@ -101,15 +129,20 @@ class ThreadPool {
   std::vector<std::thread> workers_;  // immutable after construction
 
   // Region queue protocol: m_ guards the queue and every Region's claim state
-  // (cursor / in-flight count / done flag). Workers sleep on cv_start_ until
-  // some region has unclaimed units; each submitter sleeps on cv_done_ until
-  // its own (stack-owned) region is done. A Region is unlinked under m_
-  // before its submitter can return, so queue pointers never dangle.
+  // (cursor / in-flight count). Idle helpers spin on epoch_ and then sleep on
+  // cv_start_ until some region has unclaimed units; each submitter spins on
+  // its own (stack-owned) region's done flag. A Region is unlinked under m_
+  // before its done flag is published, so queue pointers never dangle.
   util::Mutex m_;
   util::CondVar cv_start_;
-  util::CondVar cv_done_;
   std::vector<Region*> queue_ PLF_GUARDED_BY(m_);  // FIFO, oldest first
   bool shutting_down_ PLF_GUARDED_BY(m_) = false;
+  /// Helpers currently parked on cv_start_.
+  std::size_t parked_ PLF_GUARDED_BY(m_) = 0;
+  /// Bumped under m_ on every enqueue and at shutdown; spinning helpers read
+  /// it without the lock and take m_ before touching any region, so relaxed
+  /// order suffices on both sides.
+  std::atomic<std::uint64_t> epoch_{0};
 
   mutable util::Mutex stats_m_;
   PoolStats stats_ PLF_GUARDED_BY(stats_m_);

@@ -1,15 +1,17 @@
 // TSan-targeted stress tests for the parallel runtime.
 //
 // These tests deliberately create heavy cross-thread traffic through
-// ThreadPool::parallel_for and SpinBarrier from 8 threads — more than the
-// CI hosts have cores — so the ThreadSanitizer preset checks the
-// happens-before edges the PLF backends rely on (the relaxed dynamic-schedule
-// cursor, the sense-reversing barrier release) under real oversubscription.
-// Under the plain presets they double as functional checks that every index
-// is visited exactly once and the barrier never tears a round.
+// ThreadPool::parallel_for from 8 threads — more than the CI hosts have
+// cores — so the ThreadSanitizer preset checks the happens-before edges the
+// PLF backends rely on (the region hand-off: the epoch word helpers spin on,
+// the done flag the submitter spins on, the park/notify path) under real
+// oversubscription. Under the plain presets they double as functional checks
+// that every index is visited exactly once and no region is lost or torn.
 #include <unistd.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -29,7 +31,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "par/spin_barrier.hpp"
 #include "par/thread_pool.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
@@ -95,38 +96,12 @@ TEST(ParStressTest, ParallelForResultVisibleToNonParticipatingReader) {
   EXPECT_DOUBLE_EQ(total, 4095.0 * 4096.0 / 2.0);
 }
 
-TEST(ParStressTest, SpinBarrierSynchronizesOversubscribedRounds) {
-  constexpr std::size_t kRounds = 200;
-  SpinBarrier barrier(kThreads);
-  // Plain (non-atomic) slots: each round, thread i writes its own slot, the
-  // barrier publishes it, then every thread reads its neighbor's slot. Any
-  // missing release/acquire edge in the barrier is a data race TSan reports
-  // and a torn round this assertion catches.
-  std::vector<std::uint64_t> slot(kThreads, 0);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t round = 1; round <= kRounds; ++round) {
-        slot[t] = round;
-        barrier.arrive_and_wait();
-        if (slot[(t + 1) % kThreads] != round) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-        barrier.arrive_and_wait();  // keep reads of round N before writes of N+1
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
 TEST(ParStressTest, BarrierInsideParallelForRegions) {
-  // The PLF backends use barrier-style phases inside a region (e.g. scaler
-  // after down). Emulate that shape: all pool threads rendezvous mid-region.
+  // Every static block of a region runs at the same time, on its own thread:
+  // all pool threads rendezvous mid-region, which deadlocks if the hand-off
+  // ever lets one thread run two blocks of the same region in sequence.
   ThreadPool pool(kThreads);
-  SpinBarrier barrier(kThreads);
+  std::barrier<> barrier(static_cast<std::ptrdiff_t>(kThreads));
   std::vector<std::uint64_t> phase1(kThreads, 0);
   std::atomic<int> mismatches{0};
   for (int region = 0; region < 20; ++region) {
@@ -142,6 +117,155 @@ TEST(ParStressTest, BarrierInsideParallelForRegions) {
     });
   }
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// Busy caller-side work between regions: a serial gap the helpers see as
+/// idle time. Wall-clock, so sanitizer slowdowns do not stretch it.
+void serial_gap(Rng& rng, double max_us) {
+  const auto until =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration<double, std::micro>(rng.uniform(0.0, max_us));
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Random 0–400 µs gaps straddle the pool's 200 µs spin-before-park bound, so
+/// successive regions find their helpers spinning, parking, or parked.
+constexpr double kMaxGapUs = 400.0;
+
+/// One submitter's run of gapped regions: each region writes its index into
+/// a plain (non-atomic) slot per element, and the caller checks every slot
+/// after parallel_for returns — a lost, torn or unpublished block is a
+/// mismatch here and a data race under TSan. Static regions must also pass
+/// each block's own index as thread_index.
+int run_gapped_regions(ThreadPool& pool, std::uint64_t seed, int regions) {
+  Rng rng(seed);
+  constexpr std::size_t kN = 257;  // not a multiple of the pool size
+  std::vector<std::uint64_t> slot(kN, 0);
+  int mismatches = 0;
+  for (int region = 1; region <= regions; ++region) {
+    serial_gap(rng, kMaxGapUs);
+    const auto stamp = static_cast<std::uint64_t>(region);
+    const bool dynamic = region % 3 == 0;
+    std::vector<std::uint8_t> block_seen(pool.size(), 0);
+    pool.parallel_for(
+        0, kN,
+        [&](Range r, std::size_t t) {
+          if (!dynamic) block_seen[t] = 1;  // one static block per index
+          for (std::size_t i = r.begin; i < r.end; ++i) slot[i] = stamp;
+        },
+        dynamic ? Schedule::kDynamic : Schedule::kStatic,
+        dynamic ? 5 : 0);
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (slot[i] != stamp) ++mismatches;
+    }
+    if (!dynamic) {
+      for (std::uint8_t seen : block_seen) {
+        if (seen != 1) ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(ParStressTest, GappedRegionsFromOneSubmitterCrossTheParkBound) {
+  ThreadPool pool(4);
+  EXPECT_EQ(run_gapped_regions(pool, 11, 300), 0);
+}
+
+TEST(ParStressTest, GappedRegionsFromFourConcurrentSubmitters) {
+  // Four external threads share one pool; their regions queue FIFO, and a
+  // submitter that finishes its own blocks spins until a helper running its
+  // last block publishes done.
+  ThreadPool pool(4);
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> submitters;
+  for (std::size_t s = 0; s < mismatches.size(); ++s) {
+    submitters.emplace_back([&, s] {
+      mismatches[s] = run_gapped_regions(pool, 100 + s, 150);
+    });
+  }
+  for (auto& th : submitters) th.join();
+  for (int m : mismatches) EXPECT_EQ(m, 0);
+}
+
+TEST(ParStressTest, ThrowingGappedRegionsPropagateExactlyOnce) {
+  // A throwing block must still count as finished (the region completes and
+  // is unlinked), the exception reaches only its own submitter, and the
+  // pool keeps working — whether its helpers were spinning or parked.
+  ThreadPool pool(4);
+  std::vector<int> failures(3, 0);
+  std::vector<std::thread> submitters;
+  for (std::size_t s = 0; s < failures.size(); ++s) {
+    submitters.emplace_back([&, s] {
+      Rng rng(200 + s);
+      for (int region = 0; region < 120; ++region) {
+        serial_gap(rng, kMaxGapUs);
+        const bool throws = region % 2 == 0;
+        const std::size_t bad_block = static_cast<std::size_t>(region / 2) % 4;
+        std::atomic<std::size_t> ran{0};
+        bool caught = false;
+        try {
+          pool.parallel_for(0, 64, [&](Range r, std::size_t t) {
+            ran.fetch_add(r.size(), std::memory_order_relaxed);
+            if (throws && t == bad_block) {
+              throw Error("stress: gapped region failure");
+            }
+          });
+        } catch (const Error&) {
+          caught = true;
+        }
+        if (caught != throws) ++failures[s];
+        if (ran.load(std::memory_order_relaxed) != 64) ++failures[s];
+      }
+    });
+  }
+  for (auto& th : submitters) th.join();
+  for (int f : failures) EXPECT_EQ(f, 0);
+}
+
+TEST(ParStressTest, PoolDestroyedWhileHelpersSpinOrPark) {
+  // Shutdown bumps the epoch (wakes spinning helpers) and notifies cv_start_
+  // (wakes parked ones); either way the destructor must join promptly.
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<std::size_t> n{0};
+    {
+      ThreadPool spinning(4);
+      spinning.parallel_for(0, 100, [&](Range r, std::size_t) {
+        n.fetch_add(r.size(), std::memory_order_relaxed);
+      });
+    }  // helpers are still inside their spin window here
+    {
+      ThreadPool parked(4);
+      parked.parallel_for(0, 100, [&](Range r, std::size_t) {
+        n.fetch_add(r.size(), std::memory_order_relaxed);
+      });
+      // Well past the 200 µs spin bound: the helpers have parked.
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+    { ThreadPool never_used(4); }
+    EXPECT_EQ(n.load(std::memory_order_relaxed), 200u);
+  }
+}
+
+TEST(ParStressTest, EightThreadPoolSharesCpusWithGappedRegions) {
+  // Eight threads on a 4-CPU affinity set: helpers bound round-robin share
+  // CPUs, so a spinning helper competes with the one running a block. Every
+  // block must still run concurrently (the rendezvous) and every gapped
+  // region must complete.
+  ThreadPool pool(kThreads);
+  std::barrier<> barrier(static_cast<std::ptrdiff_t>(kThreads));
+  Rng rng(77);
+  std::atomic<int> blocks{0};
+  for (int region = 0; region < 60; ++region) {
+    serial_gap(rng, kMaxGapUs);
+    pool.parallel_for(0, kThreads, [&](Range, std::size_t) {
+      barrier.arrive_and_wait();
+      blocks.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(blocks.load(std::memory_order_relaxed), 60 * kThreads);
+  EXPECT_EQ(run_gapped_regions(pool, 78, 100), 0);
 }
 
 TEST(ParStressTest, RepeatCompactedEngineUnderOversubscription) {
@@ -635,9 +759,10 @@ TEST(ParStressTest, HistogramAndFlightHammeredWhileFlusherReads) {
 TEST(ParStressTest, RegionExceptionRethrownWhileStatsReadersRace) {
   // Regression for the TSA lock-discipline finding in parallel_for
   // (docs/STATIC_ANALYSIS.md): the caller used to read Region::error bare
-  // after the cv_done_ wait — safe only via the wait's happens-before edge,
-  // invisible to the analysis and fragile under refactoring. It now goes
-  // through Region::take_error() under error_m. This hammers that path with
+  // after waiting for the region — safe only via the wait's happens-before
+  // edge (today the done flag's release/acquire pair), invisible to the
+  // analysis and fragile under refactoring. It now goes through
+  // Region::take_error() under error_m. This hammers that path with
   // throwing bodies from every worker while a dedicated thread polls
   // stats() (the stats_m_ discipline) the whole time; TSan checks both
   // locks, the plain presets check no exception is ever lost or doubled.

@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "par/spin_barrier.hpp"
 #include "par/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -140,45 +139,6 @@ TEST(ThreadPoolTest, ExceptionsInBodyDoNotCorruptPool) {
 TEST(DefaultPoolTest, IsSingleton) {
   EXPECT_EQ(&default_pool(), &default_pool());
   EXPECT_GE(default_pool().size(), 1u);
-}
-
-TEST(SpinBarrierTest, SynchronizesPhases) {
-  const std::size_t n = 4;
-  SpinBarrier barrier(n);
-  std::atomic<int> phase0{0};
-  std::atomic<int> phase1{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < n; ++t) {
-    threads.emplace_back([&] {
-      phase0.fetch_add(1);
-      barrier.arrive_and_wait();
-      // Everyone must have finished phase 0 before any thread reads here.
-      EXPECT_EQ(phase0.load(), static_cast<int>(n));
-      phase1.fetch_add(1);
-      barrier.arrive_and_wait();
-      EXPECT_EQ(phase1.load(), static_cast<int>(n));
-    });
-  }
-  for (auto& t : threads) t.join();
-}
-
-TEST(SpinBarrierTest, ReusableManyTimes) {
-  const std::size_t n = 3;
-  SpinBarrier barrier(n);
-  std::atomic<int> counter{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < n; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        counter.fetch_add(1);
-        barrier.arrive_and_wait();
-        EXPECT_EQ(counter.load() % static_cast<int>(n), 0);
-        barrier.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter.load(), 1500);
 }
 
 }  // namespace

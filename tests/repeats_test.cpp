@@ -237,7 +237,7 @@ TEST(SiteRepeatsTest, RootClassFoldsOutgroupMask) {
   }
 }
 
-TEST(SiteRepeatsTest, StaleAccessThrowsAndPathInvalidationIsAncestral) {
+TEST(SiteRepeatsTest, StaleAccessThrowsAndNniInvalidatesOnlyItsNode) {
   const phylo::Tree tree = four_taxon_tree();
   const std::vector<phylo::StateMask> col = {1, 2, 4, 8};
   const auto data = make_data(std::vector<std::vector<phylo::StateMask>>(4, col));
@@ -247,17 +247,17 @@ TEST(SiteRepeatsTest, StaleAccessThrowsAndPathInvalidationIsAncestral) {
   sr.refresh(tree);
   EXPECT_NO_THROW(sr.node(tree.root()));
 
-  // Invalidate from the cherry: the cherry and the root go stale; accessing
-  // either throws until the next refresh.
+  // An NNI at the cherry changes only the cherry's taxa: it goes stale and
+  // throws until the next refresh, while the root (same taxa) stays valid.
   int cherry = phylo::kNoNode;
   for (int id : tree.postorder_internals()) {
     if (id != tree.root()) cherry = id;
   }
-  sr.invalidate_path(tree, cherry);
+  sr.invalidate_nni(cherry);
   EXPECT_TRUE(sr.any_stale());
   EXPECT_THROW(sr.node(cherry), Error);
-  EXPECT_THROW(sr.node(tree.root()), Error);
-  sr.refresh(tree);
+  EXPECT_NO_THROW(sr.node(tree.root()));
+  EXPECT_EQ(sr.refresh(tree), 1u);
   EXPECT_EQ(sr.node(cherry).n_classes, 1u);
 }
 
@@ -432,8 +432,8 @@ TEST(SiteRepeatsTest, RejectSwapsClassesBackWithoutRebuilding) {
   const int v = edges.front();
   sr.begin_proposal();
   tree.nni(v, true);
-  sr.invalidate_path(tree, v);
-  sr.invalidate_path(tree, v);  // a second invalidation logs nothing new
+  sr.invalidate_nni(v);
+  sr.invalidate_nni(v);  // a second invalidation logs nothing new
   EXPECT_TRUE(sr.any_stale());
   EXPECT_GT(sr.refresh(tree), 0u);
   expect_matches_reference(sr, data, tree);
@@ -449,23 +449,105 @@ TEST(SiteRepeatsTest, RejectSwapsClassesBackWithoutRebuilding) {
 
   sr.begin_proposal();
   tree.nni(v, false);
-  sr.invalidate_path(tree, v);
+  sr.invalidate_nni(v);
   sr.refresh(tree);
   sr.accept();
   EXPECT_EQ(sr.refresh(tree), 0u);
   expect_matches_reference(sr, data, tree);
 }
 
-/// Internal nodes on the root paths of `from` (deduplicated).
-std::set<int> root_path_internals(const phylo::Tree& tree,
-                                  std::initializer_list<int> from) {
+/// Taxa below `id`; the root's outgroup is not one of its children, so
+/// every root reads the same set.
+std::set<int> taxa_below(const phylo::Tree& tree, int id) {
+  if (tree.node(id).is_leaf()) return {tree.node(id).taxon};
+  std::set<int> out = taxa_below(tree, tree.node(id).left);
+  out.merge(taxa_below(tree, tree.node(id).right));
+  return out;
+}
+
+/// Internal nodes whose descendant taxa differ between `before` and `after`:
+/// exactly the nodes whose repeat classes a topology move can change.
+std::set<int> nodes_with_new_taxa(const phylo::Tree& before,
+                                  const phylo::Tree& after) {
   std::set<int> out;
-  for (int start : from) {
-    for (int id = start; id != phylo::kNoNode; id = tree.node(id).parent) {
-      if (!tree.node(id).is_leaf()) out.insert(id);
-    }
+  for (int id : after.postorder_internals()) {
+    if (taxa_below(before, id) != taxa_below(after, id)) out.insert(id);
   }
   return out;
+}
+
+/// Assert exactly `expected` is stale in `sr`, that refresh() rebuilds
+/// exactly those nodes, and that the result equals a fresh identification.
+void expect_rebuilds_exactly(SiteRepeats& sr, const phylo::PatternMatrix& data,
+                             const phylo::Tree& tree,
+                             const std::set<int>& expected) {
+  for (int id : tree.postorder_internals()) {
+    if (expected.count(id) != 0) {
+      EXPECT_THROW(sr.node(id), Error) << "node " << id << " not invalidated";
+    } else {
+      EXPECT_NO_THROW(sr.node(id)) << "node " << id << " invalidated";
+    }
+  }
+  EXPECT_EQ(sr.refresh(tree), expected.size());
+  expect_matches_reference(sr, data, tree);
+}
+
+// A node's classes depend only on its set of descendant taxa, so a move
+// must re-identify exactly the nodes whose set changed: v alone for an NNI;
+// for an SPR, u plus the nodes strictly below the common ancestor of
+// p = parent(w) and u's new parent — in both special shapes (the target an
+// ancestor-or-self of p, so u lands on p's new root path; the target inside
+// w's subtree, so the common ancestor is p) and the general one.
+TEST(SiteRepeatsTest, TopologyMovesInvalidateExactlyTheNodesWhoseTaxaChanged) {
+  Rng rng(2718);
+  const phylo::Tree start = seqgen::yule_tree(16, rng, 1.0, 0.1);
+  const auto data = random_data(start, 400, {1, 2, 4, 8}, rng);
+
+  for (int v : start.internal_edge_nodes()) {
+    for (bool swap_left : {false, true}) {
+      SCOPED_TRACE("nni v=" + std::to_string(v));
+      phylo::Tree tree = start;
+      SiteRepeats sr(data, tree);
+      sr.refresh(tree);
+      tree.nni(v, swap_left);
+      sr.invalidate_nni(v);
+      const std::set<int> expected = nodes_with_new_taxa(start, tree);
+      ASSERT_EQ(expected, std::set<int>{v});
+      expect_rebuilds_exactly(sr, data, tree, expected);
+    }
+  }
+
+  enum Shape { kTargetAboveP, kTargetBelowW, kGeneral };
+  int seen[3] = {0, 0, 0};
+  for (int s = 0; s < static_cast<int>(start.n_nodes()); ++s) {
+    for (int target : start.spr_valid_targets(s)) {
+      const int u = start.node(s).parent;
+      const int p = start.node(u).parent;
+      const int w = start.node(u).left == s ? start.node(u).right
+                                            : start.node(u).left;
+      const Shape shape = start.in_subtree(target, p) ? kTargetAboveP
+                          : start.in_subtree(w, target) ? kTargetBelowW
+                                                        : kGeneral;
+      if (seen[shape] == 12) continue;  // enough of this shape
+      SCOPED_TRACE("spr s=" + std::to_string(s) +
+                   " target=" + std::to_string(target) +
+                   " shape=" + std::to_string(shape));
+      phylo::Tree tree = start;
+      SiteRepeats sr(data, tree);
+      sr.refresh(tree);
+      const auto undo =
+          tree.spr(s, target, 0.5 * start.branch_length(target));
+      sr.invalidate_spr(tree, undo);
+      const std::set<int> expected = nodes_with_new_taxa(start, tree);
+      ASSERT_EQ(expected.count(u), 1u);
+      ASSERT_EQ(expected.count(tree.root()), 0u);
+      expect_rebuilds_exactly(sr, data, tree, expected);
+      ++seen[shape];
+    }
+  }
+  EXPECT_GT(seen[kTargetAboveP], 0);
+  EXPECT_GT(seen[kTargetBelowW], 0);
+  EXPECT_GT(seen[kGeneral], 0);
 }
 
 std::uint64_t bits(double x) {
@@ -478,8 +560,9 @@ std::uint64_t bits(double x) {
 // checkpoint restore mid-sequence. After every step the engine's classes
 // equal a fresh identification of its current tree, its lnL equals a dense
 // engine's bit for bit, and the rebuild counter shows the narrowing: a move
-// rebuilds exactly the internal nodes on its root paths (NNI: path(v); SPR:
-// path(parent(w)) and path(u)), and reject + evaluate rebuilds nothing.
+// rebuilds exactly the internal nodes whose descendant taxa changed (NNI: v
+// alone; SPR: u and the nodes strictly below the common ancestor of p and
+// u's new parent), and reject + evaluate rebuilds nothing.
 TEST(SiteRepeatsEngineTest, TopologyMovesRebuildOnlyTheirRootPaths) {
   Rng rng(4411);
   const phylo::Tree start = seqgen::yule_tree(14, rng, 1.0, 0.1);
@@ -553,7 +636,7 @@ TEST(SiteRepeatsEngineTest, TopologyMovesRebuildOnlyTheirRootPaths) {
       const bool swap_left = rng.below(2) == 0;
       on.apply_nni(v, swap_left);
       off.apply_nni(v, swap_left);
-      expected = root_path_internals(t, {v});
+      expected = {v};
       ++n_nni;
     } else if (move < 0.9) {
       int s = phylo::kNoNode;
@@ -564,12 +647,10 @@ TEST(SiteRepeatsEngineTest, TopologyMovesRebuildOnlyTheirRootPaths) {
       }
       const int target = targets[rng.below(targets.size())];
       const double x = t.branch_length(target) * rng.uniform(0.1, 0.9);
-      const int u = t.node(s).parent;
-      const int w =
-          t.node(u).left == s ? t.node(u).right : t.node(u).left;
+      const phylo::Tree before = t;
       on.apply_spr(s, target, x);
       off.apply_spr(s, target, x);
-      expected = root_path_internals(t, {t.node(w).parent, u});
+      expected = nodes_with_new_taxa(before, t);
       ++n_spr;
     } else {
       const int node = t.leaf_of(static_cast<int>(rng.below(t.n_taxa())));
