@@ -6,6 +6,9 @@
 //   kernel.<op>.<variant>       raw per-call kernel time at the paper's
 //                               8,543-pattern width, for scalar / simd-row /
 //                               simd-col (the approach (i)/(ii) distinction)
+//   kernel.root_reduce.pinv[.dirty-upper]
+//                               the +I root reduction, entered with a clean
+//                               or a dirty upper vector state
 //   engine.<backend>.<executor>.<sr>
 //                               seconds per likelihood evaluation under a
 //                               branch-move loop, over {serial,threaded} ×
@@ -66,7 +69,9 @@
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
 #include "seqgen/random_tree.hpp"
+#include "simd/upper_state.hpp"
 #include "util/aligned.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -235,6 +240,67 @@ CaseStat kernel_case(const std::string& op_name,
   }
   g_bench_sink = sink;  // keep the timed work observable
   return cs;
+}
+
+/// kernel.root_reduce.pinv[.dirty-upper]: the default kernel set's +I root
+/// reduction at the paper's width, with the 4 constant patterns first (the
+/// only sites that run the log-sum-exp branch's legacy-SSE exp/log1p) and
+/// p_invariant 0.1. The dirty-upper twin marks the upper vector state in use
+/// before every call (confirmed with XGETBV) — the state the engine's π
+/// conversion once left behind — so the pair measures the entry guard
+/// (docs/KERNELS.md, "Vector-state hygiene"): without it the dirty twin ran
+/// 10–13× slower. Returns false, with no case, when the CPU cannot report
+/// the upper state.
+bool root_reduce_pinv_case(bool dirty_upper, std::uint64_t iters, int reps,
+                           CaseStat& cs) {
+  if (dirty_upper && !simd::upper_state_observable()) return false;
+  Operands op(kPatterns);
+  const auto& ks = core::kernels(core::KernelVariant::kSimdCol);
+  aligned_vector<float> const_lik(op.m, 0.0f);
+  for (std::size_t c = 0; c < 4; ++c) const_lik[c] = 0.25f;
+  core::RootReduceArgs a;
+  a.cl = op.cl_l.data();
+  a.ln_scaler_total = op.scaler_total.data();
+  a.weights = op.weights.data();
+  a.K = op.K;
+  a.const_lik = const_lik.data();
+  a.p_invariant = 0.1f;
+
+  cs.name = std::string("kernel.root_reduce.pinv") +
+            (dirty_upper ? ".dirty-upper" : "");
+  cs.unit = "s/call";
+  cs.iters = iters;
+  cs.threshold = 0.15;
+  struct Call {
+    const core::KernelSet* ks;
+    const core::RootReduceArgs* a;
+    std::size_t m;
+    double sink;
+    std::uint64_t clean_entries;
+  } call{&ks, &a, op.m, 0.0, 0};
+  const auto reduce = [](void* p) {
+    Call& c = *static_cast<Call*>(p);
+    if (!simd::upper_state_dirty()) ++c.clean_entries;
+    c.sink += c.ks->root_reduce(*c.a, 0, c.m);
+  };
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = now_s();
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      if (dirty_upper) {
+        simd::call_with_dirty_upper(reduce, &call);
+      } else {
+        call.sink += ks.root_reduce(a, 0, op.m);
+      }
+    }
+    const double t1 = now_s();
+    cs.values.push_back((t1 - t0) / static_cast<double>(iters));
+  }
+  g_bench_sink = call.sink;
+  if (call.clean_entries > 0) {
+    throw Error(cs.name + ": the upper state was clean at " +
+                std::to_string(call.clean_entries) + " call entries");
+  }
+  return true;
 }
 
 /// Busy-wait `us` microseconds on the calling thread.
@@ -668,6 +734,18 @@ int main(int argc, char** argv) {
                 << cases.back().min() * 1e6 << " us/call (min of " << reps
                 << ")\n";
     }
+  }
+
+  for (const bool dirty_upper : {false, true}) {
+    CaseStat cs;
+    if (!root_reduce_pinv_case(dirty_upper, kernel_iters, reps, cs)) {
+      std::cerr << "kernel.root_reduce.pinv.dirty-upper: skipped (the CPU "
+                   "has no XGETBV with ECX = 1)\n";
+      continue;
+    }
+    cases.push_back(std::move(cs));
+    std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
+              << " us/call (min of " << reps << ")\n";
   }
 
   for (const char* c : {"down.tip-tip", "down.tip-inner", "down_scale.fused"}) {

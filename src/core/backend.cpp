@@ -6,43 +6,83 @@
 #include "core/kernel_contracts.hpp"
 #include "obs/names.hpp"
 #include "obs/profile.hpp"
+#include "simd/simd.hpp"
 
 namespace plf::core {
 
 namespace {
 
 /// One plan op's fused down/root + rescale over [begin, end), dispatched by
-/// the op's specialization kind. Every path is a per-site composition of the
-/// unfused kernels (or an exact-precomputation gather), so regrouping
-/// (op, chunk) work through this helper stays bit-identical to the per-call
-/// loop — the invariant the backend_diff twins pin down.
+/// the op's specialization kind, then its cumulative scaler step on the same
+/// rows. Every path is a per-site composition of the unfused kernels (or an
+/// exact-precomputation gather), so regrouping (op, chunk) work through this
+/// helper stays bit-identical to the per-call loop — the invariant the
+/// backend_diff twins pin down.
 inline void run_op_fused(const KernelSet& ks, const PlfOp& op,
                          std::size_t begin, std::size_t end) {
   if (op.is_root) {
     ks.root_scale(op.args, op.scale, begin, end);
-    return;
+  } else {
+    switch (op.kind) {
+      case PlfOpKind::kTipTip:
+        ks.down_tt_scale(op.tt, op.scale, begin, end);
+        break;
+      case PlfOpKind::kTipInner:
+        ks.down_ti_scale(op.args.down, op.scale, begin, end);
+        break;
+      case PlfOpKind::kGeneric:
+        ks.down_scale(op.args.down, op.scale, begin, end);
+        break;
+    }
   }
-  switch (op.kind) {
-    case PlfOpKind::kTipTip:
-      ks.down_tt_scale(op.tt, op.scale, begin, end);
-      break;
-    case PlfOpKind::kTipInner:
-      ks.down_ti_scale(op.args.down, op.scale, begin, end);
-      break;
-    case PlfOpKind::kGeneric:
-      ks.down_scale(op.args.down, op.scale, begin, end);
-      break;
-  }
+  run_cum_step(op.cum, begin, end);
+}
+
+/// Per-block partials combined in block order: the deterministic combine of
+/// every threaded reduction.
+double sum_partials(const ReducePartial* partials, std::size_t blocks) {
+  double sum = 0.0;
+  for (std::size_t b = 0; b < blocks; ++b) sum += partials[b].value;
+  return sum;
 }
 
 }  // namespace
 
-void ExecutionBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
+void run_cum_step(const CumArgs& a, std::size_t begin, std::size_t end) {
+  detail::check_cum(a, begin, end);
+  const float* sc = a.ln_scaler;
+  double* out = a.out;
+  if (a.left.cum != nullptr && a.right.cum != nullptr) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t c = a.site(i);
+      out[i] = static_cast<double>(sc[i]) + a.left.at(c) + a.right.at(c);
+    }
+  } else if (a.left.cum != nullptr || a.right.cum != nullptr) {
+    const CumChild& one = a.left.cum != nullptr ? a.left : a.right;
+    for (std::size_t i = begin; i < end; ++i) {
+      out[i] = static_cast<double>(sc[i]) + one.at(a.site(i));
+    }
+  } else {
+    for (std::size_t i = begin; i < end; ++i) {
+      out[i] = static_cast<double>(sc[i]);
+    }
+  }
+}
+
+double run_reduce_step(const KernelSet& ks, const RootReduceArgs& a,
+                       std::size_t begin, std::size_t end) {
+  simd::zero_upper();
+  return ks.root_reduce(a, begin, end);
+}
+
+double ExecutionBackend::run_plan(const KernelSet& ks, PlfPlan& plan) {
   detail::check_plan(plan);
   // Reference executor: ops in plan (level) order through the per-call
-  // entries, the paper's per-call structure. Every fused executor must match
-  // it bit for bit — and it keeps the per-kernel plf.* timer attribution,
-  // since each call still runs under its own scope on the calling thread.
+  // entries, the paper's per-call structure, then the per-call reduction.
+  // Every fused executor must match it bit for bit — and it keeps the
+  // per-kernel plf.* timer attribution, since each call still runs under its
+  // own scope on the calling thread. The cumulative scaler step runs on the
+  // calling thread, timed with the scaler it extends.
   for (const PlfOp& op : plan.ops()) {
     if (op.is_root) {
       PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
@@ -54,8 +94,11 @@ void ExecutionBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
     {
       PLF_PROF_SCOPE(obs::kTimerCondLikeScaler);
       run_scale(ks, op.scale, op.run_m);
+      run_cum_step(op.cum, 0, op.run_m);
     }
   }
+  PLF_PROF_SCOPE(obs::kTimerRootReduce);
+  return run_root_reduce(ks, plan.reduce(), plan.m());
 }
 
 void SerialBackend::run_down(const KernelSet& ks, const DownArgs& a,
@@ -72,15 +115,16 @@ void SerialBackend::run_scale(const KernelSet& ks, const ScaleArgs& a,
 }
 double SerialBackend::run_root_reduce(const KernelSet& ks,
                                       const RootReduceArgs& a, std::size_t m) {
-  return ks.root_reduce(a, 0, m);
+  return run_reduce_step(ks, a, 0, m);
 }
 
-void SerialBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
+double SerialBackend::run_plan(const KernelSet& ks, PlfPlan& plan) {
   detail::check_plan(plan);
   // Plan order through the fused entries: one CLV sweep per op (down/root +
-  // rescale in the same pass) and the tip-specialized gathers where the
-  // engine marked them. The rescale time lands in the down/root timer —
-  // that is the point of fusion; there is no separate scaler pass left.
+  // rescale + cumulative scalers in the same pass) and the tip-specialized
+  // gathers where the engine marked them. The rescale time lands in the
+  // down/root timer — that is the point of fusion; there is no separate
+  // scaler pass left.
   for (const PlfOp& op : plan.ops()) {
     if (op.is_root) {
       PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
@@ -90,6 +134,8 @@ void SerialBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
       run_op_fused(ks, op, 0, op.run_m);
     }
   }
+  PLF_PROF_SCOPE(obs::kTimerRootReduce);
+  return run_reduce_step(ks, plan.reduce(), 0, plan.m());
 }
 
 std::string ThreadedBackend::name() const {
@@ -120,44 +166,57 @@ void ThreadedBackend::run_scale(const KernelSet& ks, const ScaleArgs& a,
 double ThreadedBackend::run_root_reduce(const KernelSet& ks,
                                         const RootReduceArgs& a,
                                         std::size_t m) {
-  // Deterministic for a fixed thread count: static partitioning with the
-  // partial sums combined in thread order.
-  std::vector<double> partial(pool_.size(), 0.0);
-  pool_.parallel_for(
-      0, m,
-      [&](par::Range r, std::size_t tid) {
-        partial[tid] = ks.root_reduce(a, r.begin, r.end);
-      },
-      par::Schedule::kStatic);
-  double sum = 0.0;
-  for (double p : partial) sum += p;
-  return sum;
+  std::vector<ReducePartial> partials(pool_.size());
+  return reduce_region(ks, a, m, partials.data());
 }
 
-void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
+double ThreadedBackend::reduce_region(const KernelSet& ks,
+                                      const RootReduceArgs& a, std::size_t m,
+                                      ReducePartial* partials) {
+  // Deterministic for a fixed thread count: static partitioning with the
+  // partial sums combined in block order.
+  pool_.parallel_for(
+      0, m,
+      [&](par::Range r, std::size_t block) {
+        partials[block].value = run_reduce_step(ks, a, r.begin, r.end);
+      },
+      par::Schedule::kStatic);
+  return sum_partials(partials, pool_.size());
+}
+
+double ThreadedBackend::run_plan(const KernelSet& ks, PlfPlan& plan) {
   detail::check_plan(plan);
   // Two fusion regimes, both exact because every kernel is per-row
   // elementwise: row r of an op's output depends only on one row of each
-  // child (and rescaling is per-row), so for a FIXED chunk partition any
-  // regrouping of (op, chunk) work onto workers computes bit-identical
-  // results, in any order that keeps each chunk's ops in level order.
+  // child (and rescaling and the cumulative scaler step are per-row), so for
+  // a FIXED chunk partition any regrouping of (op, chunk) work onto workers
+  // computes bit-identical results, in any order that keeps each chunk's
+  // ops in level order.
   //
   //  - Vertical: a maximal run of levels whose ops are all dense and
   //    full-width executes as ONE parallel region over [0, m): each worker
-  //    runs the entire op chain — down/root + scale per op, in plan order —
-  //    over its own site chunk. A dense op reads a dense in-run child at the
-  //    same site, so no worker ever reads a chunk another worker wrote and
-  //    no intra-run barrier is needed at all: a k-node dirty path costs 1
-  //    region instead of per-call's 2k, and a child's chunk is still
-  //    cache-hot when the parent op consumes it.
+  //    runs the entire op chain — down/root + scale + cum per op, in plan
+  //    order — over its own site chunk. A dense op reads a dense in-run
+  //    child at the same site, so no worker ever reads a chunk another
+  //    worker wrote and no intra-run barrier is needed at all: a k-node
+  //    dirty path costs 1 region instead of per-call's 2k, and a child's
+  //    chunk is still cache-hot when the parent op consumes it.
   //  - Horizontal: a level containing repeat-compacted ops cannot cross the
   //    next level without a barrier: a parent reads a compacted child's rows
   //    through its class map (ChildArgs::row_of), which can land in any
   //    worker's chunk, so the region's end-of-level barrier must complete
   //    the child first. Such a level concatenates its ops into one iteration
-  //    space (prefix sums over run_m) and fuses down+scale per segment — 1
-  //    region per level vs per-call's 2 per op.
+  //    space (prefix sums over run_m) and fuses down+scale+cum per segment —
+  //    1 region per level vs per-call's 2 per op.
+  //
+  // The root reduction closes the plan. The root is dense and alone on the
+  // last level, so the last run is vertical, and its region also reduces
+  // each static block right after the root op wrote it: the same blocks and
+  // block-order combine as run_root_reduce, hence the same bits, without a
+  // region of its own. Only a plan with no ops opens a reduce-only region.
   const std::vector<PlfOp>& ops = plan.ops();
+  ReducePartial* partials = plan.reduce_partials(pool_.size());
+  bool reduced = false;
   std::vector<std::size_t> offs;
   std::size_t level = 0;
   while (level < plan.n_levels()) {
@@ -178,20 +237,32 @@ void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
     if (vend > level) {
       const std::size_t ob = plan.level_begin(level);
       const std::size_t oe = plan.level_end(vend - 1);
+      const bool last = vend == plan.n_levels();
       for (std::size_t l = level; l < vend; ++l) {
         PLF_PROF_COUNT(obs::kCounterPlanLevels, 1);
         PLF_PROF_COUNT(obs::kCounterPlanOps,
                        plan.level_end(l) - plan.level_begin(l));
       }
-      PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, 2 * (oe - ob) - 1);
+      // Per-call opens 2 regions per op (+1 for the reduction this run
+      // absorbs when it is the last).
+      PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved,
+                     2 * (oe - ob) - (last ? 0 : 1));
       {
         PLF_PROF_SCOPE(obs::kTimerPlanLevel);
-        pool_.parallel_for(0, plan.m(), [&](par::Range r, std::size_t) {
-          for (std::size_t i = ob; i < oe; ++i) {
-            run_op_fused(ks, ops[i], r.begin, r.end);
-          }
-        });
+        pool_.parallel_for(
+            0, plan.m(),
+            [&](par::Range r, std::size_t block) {
+              for (std::size_t i = ob; i < oe; ++i) {
+                run_op_fused(ks, ops[i], r.begin, r.end);
+              }
+              if (last) {
+                partials[block].value =
+                    run_reduce_step(ks, plan.reduce(), r.begin, r.end);
+              }
+            },
+            par::Schedule::kStatic);
       }
+      reduced = last;
       level = vend;
       continue;
     }
@@ -230,6 +301,12 @@ void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
       });
     }
   }
+
+  if (!reduced) {
+    PLF_PROF_SCOPE(obs::kTimerRootReduce);
+    return reduce_region(ks, plan.reduce(), plan.m(), partials);
+  }
+  return sum_partials(partials, pool_.size());
 }
 
 std::string PerCallBackend::name() const {

@@ -14,11 +14,12 @@
 //       one synchronization per call (the paper's per-call structure whose
 //       spawn/sync overhead drives Fig. 9);
 //   run_plan — a whole evaluation's dependency-leveled batch of PlfOps
-//       (core/plan.hpp), the engine's only way in. The default
-//       implementation loops ops through the per-call entries, so every
-//       backend is plan-capable and bit-identical to the per-call structure
-//       from day one; fused backends override it to amortize synchronization
-//       across a level. PerCallBackend pins any backend to that default.
+//       closed by the root reduction (core/plan.hpp), the engine's only way
+//       in; it returns the log likelihood. The default implementation loops
+//       ops through the per-call entries, so every backend is plan-capable
+//       and bit-identical to the per-call structure from day one; fused
+//       backends override it to amortize synchronization across a level.
+//       PerCallBackend pins any backend to that default.
 #pragma once
 
 #include <cstddef>
@@ -82,13 +83,28 @@ class ExecutionBackend {
                                  const RootReduceArgs& args, std::size_t m) = 0;
 
   /// Execute a finalized dependency-leveled batch (see core/plan.hpp):
-  /// every op's fused down/root + scale kernels over its run_m stored rows,
-  /// respecting level order. The default walks ops in plan order through
-  /// the per-call entries above: two synchronous calls per op, the paper's
-  /// per-call structure. Overrides must stay bit-identical to it (per-row
-  /// math is partition-invariant; level order keeps the data dependencies).
-  virtual void run_plan(const KernelSet& ks, const PlfPlan& plan);
+  /// every op's fused down/root + scale kernels and its cumulative scaler
+  /// step over its run_m stored rows, respecting level order, then the
+  /// plan's root reduction; returns the log likelihood. The default walks
+  /// ops in plan order through the per-call entries above: two synchronous
+  /// calls per op and one for the reduction, the paper's per-call
+  /// structure. Overrides must stay bit-identical to it (per-row math is
+  /// partition-invariant; level order keeps the data dependencies; the
+  /// reduction keeps the backend's own partition and combine order).
+  virtual double run_plan(const KernelSet& ks, PlfPlan& plan);
 };
+
+/// The plan tail's two per-site steps (docs/EXECUTION_PLAN.md, "The plan
+/// tail"), one definition each for every run_plan.
+///
+/// Cumulative scaler rows [begin, end) of one op: call right after the op's
+/// scale step over the same rows.
+void run_cum_step(const CumArgs& a, std::size_t begin, std::size_t end);
+/// Root-reduction partial over sites [begin, end), with the upper vector
+/// state cleared first (simd::zero_upper): a block may follow AVX kernels or
+/// run on a thread whose caller left it dirty.
+double run_reduce_step(const KernelSet& ks, const RootReduceArgs& a,
+                       std::size_t begin, std::size_t end);
 
 /// Everything on the calling thread (the paper's Baseline system).
 class SerialBackend final : public ExecutionBackend {
@@ -103,17 +119,18 @@ class SerialBackend final : public ExecutionBackend {
   double run_root_reduce(const KernelSet& ks, const RootReduceArgs& a,
                          std::size_t m) override;
   /// Ops in plan order through the fused + tip-specialized kernel entries
-  /// (one CLV sweep per op instead of two).
-  void run_plan(const KernelSet& ks, const PlfPlan& plan) override;
+  /// (one CLV sweep per op instead of two), then the reduction.
+  double run_plan(const KernelSet& ks, PlfPlan& plan) override;
 };
 
 /// OpenMP-style parallel-for over the outermost pattern loop (§3.2): one
 /// parallel region per PLF invocation with an implicit barrier at the end —
 /// the spawn/sync structure whose overhead drives Fig. 9. run_plan lifts
-/// that structure to one region per dependency level: all of a level's ops
-/// are concatenated into a single iteration space and each worker fuses
-/// down/root + scale on its chunk, so a node costs ~1/(2·level width) of the
-/// former spawn/sync overhead (docs/EXECUTION_PLAN.md has the arithmetic).
+/// that structure to one region per run of dense levels (or per level with
+/// compacted ops): each worker fuses down/root + scale + cumulative scalers
+/// on its chunk, and the last region also reduces the root over the same
+/// static blocks, so a dense evaluation is one region in all
+/// (docs/EXECUTION_PLAN.md has the arithmetic).
 class ThreadedBackend final : public ExecutionBackend {
  public:
   explicit ThreadedBackend(par::ThreadPool& pool) : pool_(pool) {}
@@ -127,21 +144,27 @@ class ThreadedBackend final : public ExecutionBackend {
   void run_scale(const KernelSet& ks, const ScaleArgs& a, std::size_t m) override;
   double run_root_reduce(const KernelSet& ks, const RootReduceArgs& a,
                          std::size_t m) override;
-  void run_plan(const KernelSet& ks, const PlfPlan& plan) override;
+  double run_plan(const KernelSet& ks, PlfPlan& plan) override;
 
   par::ThreadPool& pool() { return pool_; }
 
  private:
+  /// One region reducing [0, m) over the static blocks into `partials`
+  /// (pool().size() slots), combined in block order.
+  double reduce_region(const KernelSet& ks, const RootReduceArgs& a,
+                       std::size_t m, ReducePartial* partials);
+
   par::ThreadPool& pool_;
 };
 
 /// The paper's per-call structure over any backend: forwards the four
 /// per-call entries to `inner` but keeps the base run_plan, so every plan op
-/// costs two synchronous calls (down/root, then scale) — on a ThreadedBackend
-/// two parallel regions per op, the Fig. 9 spawn/sync overhead. Bit-identical
-/// to `inner` by the run_plan contract; the A/B reference for the fusion
-/// ablation and the 0-ULP twins. Advertises only inner's kSiteRepeats, so the
-/// engine never hands it tip-specialized ops. `inner` must outlive it.
+/// costs two synchronous calls (down/root, then scale) and the reduction one
+/// more — on a ThreadedBackend 2·ops + 1 parallel regions, the Fig. 9
+/// spawn/sync overhead. Bit-identical to `inner` by the run_plan contract;
+/// the A/B reference for the fusion ablation and the 0-ULP twins. Advertises
+/// only inner's kSiteRepeats, so the engine never hands it tip-specialized
+/// ops. `inner` must outlive it.
 class PerCallBackend final : public ExecutionBackend {
  public:
   explicit PerCallBackend(ExecutionBackend& inner) : inner_(inner) {}

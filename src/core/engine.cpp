@@ -242,7 +242,18 @@ void PlfEngine::set_model(const phylo::GtrParams& params) {
   PLF_CHECK(params.n_rate_categories == model_.n_rate_categories(),
             "set_model: rate category count is fixed at engine construction");
   if (in_proposal_ && !old_params_) old_params_ = model_.params();
+  // p_invariant enters only the root reduction's +I mixture: no transition
+  // matrix or CLV depends on it, so a move of it alone dirties nothing and
+  // the next evaluation's plan holds only the reduction.
+  const phylo::GtrParams& cur = model_.params();
+  const bool clvs_unchanged = params.rates == cur.rates &&
+                              params.pi == cur.pi &&
+                              params.gamma_shape == cur.gamma_shape;
   assign_model(params);
+  if (clvs_unchanged) {
+    lik_valid_ = false;
+    return;
+  }
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     if (tree_.node(static_cast<int>(id)).parent != phylo::kNoNode) {
       mark_branch_dirty(static_cast<int>(id));
@@ -362,6 +373,16 @@ void PlfEngine::collect_recompute_targets() {
     }
   }
 
+  // The root reduction reads the root's rows: with the root clean (a move
+  // that dirtied no CLV), an evicted root rematerializes like any child.
+  const int root = tree_.root();
+  if (recompute_[static_cast<std::size_t>(root)] == 0 &&
+      !arena_.resident(
+          clv_slot(root, nodes_[static_cast<std::size_t>(root)].active))) {
+    recompute_[static_cast<std::size_t>(root)] = 1;
+    work.push_back(root);
+  }
+
   // Grow the set with evicted ancestors: every internal child an in-set node
   // reads must be resident, and a non-resident one joins the set as a
   // rematerialization — recursively, since its own children may be evicted
@@ -445,6 +466,22 @@ void PlfEngine::build_plan() {
   }
   const std::vector<int> levels = compute_levels(tree_, recompute_);
 
+  // A child's cumulative row, resolved like its CLV in make_child (children
+  // come first in the postorder, so a recomputed child's target row is
+  // already allocated).
+  const auto make_cum_child = [this](int node) {
+    CumChild cc;
+    if (tree_.node(node).is_leaf()) return cc;
+    const NodeState& cs = nodes_[static_cast<std::size_t>(node)];
+    const int target = plan_target_[static_cast<std::size_t>(node)];
+    cc.cum = cs.cum[static_cast<std::size_t>(target >= 0 ? target : cs.active)]
+                 .data();
+    if (const NodeRepeats* nr = repeats_for(node)) {
+      cc.row_of = nr->class_of_site.data();
+    }
+    return cc;
+  };
+
   plan_.reset(tree_.n_nodes(), m_);
   for (const RecomputeEntry& e : recompute_targets_) {
     const int id = e.node;
@@ -454,6 +491,8 @@ void PlfEngine::build_plan() {
     float* out = arena_.data(clv_slot(id, target));
     float* ln_scaler = st.scaler.data();
     const NodeRepeats* nr = repeats_for(id);
+    aligned_vector<double>& cum = st.cum[static_cast<std::size_t>(target)];
+    cum.resize(m_);  // allocated on first write
 
     PlfOp op;
     op.node = id;
@@ -479,6 +518,13 @@ void PlfEngine::build_plan() {
     op.scale.cl = out;
     op.scale.ln_scaler = ln_scaler;
     op.scale.K = k_;
+    // Tree order, before the tip canonicalization below may swap the kernel
+    // children: the sum's order fixes its bits.
+    op.cum.out = cum.data();
+    op.cum.ln_scaler = ln_scaler;
+    op.cum.left = make_cum_child(n.left);
+    op.cum.right = make_cum_child(n.right);
+    op.cum.site_index = op.args.down.site_index;
 
     // Tip specialization (docs/KERNELS.md): a cherry op becomes a pair-table
     // gather, a one-tip op the branch-free tip×inner kernel. The tip child is
@@ -546,9 +592,31 @@ void PlfEngine::build_plan() {
   plan_.finalize();
   PLF_DCHECK(plan_.n_ops() == recompute_targets_.size(),
              "plan must cover the dirty set exactly");
+
+  // The closing root reduction (with the +I mixture when enabled) reads the
+  // root's rows as the plan leaves them. The root's cumulative row is the
+  // per-pattern total over all nodes.
+  const int root = tree_.root();
+  const NodeState& rs = nodes_[static_cast<std::size_t>(root)];
+  const int root_target = plan_target_[static_cast<std::size_t>(root)];
+  const int root_buf = root_target >= 0 ? root_target : rs.active;
+  RootReduceArgs rr;
+  rr.cl = arena_.data(clv_slot(root, root_buf));
+  rr.ln_scaler_total = rs.cum[static_cast<std::size_t>(root_buf)].data();
+  rr.weights = data_.weights().data();
+  const auto& pi = model_.pi();
+  for (std::size_t i = 0; i < 4; ++i) rr.pi[i] = static_cast<float>(pi[i]);
+  rr.K = k_;
+  if (model_.params().p_invariant > 0.0) {
+    rr.const_lik = const_lik_.data();
+    rr.p_invariant = static_cast<float>(model_.params().p_invariant);
+  }
+  plan_.set_reduce(rr);
+
   // No kernel may ever receive an evicted/unmapped CLV pointer: verify the
   // arena x plan handoff before any backend touches an op.
   detail::check_arena(arena_, plan_);
+  if (plan_.empty()) return;
   ++stats_.plan_builds;
   stats_.plan_ops += plan_.n_ops();
   stats_.plan_levels += plan_.n_levels();
@@ -569,64 +637,6 @@ void PlfEngine::post_process_plan() {
       }
     }
     st.dirty = false;
-  }
-}
-
-void PlfEngine::sum_scalers() {
-  // cum[v][r] = ln_s[v][r] + cum[left][row_l(c)] + cum[right][row_r(c)],
-  // summed in exactly that order with children in tree order (a leaf child
-  // contributes nothing). c is row r's site — its class representative when
-  // v is compacted — and row_x(c) is child x's stored row for c. Every site
-  // of a class shares both child classes, so each compacted sum is the dense
-  // sum of any of its sites, bit for bit. Every child's active row is final
-  // here: it was recomputed earlier in this postorder, or it is clean and
-  // its row is a pure function of its unchanged subtree.
-  struct ChildCum {
-    const double* cum = nullptr;  ///< nullptr: leaf child
-    const std::uint32_t* row_of = nullptr;  ///< nullptr: dense child
-    double at(std::size_t c) const {
-      return cum[row_of != nullptr ? row_of[c] : c];
-    }
-  };
-  const auto child_cum = [this](int child) {
-    ChildCum cc;
-    if (tree_.node(child).is_leaf()) return cc;
-    const NodeState& cs = nodes_[static_cast<std::size_t>(child)];
-    cc.cum = cs.cum[static_cast<std::size_t>(cs.active)].data();
-    if (const NodeRepeats* nr = repeats_for(child)) {
-      cc.row_of = nr->class_of_site.data();
-    }
-    return cc;
-  };
-  for (const RecomputeEntry& e : recompute_targets_) {
-    NodeState& st = nodes_[static_cast<std::size_t>(e.node)];
-    const phylo::TreeNode& n = tree_.node(e.node);
-    aligned_vector<double>& row = st.cum[static_cast<std::size_t>(st.active)];
-    row.resize(m_);  // allocated on first write
-    double* cum = row.data();
-    const float* sc = st.scaler.data();
-    const std::size_t rows = st.rows[static_cast<std::size_t>(st.active)];
-    const NodeRepeats* nr = repeats_for(e.node);
-    const std::uint32_t* site =
-        nr != nullptr ? nr->unique_sites.data() : nullptr;
-    const ChildCum l = child_cum(n.left);
-    const ChildCum r = child_cum(n.right);
-    if (l.cum != nullptr && r.cum != nullptr) {
-      for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t c = site != nullptr ? site[i] : i;
-        cum[i] = static_cast<double>(sc[i]) + l.at(c) + r.at(c);
-      }
-    } else if (l.cum != nullptr || r.cum != nullptr) {
-      const ChildCum& one = l.cum != nullptr ? l : r;
-      for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t c = site != nullptr ? site[i] : i;
-        cum[i] = static_cast<double>(sc[i]) + one.at(c);
-      }
-    } else {
-      for (std::size_t i = 0; i < rows; ++i) {
-        cum[i] = static_cast<double>(sc[i]);
-      }
-    }
   }
 }
 
@@ -665,57 +675,29 @@ void PlfEngine::evaluate() {
   // before any kernel runs.
   stage_arena();
 
-  // 2b. Execute.
-  if (!recompute_targets_.empty()) {
-    serial_sw.reset();
-    {
-      PLF_PROF_SCOPE(obs::kTimerPlanBuild);
-      Stopwatch build_sw;
-      build_plan();
-      stats_.plan_build_seconds += build_sw.seconds();
-    }
-    stats_.serial_seconds += serial_sw.seconds();
-
-    Stopwatch plf_sw;
-    {
-      PLF_PROF_SCOPE(obs::kTimerPlanExecute);
-      backend_->run_plan(*kernels_, plan_);
-    }
-    stats_.plf_seconds += plf_sw.seconds();
-
-    post_process_plan();
-
-    // 3. Fold the new scaler rows into the cumulative rows.
-    serial_sw.reset();
-    {
-      PLF_PROF_SCOPE(obs::kTimerScalerSum);
-      sum_scalers();
-    }
-    stats_.serial_seconds += serial_sw.seconds();
-  }
-
-  // 4. Root reduction (with the +I invariant-sites mixture when enabled).
-  // The root's cumulative row is the per-pattern total over all nodes.
-  Stopwatch reduce_sw;
-  RootReduceArgs rr;
-  const NodeState& root = nodes_[static_cast<std::size_t>(tree_.root())];
-  rr.cl = arena_.data(clv_slot(tree_.root(), root.active));
-  rr.ln_scaler_total = root.cum[static_cast<std::size_t>(root.active)].data();
-  rr.weights = data_.weights().data();
-  const auto& pi = model_.pi();
-  for (std::size_t i = 0; i < 4; ++i) rr.pi[i] = static_cast<float>(pi[i]);
-  rr.K = k_;
-  if (model_.params().p_invariant > 0.0) {
-    rr.const_lik = const_lik_.data();
-    rr.p_invariant = static_cast<float>(model_.params().p_invariant);
-  }
+  // 2b. Build the plan. A move that dirtied no CLV (p_invariant alone)
+  // builds one without ops: only the root reduction runs.
+  serial_sw.reset();
   {
-    PLF_PROF_SCOPE(obs::kTimerRootReduce);
-    ln_lik_ = backend_->run_root_reduce(*kernels_, rr, m_);
+    PLF_PROF_SCOPE(obs::kTimerPlanBuild);
+    Stopwatch build_sw;
+    build_plan();
+    stats_.plan_build_seconds += build_sw.seconds();
   }
+  stats_.serial_seconds += serial_sw.seconds();
+
+  // 3. Execute: every op with its cumulative scaler rows, then the root
+  // reduction, which returns the log likelihood.
+  Stopwatch plf_sw;
+  {
+    PLF_PROF_SCOPE(obs::kTimerPlanExecute);
+    ln_lik_ = backend_->run_plan(*kernels_, plan_);
+  }
+  stats_.plf_seconds += plf_sw.seconds();
   ++stats_.reduce_calls;
   stats_.pattern_iterations += m_;
-  stats_.plf_seconds += reduce_sw.seconds();
+
+  post_process_plan();
 
   // The evaluation's working set survives until here (the root reduction
   // reads the root CLV); from the next evaluation on, everything is fair

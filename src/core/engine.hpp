@@ -50,8 +50,8 @@ struct EngineStats {
   std::uint64_t reduce_calls = 0;
   std::uint64_t tm_builds = 0;            ///< per-branch matrix rebuilds
   std::uint64_t pattern_iterations = 0;   ///< sites actually iterated by kernels
-  double plf_seconds = 0.0;               ///< wall time inside kernels
-  double serial_seconds = 0.0;            ///< matrix rebuilds + scaler sums
+  double plf_seconds = 0.0;               ///< wall time in run_plan
+  double serial_seconds = 0.0;            ///< matrix rebuilds + plan builds
 
   // Site-repeat caching (docs/SITE_REPEATS.md). A "hit" is a kernel call that
   // took the compacted path; sites_total/sites_computed cover hits only, so
@@ -228,20 +228,21 @@ class PlfEngine {
   /// its recompute set with this ancestor (test hook for the remat path).
   void evict_node_for_test(int node);
   /// The most recently built execution plan (tests: leveling of evicted
-  /// ancestors). Meaningful after an evaluation that recomputed a node.
+  /// ancestors). It has no ops after an evaluation that recomputed no node.
   const PlfPlan& last_plan() const { return plan_; }
 
  private:
   struct NodeState {
     /// The scale kernel's per-row log scalers for the last op on this node:
-    /// scratch that only the ScalerSum pass reads, so one buffer.
+    /// scratch that only the op's own cumulative step reads, so one buffer.
     aligned_vector<float> scaler;
     /// Cumulative log scalers: per stored row, the sum of the scaler rows of
     /// every internal node in this subtree. A pure function of the subtree,
     /// double-buffered with the CLV (same `active` index and row layout), so
     /// reject flips, topology moves, rematerializations and restores need no
-    /// special case. A buffer is allocated when the scaler pass first writes
-    /// it; only a dirty node's active buffer can still be empty.
+    /// special case. A buffer is allocated when a plan first targets it
+    /// (each op writes its row in the plan, right after its scale step);
+    /// only a dirty node's active buffer can still be empty.
     std::array<aligned_vector<double>, 2> cum;
     /// Stored rows of each buffer (CLV and cum alike): the node's class
     /// count when build_plan compacted it, else m. Unwritten buffers are
@@ -316,9 +317,6 @@ class PlfEngine {
   void build_plan() PLF_REQUIRES(checker_);
   /// Deferred flips + dirty clearing after a plan executes.
   void post_process_plan() PLF_REQUIRES(checker_);
-  /// Rebuild the active cumulative scaler row of every recomputed node, in
-  /// recompute postorder (children before parents, after the flips).
-  void sum_scalers() PLF_REQUIRES(checker_);
   /// The one place model_ is assigned: also refreshes const_lik_.
   void assign_model(const phylo::GtrParams& params);
   /// Repeat classes to compact node `id` with, or nullptr for the dense path
@@ -361,8 +359,7 @@ class PlfEngine {
 
   // Batched dispatch (core/plan.hpp). recompute_targets_ is the dirty
   // postorder with each node's resolved write target — the input of the plan
-  // build and of the cumulative scaler pass, which relies on its
-  // children-before-parents order.
+  // build, which relies on its children-before-parents order.
   PlfPlan plan_;
   std::vector<RecomputeEntry> recompute_targets_;
   std::vector<char> recompute_;    ///< node id -> in recompute set (scratch)

@@ -173,6 +173,12 @@ inline void check_root_reduce(const RootReduceArgs& a, std::size_t begin,
              "root_reduce: null array");
 }
 
+inline void check_cum(const CumArgs& a, std::size_t begin, std::size_t end) {
+  PLF_DCHECK(begin <= end, "cum step: reversed row range");
+  PLF_DCHECK(a.out != nullptr && a.ln_scaler != nullptr,
+             "cum step: null array");
+}
+
 /// Trust boundary of batched dispatch: every run_plan implementation calls
 /// this once per plan before touching any op. Checked-build body verifies
 /// the properties the executors rely on for correctness under fusion and
@@ -187,6 +193,8 @@ inline void check_root_reduce(const RootReduceArgs& a, std::size_t begin,
 ///   - the fused scale stage aliases the op's own down/root output
 ///     (scale.cl == args.down.out) with a real scaler row to fill, so a
 ///     backend may rescale each site chunk immediately after computing it;
+///   - the cumulative scaler step reads that scaler row and shares the op's
+///     site index, so it may run on the same chunk right after the scale;
 ///   - run_m never exceeds the plan's pattern count, and a compacted op's
 ///     run_m/site_index agree with its repeat classes;
 ///   - the root op is dense: the root reduction reads its CLV and scaler
@@ -213,6 +221,10 @@ inline void check_plan(const PlfPlan& plan) {
                  "run_plan: fused scale must alias the op's down output");
       PLF_DCHECK(op.scale.ln_scaler != nullptr,
                  "run_plan: fused scale needs a scaler row");
+      PLF_DCHECK(op.cum.out != nullptr &&
+                     op.cum.ln_scaler == op.scale.ln_scaler &&
+                     op.cum.site_index == op.args.down.site_index,
+                 "run_plan: cum step must follow the op's own scale step");
       PLF_DCHECK(op.run_m <= plan.m(), "run_plan: op exceeds pattern count");
       if (op.kind != PlfOpKind::kGeneric) {
         PLF_DCHECK(!op.is_root,

@@ -10,6 +10,7 @@
 
 #include "core/kernel_contracts.hpp"
 #include "core/kernels.hpp"
+#include "simd/simd.hpp"
 
 namespace plf::core {
 
@@ -163,6 +164,7 @@ void root_scale_scalar(const RootArgs& a, const ScaleArgs& s,
 
 double root_reduce_scalar(const RootReduceArgs& a, std::size_t begin,
                           std::size_t end) {
+  simd::zero_upper();  // std::log enters through a legacy-SSE glibc wrapper
   detail::check_root_reduce(a, begin, end);
   double partial = 0.0;
   const double inv_k = 1.0 / static_cast<double>(a.K);

@@ -15,6 +15,7 @@
 
 #include "core/kernel_contracts.hpp"
 #include "core/kernels.hpp"
+#include "simd/simd.hpp"
 #include "simd/vec4f.hpp"
 
 namespace plf::core {
@@ -165,6 +166,7 @@ void root_scale_row(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
 
 double root_reduce_simd(const RootReduceArgs& a, std::size_t begin,
                         std::size_t end) {
+  simd::zero_upper();  // std::log enters through a legacy-SSE glibc wrapper
   detail::check_root_reduce(a, begin, end);
   PLF_DCHECK_ALIGNED(a.cl, detail::kKernelAlignBytes);
   const Vec4f pi(a.pi[0], a.pi[1], a.pi[2], a.pi[3]);

@@ -14,6 +14,7 @@ void PlfPlan::reset(std::size_t n_nodes, std::size_t m) {
   node_level_.assign(n_nodes, -1);
   m_ = m;
   finalized_ = false;
+  reduce_ = RootReduceArgs{};
 }
 
 void PlfPlan::add(const PlfOp& op, std::size_t level) {
@@ -33,8 +34,7 @@ void PlfPlan::finalize() {
   std::size_t n_levels = 0;
   for (std::size_t l : op_level_) n_levels = std::max(n_levels, l + 1);
   // Counting sort by level: stable, so within a level the engine's postorder
-  // insertion order — the recompute order of the scaler passes — is
-  // preserved.
+  // insertion order is preserved.
   std::vector<std::size_t> counts(n_levels, 0);
   for (std::size_t l : op_level_) counts[l]++;
   level_offsets_.assign(n_levels + 1, 0);
@@ -56,6 +56,12 @@ int PlfPlan::level_of_node(int node) const {
     return -1;
   }
   return node_level_[static_cast<std::size_t>(node)];
+}
+
+ReducePartial* PlfPlan::reduce_partials(std::size_t blocks) {
+  if (partials_.size() < blocks) partials_.resize(blocks);
+  std::fill(partials_.begin(), partials_.begin() + blocks, ReducePartial{});
+  return partials_.data();
 }
 
 std::vector<int> compute_levels(const phylo::Tree& tree,

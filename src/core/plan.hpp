@@ -4,24 +4,28 @@
 // (down/root, then scale, each with its own spawn/sync barrier) — the
 // overhead structure the paper blames for the Fig. 9 scaling loss. A
 // `PlfPlan` replaces that with ONE dependency-ordered batch per evaluation:
-// every dirty node becomes a `PlfOp` carrying the fused down/root + scale
-// argument blocks, and ops are grouped into *dependency levels* such that
+// every dirty node becomes a `PlfOp` carrying the fused down/root + scale +
+// cumulative-scaler argument blocks, and ops are grouped into *dependency
+// levels* such that
 //
 //   - all ops within a level are mutually independent (no op reads another
 //     same-level op's output), and
 //   - every op's children are scheduled in a strictly earlier level (or are
 //     not in the plan at all, i.e. their CLVs are already valid).
 //
-// Each backend then executes the batch its own way: the base
+// The root reduction closes every plan, and run_plan returns the lnL. Each
+// backend executes the batch its own way: the base
 // ExecutionBackend::run_plan loops ops through the per-call entries
 // (the per-call structure; PerCallBackend pins it), the threaded backend
-// opens one parallel region per level with down+scale fused per site chunk
-// (2 barriers/node -> 1 barrier/level), and the GPU backend keeps each op's
-// CLV block device-resident between the down and scale kernels, coalescing
-// the PCIe round trip. See docs/EXECUTION_PLAN.md.
+// opens one parallel region per run of dense levels with down+scale+cum
+// fused per site chunk and the reduction folded into the last one, and the
+// GPU backend keeps each op's CLV block device-resident between the down
+// and scale kernels, coalescing the PCIe round trip. See
+// docs/EXECUTION_PLAN.md.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -39,6 +43,36 @@ enum class PlfOpKind : std::uint8_t {
   kGeneric,   ///< down/root with per-site child-kind dispatch
   kTipInner,  ///< left child tip, right internal (engine canonicalizes)
   kTipTip,    ///< cherry: both children tips, pair-table gather (PlfOp::tt)
+};
+
+/// One child's cumulative log-scaler row, as the op that reads it sees it.
+struct CumChild {
+  const double* cum = nullptr;            ///< nullptr: tip child (adds nothing)
+  const std::uint32_t* row_of = nullptr;  ///< nullptr: dense child
+  double at(std::size_t c) const {
+    return cum[row_of != nullptr ? row_of[c] : c];
+  }
+};
+
+/// The cumulative log-scaler step of one op (docs/EXECUTION_PLAN.md, "The
+/// plan tail"). For stored row i of site c = site(i):
+///   out[i] = double(ln_scaler[i]) + left.at(c) + right.at(c),
+/// summed in exactly that order, children in tree order. Every site of a
+/// repeat class shares both child classes, so a compacted row holds the
+/// dense sum of any of its sites, bit for bit. The step is per-row
+/// elementwise, like the scale step whose output it reads, so a backend runs
+/// it on the same chunk right after that step.
+struct CumArgs {
+  double* out = nullptr;             ///< the op's target cumulative row
+  const float* ln_scaler = nullptr;  ///< the op's scale-step output
+  CumChild left;
+  CumChild right;
+  /// Compacted op: row i is computed from site site_index[i].
+  const std::uint32_t* site_index = nullptr;
+
+  std::size_t site(std::size_t i) const {
+    return site_index != nullptr ? site_index[i] : i;
+  }
 };
 
 /// One node recomputation: the fused down/root + scale invocation. The
@@ -61,6 +95,9 @@ struct PlfOp {
   /// (contract-checked), so a backend may run it per site chunk immediately
   /// after the down/root kernel — rescaling is per-site.
   ScaleArgs scale;
+  /// Cumulative scaler step after the scale step (cum.ln_scaler aliases
+  /// scale.ln_scaler; contract-checked).
+  CumArgs cum;
   /// Rows the kernels compute and store: the compacted class count when
   /// `repeats` is set, else the full pattern count.
   std::size_t run_m = 0;
@@ -71,9 +108,17 @@ struct PlfOp {
   const NodeRepeats* repeats = nullptr;
 };
 
-/// A dependency-leveled batch of PlfOps. Build with add() (any level order),
-/// then finalize() groups ops by level — stably, so within a level the
-/// engine's postorder insertion order is preserved.
+/// One block's root-reduction partial, alone on its cache line so that
+/// blocks running on different threads never share one.
+struct alignas(64) ReducePartial {
+  double value = 0.0;
+};
+
+/// A dependency-leveled batch of PlfOps closed by the root reduction. Build
+/// with add() (any level order), then finalize() groups ops by level —
+/// stably, so within a level the engine's postorder insertion order is
+/// preserved. run_plan executes the ops, then reduces the root's rows
+/// (reduce()) and returns the log likelihood.
 class PlfPlan {
  public:
   /// Start a new plan over `n_nodes` tree nodes and `m` dense patterns.
@@ -105,6 +150,16 @@ class PlfPlan {
   /// Level of the op recomputing `node`, or -1 when `node` has no op.
   int level_of_node(int node) const;
 
+  /// The root reduction that closes the plan: it reads the root's rows as
+  /// the plan leaves them (the root op's output when the plan has one).
+  void set_reduce(const RootReduceArgs& a) { reduce_ = a; }
+  const RootReduceArgs& reduce() const { return reduce_; }
+
+  /// `blocks` zeroed per-block partial slots for a parallel reduction. The
+  /// plan, not the backend, owns them: several engines may run their plans
+  /// on one backend at once. Reallocates only when `blocks` grows.
+  ReducePartial* reduce_partials(std::size_t blocks);
+
  private:
   std::vector<PlfOp> ops_;
   std::vector<std::size_t> op_level_;        ///< pre-finalize, parallel to ops_
@@ -112,6 +167,8 @@ class PlfPlan {
   std::vector<int> node_level_;              ///< node id -> level, -1 outside
   std::size_t m_ = 0;
   bool finalized_ = false;
+  RootReduceArgs reduce_;
+  std::vector<ReducePartial> partials_;
 };
 
 /// Dependency levels for a recompute set: level[id] = -1 for nodes outside

@@ -9,6 +9,7 @@
 #include "obs/names.hpp"
 #include "obs/profile.hpp"
 #include "phylo/dna.hpp"
+#include "simd/simd.hpp"
 #include "util/error.hpp"
 
 namespace plf::gpu {
@@ -326,13 +327,14 @@ double GpuPlf::scale_on_device(float* cl, float* sc, std::size_t m,
   return kt;
 }
 
-void GpuPlf::run_plan(const core::KernelSet& /*ks*/,
-                      const core::PlfPlan& plan) {
+double GpuPlf::run_plan(const core::KernelSet& ks, core::PlfPlan& plan) {
   core::detail::check_plan(plan);
   // Level order is all the dependency structure requires; within a level the
   // batch runs in plan order. Each op goes through the fused staged path —
   // one H2D of inputs, down/root + scale kernels back to back on the
-  // device-resident block, one D2H of the scaled result and its scaler row.
+  // device-resident block, one D2H of the scaled result and its scaler row —
+  // and the host folds the returned scaler row into the op's cumulative
+  // row. The device reduction closes the plan.
   for (std::size_t level = 0; level < plan.n_levels(); ++level) {
     PLF_PROF_SCOPE(obs::kTimerPlanLevel);
     for (std::size_t i = plan.level_begin(level); i < plan.level_end(level);
@@ -342,8 +344,11 @@ void GpuPlf::run_plan(const core::KernelSet& /*ks*/,
                 "GpuPlf is a dense-only backend: compacted op rejected");
       down_like(op.args.down, op.run_m, op.is_root ? &op.args : nullptr,
                 &op.scale);
+      core::run_cum_step(op.cum, 0, op.run_m);
     }
   }
+  PLF_PROF_SCOPE(obs::kTimerRootReduce);
+  return run_root_reduce(ks, plan.reduce(), plan.m());
 }
 
 double GpuPlf::run_root_reduce(const core::KernelSet& /*ks*/,
@@ -379,6 +384,7 @@ double GpuPlf::run_root_reduce(const core::KernelSet& /*ks*/,
   const std::size_t per_block = (m + blocks - 1) / blocks;
   std::vector<double> partials(blocks, 0.0);
   const double inv_k = 1.0 / static_cast<double>(K);
+  simd::zero_upper();  // std::log enters through a legacy-SSE glibc wrapper
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t lo = b * per_block;
     const std::size_t hi = std::min(m, lo + per_block);

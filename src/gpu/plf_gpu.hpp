@@ -77,7 +77,7 @@ class GpuPlf final : public core::ExecutionBackend {
                  std::size_t m) override;
   double run_root_reduce(const core::KernelSet& ks,
                          const core::RootReduceArgs& a, std::size_t m) override;
-  void run_plan(const core::KernelSet& ks, const core::PlfPlan& plan) override;
+  double run_plan(const core::KernelSet& ks, core::PlfPlan& plan) override;
 
   const GpuPlfConfig& config() const { return config_; }
   const GpuRunStats& stats() const { return stats_; }

@@ -17,7 +17,6 @@ inline constexpr const char* kTimerRootReduce = "plf.RootReduce";
 // Engine serial work (the "Remaining" contributors that are measurable
 // per-phase; the rest of Remaining is application code outside the engine).
 inline constexpr const char* kTimerTiProbs = "engine.TiProbs";
-inline constexpr const char* kTimerScalerSum = "engine.ScalerSum";
 inline constexpr const char* kTimerRepeatIdentify = "engine.RepeatIdentify";
 
 // Plan dispatch (batched engine->backend interface, docs/EXECUTION_PLAN.md).

@@ -43,7 +43,6 @@ Breakdown build_breakdown(const Snapshot& snapshot, double total_s,
   for (const KernelShare& k : b.kernels) b.plf_s += k.seconds;
 
   b.engine_serial_s = snapshot.timer_total_s(kTimerTiProbs) +
-                      snapshot.timer_total_s(kTimerScalerSum) +
                       snapshot.timer_total_s(kTimerRepeatIdentify) +
                       snapshot.timer_total_s(kTimerPlanBuild);
 

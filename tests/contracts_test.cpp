@@ -418,6 +418,7 @@ struct PlanFixture {
   static constexpr std::size_t kPatterns = 8;
   aligned_vector<float> out{kPatterns * 4 * 4, 0.0f};
   aligned_vector<float> scaler{kPatterns, 0.0f};
+  aligned_vector<double> cum{kPatterns, 0.0};
 
   core::PlfOp op(int node, int left = phylo::kNoNode,
                  int right = phylo::kNoNode) {
@@ -430,6 +431,8 @@ struct PlanFixture {
     o.scale.cl = out.data();
     o.scale.ln_scaler = scaler.data();
     o.scale.K = 4;
+    o.cum.out = cum.data();
+    o.cum.ln_scaler = scaler.data();
     o.run_m = kPatterns;
     return o;
   }
@@ -479,6 +482,20 @@ TEST(PlanContractDeathTest, UnfusedScaleAliasIsRejected) {
   plan.finalize();
   EXPECT_DEATH(core::detail::check_plan(plan),
                "must alias the op's down output");
+}
+
+TEST(PlanContractDeathTest, CumStepOnAForeignScalerRowIsRejected) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PlanFixture f;
+  core::PlfPlan plan;
+  plan.reset(8, PlanFixture::kPatterns);
+  core::PlfOp op = f.op(1);
+  aligned_vector<float> other(PlanFixture::kPatterns, 0.0f);
+  op.cum.ln_scaler = other.data();  // not the row this op's scale writes
+  plan.add(op, 0);
+  plan.finalize();
+  EXPECT_DEATH(core::detail::check_plan(plan),
+               "must follow the op's own scale step");
 }
 
 TEST(PlanContractDeathTest, OversizedOpIsRejected) {

@@ -7,10 +7,15 @@
 #include "core/engine.hpp"
 #include "gpu/plf_gpu.hpp"
 #include "mcmc/chain.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
+#include "par/thread_pool.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
 #include "seqgen/random_tree.hpp"
+#include "simd/simd.hpp"
+#include "simd/upper_state.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -183,6 +188,129 @@ TEST(InvariantSitesTest, ProposalRejectRestoresPinv) {
   engine.reject();
   EXPECT_DOUBLE_EQ(engine.log_likelihood(), before);
   EXPECT_DOUBLE_EQ(engine.model_params().p_invariant, 0.3);
+}
+
+TEST(InvariantSitesTest, PinvOnlyMoveRunsOnlyTheReduction) {
+  // p_invariant enters only the root reduction, so moving it alone dirties
+  // no CLV: the plan has no ops, the reduction runs over the cached root
+  // rows, and the lnL is bit-equal to a fresh engine's. On the threaded
+  // backend that evaluation is one reduce-only region.
+  auto inst = make_instance(0.3);
+  par::ThreadPool pool(2);
+  ThreadedBackend threaded(pool);
+  SerialBackend serial;
+  PerCallBackend percall(threaded);
+  for (ExecutionBackend* backend :
+       {static_cast<ExecutionBackend*>(&serial),
+        static_cast<ExecutionBackend*>(&threaded),
+        static_cast<ExecutionBackend*>(&percall)}) {
+    SCOPED_TRACE(backend->name());
+    PlfEngine engine(inst.data, inst.params, inst.tree, *backend);
+    const double before = engine.log_likelihood();
+    const std::uint64_t builds = engine.stats().plan_builds;
+    const std::uint64_t tm_builds = engine.stats().tm_builds;
+
+    engine.begin_proposal();
+    phylo::GtrParams p = engine.model_params();
+    p.p_invariant = 0.1;
+    engine.set_model(p);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+    const std::uint64_t regions0 =
+        reg.snapshot().counter_value(obs::kCounterParRegions);
+    const double moved = engine.log_likelihood();
+    const std::uint64_t regions =
+        reg.snapshot().counter_value(obs::kCounterParRegions) - regions0;
+    EXPECT_TRUE(engine.last_plan().empty());
+    EXPECT_EQ(engine.stats().plan_builds, builds);
+    EXPECT_EQ(engine.stats().tm_builds, tm_builds);
+#if defined(PLF_PROFILING_ENABLED)
+    EXPECT_EQ(regions, backend == &serial ? 0u : 1u);
+#else
+    EXPECT_EQ(regions, 0u);
+#endif
+    SerialBackend fresh_backend;
+    PlfEngine fresh(inst.data, p, inst.tree, fresh_backend);
+    EXPECT_EQ(moved, fresh.log_likelihood());
+
+    engine.reject();
+    EXPECT_EQ(engine.log_likelihood(), before);
+  }
+}
+
+TEST(InvariantSitesTest, PinvOnlyMoveRematerializesAnEvictedRoot) {
+  // With the root clean, the reduction is the only reader of its rows: an
+  // evicted root must come back through the plan, not trip the arena.
+  auto inst = make_instance(0.3);
+  SerialBackend backend;
+  PlfEngine engine(inst.data, inst.params, inst.tree, backend,
+                   KernelVariant::kSimdCol, SiteRepeatsMode::kAuto,
+                   clv_budget_from_string("0.5"));
+  engine.log_likelihood();
+  phylo::GtrParams p = engine.model_params();
+  p.p_invariant = 0.2;
+  engine.set_model(p);
+  engine.evict_node_for_test(engine.tree().root());
+  const double got = engine.log_likelihood();
+  EXPECT_TRUE(engine.node_resident(engine.tree().root()));
+  SerialBackend fresh_backend;
+  PlfEngine fresh(inst.data, p, inst.tree, fresh_backend);
+  EXPECT_EQ(got, fresh.log_likelihood());
+}
+
+TEST(InvariantSitesTest, ReduceBitsDoNotDependOnTheUpperStateAtEntry) {
+  // The reduction clears the upper vector state at entry (in a dirty state
+  // glibc's legacy-SSE log/exp/log1p wrappers stall); that is a speed guard
+  // only, so every variant returns the same +I bits either way.
+  constexpr std::size_t kSites = 64;
+  constexpr std::size_t kK = 4;
+  aligned_vector<float> cl(kSites * kK * 4);
+  aligned_vector<double> scalers(kSites);
+  aligned_vector<std::uint32_t> weights(kSites);
+  aligned_vector<float> const_lik(kSites, 0.0f);
+  Rng rng(5);
+  for (float& v : cl) v = static_cast<float>(rng.uniform(0.05, 1.0));
+  for (std::size_t c = 0; c < kSites; ++c) {
+    scalers[c] = -rng.uniform(0.0, 3.0);
+    weights[c] = 1 + static_cast<std::uint32_t>(rng.below(4));
+  }
+  for (std::size_t c = 0; c < 4; ++c) const_lik[c] = 0.25f;  // constant
+  RootReduceArgs a;
+  a.cl = cl.data();
+  a.ln_scaler_total = scalers.data();
+  a.weights = weights.data();
+  a.K = kK;
+  a.const_lik = const_lik.data();
+  a.p_invariant = 0.1f;
+
+  struct Call {
+    const KernelSet* ks;
+    const RootReduceArgs* a;
+    bool through_step;
+    bool dirty_at_entry;
+    double result;
+  };
+  const auto reduce = [](void* p) {
+    Call& c = *static_cast<Call*>(p);
+    c.dirty_at_entry = simd::upper_state_dirty();
+    c.result = c.through_step ? run_reduce_step(*c.ks, *c.a, 0, kSites)
+                              : c.ks->root_reduce(*c.a, 0, kSites);
+  };
+  const bool observable = simd::upper_state_observable();
+  for (auto v : {KernelVariant::kScalar, KernelVariant::kSimdRow,
+                 KernelVariant::kSimdCol, KernelVariant::kSimdCol8}) {
+    SCOPED_TRACE(to_string(v));
+    const KernelSet& ks = kernels(v);
+    simd::zero_upper();
+    const double clean = ks.root_reduce(a, 0, kSites);
+    for (const bool through_step : {false, true}) {
+      Call call{&ks, &a, through_step, false, 0.0};
+      simd::call_with_dirty_upper(reduce, &call);
+      if (observable) {
+        EXPECT_TRUE(call.dirty_at_entry);
+      }
+      EXPECT_EQ(call.result, clean);
+    }
+  }
 }
 
 TEST(InvariantSitesTest, BadPinvRejected) {

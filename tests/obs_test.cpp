@@ -305,7 +305,7 @@ void load_kernel_profile(MetricsRegistry& reg) {
   reg.record_seconds(reg.timer(kTimerCondLikeScaler), 0.5);
   reg.record_seconds(reg.timer(kTimerRootReduce), 0.5);
   reg.record_seconds(reg.timer(kTimerTiProbs), 0.75);
-  reg.record_seconds(reg.timer(kTimerScalerSum), 0.25);
+  reg.record_seconds(reg.timer(kTimerRepeatIdentify), 0.25);
 }
 
 TEST(Breakdown, SectionsPartitionTotalExactly) {

@@ -264,6 +264,7 @@ const std::vector<KernelRule>& kernel_rules() {
       {"RootArgs", {"check_root", "check_root_aligned"}},
       {"ScaleArgs", {"check_scale"}},
       {"RootReduceArgs", {"check_root_reduce"}},
+      {"CumArgs", {"check_cum"}},
       {"TipTipArgs", {"check_down_tt"}},
       {"PlfPlan", {"check_plan"}},
   };
