@@ -6,6 +6,9 @@
 //   kernel.<op>.<variant>       raw per-call kernel time at the paper's
 //                               8,543-pattern width, for scalar / simd-row /
 //                               simd-col (the approach (i)/(ii) distinction)
+//   kernel.{down,down_scale}.simd-site
+//                               the whole-site default kernels: plain down
+//                               and fused down + rescale
 //   kernel.root_reduce.pinv[.dirty-upper]
 //                               the +I root reduction, entered with a clean
 //                               or a dirty upper vector state
@@ -345,16 +348,19 @@ CaseStat par_region_case(par::ThreadPool& pool, const char* body_label,
   return cs;
 }
 
-/// Tip-specialized and fused kernel cases (docs/KERNELS.md), all on the
-/// production simd-col entries where a variant matters; the tip×tip gather is
-/// variant-independent. Case names:
+/// Tip-specialized and fused kernel cases (docs/KERNELS.md), on the simd-col
+/// entries where a variant matters unless the name says simd-site; the
+/// tip×tip gather is variant-independent. Case names:
 ///   kernel.down.tip-inner    tip-partial row instead of the left matvec
 ///   kernel.down.tip-tip      per-pair table gather (cherry nodes)
 ///   kernel.down_scale.fused  single-pass down + rescale over one CLV sweep
+///   kernel.down_scale.simd-site  the same on the whole-site entries
 CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
                          int reps) {
   Operands op(kPatterns);
-  const auto& ks = core::kernels(core::KernelVariant::kSimdCol);
+  const auto& ks = core::kernels(case_name == "down_scale.simd-site"
+                                     ? core::KernelVariant::kSimdSite
+                                     : core::KernelVariant::kSimdCol);
   const auto ti_args = op.down_tip_inner();
   const auto tt_args = op.down_tip_tip();
   const auto fused_down = op.down();
@@ -421,7 +427,7 @@ CaseStat engine_case(const phylo::PatternMatrix& data,
   cs.threshold = std::string(backend_label) == "threaded" ? 0.40 : 0.25;
 
   core::PlfEngine engine(data, params, tree, backend,
-                         core::KernelVariant::kSimdCol, repeats, budget);
+                         core::KernelVariant::kSimdSite, repeats, budget);
   engine.log_likelihood();  // warm-up: buffers, matrices, plan cache
   const int n_leaves = static_cast<int>(data.n_taxa());
   for (int rep = 0; rep < reps; ++rep) {
@@ -568,7 +574,7 @@ CaseStat e2e_case(const std::string& workload, const phylo::PatternMatrix& data,
   std::vector<std::unique_ptr<core::PlfEngine>> engines;
   for (std::size_t i = 0; i < kChains; ++i) {
     engines.push_back(std::make_unique<core::PlfEngine>(
-        data, params, start, backend, core::KernelVariant::kSimdCol,
+        data, params, start, backend, core::KernelVariant::kSimdSite,
         repeats));
   }
   mcmc::CoupledOptions opts;
@@ -735,6 +741,10 @@ int main(int argc, char** argv) {
                 << ")\n";
     }
   }
+  cases.push_back(kernel_case("down", core::KernelVariant::kSimdSite,
+                              "simd-site", kernel_iters, reps));
+  std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
+            << " us/call (min of " << reps << ")\n";
 
   for (const bool dirty_upper : {false, true}) {
     CaseStat cs;
@@ -748,7 +758,8 @@ int main(int argc, char** argv) {
               << " us/call (min of " << reps << ")\n";
   }
 
-  for (const char* c : {"down.tip-tip", "down.tip-inner", "down_scale.fused"}) {
+  for (const char* c : {"down.tip-tip", "down.tip-inner", "down_scale.fused",
+                        "down_scale.simd-site"}) {
     cases.push_back(tip_kernel_case(c, kernel_iters, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
               << " us/call (min of " << reps << ")\n";

@@ -212,7 +212,7 @@ int run_main(int argc, char** argv) {
     // Engines must share taxon naming with the data.
     start = phylo::Tree::from_newick(start.to_newick(), aln.names());
     engines.push_back(std::make_unique<core::PlfEngine>(
-        data, start_params, start, backend, core::KernelVariant::kSimdCol,
+        data, start_params, start, backend, core::KernelVariant::kSimdSite,
         repeats, clv_budget));
   }
 

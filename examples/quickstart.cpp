@@ -54,10 +54,10 @@ int main() {
     par::ThreadPool pool;  // hardware concurrency
     core::ThreadedBackend threads(pool);
     core::PlfEngine engine(patterns, params, tree, threads,
-                           core::KernelVariant::kSimdCol);
+                           core::KernelVariant::kSimdSite);
     table.row({"threads(" + std::to_string(pool.size()) + ")",
                Table::num(engine.log_likelihood(), 4),
-               "OpenMP-style parallel-for over patterns"});
+               "parallel-for over patterns, whole-site kernels"});
   }
   {
     cell::CellConfig cfg;

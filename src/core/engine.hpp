@@ -113,7 +113,7 @@ class PlfEngine {
  public:
   PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
             phylo::Tree tree, ExecutionBackend& backend,
-            KernelVariant variant = KernelVariant::kSimdCol,
+            KernelVariant variant = KernelVariant::kSimdSite,
             SiteRepeatsMode site_repeats = SiteRepeatsMode::kAuto,
             ClvBudget clv_budget = ClvBudget{});
 

@@ -1,6 +1,6 @@
 // Entry-point contracts for the PLF kernels.
 //
-// Every kernel variant (scalar, simd-row, simd-col, simd-col8) receives raw
+// Every kernel variant (scalar, simd-row, simd-col, simd-site) receives raw
 // pointers plus a half-open pattern range from whichever backend partitioned
 // the outermost loop (threads, simulated SPEs, simulated CUDA blocks). These
 // helpers spell out the trust boundary once so all variants check identical

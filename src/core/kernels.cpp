@@ -8,7 +8,7 @@ namespace detail {
 extern const KernelSet kScalarKernels;
 extern const KernelSet kSimdRowKernels;
 extern const KernelSet kSimdColKernels;
-extern const KernelSet kSimdCol8Kernels;
+extern const KernelSet kSimdSiteKernels;
 }  // namespace detail
 
 std::string to_string(KernelVariant v) {
@@ -16,7 +16,8 @@ std::string to_string(KernelVariant v) {
     case KernelVariant::kScalar: return "scalar";
     case KernelVariant::kSimdRow: return "simd-row (approach i)";
     case KernelVariant::kSimdCol: return "simd-col (approach ii)";
-    case KernelVariant::kSimdCol8: return "simd-col8 (2-category)";
+    case KernelVariant::kSimdSite:
+      return std::string("simd-site (") + detail::simd_site_body() + ")";
   }
   return "?";
 }
@@ -26,7 +27,7 @@ const KernelSet& kernels(KernelVariant v) {
     case KernelVariant::kScalar: return detail::kScalarKernels;
     case KernelVariant::kSimdRow: return detail::kSimdRowKernels;
     case KernelVariant::kSimdCol: return detail::kSimdColKernels;
-    case KernelVariant::kSimdCol8: return detail::kSimdCol8Kernels;
+    case KernelVariant::kSimdSite: return detail::kSimdSiteKernels;
   }
   throw Error("unknown kernel variant");
 }

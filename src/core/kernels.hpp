@@ -29,8 +29,10 @@
 //             matrix-vector multiply (column-wise access via the transposed
 //             matrix, no horizontal reduction) — the layout the paper found
 //             2x faster on the SPU and adopted
-//   kSimdCol8 modern extension: approach (ii) widened to 8 lanes (two rate
-//             categories per register, AVX2 when available)
+//   kSimdSite modern extension, the production default: one whole K = 4
+//             site row per vector register (zmm under AVX-512F, two ymm
+//             under AVX2 + FMA), rescaled in the same register; bit-identical
+//             to kSimdCol, whose entries it calls for K != 4
 #pragma once
 
 #include <cmath>
@@ -196,8 +198,10 @@ using RootScaleFn = void (*)(const RootArgs&, const ScaleArgs&,
 using DownTipTipScaleFn = void (*)(const TipTipArgs&, const ScaleArgs&,
                                    std::size_t begin, std::size_t end);
 
-enum class KernelVariant { kScalar, kSimdRow, kSimdCol, kSimdCol8 };
+enum class KernelVariant { kScalar, kSimdRow, kSimdCol, kSimdSite };
 
+/// kSimdSite's name carries the body this build compiled: "simd-site (zmm)",
+/// "(ymm)" or "(sse)", the last being the kSimdCol entries.
 std::string to_string(KernelVariant v);
 
 /// The kernels for one variant: the four generic entries plus the
@@ -229,6 +233,9 @@ namespace detail {
 void down_tip_tip(const TipTipArgs& a, std::size_t begin, std::size_t end);
 void down_tip_tip_scale(const TipTipArgs& a, const ScaleArgs& s,
                         std::size_t begin, std::size_t end);
+/// The vector body kSimdSite runs at K = 4 in this build: "zmm", "ymm" or
+/// "sse" (kernels_simd_site.cpp).
+const char* simd_site_body();
 }  // namespace detail
 
 /// Approximate floating-point operation count of cond_like_down per pattern

@@ -5,16 +5,14 @@
 // the precomputed transpose), fused-multiply-accumulating. No horizontal
 // reduction is needed until the very end of the likelihood computation.
 // The paper measured this 2x faster at the PLF level on the SPU and adopted
-// it; it maps 1:1 onto SSE here.
-//
-// kSimdCol8 widens the same scheme to 8 lanes (two rate categories per
-// register), a modern-host extension the 2009 hardware did not have.
+// it; it maps 1:1 onto SSE here. kernels_simd_site.cpp runs the same float
+// operations one whole site row per register, calling these entries for
+// K != 4; the Cell SPU model runs these.
 #include <cmath>
 
 #include "core/kernel_contracts.hpp"
 #include "core/kernels.hpp"
 #include "simd/vec4f.hpp"
-#include "simd/vec8f.hpp"
 
 namespace plf::core {
 
@@ -26,7 +24,6 @@ extern const RootReduceFn kSharedSimdRootReduce;
 namespace {
 
 using simd::Vec4f;
-using simd::Vec8f;
 
 /// Column-wise matrix-vector multiply: broadcast cl[j], FMA with transposed
 /// row j.
@@ -163,164 +160,6 @@ void root_scale_col(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
   }
 }
 
-/// Two categories (k, k+1) at once in one 8-wide register, from the child's
-/// site row.
-inline Vec8f child_values8(const ChildArgs& ch, const float* row,
-                           std::size_t k) {
-  if (ch.is_tip()) return Vec8f::loadu(row + k * 4);
-  const float* cl = row + k * 4;  // 8 contiguous floats: k, k+1
-  const float* pt0 = ch.pt + k * 16;
-  const float* pt1 = ch.pt + (k + 1) * 16;
-  Vec8f acc = Vec8f::combine(Vec4f(cl[0]), Vec4f(cl[4])) *
-              Vec8f::combine(Vec4f::load(pt0 + 0), Vec4f::load(pt1 + 0));
-  acc = Vec8f::fma(Vec8f::combine(Vec4f(cl[1]), Vec4f(cl[5])),
-                   Vec8f::combine(Vec4f::load(pt0 + 4), Vec4f::load(pt1 + 4)),
-                   acc);
-  acc = Vec8f::fma(Vec8f::combine(Vec4f(cl[2]), Vec4f(cl[6])),
-                   Vec8f::combine(Vec4f::load(pt0 + 8), Vec4f::load(pt1 + 8)),
-                   acc);
-  acc = Vec8f::fma(Vec8f::combine(Vec4f(cl[3]), Vec4f(cl[7])),
-                   Vec8f::combine(Vec4f::load(pt0 + 12), Vec4f::load(pt1 + 12)),
-                   acc);
-  return acc;
-}
-
-inline void down_site8(std::size_t r, std::size_t c, const DownArgs& a,
-                       std::size_t k_pairs) {
-  float* out = a.out + r * a.K * 4;
-  const float* lrow = a.left.row(c, a.K);
-  const float* rrow = a.right.row(c, a.K);
-  std::size_t k = 0;
-  for (; k < k_pairs; k += 2) {
-    const Vec8f l = child_values8(a.left, lrow, k);
-    const Vec8f rv = child_values8(a.right, rrow, k);
-    (l * rv).storeu(out + k * 4);
-  }
-  for (; k < a.K; ++k) {
-    const Vec4f l = child_values(a.left, lrow, k);
-    const Vec4f rv = child_values(a.right, rrow, k);
-    (l * rv).store(out + k * 4);
-  }
-}
-
-inline void down_ti_site8(std::size_t r, std::size_t c, const DownArgs& a,
-                          std::size_t k_pairs) {
-  float* out = a.out + r * a.K * 4;
-  const float* ltp =
-      a.left.tp + static_cast<std::size_t>(a.left.mask[c]) * a.K * 4;
-  const float* rcl = a.right.cl + a.right.stored_row(c) * a.K * 4;
-  std::size_t k = 0;
-  for (; k < k_pairs; k += 2) {
-    const Vec8f l = Vec8f::loadu(ltp + k * 4);
-    const float* pt0 = a.right.pt + k * 16;
-    const float* pt1 = a.right.pt + (k + 1) * 16;
-    const float* cl = rcl + k * 4;
-    Vec8f rv = Vec8f::combine(Vec4f(cl[0]), Vec4f(cl[4])) *
-               Vec8f::combine(Vec4f::load(pt0 + 0), Vec4f::load(pt1 + 0));
-    rv = Vec8f::fma(Vec8f::combine(Vec4f(cl[1]), Vec4f(cl[5])),
-                    Vec8f::combine(Vec4f::load(pt0 + 4), Vec4f::load(pt1 + 4)),
-                    rv);
-    rv = Vec8f::fma(Vec8f::combine(Vec4f(cl[2]), Vec4f(cl[6])),
-                    Vec8f::combine(Vec4f::load(pt0 + 8), Vec4f::load(pt1 + 8)),
-                    rv);
-    rv = Vec8f::fma(Vec8f::combine(Vec4f(cl[3]), Vec4f(cl[7])),
-                    Vec8f::combine(Vec4f::load(pt0 + 12),
-                                   Vec4f::load(pt1 + 12)),
-                    rv);
-    (l * rv).storeu(out + k * 4);
-  }
-  for (; k < a.K; ++k) {
-    const Vec4f l = Vec4f::load(ltp + k * 4);
-    const Vec4f rv = matvec_cols(a.right.pt + k * 16, rcl + k * 4);
-    (l * rv).store(out + k * 4);
-  }
-}
-
-inline void root_site8(std::size_t r, std::size_t c, const RootArgs& a,
-                       std::size_t k_pairs) {
-  const DownArgs& d = a.down;
-  float* out = d.out + r * d.K * 4;
-  const float* tp = a.out_tp + static_cast<std::size_t>(a.out_mask[c]) * d.K * 4;
-  const float* lrow = d.left.row(c, d.K);
-  const float* rrow = d.right.row(c, d.K);
-  std::size_t k = 0;
-  for (; k < k_pairs; k += 2) {
-    const Vec8f l = child_values8(d.left, lrow, k);
-    const Vec8f rv = child_values8(d.right, rrow, k);
-    const Vec8f o = Vec8f::loadu(tp + k * 4);
-    (l * rv * o).storeu(out + k * 4);
-  }
-  for (; k < d.K; ++k) {
-    const Vec4f l = child_values(d.left, lrow, k);
-    const Vec4f rv = child_values(d.right, rrow, k);
-    const Vec4f o = Vec4f::load(tp + k * 4);
-    (l * rv * o).store(out + k * 4);
-  }
-}
-
-void down_col8(const DownArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_site8(idx, a.site(idx), a, k_pairs);
-  }
-}
-
-void down_ti_col8(const DownArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_ti_site8(idx, a.site(idx), a, k_pairs);
-  }
-}
-
-void root_col8(const RootArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_root(a, begin, end, /*needs_transpose=*/true);
-  detail::check_root_aligned(a);
-  const std::size_t k_pairs = a.down.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    root_site8(idx, a.down.site(idx), a, k_pairs);
-  }
-}
-
-void down_scale_col8(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
-                     std::size_t end) {
-  detail::check_down(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_site8(idx, a.site(idx), a, k_pairs);
-    scale_site(idx, s);
-  }
-}
-
-void down_ti_scale_col8(const DownArgs& a, const ScaleArgs& s,
-                        std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_ti_site8(idx, a.site(idx), a, k_pairs);
-    scale_site(idx, s);
-  }
-}
-
-void root_scale_col8(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
-                     std::size_t end) {
-  detail::check_root(a, begin, end, /*needs_transpose=*/true);
-  detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K);
-  const std::size_t k_pairs = a.down.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    root_site8(idx, a.down.site(idx), a, k_pairs);
-    scale_site(idx, s);
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -336,18 +175,6 @@ const KernelSet kSimdColKernels{KernelVariant::kSimdCol,
                                 down_ti_scale_col,
                                 down_tip_tip_scale,
                                 root_scale_col};
-extern const KernelSet kSimdCol8Kernels;
-const KernelSet kSimdCol8Kernels{KernelVariant::kSimdCol8,
-                                 down_col8,
-                                 root_col8,
-                                 kSharedSimdScale,
-                                 kSharedSimdRootReduce,
-                                 down_ti_col8,
-                                 down_tip_tip,
-                                 down_scale_col8,
-                                 down_ti_scale_col8,
-                                 down_tip_tip_scale,
-                                 root_scale_col8};
 }  // namespace detail
 
 }  // namespace plf::core

@@ -34,7 +34,7 @@ namespace plf::exec {
 /// nested: a nested struct's default member initializers can't back a
 /// default argument inside the enclosing class.)
 struct PartitionedConfig {
-  core::KernelVariant variant = core::KernelVariant::kSimdCol;
+  core::KernelVariant variant = core::KernelVariant::kSimdSite;
   core::SiteRepeatsMode site_repeats = core::SiteRepeatsMode::kAuto;
   core::ClvBudget clv_budget;
 };

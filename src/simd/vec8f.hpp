@@ -1,10 +1,6 @@
 // 8-wide single-precision SIMD vector (AVX2 when available, otherwise a pair
-// of Vec4f with identical semantics).
-//
-// The paper's x86 kernels were limited to what 2009 compilers auto-
-// vectorized; we additionally provide hand-written AVX2 kernels that process
-// two discrete-rate arrays per register — a "what modern hosts do" extension
-// benchmarked in bench_kernels.
+// of Vec4f with identical semantics). No kernel uses it: the whole-site
+// kernels (core/kernels_simd_site.cpp) work on raw zmm/ymm registers.
 #pragma once
 
 #include <cstddef>

@@ -627,7 +627,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded,
                           BackendKind::kCell, BackendKind::kGpu),
         ::testing::Values(KernelVariant::kScalar, KernelVariant::kSimdCol,
-                          KernelVariant::kSimdCol8)),
+                          KernelVariant::kSimdSite)),
     [](const ::testing::TestParamInfo<Param>& info) {
       std::string v = to_string(std::get<1>(info.param));
       for (auto& c : v) {

@@ -194,7 +194,7 @@ struct DownFixture {
 TEST(KernelContractTest, ValidArgumentsRunOnEveryVariant) {
   DownFixture f;
   for (auto v : {KernelVariant::kScalar, KernelVariant::kSimdRow,
-                 KernelVariant::kSimdCol, KernelVariant::kSimdCol8}) {
+                 KernelVariant::kSimdCol, KernelVariant::kSimdSite}) {
     DownArgs a = f.args();
     core::kernels(v).down(a, 0, DownFixture::kPatterns);
     for (float x : f.out) EXPECT_GT(x, 0.0f);
@@ -269,7 +269,7 @@ TEST(KernelContractTest, SiteIndexedRunTouchesOnlyIndexedSites) {
   a.site_index = idx;
   a.n_sites = DownFixture::kPatterns;
   for (auto variant : {KernelVariant::kScalar, KernelVariant::kSimdRow,
-                       KernelVariant::kSimdCol, KernelVariant::kSimdCol8}) {
+                       KernelVariant::kSimdCol, KernelVariant::kSimdSite}) {
     std::fill(f.out.begin(), f.out.end(), 0.0f);
     std::fill(ref.begin(), ref.end(), 0.0f);
     core::kernels(variant).down(d, 0, DownFixture::kPatterns);

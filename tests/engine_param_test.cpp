@@ -101,7 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(1u, 2u, 3u, 4u, 6u),
         ::testing::Values(KernelVariant::kScalar, KernelVariant::kSimdCol,
-                          KernelVariant::kSimdCol8),
+                          KernelVariant::kSimdSite),
         ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded,
                           BackendKind::kCell, BackendKind::kGpu)),
     [](const ::testing::TestParamInfo<Param>& info) {

@@ -55,7 +55,7 @@ TEST(EngineTest, AllKernelVariantsAgree) {
                        KernelVariant::kScalar);
   const double ref = ref_engine.log_likelihood();
   for (auto v : {KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                 KernelVariant::kSimdCol8}) {
+                 KernelVariant::kSimdSite}) {
     PlfEngine engine(inst.data, inst.params, inst.tree, backend, v);
     EXPECT_NEAR(engine.log_likelihood(), ref, std::abs(ref) * 1e-5)
         << to_string(v);

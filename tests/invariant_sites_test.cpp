@@ -95,7 +95,7 @@ TEST(InvariantSitesTest, AllVariantsAndBackendsAgree) {
   const double expect = ref.log_likelihood();
 
   for (auto v : {KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                 KernelVariant::kSimdCol8}) {
+                 KernelVariant::kSimdSite}) {
     SerialBackend b;
     PlfEngine e(inst.data, inst.params, inst.tree, b, v);
     EXPECT_NEAR(e.log_likelihood(), expect, std::abs(expect) * 1e-5);
@@ -297,7 +297,7 @@ TEST(InvariantSitesTest, ReduceBitsDoNotDependOnTheUpperStateAtEntry) {
   };
   const bool observable = simd::upper_state_observable();
   for (auto v : {KernelVariant::kScalar, KernelVariant::kSimdRow,
-                 KernelVariant::kSimdCol, KernelVariant::kSimdCol8}) {
+                 KernelVariant::kSimdCol, KernelVariant::kSimdSite}) {
     SCOPED_TRACE(to_string(v));
     const KernelSet& ks = kernels(v);
     simd::zero_upper();

@@ -119,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariants, DownKernelTest,
     ::testing::Combine(
         ::testing::Values(KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                          KernelVariant::kSimdCol8),
+                          KernelVariant::kSimdSite),
         ::testing::Values(1u, 2u, 3u, 4u, 5u, 8u),
         ::testing::Values(1u, 7u, 64u, 193u),
         ::testing::Bool(), ::testing::Bool()),
@@ -161,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariants, RootKernelTest,
     ::testing::Combine(
         ::testing::Values(KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                          KernelVariant::kSimdCol8),
+                          KernelVariant::kSimdSite),
         ::testing::Values(1u, 4u, 5u), ::testing::Bool(), ::testing::Bool()),
     [](const ::testing::TestParamInfo<RootParam>& info) {
       std::string name = to_string(std::get<0>(info.param));
@@ -223,7 +223,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(KernelVariant::kScalar,
                                          KernelVariant::kSimdRow,
                                          KernelVariant::kSimdCol,
-                                         KernelVariant::kSimdCol8),
+                                         KernelVariant::kSimdSite),
                        ::testing::Values(1u, 3u, 4u, 8u)));
 
 TEST(RootReduceTest, VariantsAgreeWithScalar) {
@@ -246,7 +246,7 @@ TEST(RootReduceTest, VariantsAgreeWithScalar) {
 
   const double ref = kernels(KernelVariant::kScalar).root_reduce(args, 0, m);
   for (auto v : {KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                 KernelVariant::kSimdCol8}) {
+                 KernelVariant::kSimdSite}) {
     const double got = kernels(v).root_reduce(args, 0, m);
     EXPECT_NEAR(got, ref, std::abs(ref) * 1e-5);
   }
@@ -322,7 +322,7 @@ TEST(TipPartialTest, GapMaskGivesRowSumsNearOne) {
 TEST(KernelMetaTest, VariantNamesDistinct) {
   std::set<std::string> names;
   for (auto v : {KernelVariant::kScalar, KernelVariant::kSimdRow,
-                 KernelVariant::kSimdCol, KernelVariant::kSimdCol8}) {
+                 KernelVariant::kSimdCol, KernelVariant::kSimdSite}) {
     names.insert(to_string(v));
     EXPECT_EQ(kernels(v).variant, v);
   }

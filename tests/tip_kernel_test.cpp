@@ -467,7 +467,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariants, TipKernelConformanceTest,
     ::testing::Combine(
         ::testing::Values(KernelVariant::kScalar, KernelVariant::kSimdRow,
-                          KernelVariant::kSimdCol, KernelVariant::kSimdCol8),
+                          KernelVariant::kSimdCol, KernelVariant::kSimdSite),
         ::testing::Values(1u, 4u),
         // Branch-length scale factors: near-zero branches (transition matrix
         // ~identity, tip rows hit the 0/1 extremes), typical, and

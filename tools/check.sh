@@ -6,6 +6,7 @@
 #   tools/check.sh checked      # checked contracts + site-repeat diff suite
 #   tools/check.sh asan         # ASan+UBSan preset + ctest
 #   tools/check.sh tsan         # TSan preset + ctest
+#   tools/check.sh v3           # x86-64-v3 build (AVX2, no AVX-512) + ctest
 #   tools/check.sh tidy         # clang-tidy over src/ (skipped if absent)
 #   tools/check.sh lint         # plf_lint project invariants over src/
 #   tools/check.sh tsa          # Clang Thread Safety build (skipped if no clang)
@@ -44,6 +45,19 @@ stage_plain() { run_preset default; }
 stage_asan()  { run_preset asan-ubsan; }
 stage_tsan()  { run_preset tsan; }
 
+# The whole-site kernel compiles a zmm body under AVX-512 and a ymm body
+# under AVX2 + FMA (docs/KERNELS.md). -march=x86-64-v3 has no AVX-512, so
+# this stage builds and tests the ymm body on any host that runs it.
+stage_v3() {
+  note "x86-64-v3: configure" &&
+    cmake -S . -B build-v3 -G Ninja -DPLF_ENABLE_NATIVE=OFF \
+      -DCMAKE_CXX_FLAGS=-march=x86-64-v3 -DPLF_WERROR=ON &&
+    note "x86-64-v3: build" &&
+    cmake --build build-v3 -j "${JOBS}" &&
+    note "x86-64-v3: ctest" &&
+    ctest --test-dir build-v3 --output-on-failure
+}
+
 # Checked-contract build running the site-repeat, plan-dispatch, and
 # tip-kernel differential suites: every backend x repeats on/off x
 # PerCallBackend/native-executor cross-check plus the repeat-class, plan, and tip-kernel
@@ -56,7 +70,7 @@ stage_checked() {
     cmake --build --preset checked -j "${JOBS}" &&
     note "preset 'checked': differential suite" &&
     ctest --preset checked \
-      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|PerCallBackend|CumulativeScaler|CompactedClv|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge'
+      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|PerCallBackend|CumulativeScaler|CompactedClv|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge|SimdSite'
 }
 
 # Quick bench-suite smoke: produces a schema-valid BENCH json and runs the
@@ -124,13 +138,13 @@ run_stage() {
 
 STAGES=("$@")
 if [[ ${#STAGES[@]} -eq 0 ]]; then
-  STAGES=(plain checked asan tsan tidy lint tsa bench)
+  STAGES=(plain checked asan tsan v3 tidy lint tsa bench)
 fi
 
 for s in "${STAGES[@]}"; do
   case "$s" in
-    plain|checked|asan|tsan|tidy|lint|tsa|bench) run_stage "$s" ;;
-    *) echo "unknown stage '$s' (expected plain|checked|asan|tsan|tidy|lint|tsa|bench)" >&2
+    plain|checked|asan|tsan|v3|tidy|lint|tsa|bench) run_stage "$s" ;;
+    *) echo "unknown stage '$s' (expected plain|checked|asan|tsan|v3|tidy|lint|tsa|bench)" >&2
        exit 2 ;;
   esac
 done
