@@ -12,6 +12,9 @@
 //   kernel.root_reduce.pinv[.dirty-upper]
 //                               the +I root reduction, entered with a clean
 //                               or a dirty upper vector state
+//   scaling.down.t<n>           the default down kernel at 50,000 patterns
+//                               through ThreadedBackend::run_down on an
+//                               n-thread pool, n = 1..4
 //   engine.<backend>.<executor>.<sr>
 //                               seconds per likelihood evaluation under a
 //                               branch-move loop, over {serial,threaded} ×
@@ -115,7 +118,7 @@ struct CaseStat {
 };
 
 // ---------------------------------------------------------------------------
-// kernel cases (operand fixture mirrors bench_kernels.cpp)
+// kernel cases
 
 struct Operands {
   std::size_t m, K;
@@ -348,22 +351,24 @@ CaseStat par_region_case(par::ThreadPool& pool, const char* body_label,
   return cs;
 }
 
-/// Tip-specialized and fused kernel cases (docs/KERNELS.md), on the simd-col
-/// entries where a variant matters unless the name says simd-site; the
+/// Tip and fused kernel cases (docs/KERNELS.md), on the simd-col entries
+/// where a variant matters unless the name says simd-site or tip-inner; the
 /// tip×tip gather is variant-independent. Case names:
-///   kernel.down.tip-inner    tip-partial row instead of the left matvec
 ///   kernel.down.tip-tip      per-pair table gather (cherry nodes)
 ///   kernel.down_scale.fused  single-pass down + rescale over one CLV sweep
 ///   kernel.down_scale.simd-site  the same on the whole-site entries
+///   kernel.down_scale.tip-inner  the same with a tip left child: what a
+///                                one-tip plan op runs
 CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
                          int reps) {
   Operands op(kPatterns);
-  const auto& ks = core::kernels(case_name == "down_scale.simd-site"
-                                     ? core::KernelVariant::kSimdSite
-                                     : core::KernelVariant::kSimdCol);
-  const auto ti_args = op.down_tip_inner();
+  const bool whole_site = case_name == "down_scale.simd-site" ||
+                          case_name == "down_scale.tip-inner";
+  const auto& ks = core::kernels(whole_site ? core::KernelVariant::kSimdSite
+                                            : core::KernelVariant::kSimdCol);
   const auto tt_args = op.down_tip_tip();
-  const auto fused_down = op.down();
+  const auto fused_down =
+      case_name == "down_scale.tip-inner" ? op.down_tip_inner() : op.down();
   core::ScaleArgs fused_scale{op.out.data(), op.ln_scaler.data(), op.K};
 
   CaseStat cs;
@@ -377,11 +382,42 @@ CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
     for (std::uint64_t i = 0; i < iters; ++i) {
       if (case_name == "down.tip-tip") {
         ks.down_tt(tt_args, 0, op.m);
-      } else if (case_name == "down.tip-inner") {
-        ks.down_ti(ti_args, 0, op.m);
       } else {
         ks.down_scale(fused_down, fused_scale, 0, op.m);
       }
+      sink += static_cast<double>(op.out[0]);
+    }
+    const double t1 = now_s();
+    cs.values.push_back((t1 - t0) / static_cast<double>(iters));
+  }
+  g_bench_sink = sink;
+  return cs;
+}
+
+/// scaling.down.t<threads>: the default down kernel over 50,000 patterns
+/// (paper grid width, CLVs past L2) split by ThreadedBackend::run_down
+/// across a pool of `threads` threads, caller included — the measured
+/// counterpart of the modelled Fig. 9 scaling.
+CaseStat scaling_down_case(std::size_t threads, std::uint64_t iters,
+                           int reps) {
+  constexpr std::size_t kScalingPatterns = 50000;
+  Operands op(kScalingPatterns);
+  par::ThreadPool pool(threads);
+  core::ThreadedBackend backend(pool);
+  const auto& ks = core::kernels(core::KernelVariant::kSimdSite);
+  const auto args = op.down();
+
+  CaseStat cs;
+  cs.name = "scaling.down.t" + std::to_string(threads);
+  cs.unit = "s/call";
+  cs.iters = iters;
+  // Parallel regions are noisier than a single-thread kernel loop.
+  cs.threshold = 0.40;
+  double sink = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = now_s();
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      backend.run_down(ks, args, op.m);
       sink += static_cast<double>(op.out[0]);
     }
     const double t1 = now_s();
@@ -758,8 +794,8 @@ int main(int argc, char** argv) {
               << " us/call (min of " << reps << ")\n";
   }
 
-  for (const char* c : {"down.tip-tip", "down.tip-inner", "down_scale.fused",
-                        "down_scale.simd-site"}) {
+  for (const char* c : {"down.tip-tip", "down_scale.fused",
+                        "down_scale.simd-site", "down_scale.tip-inner"}) {
     cases.push_back(tip_kernel_case(c, kernel_iters, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
               << " us/call (min of " << reps << ")\n";
@@ -903,6 +939,15 @@ int main(int argc, char** argv) {
     cases.push_back(partitioned_case(aln, tree, params, engine_evals, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
               << " ms/eval (min of " << reps << ")\n";
+  }
+
+  // Last: each pool binds its helpers to CPUs round-robin from a process-wide
+  // cursor, so the helpers these 1-4 thread pools take would shift the CPUs
+  // of every pool a later case creates.
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    cases.push_back(scaling_down_case(threads, kernel_iters, reps));
+    std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
+              << " us/call (min of " << reps << ")\n";
   }
 
   std::ofstream out(out_path);

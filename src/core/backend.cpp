@@ -22,18 +22,10 @@ inline void run_op_fused(const KernelSet& ks, const PlfOp& op,
                          std::size_t begin, std::size_t end) {
   if (op.is_root) {
     ks.root_scale(op.args, op.scale, begin, end);
+  } else if (op.kind == PlfOpKind::kTipTip) {
+    ks.down_tt_scale(op.tt, op.scale, begin, end);
   } else {
-    switch (op.kind) {
-      case PlfOpKind::kTipTip:
-        ks.down_tt_scale(op.tt, op.scale, begin, end);
-        break;
-      case PlfOpKind::kTipInner:
-        ks.down_ti_scale(op.args.down, op.scale, begin, end);
-        break;
-      case PlfOpKind::kGeneric:
-        ks.down_scale(op.args.down, op.scale, begin, end);
-        break;
-    }
+    ks.down_scale(op.args.down, op.scale, begin, end);
   }
   run_cum_step(op.cum, begin, end);
 }

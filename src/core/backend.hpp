@@ -42,9 +42,9 @@ enum class Capabilities : std::uint32_t {
   /// run the dense path only; the engine falls back automatically and their
   /// run_* entries reject indexed arguments outright.
   kSiteRepeats = 1u << 0,
-  /// run_plan dispatches tip-specialized ops (PlfOpKind::kTipTip/kTipInner)
-  /// to the lookup-table kernels instead of the generic entries. The engine
-  /// only builds pair tables and sets op kinds for backends advertising this
+  /// run_plan dispatches cherry ops (PlfOpKind::kTipTip) to the pair-table
+  /// gather instead of the generic entries. The engine only builds pair
+  /// tables and sets op kinds for backends advertising this
   /// (docs/KERNELS.md); everyone else executes the always-valid generic
   /// argument block, bit-identically.
   kTipKernels = 1u << 1,

@@ -518,8 +518,7 @@ void PlfEngine::build_plan() {
     op.scale.cl = out;
     op.scale.ln_scaler = ln_scaler;
     op.scale.K = k_;
-    // Tree order, before the tip canonicalization below may swap the kernel
-    // children: the sum's order fixes its bits.
+    // Children in tree order: the sum's order fixes its bits.
     op.cum.out = cum.data();
     op.cum.ln_scaler = ln_scaler;
     op.cum.left = make_cum_child(n.left);
@@ -527,14 +526,11 @@ void PlfEngine::build_plan() {
     op.cum.site_index = op.args.down.site_index;
 
     // Tip specialization (docs/KERNELS.md): a cherry op becomes a pair-table
-    // gather, a one-tip op the branch-free tip×inner kernel. The tip child is
-    // canonicalized to the left slot — the two child factors multiply
-    // elementwise and IEEE multiplication commutes, so the swap is exact.
-    // Root ops keep the generic three-way kernel (one per evaluation).
+    // gather. A one-tip op stays generic — the generic kernel reads a tip
+    // child's tip-partial row with no matvec. Root ops keep the generic
+    // three-way kernel (one per evaluation).
     if (tip_kernels_enabled_ && !op.is_root) {
-      const bool l_tip = tree_.node(n.left).is_leaf();
-      const bool r_tip = tree_.node(n.right).is_leaf();
-      if (l_tip && r_tip) {
+      if (tree_.node(n.left).is_leaf() && tree_.node(n.right).is_leaf()) {
         const BranchState& lb = branches_[static_cast<std::size_t>(n.left)];
         const BranchState& rb = branches_[static_cast<std::size_t>(n.right)];
         const std::uint64_t sl =
@@ -560,13 +556,6 @@ void PlfEngine::build_plan() {
         op.tt.site_index = op.args.down.site_index;
         op.tt.n_sites = m_;
         ++stats_.tip_tt_ops;
-      } else if (l_tip != r_tip) {
-        if (!l_tip) {
-          std::swap(op.args.down.left, op.args.down.right);
-          std::swap(op.left, op.right);
-        }
-        op.kind = PlfOpKind::kTipInner;
-        ++stats_.tip_ti_ops;
       }
     }
     plan_.add(op, static_cast<std::size_t>(
@@ -749,7 +738,6 @@ void PlfEngine::publish_stats(obs::MetricsRegistry& registry) const {
   set(obs::kGaugeEnginePlanOps, static_cast<double>(stats_.plan_ops));
   set(obs::kGaugeEnginePlanLevels, static_cast<double>(stats_.plan_levels));
   set(obs::kGaugeEngineTipTtOps, static_cast<double>(stats_.tip_tt_ops));
-  set(obs::kGaugeEngineTipTiOps, static_cast<double>(stats_.tip_ti_ops));
   set(obs::kGaugeEngineTipTablesBuilt,
       static_cast<double>(stats_.tip_tables_built));
   publish_arena_gauges(registry);

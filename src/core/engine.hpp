@@ -78,11 +78,10 @@ struct EngineStats {
   std::uint64_t scaler_resums = 0;
 
   // Tip-specialized plan ops (docs/KERNELS.md): cherry ops dispatched to the
-  // pair-table gather, tip×inner ops to the branch-free kernel, and how many
-  // 256-pair tables were (re)built — a rebuild is needed only when a cherry's
-  // child branch matrices changed since the cached table was computed.
+  // pair-table gather, and how many 256-pair tables were (re)built — a
+  // rebuild is needed only when a cherry's child branch matrices changed
+  // since the cached table was computed.
   std::uint64_t tip_tt_ops = 0;
-  std::uint64_t tip_ti_ops = 0;
   std::uint64_t tip_tables_built = 0;
 
   /// Sites per computed class on the compacted calls (1.0 when none ran).
@@ -190,9 +189,9 @@ class PlfEngine {
   /// policy, or with a row count of 0 or above m, is refused.
   void restore_state(util::BinaryReader& r);
 
-  /// True when plans mark cherry/tip-child ops for the lookup-table kernels
-  /// (the backend advertises Capabilities::kTipKernels; PerCallBackend does
-  /// not, so it stays fully generic as the A/B baseline).
+  /// True when plans mark cherry ops for the pair-table gather (the backend
+  /// advertises Capabilities::kTipKernels; PerCallBackend does not, so it
+  /// stays fully generic as the A/B baseline).
   bool tip_kernels_enabled() const { return tip_kernels_enabled_; }
 
   /// Requested site-repeats policy (the effective path also depends on the

@@ -92,19 +92,6 @@ inline void check_down_aligned(const DownArgs& a) {
   check_child_aligned(a.right);
 }
 
-/// Tip×inner specialization: the caller promises left is a tip and right is
-/// internal (the engine canonicalizes by swapping — multiplication of the two
-/// child factors commutes bit-exactly), so the kernel may skip the per-site
-/// child-kind branch.
-inline void check_down_ti(const DownArgs& a, std::size_t begin, std::size_t end,
-                          bool needs_transpose) {
-  check_down(a, begin, end, needs_transpose);
-  PLF_DCHECK(a.left.mask != nullptr,
-             "tip-inner down: left child must be a tip");
-  PLF_DCHECK(a.right.cl != nullptr,
-             "tip-inner down: right child must be internal");
-}
-
 /// Tip×tip specialization: both children are tips and the output row is a
 /// pure gather from the per-pair table. The category count the table was
 /// built for must match K — a mismatch would stride the gather wrong, so it
@@ -226,21 +213,15 @@ inline void check_plan(const PlfPlan& plan) {
                      op.cum.site_index == op.args.down.site_index,
                  "run_plan: cum step must follow the op's own scale step");
       PLF_DCHECK(op.run_m <= plan.m(), "run_plan: op exceeds pattern count");
-      if (op.kind != PlfOpKind::kGeneric) {
+      if (op.kind == PlfOpKind::kTipTip) {
         PLF_DCHECK(!op.is_root,
                    "run_plan: root ops must use the generic three-way kernel");
-      }
-      if (op.kind == PlfOpKind::kTipTip) {
         PLF_DCHECK(op.tt.out == op.args.down.out,
                    "run_plan: tip-tip op must write the op's down output");
         PLF_DCHECK(op.tt.table_categories == op.args.down.K,
                    "run_plan: tip-tip pair table built for a different K");
         PLF_DCHECK(op.tt.site_index == op.args.down.site_index,
                    "run_plan: tip-tip op must share the op's site index");
-      } else if (op.kind == PlfOpKind::kTipInner) {
-        PLF_DCHECK(op.args.down.left.mask != nullptr &&
-                       op.args.down.right.cl != nullptr,
-                   "run_plan: tip-inner op must be canonicalized tip-left");
       }
       if (op.repeats != nullptr) {
         PLF_DCHECK(!op.is_root, "run_plan: the root op must stay dense");

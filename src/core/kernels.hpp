@@ -204,8 +204,8 @@ enum class KernelVariant { kScalar, kSimdRow, kSimdCol, kSimdSite };
 /// "(ymm)" or "(sse)", the last being the kSimdCol entries.
 std::string to_string(KernelVariant v);
 
-/// The kernels for one variant: the four generic entries plus the
-/// tip-specialized and fused forms plan-capable backends dispatch to
+/// The kernels for one variant: the four generic entries plus the cherry
+/// gather and the fused forms plan-capable backends dispatch to
 /// (docs/KERNELS.md). down_tt/down_tt_scale are variant-independent gathers
 /// shared by every set.
 struct KernelSet {
@@ -214,10 +214,8 @@ struct KernelSet {
   RootFn root;
   ScaleFn scale;
   RootReduceFn root_reduce;
-  DownFn down_ti;                  ///< left child tip, right child internal
   DownTipTipFn down_tt;            ///< both children tips: pair-table gather
   DownScaleFn down_scale;          ///< fused generic down + rescale
-  DownScaleFn down_ti_scale;       ///< fused tip×inner down + rescale
   DownTipTipScaleFn down_tt_scale; ///< fused tip×tip gather (prescaled table)
   RootScaleFn root_scale;          ///< fused root + rescale
 };

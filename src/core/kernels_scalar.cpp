@@ -53,26 +53,6 @@ inline void down_site(std::size_t r, std::size_t c, const DownArgs& a) {
   }
 }
 
-/// down_site with the child kinds known statically: left tip (table row),
-/// right internal (matrix-vector product). Same float ops as down_site on
-/// the same operands, minus the per-site branch.
-inline void down_ti_site(std::size_t r, std::size_t c, const DownArgs& a) {
-  float* out = a.out + r * a.K * 4;
-  const float* ltp =
-      a.left.tp + static_cast<std::size_t>(a.left.mask[c]) * a.K * 4;
-  const float* rcl = a.right.cl + a.right.stored_row(c) * a.K * 4;
-  for (std::size_t k = 0; k < a.K; ++k) {
-    const float* l = ltp + k * 4;
-    const float* cl = rcl + k * 4;
-    const float* p = a.right.p + k * 16;
-    for (std::size_t i = 0; i < 4; ++i) {
-      const float rv = p[i * 4 + 0] * cl[0] + p[i * 4 + 1] * cl[1] +
-                       p[i * 4 + 2] * cl[2] + p[i * 4 + 3] * cl[3];
-      out[k * 4 + i] = l[i] * rv;
-    }
-  }
-}
-
 inline void root_site(std::size_t r, std::size_t c, const RootArgs& a) {
   const DownArgs& d = a.down;
   float* out = d.out + r * d.K * 4;
@@ -113,13 +93,6 @@ void down_scalar(const DownArgs& a, std::size_t begin, std::size_t end) {
   }
 }
 
-void down_ti_scalar(const DownArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_ti_site(idx, a.site(idx), a);
-  }
-}
-
 void root_scalar(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/false);
   for (std::size_t idx = begin; idx < end; ++idx) {
@@ -138,16 +111,6 @@ void down_scale_scalar(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
   detail::check_fused_scale(s, a.out, a.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
     down_site(idx, a.site(idx), a);
-    scale_site(idx, s);
-  }
-}
-
-void down_ti_scale_scalar(const DownArgs& a, const ScaleArgs& s,
-                          std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_ti_site(idx, a.site(idx), a);
     scale_site(idx, s);
   }
 }
@@ -192,10 +155,8 @@ const KernelSet kScalarKernels{KernelVariant::kScalar,
                                root_scalar,
                                scale_scalar,
                                root_reduce_scalar,
-                               down_ti_scalar,
                                down_tip_tip,
                                down_scale_scalar,
-                               down_ti_scale_scalar,
                                down_tip_tip_scale,
                                root_scale_scalar};
 }  // namespace detail

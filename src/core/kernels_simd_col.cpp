@@ -76,19 +76,6 @@ inline void down_site(std::size_t r, std::size_t c, const DownArgs& a) {
   }
 }
 
-/// down_site with the child kinds known statically (left tip, right inner).
-inline void down_ti_site(std::size_t r, std::size_t c, const DownArgs& a) {
-  float* out = a.out + r * a.K * 4;
-  const float* ltp =
-      a.left.tp + static_cast<std::size_t>(a.left.mask[c]) * a.K * 4;
-  const float* rcl = a.right.cl + a.right.stored_row(c) * a.K * 4;
-  for (std::size_t k = 0; k < a.K; ++k) {
-    const Vec4f l = Vec4f::load(ltp + k * 4);
-    const Vec4f rv = matvec_cols(a.right.pt + k * 16, rcl + k * 4);
-    (l * rv).store(out + k * 4);
-  }
-}
-
 inline void root_site(std::size_t r, std::size_t c, const RootArgs& a) {
   const DownArgs& d = a.down;
   float* out = d.out + r * d.K * 4;
@@ -111,14 +98,6 @@ void down_col(const DownArgs& a, std::size_t begin, std::size_t end) {
   }
 }
 
-void down_ti_col(const DownArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_ti_site(idx, a.site(idx), a);
-  }
-}
-
 void root_col(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
@@ -134,17 +113,6 @@ void down_scale_col(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
   detail::check_fused_scale(s, a.out, a.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
     down_site(idx, a.site(idx), a);
-    scale_site(idx, s);
-  }
-}
-
-void down_ti_scale_col(const DownArgs& a, const ScaleArgs& s,
-                       std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_ti_site(idx, a.site(idx), a);
     scale_site(idx, s);
   }
 }
@@ -169,10 +137,8 @@ const KernelSet kSimdColKernels{KernelVariant::kSimdCol,
                                 root_col,
                                 kSharedSimdScale,
                                 kSharedSimdRootReduce,
-                                down_ti_col,
                                 down_tip_tip,
                                 down_scale_col,
-                                down_ti_scale_col,
                                 down_tip_tip_scale,
                                 root_scale_col};
 }  // namespace detail

@@ -56,19 +56,6 @@ inline void down_site(std::size_t r, std::size_t c, const DownArgs& a) {
   }
 }
 
-/// down_site with the child kinds known statically (left tip, right inner).
-inline void down_ti_site(std::size_t r, std::size_t c, const DownArgs& a) {
-  float* out = a.out + r * a.K * 4;
-  const float* ltp =
-      a.left.tp + static_cast<std::size_t>(a.left.mask[c]) * a.K * 4;
-  const float* rcl = a.right.cl + a.right.stored_row(c) * a.K * 4;
-  for (std::size_t k = 0; k < a.K; ++k) {
-    const Vec4f l = Vec4f::load(ltp + k * 4);
-    const Vec4f rv = matvec_rows(a.right.p + k * 16, Vec4f::load(rcl + k * 4));
-    (l * rv).store(out + k * 4);
-  }
-}
-
 inline void root_site(std::size_t r, std::size_t c, const RootArgs& a) {
   const DownArgs& d = a.down;
   float* out = d.out + r * d.K * 4;
@@ -109,14 +96,6 @@ void down_row(const DownArgs& a, std::size_t begin, std::size_t end) {
   }
 }
 
-void down_ti_row(const DownArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
-  detail::check_down_aligned(a);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_ti_site(idx, a.site(idx), a);
-  }
-}
-
 void root_row(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/false);
   detail::check_root_aligned(a);
@@ -138,17 +117,6 @@ void down_scale_row(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
   detail::check_fused_scale(s, a.out, a.K);
   for (std::size_t idx = begin; idx < end; ++idx) {
     down_site(idx, a.site(idx), a);
-    scale_site(idx, s);
-  }
-}
-
-void down_ti_scale_row(const DownArgs& a, const ScaleArgs& s,
-                       std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_ti_site(idx, a.site(idx), a);
     scale_site(idx, s);
   }
 }
@@ -194,10 +162,8 @@ const KernelSet kSimdRowKernels{KernelVariant::kSimdRow,
                                 root_row,
                                 scale_simd,
                                 root_reduce_simd,
-                                down_ti_row,
                                 down_tip_tip,
                                 down_scale_row,
-                                down_ti_scale_row,
                                 down_tip_tip_scale,
                                 root_scale_row};
 // Shared by the column-wise variants (the scale/reduce kernels do not differ

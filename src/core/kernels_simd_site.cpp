@@ -205,22 +205,13 @@ inline void store_scaled_rows(float* out, float* ln_scaler, std::size_t begin,
   }
 }
 
-/// The per-row bodies, shared by the plain and the fused entries.
+/// The per-row bodies, shared by the plain and the fused entries. A tip
+/// child costs one row load and no matvec (child_factor).
 inline auto down_rows(const LaneMajor& lm, const LaneMajor& rm,
                       const DownArgs& a) {
   return [&a, &lm, &rm](std::size_t idx) {
     const std::size_t c = a.site(idx);
     return child_factor(a.left, lm, c) * child_factor(a.right, rm, c);
-  };
-}
-
-inline auto down_ti_rows(const LaneMajor& rm, const DownArgs& a) {
-  return [&a, &rm](std::size_t idx) {
-    const std::size_t c = a.site(idx);
-    const Row l = Row::load(
-        a.left.tp + static_cast<std::size_t>(a.left.mask[c]) * kRowFloats);
-    return l * rm.apply(Row::load(a.right.cl +
-                                  a.right.stored_row(c) * kRowFloats));
   };
 }
 
@@ -247,19 +238,6 @@ void down_site(const DownArgs& a, std::size_t begin, std::size_t end) {
   }
 #endif
   detail::kSimdColKernels.down(a, begin, end);
-}
-
-void down_ti_site(const DownArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-#if defined(PLF_SITE_BODY)
-  if (a.K == kK) {
-    const LaneMajor rm(a.right.pt);
-    store_rows(a.out, begin, end, down_ti_rows(rm, a));
-    return;
-  }
-#endif
-  detail::kSimdColKernels.down_ti(a, begin, end);
 }
 
 void root_site(const RootArgs& a, std::size_t begin, std::size_t end) {
@@ -290,21 +268,6 @@ void down_scale_site(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
   detail::kSimdColKernels.down_scale(a, s, begin, end);
 }
 
-void down_ti_scale_site(const DownArgs& a, const ScaleArgs& s,
-                        std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-#if defined(PLF_SITE_BODY)
-  if (a.K == kK) {
-    const LaneMajor rm(a.right.pt);
-    store_scaled_rows(a.out, s.ln_scaler, begin, end, down_ti_rows(rm, a));
-    return;
-  }
-#endif
-  detail::kSimdColKernels.down_ti_scale(a, s, begin, end);
-}
-
 void root_scale_site(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
                      std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
@@ -330,10 +293,8 @@ const KernelSet kSimdSiteKernels{KernelVariant::kSimdSite,
                                  root_site,
                                  kSharedSimdScale,
                                  kSharedSimdRootReduce,
-                                 down_ti_site,
                                  down_tip_tip,
                                  down_scale_site,
-                                 down_ti_scale_site,
                                  down_tip_tip_scale,
                                  root_scale_site};
 }  // namespace detail

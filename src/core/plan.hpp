@@ -36,13 +36,12 @@ namespace plf::core {
 
 /// Which kernel entry recomputes an op fastest. The generic argument block
 /// (PlfOp::args) is ALWAYS fully populated regardless of kind, so executors
-/// without tip-specialized paths (the base per-call loop, Cell, GPU) simply
-/// ignore the hint and stay bit-identical; specialization itself is exact
+/// without the pair-table path (the base per-call loop, Cell, GPU) simply
+/// ignore the hint and stay bit-identical; the gather itself is exact
 /// (docs/KERNELS.md).
 enum class PlfOpKind : std::uint8_t {
-  kGeneric,   ///< down/root with per-site child-kind dispatch
-  kTipInner,  ///< left child tip, right internal (engine canonicalizes)
-  kTipTip,    ///< cherry: both children tips, pair-table gather (PlfOp::tt)
+  kGeneric,  ///< down/root with per-site child-kind dispatch
+  kTipTip,   ///< cherry: both children tips, pair-table gather (PlfOp::tt)
 };
 
 /// One child's cumulative log-scaler row, as the op that reads it sees it.

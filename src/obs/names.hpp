@@ -102,10 +102,9 @@ inline constexpr const char* kGaugeRepeatNodeRebuilds =
 inline constexpr const char* kGaugeEnginePlanBuilds = "engine.plan_builds";
 inline constexpr const char* kGaugeEnginePlanOps = "engine.plan_ops";
 inline constexpr const char* kGaugeEnginePlanLevels = "engine.plan_levels";
-// Tip-specialized plan ops (docs/KERNELS.md): cherry pair-table gathers,
-// tip×inner matvec-free ops, and pair-table (re)builds this engine performed.
+// Tip-specialized plan ops (docs/KERNELS.md): cherry pair-table gathers and
+// the pair-table (re)builds this engine performed.
 inline constexpr const char* kGaugeEngineTipTtOps = "engine.tip_tt_ops";
-inline constexpr const char* kGaugeEngineTipTiOps = "engine.tip_ti_ops";
 inline constexpr const char* kGaugeEngineTipTablesBuilt =
     "engine.tip_tables_built";
 

@@ -10,8 +10,7 @@
 // records one OnlineStats timer sample per scope exit — and, when tracing is
 // enabled on the global registry, one chrome://tracing span. With
 // -DPLF_PROFILING=OFF the macros expand to nothing: kernels compile exactly
-// as before, which is the "zero overhead when disabled" guarantee
-// bench_kernels relies on.
+// as before, the "zero overhead when disabled" guarantee.
 #pragma once
 
 #include <cstdint>

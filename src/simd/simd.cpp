@@ -3,9 +3,9 @@
 namespace plf::simd {
 
 std::string backend_name() {
-#if defined(PLF_SIMD_AVX) && defined(__FMA__)
+#if defined(__AVX__) && defined(__FMA__)
   return "avx+fma";
-#elif defined(PLF_SIMD_AVX)
+#elif defined(__AVX__)
   return "avx";
 #elif defined(PLF_SIMD_SSE)
   return "sse2";

@@ -8,7 +8,6 @@
 #endif
 
 #include "simd/vec4f.hpp"
-#include "simd/vec8f.hpp"
 
 namespace plf::simd {
 
@@ -19,15 +18,6 @@ std::string backend_name();
 /// True when 4-wide operations map to hardware SIMD instructions.
 constexpr bool has_hardware_vec4() {
 #if defined(PLF_SIMD_SSE)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// True when 8-wide operations map to a single hardware register.
-constexpr bool has_hardware_vec8() {
-#if defined(PLF_SIMD_AVX)
   return true;
 #else
   return false;

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -542,18 +543,6 @@ TEST(PlanContractDeathTest, TipTipOpWithForeignTableStrideIsRejected) {
                "pair table built for a different K");
 }
 
-TEST(PlanContractDeathTest, NonCanonicalTipInnerOpIsRejected) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  PlanFixture f;
-  core::PlfPlan plan;
-  plan.reset(8, PlanFixture::kPatterns);
-  core::PlfOp op = f.op(1);
-  op.kind = core::PlfOpKind::kTipInner;  // but left has no tip mask
-  plan.add(op, 0);
-  plan.finalize();
-  EXPECT_DEATH(core::detail::check_plan(plan), "canonicalized tip-left");
-}
-
 TEST(PlanContractDeathTest, SpecializedRootOpIsRejected) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   PlanFixture f;
@@ -561,10 +550,97 @@ TEST(PlanContractDeathTest, SpecializedRootOpIsRejected) {
   plan.reset(8, PlanFixture::kPatterns);
   core::PlfOp op = f.op(1);
   op.is_root = true;
-  op.kind = core::PlfOpKind::kTipInner;
+  op.kind = core::PlfOpKind::kTipTip;
   plan.add(op, 0);
   plan.finalize();
   EXPECT_DEATH(core::detail::check_plan(plan), "generic three-way kernel");
+}
+
+TEST(PlanContractDeathTest, TipTipOpWithForeignSiteIndexIsRejected) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PlanFixture f;
+  TipTipFixture t;
+  core::PlfPlan plan;
+  plan.reset(8, PlanFixture::kPatterns);
+  core::PlfOp op = f.op(1);
+  op.kind = core::PlfOpKind::kTipTip;
+  op.tt = t.args();
+  op.tt.out = op.args.down.out;
+  const std::vector<std::uint32_t> sites{0, 2, 4, 6};
+  op.tt.site_index = sites.data();  // the op itself runs dense
+  plan.add(op, 0);
+  plan.finalize();
+  EXPECT_DEATH(core::detail::check_plan(plan),
+               "must share the op's site index");
+}
+
+/// Repeat classes {0,1}{2,3}{4,5}{6,7} over the fixture's 8 patterns, and an
+/// op compacted onto them.
+struct CompactedPlanFixture : PlanFixture {
+  core::NodeRepeats rep;
+
+  CompactedPlanFixture() {
+    rep.n_classes = 4;
+    for (std::uint32_t c = 0; c < kPatterns; ++c) {
+      rep.class_of_site.push_back(c / 2);
+    }
+    rep.unique_sites = {0, 2, 4, 6};
+  }
+
+  core::PlfOp compacted_op(int node) {
+    core::PlfOp o = op(node);
+    o.repeats = &rep;
+    o.run_m = rep.n_classes;
+    o.args.down.site_index = rep.unique_sites.data();
+    o.cum.site_index = rep.unique_sites.data();
+    return o;
+  }
+};
+
+TEST(PlanContractTest, ValidCompactedOpPasses) {
+  CompactedPlanFixture f;
+  core::PlfPlan plan;
+  plan.reset(8, PlanFixture::kPatterns);
+  plan.add(f.compacted_op(1), 0);
+  plan.finalize();
+  EXPECT_NO_THROW(core::detail::check_plan(plan));
+}
+
+TEST(PlanContractDeathTest, CompactedRootOpIsRejected) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CompactedPlanFixture f;
+  core::PlfPlan plan;
+  plan.reset(8, PlanFixture::kPatterns);
+  core::PlfOp op = f.compacted_op(1);
+  op.is_root = true;
+  plan.add(op, 0);
+  plan.finalize();
+  EXPECT_DEATH(core::detail::check_plan(plan), "root op must stay dense");
+}
+
+TEST(PlanContractDeathTest, CompactedOpOverAllSitesIsRejected) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CompactedPlanFixture f;
+  core::PlfPlan plan;
+  plan.reset(8, PlanFixture::kPatterns);
+  core::PlfOp op = f.compacted_op(1);
+  op.run_m = PlanFixture::kPatterns;  // one row per site, not per class
+  plan.add(op, 0);
+  plan.finalize();
+  EXPECT_DEATH(core::detail::check_plan(plan), "iterate its class count");
+}
+
+TEST(PlanContractDeathTest, CompactedOpWithoutItsRepresentativesIsRejected) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CompactedPlanFixture f;
+  core::PlfPlan plan;
+  plan.reset(8, PlanFixture::kPatterns);
+  core::PlfOp op = f.compacted_op(1);
+  op.args.down.site_index = nullptr;  // rows 0..3 would be sites 0..3
+  op.cum.site_index = nullptr;
+  plan.add(op, 0);
+  plan.finalize();
+  EXPECT_DEATH(core::detail::check_plan(plan), "index its representatives");
 }
 
 // --- budgeted CLV arena contracts ------------------------------------------

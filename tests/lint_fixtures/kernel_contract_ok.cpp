@@ -11,8 +11,9 @@ void down_ok(const DownArgs& a, std::size_t begin, std::size_t end) {
   }
 }
 
-void down_ti_ok(const DownArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, false);
+void down_scale_ok(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
+                   std::size_t end) {
+  detail::check_down(a, begin, end, false);
   for (std::size_t i = begin; i < end; ++i) {
     a.cl_out[i] = 0;
   }

@@ -501,7 +501,6 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
     while (!stop.load(std::memory_order_acquire)) {
       const obs::Snapshot snap = obs::MetricsRegistry::global().snapshot();
       (void)snap.gauge_value(obs::kGaugeEngineTipTtOps);
-      (void)snap.gauge_value(obs::kGaugeEngineTipTiOps);
       (void)snap.gauge_value(obs::kGaugeEngineTipTablesBuilt);
     }
   });

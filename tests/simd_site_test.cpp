@@ -1,7 +1,7 @@
 // 0-ULP conformance of the whole-site kernels (kSimdSite) against approach
 // (ii) (kSimdCol), whose float operations they rearrange into one register
-// per site row: every covered entry — down, down_ti, root and their fused
-// rescale twins — must write the same CLV rows and ln_scaler entries, byte
+// per site row: every covered entry — down, root and their fused rescale
+// twins, with tips on either side — must write the same CLV rows and ln_scaler entries, byte
 // for byte, and the engine must return the same lnL bits.
 //
 // Coverage: K ∈ {1, 2, 4, 8} (K != 4 runs the simd-col fallback), dense and
@@ -163,15 +163,13 @@ void expect_same_bytes(const aligned_vector<float>& site,
   }
 }
 
-enum class Entry { kDown, kDownTi, kRoot, kDownScale, kDownTiScale, kRootScale };
+enum class Entry { kDown, kRoot, kDownScale, kRootScale };
 
 const char* name_of(Entry e) {
   switch (e) {
     case Entry::kDown: return "down";
-    case Entry::kDownTi: return "down_ti";
     case Entry::kRoot: return "root";
     case Entry::kDownScale: return "down_scale";
-    case Entry::kDownTiScale: return "down_ti_scale";
     case Entry::kRootScale: return "root_scale";
   }
   return "?";
@@ -189,10 +187,8 @@ void run(const KernelSet& ks, Entry e, const SiteFixture& fx, bool ltip,
   for (const auto& [b, end] : chunks) {
     switch (e) {
       case Entry::kDown: ks.down(d, b, end); break;
-      case Entry::kDownTi: ks.down_ti(d, b, end); break;
       case Entry::kRoot: ks.root(root, b, end); break;
       case Entry::kDownScale: ks.down_scale(d, s, b, end); break;
-      case Entry::kDownTiScale: ks.down_ti_scale(d, s, b, end); break;
       case Entry::kRootScale: ks.root_scale(root, s, b, end); break;
     }
   }
@@ -215,11 +211,8 @@ TEST_P(SimdSiteConformanceTest, EveryEntryMatchesSimdColBitForBit) {
       {{0, 1}, {1, 65}, {65, 130}, {130, 131}, {131, n}}};
   const KernelSet& site = kernels(KernelVariant::kSimdSite);
   const KernelSet& col = kernels(KernelVariant::kSimdCol);
-  for (const Entry e : {Entry::kDown, Entry::kDownTi, Entry::kRoot,
-                        Entry::kDownScale, Entry::kDownTiScale,
-                        Entry::kRootScale}) {
-    const bool ti = e == Entry::kDownTi || e == Entry::kDownTiScale;
-    if (ti && !(ltip && !rtip)) continue;  // down_ti: left tip, right inner
+  for (const Entry e :
+       {Entry::kDown, Entry::kRoot, Entry::kDownScale, Entry::kRootScale}) {
     for (const auto& chunks : plans) {
       SCOPED_TRACE(std::string(name_of(e)) + " [" +
                    std::to_string(chunks.front().first) + ", " +

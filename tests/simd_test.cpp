@@ -88,49 +88,39 @@ TEST(Vec4fTest, Transpose4) {
   EXPECT_EQ(r3.lane(3), 15);
 }
 
-TEST(Vec8fTest, LoadStoreRoundTrip) {
-  aligned_vector<float> in{1, 2, 3, 4, 5, 6, 7, 8};
-  aligned_vector<float> out(8);
-  Vec8f::load(in.data()).store(out.data());
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], in[i]);
+TEST(Vec4fTest, DefaultIsZero) {
+  float r[4];
+  Vec4f().storeu(r);
+  for (float v : r) EXPECT_EQ(v, 0.0f);
 }
 
-TEST(Vec8fTest, ArithmeticAndReductions) {
-  aligned_vector<float> a{1, 2, 3, 4, 5, 6, 7, 8};
-  aligned_vector<float> b{8, 7, 6, 5, 4, 3, 2, 1};
-  const Vec8f va = Vec8f::load(a.data());
-  const Vec8f vb = Vec8f::load(b.data());
-  float r[8];
-  (va + vb).storeu(r);
-  for (float v : r) EXPECT_EQ(v, 9.0f);
-  (va * vb).storeu(r);
-  EXPECT_EQ(r[0], 8.0f);
-  EXPECT_EQ(r[7], 8.0f);
-  EXPECT_FLOAT_EQ(va.hsum(), 36.0f);
-  EXPECT_FLOAT_EQ(va.hmax(), 8.0f);
-  EXPECT_FLOAT_EQ(Vec8f::max(va, vb).hsum(), 8 + 7 + 6 + 5 + 5 + 6 + 7 + 8);
-}
-
-TEST(Vec8fTest, CombineConcatenates) {
-  float r[8];
-  Vec8f::combine(Vec4f(1, 2, 3, 4), Vec4f(5, 6, 7, 8)).storeu(r);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(r[i], static_cast<float>(i + 1));
-}
-
-TEST(Vec8fTest, FmaMatchesMulAdd) {
-  Rng rng(2);
-  float a[8], b[8], c[8], r[8];
-  for (int i = 0; i < 8; ++i) {
-    a[i] = static_cast<float>(rng.uniform(-1, 1));
-    b[i] = static_cast<float>(rng.uniform(-1, 1));
-    c[i] = static_cast<float>(rng.uniform(-1, 1));
-  }
-  Vec8f::fma(Vec8f::loadu(a), Vec8f::loadu(b), Vec8f::loadu(c)).storeu(r);
-  for (int i = 0; i < 8; ++i) EXPECT_NEAR(r[i], a[i] * b[i] + c[i], 1e-5f);
+TEST(Vec4fTest, CompoundAssignment) {
+  Vec4f acc(1, 2, 3, 4);
+  acc += Vec4f(10, 20, 30, 40);
+  acc *= Vec4f(2, 0.5f, -1, 0);
+  float r[4];
+  acc.storeu(r);
+  EXPECT_EQ(r[0], 22);
+  EXPECT_EQ(r[1], 11);
+  EXPECT_EQ(r[2], -33);
+  EXPECT_EQ(r[3], 0);
 }
 
 TEST(BackendTest, NameIsNonEmpty) {
   EXPECT_FALSE(backend_name().empty());
+}
+
+TEST(BackendTest, NameFollowsCompiledIsa) {
+#if defined(__AVX__) && defined(__FMA__)
+  EXPECT_EQ(backend_name(), "avx+fma");
+#elif defined(__AVX__)
+  EXPECT_EQ(backend_name(), "avx");
+#elif defined(PLF_SIMD_SSE)
+  EXPECT_EQ(backend_name(), "sse2");
+#else
+  EXPECT_EQ(backend_name(), "scalar");
+#endif
+  EXPECT_EQ(has_hardware_vec4(), backend_name() != "scalar");
 }
 
 }  // namespace

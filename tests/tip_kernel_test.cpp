@@ -1,7 +1,7 @@
 // Conformance suite for the tip-specialized and fused PLF kernels
-// (docs/KERNELS.md): the pair-table gather (down_tt), the tip×inner entry
-// (down_ti), and every fused down/root+scale twin must reproduce the generic
-// unfused path to the last ULP — across all kernel variants, all 15×15 valid
+// (docs/KERNELS.md): the pair-table gather (down_tt) and every fused
+// down/root+scale twin, with a tip child on either side, must reproduce the
+// generic unfused path to the last ULP — across all kernel variants, all 15×15 valid
 // ambiguity-mask pairs, K ∈ {1, 4}, with and without site-repeat compaction,
 // and at branch-length extremes. Under compaction, output row r is computed
 // from site site_index[r], internal children are read through their class
@@ -17,6 +17,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -52,7 +53,7 @@ struct TipFixture {
   TipPartial tp_l, tp_r, tp_o;
   TipPairTable pair;
   std::vector<StateMask> mask_l, mask_r, mask_o;
-  aligned_vector<float> cl_r;          // internal right child (tip×inner)
+  aligned_vector<float> cl_r;          // internal child of tip×inner ops
   std::vector<std::uint32_t> repeats;  // strictly increasing site subset
   // Compacted internal children: site c lives in stored row row_of[c].
   static constexpr std::size_t kChildRows = 50;
@@ -249,24 +250,52 @@ TEST_P(TipKernelConformanceTest, TipTipGatherMatchesGenericDown) {
 }
 
 TEST_P(TipKernelConformanceTest, TipInnerMatchesGenericDown) {
+  // The generic down reads a tip child's TipPartial row where an internal
+  // child gets a matvec. Both must agree bit for bit on the same rows: the
+  // tip-partial table read as an internal child behind a class map of the
+  // tip's masks, under identity transition matrices (P·x == x exactly for
+  // x >= 0). Tip child left and right, internal sibling dense or compacted.
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
+  const std::size_t n = fx.run_m(use_repeats);
 
-  DownArgs args;
-  args.left = fx.tip_left();
-  args.right = fx.inner_right(use_repeats);
-  args.K = K;
-  args.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  args.n_sites = fx.m;
+  aligned_vector<float> identity(K * 16, 0.0f);
+  for (std::size_t k = 0; k < K; ++k) {
+    for (std::size_t i = 0; i < 4; ++i) identity[k * 16 + i * 5] = 1.0f;
+  }
+  const std::vector<std::uint32_t> mask_rows(fx.mask_l.begin(),
+                                             fx.mask_l.end());
+  ChildArgs tip_as_inner;
+  tip_as_inner.cl = fx.tp_l.data();
+  tip_as_inner.row_of = mask_rows.data();
+  tip_as_inner.p = identity.data();
+  tip_as_inner.pt = identity.data();
 
-  aligned_vector<float> out_gen = zeros(fx.m * K * 4);
-  aligned_vector<float> out_ti = zeros(fx.m * K * 4);
-  args.out = out_gen.data();
-  ks.down(args, 0, fx.run_m(use_repeats));
-  args.out = out_ti.data();
-  ks.down_ti(args, 0, fx.run_m(use_repeats));
-  expect_bitwise_equal(out_ti, out_gen);
+  for (const bool left_is_tip : {true, false}) {
+    SCOPED_TRACE(left_is_tip ? "tip left" : "tip right");
+    DownArgs tip;
+    tip.left = fx.tip_left();
+    tip.right = fx.inner_right(use_repeats);
+    tip.K = K;
+    tip.site_index = use_repeats ? fx.repeats.data() : nullptr;
+    tip.n_sites = fx.m;
+    DownArgs inner = tip;
+    inner.left = tip_as_inner;
+    if (!left_is_tip) {
+      std::swap(tip.left, tip.right);
+      std::swap(inner.left, inner.right);
+    }
+
+    aligned_vector<float> out_tip = zeros(fx.m * K * 4);
+    aligned_vector<float> out_inner = zeros(fx.m * K * 4);
+    tip.out = out_tip.data();
+    ks.down(tip, 0, n);
+    inner.out = out_inner.data();
+    ks.down(inner, 0, n);
+    expect_bitwise_equal(out_tip, out_inner);
+    expect_zero_from(out_tip, n * K * 4);
+  }
 }
 
 /// Unfused (down then scale) and fused outputs of one op, each over its own
@@ -334,25 +363,35 @@ TEST_P(TipKernelConformanceTest, FusedDownScaleMatchesUnfusedPair) {
 }
 
 TEST_P(TipKernelConformanceTest, FusedTipInnerScaleMatchesUnfusedPair) {
+  // A one-tip op runs the generic entries with the tip child on whichever
+  // side the tree has it, so both sides must fuse exactly — and, the two
+  // child factors multiplying elementwise, give the same bits as each other.
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
-
-  DownArgs args;
-  args.left = fx.tip_left();
-  args.right = fx.inner_right(use_repeats);
-  args.K = K;
-  args.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  args.n_sites = fx.m;
   const std::size_t n = fx.run_m(use_repeats);
 
-  FusedPair fp(fx.m, K);
-  args.out = fp.out_a.data();
-  ks.down_ti(args, 0, n);
-  ks.scale(fp.scale_a(K), 0, n);
-  args.out = fp.out_b.data();
-  ks.down_ti_scale(args, fp.scale_b(K), 0, n);
-  fp.expect_match(n, K);
+  FusedPair tip_left(fx.m, K), tip_right(fx.m, K);
+  for (const bool left_is_tip : {true, false}) {
+    SCOPED_TRACE(left_is_tip ? "tip left" : "tip right");
+    DownArgs args;
+    args.left = fx.tip_left();
+    args.right = fx.inner_right(use_repeats);
+    if (!left_is_tip) std::swap(args.left, args.right);
+    args.K = K;
+    args.site_index = use_repeats ? fx.repeats.data() : nullptr;
+    args.n_sites = fx.m;
+
+    FusedPair& fp = left_is_tip ? tip_left : tip_right;
+    args.out = fp.out_a.data();
+    ks.down(args, 0, n);
+    ks.scale(fp.scale_a(K), 0, n);
+    args.out = fp.out_b.data();
+    ks.down_scale(args, fp.scale_b(K), 0, n);
+    fp.expect_match(n, K);
+  }
+  expect_bitwise_equal(tip_right.out_b, tip_left.out_b);
+  expect_bitwise_equal(tip_right.ln_b, tip_left.ln_b);
 }
 
 TEST_P(TipKernelConformanceTest, FusedTipTipScaleMatchesUnfusedPair) {
@@ -397,7 +436,8 @@ TEST_P(TipKernelConformanceTest, CompactedRowsEqualDenseRowsOfTheirSites) {
   // Row r of a compacted run holds exactly the dense run's row for site
   // site_index[r], when the dense run reads the compacted child expanded to
   // one row per site: the layout the engine's class maps stand for. Covers
-  // the generic, tip×inner and root entries (dense params: the identity).
+  // the generic down with the tip child left and right, and the root entry
+  // (dense params: the identity).
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
@@ -420,7 +460,8 @@ TEST_P(TipKernelConformanceTest, CompactedRowsEqualDenseRowsOfTheirSites) {
   dense.down.site_index = nullptr;
 
   for (int entry = 0; entry < 3; ++entry) {
-    SCOPED_TRACE(entry == 0 ? "down" : (entry == 1 ? "down_ti" : "root"));
+    SCOPED_TRACE(entry == 0 ? "down" : (entry == 1 ? "down, tip right"
+                                                   : "root"));
     aligned_vector<float> out_c = zeros(fx.m * row);
     aligned_vector<float> out_d = zeros(fx.m * row);
     compact.down.out = out_c.data();
@@ -429,8 +470,12 @@ TEST_P(TipKernelConformanceTest, CompactedRowsEqualDenseRowsOfTheirSites) {
       ks.down(compact.down, 0, n);
       ks.down(dense.down, 0, fx.m);
     } else if (entry == 1) {
-      ks.down_ti(compact.down, 0, n);
-      ks.down_ti(dense.down, 0, fx.m);
+      DownArgs compact_swapped = compact.down;
+      DownArgs dense_swapped = dense.down;
+      std::swap(compact_swapped.left, compact_swapped.right);
+      std::swap(dense_swapped.left, dense_swapped.right);
+      ks.down(compact_swapped, 0, n);
+      ks.down(dense_swapped, 0, fx.m);
     } else {
       ks.root(compact, 0, n);
       ks.root(dense, 0, fx.m);

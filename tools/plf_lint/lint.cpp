@@ -260,7 +260,7 @@ struct KernelRule {
 
 const std::vector<KernelRule>& kernel_rules() {
   static const std::vector<KernelRule> rules = {
-      {"DownArgs", {"check_down", "check_down_aligned", "check_down_ti"}},
+      {"DownArgs", {"check_down", "check_down_aligned"}},
       {"RootArgs", {"check_root", "check_root_aligned"}},
       {"ScaleArgs", {"check_scale"}},
       {"RootReduceArgs", {"check_root_reduce"}},
