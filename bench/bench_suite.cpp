@@ -188,7 +188,6 @@ struct Operands {
     core::TipTipArgs a;
     a.left_mask = mask_l.data();
     a.right_mask = mask_r.data();
-    a.pair = pair.raw();
     a.pair_scaled = pair.scaled();
     a.pair_ln = pair.ln_factors();
     a.out = out.data();
@@ -354,8 +353,9 @@ CaseStat par_region_case(par::ThreadPool& pool, const char* body_label,
 /// Tip and fused kernel cases (docs/KERNELS.md), on the simd-col entries
 /// where a variant matters unless the name says simd-site or tip-inner; the
 /// tip×tip gather is variant-independent. Case names:
-///   kernel.down.tip-tip      per-pair table gather (cherry nodes)
-///   kernel.down_scale.fused  single-pass down + rescale over one CLV sweep
+///   kernel.down_scale.tip-tip    prescaled pair-table gather (cherry nodes)
+///   kernel.down_scale.fused      single-pass down + rescale over one CLV
+///                                sweep
 ///   kernel.down_scale.simd-site  the same on the whole-site entries
 ///   kernel.down_scale.tip-inner  the same with a tip left child: what a
 ///                                one-tip plan op runs
@@ -380,8 +380,8 @@ CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_s();
     for (std::uint64_t i = 0; i < iters; ++i) {
-      if (case_name == "down.tip-tip") {
-        ks.down_tt(tt_args, 0, op.m);
+      if (case_name == "down_scale.tip-tip") {
+        ks.down_tt_scale(tt_args, fused_scale, 0, op.m);
       } else {
         ks.down_scale(fused_down, fused_scale, 0, op.m);
       }
@@ -794,7 +794,7 @@ int main(int argc, char** argv) {
               << " us/call (min of " << reps << ")\n";
   }
 
-  for (const char* c : {"down.tip-tip", "down_scale.fused",
+  for (const char* c : {"down_scale.tip-tip", "down_scale.fused",
                         "down_scale.simd-site", "down_scale.tip-inner"}) {
     cases.push_back(tip_kernel_case(c, kernel_iters, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e6

@@ -25,6 +25,13 @@ std::size_t child_static_bytes(const core::ChildArgs& ch, std::size_t K) {
                      : 2 * K * 16 * sizeof(float);
 }
 
+/// The kernels an SPU runs: the paper's approach (i) or (ii).
+const core::KernelSet& spu_kernels(SpuSimd simd) {
+  return core::kernels(simd == SpuSimd::kColumnWise
+                           ? core::KernelVariant::kSimdCol
+                           : core::KernelVariant::kSimdRow);
+}
+
 }  // namespace
 
 Spu::Spu(int id, SpuSimd simd, const SpuTimings& timings, const DmaTimings& dma)
@@ -88,9 +95,7 @@ SpuRunResult Spu::run_down_like(const SpuJob& job, double time, bool is_root) {
     return result;
   }
 
-  const core::KernelSet& ks = core::kernels(
-      simd_ == SpuSimd::kColumnWise ? core::KernelVariant::kSimdCol
-                                    : core::KernelVariant::kSimdRow);
+  const core::KernelSet& ks = spu_kernels(simd_);
 
   const std::size_t ls_mark = ls_.mark();
 
@@ -251,9 +256,7 @@ SpuRunResult Spu::run_scale(const SpuJob& job, double time) {
     result.finish_time = time;
     return result;
   }
-  const core::KernelSet& ks = core::kernels(
-      simd_ == SpuSimd::kColumnWise ? core::KernelVariant::kSimdCol
-                                    : core::KernelVariant::kSimdRow);
+  const core::KernelSet& ks = spu_kernels(simd_);
 
   const std::size_t ls_mark = ls_.mark();
   // Per pattern: cl (in+out, counted once for space) + scaler float.
@@ -325,9 +328,7 @@ SpuRunResult Spu::run_reduce(const SpuJob& job, double time) {
     result.finish_time = time;
     return result;
   }
-  const core::KernelSet& ks = core::kernels(
-      simd_ == SpuSimd::kColumnWise ? core::KernelVariant::kSimdCol
-                                    : core::KernelVariant::kSimdRow);
+  const core::KernelSet& ks = spu_kernels(simd_);
 
   const bool has_pinv =
       job.reduce.const_lik != nullptr && job.reduce.p_invariant > 0.0f;

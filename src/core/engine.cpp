@@ -547,7 +547,6 @@ void PlfEngine::build_plan() {
         op.kind = PlfOpKind::kTipTip;
         op.tt.left_mask = op.args.down.left.mask;
         op.tt.right_mask = op.args.down.right.mask;
-        op.tt.pair = st.pair.raw();
         op.tt.pair_scaled = st.pair.scaled();
         op.tt.pair_ln = st.pair.ln_factors();
         op.tt.out = out;
@@ -565,14 +564,12 @@ void PlfEngine::build_plan() {
     // backend fuses them or not.
     if (op.is_root) {
       ++stats_.root_calls;
-      if (nr != nullptr) ++stats_.repeat_root_hits;
     } else {
       ++stats_.down_calls;
       if (nr != nullptr) ++stats_.repeat_down_hits;
     }
     ++stats_.scale_calls;
     if (nr != nullptr) {
-      ++stats_.repeat_scale_hits;
       stats_.repeat_sites_total += m_;
       stats_.repeat_sites_computed += op.run_m;
     }
@@ -728,8 +725,6 @@ void PlfEngine::publish_stats(obs::MetricsRegistry& registry) const {
   set(obs::kGaugeEnginePatternIterations,
       static_cast<double>(stats_.pattern_iterations));
   set(obs::kGaugeRepeatDownHitRate, stats_.down_repeat_hit_rate());
-  set(obs::kGaugeRepeatRootHitRate, stats_.root_repeat_hit_rate());
-  set(obs::kGaugeRepeatScaleHitRate, stats_.scale_repeat_hit_rate());
   set(obs::kGaugeRepeatCompressionRatio, stats_.repeat_compression_ratio());
   set(obs::kGaugeRepeatRebuildSeconds, stats_.repeat_rebuild_seconds);
   set(obs::kGaugeRepeatNodeRebuilds,

@@ -53,12 +53,11 @@ struct EngineStats {
   double plf_seconds = 0.0;               ///< wall time in run_plan
   double serial_seconds = 0.0;            ///< matrix rebuilds + plan builds
 
-  // Site-repeat caching (docs/SITE_REPEATS.md). A "hit" is a kernel call that
-  // took the compacted path; sites_total/sites_computed cover hits only, so
-  // their ratio is the realized compression.
+  // Site-repeat caching (docs/SITE_REPEATS.md). A "hit" is a down op that
+  // took the compacted path (the root op stays dense); sites_total/
+  // sites_computed cover hits only, so their ratio is the realized
+  // compression.
   std::uint64_t repeat_down_hits = 0;
-  std::uint64_t repeat_root_hits = 0;
-  std::uint64_t repeat_scale_hits = 0;
   std::uint64_t repeat_sites_total = 0;     ///< m summed over compacted calls
   std::uint64_t repeat_sites_computed = 0;  ///< unique classes summed over them
   double repeat_rebuild_seconds = 0.0;      ///< class identification time
@@ -95,16 +94,6 @@ struct EngineStats {
     return down_calls == 0 ? 0.0
                            : static_cast<double>(repeat_down_hits) /
                                  static_cast<double>(down_calls);
-  }
-  double root_repeat_hit_rate() const {
-    return root_calls == 0 ? 0.0
-                           : static_cast<double>(repeat_root_hits) /
-                                 static_cast<double>(root_calls);
-  }
-  double scale_repeat_hit_rate() const {
-    return scale_calls == 0 ? 0.0
-                            : static_cast<double>(repeat_scale_hits) /
-                                  static_cast<double>(scale_calls);
   }
 };
 

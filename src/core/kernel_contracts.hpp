@@ -92,10 +92,10 @@ inline void check_down_aligned(const DownArgs& a) {
   check_child_aligned(a.right);
 }
 
-/// Tip×tip specialization: both children are tips and the output row is a
-/// pure gather from the per-pair table. The category count the table was
-/// built for must match K — a mismatch would stride the gather wrong, so it
-/// is rejected always (O(1)). Checked builds additionally validate every
+/// Tip×tip specialization: both children are tips and the rescaled output
+/// row is a pure gather from the per-pair table. The category count the
+/// table was built for must match K — a mismatch would stride the gather
+/// wrong, so it is rejected always (O(1)). Checked builds additionally validate every
 /// 4-bit tip-state code in the range: the gather indexes the table with
 /// mask * kNumMasks + mask, so an out-of-range code reads foreign memory.
 inline void check_down_tt(const TipTipArgs& a, std::size_t begin,
@@ -105,7 +105,8 @@ inline void check_down_tt(const TipTipArgs& a, std::size_t begin,
   PLF_DCHECK(a.out != nullptr, "tip-tip down: null output array");
   PLF_DCHECK(a.left_mask != nullptr && a.right_mask != nullptr,
              "tip-tip down: both children must provide tip masks");
-  PLF_DCHECK(a.pair != nullptr, "tip-tip down: null pair table");
+  PLF_DCHECK(a.pair_scaled != nullptr && a.pair_ln != nullptr,
+             "tip-tip down: null pair table");
   PLF_CHECK(a.table_categories == a.K,
             "tip-tip down: pair table/CLV rate-category mismatch");
   check_site_index(a.site_index, begin, end, a.n_sites);

@@ -28,7 +28,8 @@
 //   kSimdCol  "approach (ii)": SIMD across the four inner products of one
 //             matrix-vector multiply (column-wise access via the transposed
 //             matrix, no horizontal reduction) — the layout the paper found
-//             2x faster on the SPU and adopted
+//             2x faster on the SPU and adopted. kSimdRow and kSimdCol are one
+//             Vec4f body over two matvecs (kernels_vec4.cpp)
 //   kSimdSite modern extension, the production default: one whole K = 4
 //             site row per vector register (zmm under AVX-512F, two ymm
 //             under AVX2 + FMA), rescaled in the same register; bit-identical
@@ -106,20 +107,19 @@ struct RootArgs {
   const float* out_tp = nullptr;        ///< outgroup tip-partial table
 };
 
-/// Arguments for the tip×tip (cherry) specialization of cond_like_down.
-/// When BOTH children are tips, the per-site work collapses entirely: the
-/// output row depends only on the (left_mask, right_mask) pair, which takes
-/// at most 16×16 values. The engine precomputes a per-edge-pair table
-/// (core/tip_partial.hpp TipPairTable) holding each pair's K*4 output row —
-/// raw, plus a prescaled copy with its log scale factor so the fused
-/// down+scale entry is a pure gather. Table layout:
+/// Arguments for the tip×tip (cherry) specialization of cond_like_down +
+/// cond_like_scaler. When BOTH children are tips, the per-site work
+/// collapses entirely: the rescaled output row depends only on the
+/// (left_mask, right_mask) pair, which takes at most 16×16 values. The
+/// engine precomputes a per-edge-pair table (core/tip_partial.hpp
+/// TipPairTable) holding each pair's prescaled K*4 output row and its log
+/// scale factor, so the fused down+scale entry is a pure gather. Layout:
 ///   pair = left_mask * kNumMasks + right_mask
-///   pair_tables[pair * K * 4 + k * 4 + i]
+///   pair_scaled[pair * K * 4 + k * 4 + i], pair_ln[pair]
 struct TipTipArgs {
   const StateMask* left_mask = nullptr;   ///< left tip pattern masks
   const StateMask* right_mask = nullptr;  ///< right tip pattern masks
-  const float* pair = nullptr;         ///< raw product rows (down output)
-  const float* pair_scaled = nullptr;  ///< prescaled rows (fused down+scale)
+  const float* pair_scaled = nullptr;  ///< prescaled product rows
   const float* pair_ln = nullptr;      ///< per-pair log scale factor
   float* out = nullptr;                ///< clP, standard CLV layout
   std::size_t K = 4;
@@ -183,14 +183,13 @@ using ScaleFn = void (*)(const ScaleArgs&, std::size_t begin, std::size_t end);
 /// Returns the partial lnL contribution of [begin, end).
 using RootReduceFn = double (*)(const RootReduceArgs&, std::size_t begin,
                                 std::size_t end);
-using DownTipTipFn = void (*)(const TipTipArgs&, std::size_t begin,
-                              std::size_t end);
 /// Fused down/root + per-site rescale in one pass. The scale block must alias
 /// the down output (ScaleArgs::cl == out; contract-checked), exactly the
 /// PlfPlan invariant, so the rescale happens while the freshly computed row
 /// is still in registers — one CLV sweep instead of two. Fused entries are
-/// per-site compositions of the unfused bodies and therefore bit-identical
-/// to calling down then scale over the same range.
+/// per-site compositions of the unfused bodies (kernel_entries.hpp) and
+/// therefore bit-identical to calling down then scale over the same range.
+/// The tip×tip entry exists only fused: its table rows are prescaled.
 using DownScaleFn = void (*)(const DownArgs&, const ScaleArgs&,
                              std::size_t begin, std::size_t end);
 using RootScaleFn = void (*)(const RootArgs&, const ScaleArgs&,
@@ -204,17 +203,15 @@ enum class KernelVariant { kScalar, kSimdRow, kSimdCol, kSimdSite };
 /// "(ymm)" or "(sse)", the last being the kSimdCol entries.
 std::string to_string(KernelVariant v);
 
-/// The kernels for one variant: the four generic entries plus the cherry
-/// gather and the fused forms plan-capable backends dispatch to
-/// (docs/KERNELS.md). down_tt/down_tt_scale are variant-independent gathers
-/// shared by every set.
+/// The kernels for one variant: the four generic entries plus the fused
+/// forms plan-capable backends dispatch to (docs/KERNELS.md). down_tt_scale
+/// is the variant-independent cherry gather shared by every set.
 struct KernelSet {
   KernelVariant variant;
   DownFn down;
   RootFn root;
   ScaleFn scale;
   RootReduceFn root_reduce;
-  DownTipTipFn down_tt;            ///< both children tips: pair-table gather
   DownScaleFn down_scale;          ///< fused generic down + rescale
   DownTipTipScaleFn down_tt_scale; ///< fused tip×tip gather (prescaled table)
   RootScaleFn root_scale;          ///< fused root + rescale
@@ -225,10 +222,9 @@ struct KernelSet {
 const KernelSet& kernels(KernelVariant v);
 
 namespace detail {
-/// Shared tip×tip gather kernels (kernels_tip.cpp). The gathered row depends
+/// Shared tip×tip gather kernel (kernels_tip.cpp). The gathered row depends
 /// only on the 8-bit mask pair — there is no arithmetic left for a SIMD
-/// variant to vectorize — so every KernelSet points at these.
-void down_tip_tip(const TipTipArgs& a, std::size_t begin, std::size_t end);
+/// variant to vectorize — so every KernelSet points at it.
 void down_tip_tip_scale(const TipTipArgs& a, const ScaleArgs& s,
                         std::size_t begin, std::size_t end);
 /// The vector body kSimdSite runs at K = 4 in this build: "zmm", "ymm" or

@@ -1,14 +1,13 @@
 // Scalar reference implementation of the PLF kernels — the ground truth all
 // SIMD/backend variants are validated against.
 //
-// Each kernel body lives in a per-site helper that writes output row r from
-// site c; the public entries pass the iteration index as r and its site
-// through the optional site-repeat indirection as c. The fused down+scale
-// entries compose the SAME helpers per site, so fusion is bit-identical to
-// the two-pass form by construction.
+// Each kernel body is a per-site helper that writes output row r from site
+// c; detail::SiteKernels (kernel_entries.hpp) builds the checked range
+// entries, fused and unfused, from them.
 #include <cmath>
 
 #include "core/kernel_contracts.hpp"
+#include "core/kernel_entries.hpp"
 #include "core/kernels.hpp"
 #include "simd/simd.hpp"
 
@@ -40,90 +39,58 @@ inline void child_values(const ChildArgs& ch, std::size_t c, std::size_t row,
   }
 }
 
-/// Output row r from site c (r == c on the dense path).
-inline void down_site(std::size_t r, std::size_t c, const DownArgs& a) {
-  float* out = a.out + r * a.K * 4;
-  const std::size_t lrow = a.left.stored_row(c);
-  const std::size_t rrow = a.right.stored_row(c);
-  for (std::size_t k = 0; k < a.K; ++k) {
-    float l[4], rv[4];
-    child_values(a.left, c, lrow, k, a.K, l);
-    child_values(a.right, c, rrow, k, a.K, rv);
-    for (std::size_t i = 0; i < 4; ++i) out[k * 4 + i] = l[i] * rv[i];
-  }
-}
+struct ScalarBody {
+  static constexpr bool kNeedsTranspose = false;
+  static constexpr bool kAligned = false;
 
-inline void root_site(std::size_t r, std::size_t c, const RootArgs& a) {
-  const DownArgs& d = a.down;
-  float* out = d.out + r * d.K * 4;
-  const float* tp = a.out_tp + static_cast<std::size_t>(a.out_mask[c]) * d.K * 4;
-  const std::size_t lrow = d.left.stored_row(c);
-  const std::size_t rrow = d.right.stored_row(c);
-  for (std::size_t k = 0; k < d.K; ++k) {
-    float l[4], rv[4];
-    child_values(d.left, c, lrow, k, d.K, l);
-    child_values(d.right, c, rrow, k, d.K, rv);
-    for (std::size_t i = 0; i < 4; ++i) {
-      out[k * 4 + i] = l[i] * rv[i] * tp[k * 4 + i];
+  /// Output row r from site c (r == c on the dense path).
+  static void down_site(std::size_t r, std::size_t c, const DownArgs& a) {
+    float* out = a.out + r * a.K * 4;
+    const std::size_t lrow = a.left.stored_row(c);
+    const std::size_t rrow = a.right.stored_row(c);
+    for (std::size_t k = 0; k < a.K; ++k) {
+      float l[4], rv[4];
+      child_values(a.left, c, lrow, k, a.K, l);
+      child_values(a.right, c, rrow, k, a.K, rv);
+      for (std::size_t i = 0; i < 4; ++i) out[k * 4 + i] = l[i] * rv[i];
     }
   }
-}
 
-inline void scale_site(std::size_t r, const ScaleArgs& a) {
-  float* cl = a.cl + r * a.K * 4;
-  float m = cl[0];
-  for (std::size_t v = 1; v < a.K * 4; ++v) {
-    if (cl[v] > m) m = cl[v];
+  static void root_site(std::size_t r, std::size_t c, const RootArgs& a) {
+    const DownArgs& d = a.down;
+    float* out = d.out + r * d.K * 4;
+    const float* tp =
+        a.out_tp + static_cast<std::size_t>(a.out_mask[c]) * d.K * 4;
+    const std::size_t lrow = d.left.stored_row(c);
+    const std::size_t rrow = d.right.stored_row(c);
+    for (std::size_t k = 0; k < d.K; ++k) {
+      float l[4], rv[4];
+      child_values(d.left, c, lrow, k, d.K, l);
+      child_values(d.right, c, rrow, k, d.K, rv);
+      for (std::size_t i = 0; i < 4; ++i) {
+        out[k * 4 + i] = l[i] * rv[i] * tp[k * 4 + i];
+      }
+    }
   }
-  if (m > 0.0f) {
-    const float inv = 1.0f / m;
-    for (std::size_t v = 0; v < a.K * 4; ++v) cl[v] *= inv;
-    a.ln_scaler[r] = std::log(m);
-  } else {
-    // Fully underflowed site: leave values, record no scaling. The root
-    // reduction will produce -inf for this site, which is the honest answer.
-    a.ln_scaler[r] = 0.0f;
-  }
-}
 
-void down_scalar(const DownArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down(a, begin, end, /*needs_transpose=*/false);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_site(idx, a.site(idx), a);
+  static void scale_site(std::size_t r, const ScaleArgs& a) {
+    float* cl = a.cl + r * a.K * 4;
+    float m = cl[0];
+    for (std::size_t v = 1; v < a.K * 4; ++v) {
+      if (cl[v] > m) m = cl[v];
+    }
+    if (m > 0.0f) {
+      const float inv = 1.0f / m;
+      for (std::size_t v = 0; v < a.K * 4; ++v) cl[v] *= inv;
+      a.ln_scaler[r] = std::log(m);
+    } else {
+      // Fully underflowed site: leave values, record no scaling. The root
+      // reduction will produce -inf for this site, which is the honest
+      // answer.
+      a.ln_scaler[r] = 0.0f;
+    }
   }
-}
-
-void root_scalar(const RootArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_root(a, begin, end, /*needs_transpose=*/false);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    root_site(idx, a.down.site(idx), a);
-  }
-}
-
-void scale_scalar(const ScaleArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_scale(a, begin, end);
-  for (std::size_t r = begin; r < end; ++r) scale_site(r, a);
-}
-
-void down_scale_scalar(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
-                       std::size_t end) {
-  detail::check_down(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    down_site(idx, a.site(idx), a);
-    scale_site(idx, s);
-  }
-}
-
-void root_scale_scalar(const RootArgs& a, const ScaleArgs& s,
-                       std::size_t begin, std::size_t end) {
-  detail::check_root(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.down.out, a.down.K);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    root_site(idx, a.down.site(idx), a);
-    scale_site(idx, s);
-  }
-}
+};
 
 double root_reduce_scalar(const RootReduceArgs& a, std::size_t begin,
                           std::size_t end) {
@@ -146,19 +113,20 @@ double root_reduce_scalar(const RootReduceArgs& a, std::size_t begin,
   return partial;
 }
 
+using Scalar = detail::SiteKernels<ScalarBody>;
+
 }  // namespace
 
 namespace detail {
 extern const KernelSet kScalarKernels;
 const KernelSet kScalarKernels{KernelVariant::kScalar,
-                               down_scalar,
-                               root_scalar,
-                               scale_scalar,
+                               Scalar::down,
+                               Scalar::root,
+                               Scalar::scale,
                                root_reduce_scalar,
-                               down_tip_tip,
-                               down_scale_scalar,
+                               Scalar::down_scale,
                                down_tip_tip_scale,
-                               root_scale_scalar};
+                               Scalar::root_scale};
 }  // namespace detail
 
 }  // namespace plf::core

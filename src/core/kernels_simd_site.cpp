@@ -6,7 +6,7 @@
 // happens in the same register before the row is stored.
 //
 // Every lane performs the IEEE sequence of approach (ii) in
-// kernels_simd_col.cpp — mul, then FMAs in j order, then l * r, then * o at
+// kernels_vec4.cpp — mul, then FMAs in j order, then l * r, then * o at
 // the root, then max over the rate groups in k order and the 1 / max
 // multiply — with the same operand order, so CLV rows, ln_scaler entries and
 // hence lnL are bit-identical to simd-col (docs/KERNELS.md, "Whole-site
@@ -18,6 +18,7 @@
 #include <cmath>
 
 #include "core/kernel_contracts.hpp"
+#include "core/kernel_entries.hpp"
 #include "core/kernels.hpp"
 #include "simd/vec4f.hpp"
 
@@ -31,8 +32,6 @@ namespace plf::core {
 
 namespace detail {
 extern const KernelSet kSimdColKernels;
-extern const ScaleFn kSharedSimdScale;
-extern const RootReduceFn kSharedSimdRootReduce;
 
 const char* simd_site_body() {
 #if defined(PLF_SITE_ZMM)
@@ -133,7 +132,7 @@ struct Row {
 
 /// One child's transposed matrices, lane-major: col[j] holds
 /// pt[k*16 + j*4 + i] at position k*4 + i, so lane k of col[j] is the
-/// column simd-col's matvec_cols multiplies child state j of rate k with.
+/// column simd-col's ColMatvec multiplies child state j of rate k with.
 /// Built once per kernel call; a tip child without pt gets zeros it never
 /// reads.
 struct LaneMajor {
@@ -153,7 +152,7 @@ struct LaneMajor {
     for (std::size_t j = 0; j < 4; ++j) col[j] = Row::load(zp[j]);
   }
 
-  /// matvec_cols for all four rates of the row x.
+  /// ColMatvec::apply for all four rates of the row x.
   Row apply(Row x) const {
     Row acc = x.broadcast<0x00>() * col[0];
     acc = Row::fma(x.broadcast<0x55>(), col[1], acc);
@@ -291,9 +290,8 @@ extern const KernelSet kSimdSiteKernels;
 const KernelSet kSimdSiteKernels{KernelVariant::kSimdSite,
                                  down_site,
                                  root_site,
-                                 kSharedSimdScale,
-                                 kSharedSimdRootReduce,
-                                 down_tip_tip,
+                                 SiteKernels<Vec4Scale>::scale,
+                                 vec4_root_reduce,
                                  down_scale_site,
                                  down_tip_tip_scale,
                                  root_scale_site};

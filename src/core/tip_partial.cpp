@@ -25,8 +25,7 @@ TipPartial::TipPartial(const phylo::TransitionMatrices& tm)
 }
 
 TipPairTable::TipPairTable(const TipPartial& left, const TipPartial& right)
-    : raw_(phylo::kNumMasks * phylo::kNumMasks * left.n_categories() * 4),
-      scaled_(raw_.size()),
+    : scaled_(phylo::kNumMasks * phylo::kNumMasks * left.n_categories() * 4),
       ln_(phylo::kNumMasks * phylo::kNumMasks, 0.0f),
       k_(left.n_categories()) {
   PLF_CHECK(left.n_categories() == right.n_categories() && k_ >= 1,
@@ -37,24 +36,20 @@ TipPairTable::TipPairTable(const TipPartial& left, const TipPartial& right)
       const std::size_t pair = lm * phylo::kNumMasks + rm;
       const float* l = left.data() + lm * row;
       const float* r = right.data() + rm * row;
-      float* raw = raw_.data() + pair * row;
       float* scaled = scaled_.data() + pair * row;
-      for (std::size_t v = 0; v < row; ++v) raw[v] = l[v] * r[v];
-      // Prescale: the scale-kernel body applied once per pair instead of once
-      // per site. max is order-invariant and the rescale uses the identical
-      // 1/max multiply, so gathering these rows is bit-identical to running
-      // cond_like_scaler over the gathered raw rows.
-      float m = raw[0];
+      for (std::size_t v = 0; v < row; ++v) scaled[v] = l[v] * r[v];
+      // Prescale in place: the scale-kernel body applied once per pair
+      // instead of once per site. max is order-invariant and the rescale
+      // uses the identical 1/max multiply, so gathering these rows is
+      // bit-identical to running cond_like_scaler over the product rows.
+      float m = scaled[0];
       for (std::size_t v = 1; v < row; ++v) {
-        if (raw[v] > m) m = raw[v];
+        if (scaled[v] > m) m = scaled[v];
       }
       if (m > 0.0f) {
         const float inv = 1.0f / m;
-        for (std::size_t v = 0; v < row; ++v) scaled[v] = raw[v] * inv;
+        for (std::size_t v = 0; v < row; ++v) scaled[v] *= inv;
         ln_[pair] = std::log(m);
-      } else {
-        for (std::size_t v = 0; v < row; ++v) scaled[v] = raw[v];
-        ln_[pair] = 0.0f;
       }
     }
   }

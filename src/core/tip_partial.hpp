@@ -33,14 +33,13 @@ class TipPartial {
 /// children of a node are tips, cond_like_down's output row is l_tp[lm] *
 /// r_tp[rm] elementwise — a function of the (left_mask, right_mask) pair
 /// alone, of which there are only kNumMasks² = 256. Precomputing all pairs
-/// turns the kernel into a gather (TipTipArgs). Alongside the raw rows, a
-/// prescaled copy and the per-pair log scale factor are stored so the fused
-/// down+scale entry needs no arithmetic at all; the prescale applies exactly
-/// the scale-kernel body once per pair, so gathering it is bit-identical to
-/// rescaling the gathered raw row per site.
+/// turns the fused down+scale kernel into a gather (TipTipArgs). Each pair's
+/// row is stored prescaled, with its log scale factor: the scale-kernel body
+/// applied once per pair, so gathering it is bit-identical to rescaling the
+/// product row per site.
 ///
-/// Memory: 2 × kNumMasks² × K × 4 floats + kNumMasks² factors per cherry
-/// (16.25 KiB at K=4) — independent of the pattern count.
+/// Memory: kNumMasks² × K × 4 floats + kNumMasks² factors per cherry
+/// (17 KiB at K=4) — independent of the pattern count.
 class TipPairTable {
  public:
   TipPairTable() = default;
@@ -48,17 +47,14 @@ class TipPairTable {
   /// Build from the two child branches' tip-partial tables (equal K).
   TipPairTable(const TipPartial& left, const TipPartial& right);
 
-  /// Raw product rows, pair-major: raw()[pair * K * 4 + k * 4 + i] with
-  /// pair = left_mask * kNumMasks + right_mask.
-  const float* raw() const { return raw_.data(); }
-  /// Prescaled rows, same layout as raw().
+  /// Prescaled product rows, pair-major: scaled()[pair * K * 4 + k * 4 + i]
+  /// with pair = left_mask * kNumMasks + right_mask.
   const float* scaled() const { return scaled_.data(); }
   /// Per-pair log scale factor, indexed by pair.
   const float* ln_factors() const { return ln_.data(); }
   std::size_t n_categories() const { return k_; }
 
  private:
-  aligned_vector<float> raw_;
   aligned_vector<float> scaled_;
   aligned_vector<float> ln_;
   std::size_t k_ = 0;

@@ -89,10 +89,6 @@ inline constexpr const char* kGaugeEnginePatternIterations =
     "engine.pattern_iterations";
 inline constexpr const char* kGaugeRepeatDownHitRate =
     "engine.repeat_down_hit_rate";
-inline constexpr const char* kGaugeRepeatRootHitRate =
-    "engine.repeat_root_hit_rate";
-inline constexpr const char* kGaugeRepeatScaleHitRate =
-    "engine.repeat_scale_hit_rate";
 inline constexpr const char* kGaugeRepeatCompressionRatio =
     "engine.repeat_compression_ratio";
 inline constexpr const char* kGaugeRepeatRebuildSeconds =

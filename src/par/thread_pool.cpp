@@ -59,29 +59,24 @@ bool spin_step(unsigned& spins) {
   return true;
 }
 
-/// CPU for the next helper thread, or -1 to leave it unbound. Helpers take
-/// the process's affinity set round-robin from one process-wide cursor that
-/// starts one past the CPU of the thread constructing the first pool, so the
-/// first helpers avoid the submitter's CPU and several pools spread out
-/// instead of stacking on the same CPUs.
-int next_helper_cpu() {
+/// The process's affinity set in ascending order (empty where unknown).
+std::vector<int> affinity_cpus() {
+  std::vector<int> cpus;
 #if defined(__linux__)
   cpu_set_t set;
   CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) return -1;
-  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
   for (int c = 0; c < CPU_SETSIZE; ++c) {
     if (CPU_ISSET(c, &set)) cpus.push_back(c);
   }
-  if (cpus.size() < 2) return -1;
-  static std::atomic<std::size_t> cursor{[&cpus] {
-    const int self = sched_getcpu();
-    const auto it = std::find(cpus.begin(), cpus.end(), self);
-    return it == cpus.end()
-               ? std::size_t{0}
-               : static_cast<std::size_t>(it - cpus.begin()) + 1;
-  }()};
-  return cpus[cursor.fetch_add(1, std::memory_order_relaxed) % cpus.size()];
+#endif
+  return cpus;
+}
+
+/// CPU the calling thread runs on, or -1 where unknown.
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
 #else
   return -1;
 #endif
@@ -177,15 +172,25 @@ struct ThreadPool::Region {
   }
 };
 
+int helper_cpu(const std::vector<int>& cpus, int own_cpu, std::size_t cursor) {
+  if (cpus.size() < 2) return -1;
+  const auto own = std::find(cpus.begin(), cpus.end(), own_cpu);
+  if (own == cpus.end()) return cpus[cursor % cpus.size()];
+  const auto first = static_cast<std::size_t>(own - cpus.begin()) + 1;
+  return cpus[(first + cursor % (cpus.size() - 1)) % cpus.size()];
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   std::size_t n = threads;
   if (n == 0) {
     n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   // The calling thread is worker 0; spawn n-1 helpers, each on its own CPU.
+  const std::vector<int> cpus = affinity_cpus();
+  const int own_cpu = current_cpu();
   workers_.reserve(n - 1);
   for (std::size_t i = 1; i < n; ++i) {
-    const int cpu = next_helper_cpu();
+    const int cpu = helper_cpu(cpus, own_cpu, i - 1);
     workers_.emplace_back([this, i, cpu] {
       bind_current_thread(cpu);
       worker_loop(i);

@@ -30,9 +30,10 @@
 //     periodic yield) on the region's atomic `done` flag, which the last
 //     finisher publishes with release order as its final touch of the
 //     stack-owned Region.
-//   * Each helper is bound to one CPU of the process's affinity set, handed
-//     out round-robin from a process-wide cursor that starts one past the
-//     constructing thread's CPU; the submitting thread is never bound. On
+//   * Each helper is bound to one CPU of the process's affinity set: the
+//     pool's helpers take the set in order from one past the constructing
+//     thread's CPU, skipping that CPU (helper_cpu), so placement depends on
+//     no earlier pool; the submitting thread is never bound. On
 //     hosts whose cpusets disable scheduler load balancing
 //     (cpuset.sched_load_balance = 0), a thread woken by another lands on the
 //     waker's CPU and is never migrated back: unbound, a woken helper shares
@@ -147,6 +148,14 @@ class ThreadPool {
   mutable util::Mutex stats_m_;
   PoolStats stats_ PLF_GUARDED_BY(stats_m_);
 };
+
+/// CPU to bind helper `cursor` (0-based) of a pool to, given the process's
+/// affinity set `cpus` (ascending) and the CPU `own_cpu` of the thread that
+/// constructs the pool: the set in order from one past `own_cpu`, skipping
+/// `own_cpu` itself, so no helper shares the constructing (submitting)
+/// thread's CPU while the set has another. An `own_cpu` outside the set
+/// starts at its first CPU. -1 (leave unbound) for fewer than two CPUs.
+int helper_cpu(const std::vector<int>& cpus, int own_cpu, std::size_t cursor);
 
 /// Pool shared by library components that do not manage their own
 /// (constructed on first use with hardware concurrency).

@@ -55,7 +55,9 @@ struct Vec4f {
 
   /// Horizontal sum of all 4 lanes.
   float hsum() const {
-    __m128 shuf = _mm_movehdup_ps(v);
+    // Lanes (1, 0, 3, 2): SSE2 only, unlike the SSE3 movehdup. Lane 0 ends
+    // as (v0 + v1) + (v2 + v3) either way.
+    __m128 shuf = _mm_shuffle_ps(v, v, _MM_SHUFFLE(2, 3, 0, 1));
     __m128 sums = _mm_add_ps(v, shuf);
     shuf = _mm_movehl_ps(shuf, sums);
     sums = _mm_add_ss(sums, shuf);

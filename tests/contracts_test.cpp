@@ -326,12 +326,11 @@ struct TipTipFixture {
   static constexpr std::size_t kPatterns = 8;
   static constexpr std::size_t kCats = 4;
   std::vector<phylo::StateMask> ml, mr;
-  aligned_vector<float> pair, pair_scaled, ln, out, scaler;
+  aligned_vector<float> pair_scaled, ln, out, scaler;
 
   TipTipFixture()
       : ml(kPatterns, phylo::StateMask{1}),
         mr(kPatterns, phylo::StateMask{2}),
-        pair(phylo::kNumMasks * phylo::kNumMasks * kCats * 4, 0.5f),
         pair_scaled(phylo::kNumMasks * phylo::kNumMasks * kCats * 4, 1.0f),
         ln(phylo::kNumMasks * phylo::kNumMasks, 0.0f),
         out(kPatterns * kCats * 4, 0.0f),
@@ -341,7 +340,6 @@ struct TipTipFixture {
     core::TipTipArgs a;
     a.left_mask = ml.data();
     a.right_mask = mr.data();
-    a.pair = pair.data();
     a.pair_scaled = pair_scaled.data();
     a.pair_ln = ln.data();
     a.out = out.data();
@@ -350,13 +348,17 @@ struct TipTipFixture {
     a.n_sites = kPatterns;
     return a;
   }
+  /// The fused scale block: aliases the gather's output.
+  core::ScaleArgs scale() {
+    return core::ScaleArgs{out.data(), scaler.data(), kCats};
+  }
 };
 
 TEST(TipKernelContractTest, ValidTipTipGatherRuns) {
   TipTipFixture f;
   core::TipTipArgs a = f.args();
   core::kernels(KernelVariant::kScalar)
-      .down_tt(a, 0, TipTipFixture::kPatterns);
+      .down_tt_scale(a, f.scale(), 0, TipTipFixture::kPatterns);
   for (float x : f.out) EXPECT_GT(x, 0.0f);
 }
 
@@ -368,7 +370,7 @@ TEST(TipKernelContractTest, PairTableCategoryMismatchThrows) {
   core::TipTipArgs a = f.args();
   a.table_categories = 2;
   EXPECT_THROW(core::kernels(KernelVariant::kScalar)
-                   .down_tt(a, 0, TipTipFixture::kPatterns),
+                   .down_tt_scale(a, f.scale(), 0, TipTipFixture::kPatterns),
                Error);
 }
 

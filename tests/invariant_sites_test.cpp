@@ -228,8 +228,7 @@ TEST(InvariantSitesTest, PinvOnlyMoveRunsOnlyTheReduction) {
 #else
     EXPECT_EQ(regions, 0u);
 #endif
-    SerialBackend fresh_backend;
-    PlfEngine fresh(inst.data, p, inst.tree, fresh_backend);
+    PlfEngine fresh(inst.data, p, inst.tree, *backend);
     EXPECT_EQ(moved, fresh.log_likelihood());
 
     engine.reject();

@@ -45,6 +45,7 @@ struct GoldenCase {
 
 const GoldenCase kGolden[] = {
     {"kernel_contract.cpp", "src/core/kernels_bad.cpp", "kernel-contract"},
+    {"kernel_entries.hpp", "src/core/kernel_entries.hpp", "kernel-contract"},
     {"prof_name_constant.cpp", "src/obs/prof_bad.cpp", "prof-name-constant"},
     {"metric_name_constant.cpp", "src/mcmc/publish_bad.cpp",
      "prof-name-constant"},
@@ -97,6 +98,12 @@ TEST(LintGolden, KnownGoodKernelEntryIsClean) {
   EXPECT_TRUE(findings.empty());
 }
 
+TEST(LintGolden, KnownGoodTemplatedKernelEntryIsClean) {
+  const std::vector<Finding> findings = lint_source(
+      "src/core/kernel_entries.hpp", read_fixture("kernel_entries_ok.hpp"));
+  EXPECT_TRUE(findings.empty());
+}
+
 TEST(LintGolden, KnownGoodArenaEntryIsClean) {
   const std::vector<Finding> findings = lint_source(
       "src/core/clv_arena.cpp", read_fixture("arena_contract_ok.cpp"));
@@ -117,10 +124,14 @@ TEST(LintGolden, OutOfScopePathsAreExempt) {
   EXPECT_TRUE(
       lint_source("src/numerics/ulp.hpp", read_fixture("float_equality.cpp"))
           .empty());
-  // kernels.cpp (dispatch table) is not a kernels_*.cpp kernel file.
+  // kernels.cpp (dispatch table) is not a kernels_*.cpp kernel file, and
+  // of the core headers only the shared entries header holds entries.
   EXPECT_TRUE(
       lint_source("src/core/kernels.cpp", read_fixture("kernel_contract.cpp"))
           .empty());
+  EXPECT_TRUE(lint_source("src/core/kernel_contracts.hpp",
+                          read_fixture("kernel_entries.hpp"))
+                  .empty());
   // The arena rule binds to the one file that defines ClvArena's methods.
   EXPECT_TRUE(
       lint_source("src/core/engine.cpp", read_fixture("arena_contract.cpp"))

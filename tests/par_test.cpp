@@ -136,6 +136,35 @@ TEST(ThreadPoolTest, ExceptionsInBodyDoNotCorruptPool) {
   EXPECT_EQ(n.load(), 4);
 }
 
+TEST(HelperCpuTest, SkipsTheConstructingCpu) {
+  const std::vector<int> cpus = {0, 1, 2, 3};
+  const int from3[] = {0, 1, 2, 0, 1, 2};
+  const int from1[] = {2, 3, 0, 2, 3, 0};
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(helper_cpu(cpus, 3, i), from3[i]) << "cursor " << i;
+    EXPECT_EQ(helper_cpu(cpus, 1, i), from1[i]) << "cursor " << i;
+  }
+  // A sparse set: positions, not CPU numbers, advance.
+  const std::vector<int> sparse = {2, 5, 7};
+  EXPECT_EQ(helper_cpu(sparse, 5, 0), 7);
+  EXPECT_EQ(helper_cpu(sparse, 5, 1), 2);
+  EXPECT_EQ(helper_cpu(sparse, 5, 2), 7);
+}
+
+TEST(HelperCpuTest, OwnCpuOutsideTheSetUsesTheWholeSet) {
+  const std::vector<int> cpus = {0, 1, 2, 3};
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(helper_cpu(cpus, 9, i), cpus[i % 4]);
+    EXPECT_EQ(helper_cpu(cpus, -1, i), cpus[i % 4]);
+  }
+}
+
+TEST(HelperCpuTest, FewerThanTwoCpusLeaveHelpersUnbound) {
+  EXPECT_EQ(helper_cpu({}, 0, 0), -1);
+  EXPECT_EQ(helper_cpu({4}, 4, 0), -1);
+  EXPECT_EQ(helper_cpu({4}, 0, 3), -1);
+}
+
 TEST(DefaultPoolTest, IsSingleton) {
   EXPECT_EQ(&default_pool(), &default_pool());
   EXPECT_GE(default_pool().size(), 1u);

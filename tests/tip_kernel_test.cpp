@@ -1,5 +1,5 @@
 // Conformance suite for the tip-specialized and fused PLF kernels
-// (docs/KERNELS.md): the pair-table gather (down_tt) and every fused
+// (docs/KERNELS.md): the pair-table gather (down_tt_scale) and every fused
 // down/root+scale twin, with a tip child on either side, must reproduce the
 // generic unfused path to the last ULP — across all kernel variants, all 15×15 valid
 // ambiguity-mask pairs, K ∈ {1, 4}, with and without site-repeat compaction,
@@ -127,7 +127,6 @@ struct TipFixture {
     TipTipArgs a;
     a.left_mask = mask_l.data();
     a.right_mask = mask_r.data();
-    a.pair = pair.raw();
     a.pair_scaled = pair.scaled();
     a.pair_ln = pair.ln_factors();
     a.out = out;
@@ -160,45 +159,34 @@ void expect_zero_from(const aligned_vector<float>& v, std::size_t first) {
 // ---------------------------------------------------------------------------
 // TipPairTable construction conformance.
 
-TEST(TipPairTableTest, RawRowsAreExactTipPartialProducts) {
-  TipFixture fx(4, 1.0);
-  for (std::size_t lm = 0; lm < phylo::kNumMasks; ++lm) {
-    for (std::size_t rm = 0; rm < phylo::kNumMasks; ++rm) {
-      const std::size_t pair = lm * phylo::kNumMasks + rm;
-      for (std::size_t v = 0; v < fx.K * 4; ++v) {
-        const float want =
-            fx.tp_l.data()[lm * fx.K * 4 + v] *
-            fx.tp_r.data()[rm * fx.K * 4 + v];
-        EXPECT_EQ(fx.pair.raw()[pair * fx.K * 4 + v], want)
-            << "pair (" << lm << ", " << rm << ") entry " << v;
-      }
-    }
-  }
-}
-
-TEST(TipPairTableTest, ScaledRowsMatchScaleKernelAppliedToRaw) {
-  // The prescale must be the scale-kernel body verbatim: running the real
-  // scale kernel over a copy of each raw row must reproduce scaled() and
-  // ln_factors() bit for bit. This is what makes the fused tip×tip gather
-  // exact.
+TEST(TipPairTableTest, ScaledRowsMatchScaleKernelAppliedToProducts) {
+  // Each pair's row must be its tip-partial product rescaled by the scale
+  // kernel verbatim: running the real scale kernel over the product row
+  // must reproduce scaled() and ln_factors() bit for bit. This is what makes
+  // the fused tip×tip gather exact.
   TipFixture fx(4, 1.0);
   const std::size_t row = fx.K * 4;
   aligned_vector<float> buf(row);
   aligned_vector<float> ln(1);
-  for (std::size_t pair = 0; pair < phylo::kNumMasks * phylo::kNumMasks;
-       ++pair) {
-    std::memcpy(buf.data(), fx.pair.raw() + pair * row, row * sizeof(float));
-    ln[0] = -1.0f;
-    ScaleArgs s;
-    s.cl = buf.data();
-    s.ln_scaler = ln.data();
-    s.K = fx.K;
-    kernels(KernelVariant::kScalar).scale(s, 0, 1);
-    EXPECT_EQ(std::memcmp(buf.data(), fx.pair.scaled() + pair * row,
-                          row * sizeof(float)),
-              0)
-        << "pair " << pair;
-    EXPECT_EQ(ln[0], fx.pair.ln_factors()[pair]) << "pair " << pair;
+  for (std::size_t lm = 0; lm < phylo::kNumMasks; ++lm) {
+    for (std::size_t rm = 0; rm < phylo::kNumMasks; ++rm) {
+      const std::size_t pair = lm * phylo::kNumMasks + rm;
+      for (std::size_t v = 0; v < row; ++v) {
+        buf[v] = fx.tp_l.data()[lm * row + v] * fx.tp_r.data()[rm * row + v];
+      }
+      ln[0] = -1.0f;
+      ScaleArgs s;
+      s.cl = buf.data();
+      s.ln_scaler = ln.data();
+      s.K = fx.K;
+      kernels(KernelVariant::kScalar).scale(s, 0, 1);
+      EXPECT_EQ(std::memcmp(buf.data(), fx.pair.scaled() + pair * row,
+                            row * sizeof(float)),
+                0)
+          << "pair (" << lm << ", " << rm << ")";
+      EXPECT_EQ(ln[0], fx.pair.ln_factors()[pair])
+          << "pair (" << lm << ", " << rm << ")";
+    }
   }
 }
 
@@ -227,27 +215,6 @@ class TipKernelConformanceTest : public ::testing::TestWithParam<TipParam> {
     return aligned_vector<float>(n, 0.0f);
   }
 };
-
-TEST_P(TipKernelConformanceTest, TipTipGatherMatchesGenericDown) {
-  const auto [variant, K, scale, use_repeats] = GetParam();
-  TipFixture fx(K, scale);
-  const KernelSet& ks = kernels(variant);
-
-  DownArgs generic;
-  generic.left = fx.tip_left();
-  generic.right = fx.tip_right();
-  generic.K = K;
-  generic.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  generic.n_sites = fx.m;
-
-  aligned_vector<float> out_gen = zeros(fx.m * K * 4);
-  aligned_vector<float> out_tt = zeros(fx.m * K * 4);
-  generic.out = out_gen.data();
-  ks.down(generic, 0, fx.run_m(use_repeats));
-  TipTipArgs tt = fx.tt_args(out_tt.data(), use_repeats);
-  ks.down_tt(tt, 0, fx.run_m(use_repeats));
-  expect_bitwise_equal(out_tt, out_gen);
-}
 
 TEST_P(TipKernelConformanceTest, TipInnerMatchesGenericDown) {
   // The generic down reads a tip child's TipPartial row where an internal
@@ -394,14 +361,48 @@ TEST_P(TipKernelConformanceTest, FusedTipInnerScaleMatchesUnfusedPair) {
   expect_bitwise_equal(tip_right.ln_b, tip_left.ln_b);
 }
 
-TEST_P(TipKernelConformanceTest, FusedTipTipScaleMatchesUnfusedPair) {
+TEST_P(TipKernelConformanceTest, TipTipGatherMatchesGenericDown) {
+  // The pair-table gather must give the bits of the generic fused down over
+  // the same two tip children: the path a backend without tip kernels runs.
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
   const std::size_t n = fx.run_m(use_repeats);
 
+  DownArgs generic;
+  generic.left = fx.tip_left();
+  generic.right = fx.tip_right();
+  generic.K = K;
+  generic.site_index = use_repeats ? fx.repeats.data() : nullptr;
+  generic.n_sites = fx.m;
+
   FusedPair fp(fx.m, K);
-  ks.down_tt(fx.tt_args(fp.out_a.data(), use_repeats), 0, n);
+  generic.out = fp.out_a.data();
+  ks.down_scale(generic, fp.scale_a(K), 0, n);
+  ks.down_tt_scale(fx.tt_args(fp.out_b.data(), use_repeats), fp.scale_b(K), 0,
+                   n);
+  fp.expect_match(n, K);
+}
+
+TEST_P(TipKernelConformanceTest, FusedTipTipScaleMatchesUnfusedPair) {
+  // The engine runs a cherry op as the pair-table gather; it must give the
+  // bits of the unfused pair, the generic down then scale, over the same
+  // two tip children.
+  const auto [variant, K, scale, use_repeats] = GetParam();
+  TipFixture fx(K, scale);
+  const KernelSet& ks = kernels(variant);
+  const std::size_t n = fx.run_m(use_repeats);
+
+  DownArgs generic;
+  generic.left = fx.tip_left();
+  generic.right = fx.tip_right();
+  generic.K = K;
+  generic.site_index = use_repeats ? fx.repeats.data() : nullptr;
+  generic.n_sites = fx.m;
+
+  FusedPair fp(fx.m, K);
+  generic.out = fp.out_a.data();
+  ks.down(generic, 0, n);
   ks.scale(fp.scale_a(K), 0, n);
   ks.down_tt_scale(fx.tt_args(fp.out_b.data(), use_repeats), fp.scale_b(K), 0,
                    n);
@@ -497,15 +498,15 @@ TEST_P(TipKernelConformanceTest, TipTipRangeSplitEqualsWholeRange) {
   const KernelSet& ks = kernels(variant);
   const std::size_t n = fx.run_m(use_repeats);
 
-  aligned_vector<float> whole = zeros(fx.m * K * 4);
-  aligned_vector<float> split = zeros(fx.m * K * 4);
-  TipTipArgs tw = fx.tt_args(whole.data(), use_repeats);
-  ks.down_tt(tw, 0, n);
-  TipTipArgs ts = fx.tt_args(split.data(), use_repeats);
-  ks.down_tt(ts, 0, n / 3);
-  ks.down_tt(ts, n / 3, n / 2 + 1);
-  ks.down_tt(ts, n / 2 + 1, n);
-  expect_bitwise_equal(split, whole);
+  FusedPair fp(fx.m, K);
+  ks.down_tt_scale(fx.tt_args(fp.out_a.data(), use_repeats), fp.scale_a(K), 0,
+                   n);
+  const TipTipArgs ts = fx.tt_args(fp.out_b.data(), use_repeats);
+  const ScaleArgs ss = fp.scale_b(K);
+  ks.down_tt_scale(ts, ss, 0, n / 3);
+  ks.down_tt_scale(ts, ss, n / 3, n / 2 + 1);
+  ks.down_tt_scale(ts, ss, n / 2 + 1, n);
+  fp.expect_match(n, K);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -585,8 +585,11 @@ std::vector<Finding> lint_source(std::string_view relpath, std::string_view text
   std::vector<Finding> out;
 
   const bool in_src = starts_with(relpath, "src/");
-  const bool kernels_file = starts_with(relpath, "src/core/kernels_") &&
-                            ends_with(relpath, ".cpp");
+  // The kernel entries: the per-variant files and the header whose template
+  // builds the shared checked range entries.
+  const bool kernels_file = (starts_with(relpath, "src/core/kernels_") &&
+                             ends_with(relpath, ".cpp")) ||
+                            relpath == "src/core/kernel_entries.hpp";
   // src/exec/ owns the multi-instance driver threads (exec/scheduler.cpp);
   // like the pool itself, it is the sanctioned home for std::thread.
   const bool in_pool_layer = starts_with(relpath, "src/par/") ||
