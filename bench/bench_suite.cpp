@@ -127,9 +127,8 @@ struct Operands {
   aligned_vector<float> ln_scaler;
   aligned_vector<double> scaler_total;
   aligned_vector<std::uint32_t> weights;
-  std::vector<phylo::StateMask> mask_l, mask_r;
-  core::TipPartial tp_l, tp_r;
-  core::TipPairTable pair;
+  std::vector<phylo::StateMask> mask_l;
+  core::TipPartial tp_l;
 
   explicit Operands(std::size_t m_, std::size_t K_ = 4) : m(m_), K(K_) {
     phylo::GtrParams p = seqgen::default_gtr_params();
@@ -146,21 +145,16 @@ struct Operands {
     ln_scaler.assign(m, 0.0f);
     scaler_total.assign(m, -0.5);
     weights.assign(m, 1);
-    // Tip operands: realistic mask mix (mostly resolved bases, ~10%
-    // ambiguity codes) and the per-branch / per-pair lookup tables the
-    // engine would have staged for a cherry.
+    // Tip operand: realistic mask mix (mostly resolved bases, ~10%
+    // ambiguity codes) and the per-branch lookup table the engine would
+    // have staged for a tip child.
     mask_l.resize(m);
-    mask_r.resize(m);
-    for (auto* masks : {&mask_l, &mask_r}) {
-      for (auto& x : *masks) {
-        x = rng.uniform() < 0.1
-                ? static_cast<phylo::StateMask>(1 + rng.below(15))
-                : phylo::state_to_mask(rng.below(4));
-      }
+    for (auto& x : mask_l) {
+      x = rng.uniform() < 0.1
+              ? static_cast<phylo::StateMask>(1 + rng.below(15))
+              : phylo::state_to_mask(rng.below(4));
     }
     tp_l = core::TipPartial(tm_l);
-    tp_r = core::TipPartial(tm_r);
-    pair = core::TipPairTable(tp_l, tp_r);
   }
 
   core::DownArgs down() {
@@ -181,18 +175,6 @@ struct Operands {
     a.left.cl = nullptr;
     a.left.mask = mask_l.data();
     a.left.tp = tp_l.data();
-    return a;
-  }
-
-  core::TipTipArgs down_tip_tip() {
-    core::TipTipArgs a;
-    a.left_mask = mask_l.data();
-    a.right_mask = mask_r.data();
-    a.pair_scaled = pair.scaled();
-    a.pair_ln = pair.ln_factors();
-    a.out = out.data();
-    a.K = K;
-    a.table_categories = pair.n_categories();
     return a;
   }
 };
@@ -350,23 +332,20 @@ CaseStat par_region_case(par::ThreadPool& pool, const char* body_label,
   return cs;
 }
 
-/// Tip and fused kernel cases (docs/KERNELS.md), on the simd-col entries
-/// where a variant matters unless the name says simd-site or tip-inner; the
-/// tip×tip gather is variant-independent. Case names:
-///   kernel.down_scale.tip-tip    prescaled pair-table gather (cherry nodes)
+/// Fused kernel cases (docs/KERNELS.md), on the simd-col entries unless the
+/// name says simd-site or tip-inner. Case names:
 ///   kernel.down_scale.fused      single-pass down + rescale over one CLV
 ///                                sweep
 ///   kernel.down_scale.simd-site  the same on the whole-site entries
 ///   kernel.down_scale.tip-inner  the same with a tip left child: what a
 ///                                one-tip plan op runs
-CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
-                         int reps) {
+CaseStat fused_kernel_case(const std::string& case_name, std::uint64_t iters,
+                           int reps) {
   Operands op(kPatterns);
   const bool whole_site = case_name == "down_scale.simd-site" ||
                           case_name == "down_scale.tip-inner";
   const auto& ks = core::kernels(whole_site ? core::KernelVariant::kSimdSite
                                             : core::KernelVariant::kSimdCol);
-  const auto tt_args = op.down_tip_tip();
   const auto fused_down =
       case_name == "down_scale.tip-inner" ? op.down_tip_inner() : op.down();
   core::ScaleArgs fused_scale{op.out.data(), op.ln_scaler.data(), op.K};
@@ -380,11 +359,7 @@ CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_s();
     for (std::uint64_t i = 0; i < iters; ++i) {
-      if (case_name == "down_scale.tip-tip") {
-        ks.down_tt_scale(tt_args, fused_scale, 0, op.m);
-      } else {
-        ks.down_scale(fused_down, fused_scale, 0, op.m);
-      }
+      ks.down_scale(fused_down, fused_scale, 0, op.m);
       sink += static_cast<double>(op.out[0]);
     }
     const double t1 = now_s();
@@ -520,7 +495,7 @@ CaseStat coupled_case(const phylo::PatternMatrix& data,
   if (shared_pool) sched = std::make_unique<exec::InstanceScheduler>(kChains);
   mcmc::CoupledChains mc3(std::move(engines), opts, sched.get());
 
-  std::uint64_t target = 5;  // warm-up: plans, pair tables, driver rebind
+  std::uint64_t target = 5;  // warm-up: plans, driver rebind
   mc3.run(target);
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_s();
@@ -572,7 +547,7 @@ CaseStat telemetry_case(const phylo::PatternMatrix& data,
   opts.telemetry = exporter.get();
   mcmc::CoupledChains mc3(std::move(engines), opts);
 
-  std::uint64_t target = 5;  // warm-up: plans, pair tables, first record
+  std::uint64_t target = 5;  // warm-up: plans, first record
   mc3.run(target);
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_s();
@@ -619,7 +594,7 @@ CaseStat e2e_case(const std::string& workload, const phylo::PatternMatrix& data,
   opts.chain.w_spr = 1.5;
   mcmc::CoupledChains mc3(std::move(engines), opts);
 
-  std::uint64_t target = 5;  // warm-up: plans, pair tables, first classes
+  std::uint64_t target = 5;  // warm-up: plans, first classes
   mc3.run(target);
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_s();
@@ -794,9 +769,9 @@ int main(int argc, char** argv) {
               << " us/call (min of " << reps << ")\n";
   }
 
-  for (const char* c : {"down_scale.tip-tip", "down_scale.fused",
-                        "down_scale.simd-site", "down_scale.tip-inner"}) {
-    cases.push_back(tip_kernel_case(c, kernel_iters, reps));
+  for (const char* c :
+       {"down_scale.fused", "down_scale.simd-site", "down_scale.tip-inner"}) {
+    cases.push_back(fused_kernel_case(c, kernel_iters, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
               << " us/call (min of " << reps << ")\n";
   }

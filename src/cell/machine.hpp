@@ -52,14 +52,11 @@ class CellMachine final : public core::ExecutionBackend {
 
   std::string name() const override;
 
-  /// Dense per-call offloads only: the SPE double-buffered DMA pipeline
-  /// chunks contiguous pattern blocks (no site-index indirection), and each
-  /// offload is one mailbox round trip — batching a plan would need a new
-  /// SPU command protocol, so this backend runs plans through the default
-  /// per-op loop.
-  core::Capabilities capabilities() const override {
-    return core::Capabilities::kNone;
-  }
+  // Dense per-call offloads only (supports_site_repeats stays false): the
+  // SPE double-buffered DMA pipeline chunks contiguous pattern blocks (no
+  // site-index indirection), and each offload is one mailbox round trip —
+  // batching a plan would need a new SPU command protocol, so this backend
+  // runs plans through the default per-op loop.
 
   void run_down(const core::KernelSet& ks, const core::DownArgs& a,
                 std::size_t m) override;

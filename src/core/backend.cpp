@@ -12,18 +12,15 @@ namespace plf::core {
 
 namespace {
 
-/// One plan op's fused down/root + rescale over [begin, end), dispatched by
-/// the op's specialization kind, then its cumulative scaler step on the same
-/// rows. Every path is a per-site composition of the unfused kernels (or an
-/// exact-precomputation gather), so regrouping (op, chunk) work through this
-/// helper stays bit-identical to the per-call loop — the invariant the
-/// backend_diff twins pin down.
+/// One plan op's fused down/root + rescale over [begin, end), then its
+/// cumulative scaler step on the same rows. Both fused entries are per-site
+/// compositions of the unfused kernels, so regrouping (op, chunk) work
+/// through this helper stays bit-identical to the per-call loop — the
+/// invariant the backend_diff twins pin down.
 inline void run_op_fused(const KernelSet& ks, const PlfOp& op,
                          std::size_t begin, std::size_t end) {
   if (op.is_root) {
     ks.root_scale(op.args, op.scale, begin, end);
-  } else if (op.kind == PlfOpKind::kTipTip) {
-    ks.down_tt_scale(op.tt, op.scale, begin, end);
   } else {
     ks.down_scale(op.args.down, op.scale, begin, end);
   }
@@ -113,9 +110,8 @@ double SerialBackend::run_root_reduce(const KernelSet& ks,
 double SerialBackend::run_plan(const KernelSet& ks, PlfPlan& plan) {
   detail::check_plan(plan);
   // Plan order through the fused entries: one CLV sweep per op (down/root +
-  // rescale + cumulative scalers in the same pass) and the tip-specialized
-  // gathers where the engine marked them. The rescale time lands in the
-  // down/root timer — that is the point of fusion; there is no separate
+  // rescale + cumulative scalers in the same pass). The rescale time lands in
+  // the down/root timer — that is the point of fusion; there is no separate
   // scaler pass left.
   for (const PlfOp& op : plan.ops()) {
     if (op.is_root) {

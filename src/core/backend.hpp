@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "core/kernels.hpp"
@@ -32,45 +31,18 @@
 
 namespace plf::core {
 
-/// What a backend can faithfully execute beyond the baseline per-call
-/// contract. The engine consults this instead of per-feature virtuals.
-enum class Capabilities : std::uint32_t {
-  kNone = 0,
-  /// Forwards compacted kernel invocations faithfully — see
-  /// DownArgs::site_index and ChildArgs::row_of. Backends that stage data
-  /// through simulated hardware paths (Cell DMA chunking, GPU global memory)
-  /// run the dense path only; the engine falls back automatically and their
-  /// run_* entries reject indexed arguments outright.
-  kSiteRepeats = 1u << 0,
-  /// run_plan dispatches cherry ops (PlfOpKind::kTipTip) to the pair-table
-  /// gather instead of the generic entries. The engine only builds pair
-  /// tables and sets op kinds for backends advertising this
-  /// (docs/KERNELS.md); everyone else executes the always-valid generic
-  /// argument block, bit-identically.
-  kTipKernels = 1u << 1,
-};
-
-constexpr Capabilities operator|(Capabilities a, Capabilities b) {
-  return static_cast<Capabilities>(static_cast<std::uint32_t>(a) |
-                                   static_cast<std::uint32_t>(b));
-}
-
-constexpr Capabilities operator&(Capabilities a, Capabilities b) {
-  return static_cast<Capabilities>(static_cast<std::uint32_t>(a) &
-                                   static_cast<std::uint32_t>(b));
-}
-
-constexpr bool has_capability(Capabilities set, Capabilities cap) {
-  return (set & cap) != Capabilities::kNone;
-}
-
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
   virtual std::string name() const = 0;
 
-  virtual Capabilities capabilities() const { return Capabilities::kNone; }
+  /// Whether the backend forwards compacted kernel invocations faithfully —
+  /// see DownArgs::site_index and ChildArgs::row_of. Backends that stage data
+  /// through simulated hardware paths (Cell DMA chunking, GPU global memory)
+  /// run the dense path only; the engine falls back automatically and their
+  /// run_* entries reject indexed arguments outright.
+  virtual bool supports_site_repeats() const { return false; }
 
   virtual void run_down(const KernelSet& ks, const DownArgs& args,
                         std::size_t m) = 0;
@@ -110,16 +82,14 @@ double run_reduce_step(const KernelSet& ks, const RootReduceArgs& a,
 class SerialBackend final : public ExecutionBackend {
  public:
   std::string name() const override { return "serial"; }
-  Capabilities capabilities() const override {
-    return Capabilities::kSiteRepeats | Capabilities::kTipKernels;
-  }
+  bool supports_site_repeats() const override { return true; }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;
   void run_scale(const KernelSet& ks, const ScaleArgs& a, std::size_t m) override;
   double run_root_reduce(const KernelSet& ks, const RootReduceArgs& a,
                          std::size_t m) override;
-  /// Ops in plan order through the fused + tip-specialized kernel entries
-  /// (one CLV sweep per op instead of two), then the reduction.
+  /// Ops in plan order through the fused kernel entries (one CLV sweep per
+  /// op instead of two), then the reduction.
   double run_plan(const KernelSet& ks, PlfPlan& plan) override;
 };
 
@@ -136,9 +106,7 @@ class ThreadedBackend final : public ExecutionBackend {
   explicit ThreadedBackend(par::ThreadPool& pool) : pool_(pool) {}
 
   std::string name() const override;
-  Capabilities capabilities() const override {
-    return Capabilities::kSiteRepeats | Capabilities::kTipKernels;
-  }
+  bool supports_site_repeats() const override { return true; }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;
   void run_scale(const KernelSet& ks, const ScaleArgs& a, std::size_t m) override;
@@ -162,16 +130,15 @@ class ThreadedBackend final : public ExecutionBackend {
 /// costs two synchronous calls (down/root, then scale) and the reduction one
 /// more — on a ThreadedBackend 2·ops + 1 parallel regions, the Fig. 9
 /// spawn/sync overhead. Bit-identical to `inner` by the run_plan contract;
-/// the A/B reference for the fusion ablation and the 0-ULP twins. Advertises
-/// only inner's kSiteRepeats, so the engine never hands it tip-specialized
-/// ops. `inner` must outlive it.
+/// the A/B reference for the fusion ablation and the 0-ULP twins. Forwards
+/// inner's supports_site_repeats unchanged. `inner` must outlive it.
 class PerCallBackend final : public ExecutionBackend {
  public:
   explicit PerCallBackend(ExecutionBackend& inner) : inner_(inner) {}
 
   std::string name() const override;
-  Capabilities capabilities() const override {
-    return inner_.capabilities() & Capabilities::kSiteRepeats;
+  bool supports_site_repeats() const override {
+    return inner_.supports_site_repeats();
   }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;

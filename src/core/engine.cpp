@@ -82,14 +82,10 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
   // (construction just marks every node stale).
   repeats_enabled_ =
       repeats_mode_ != SiteRepeatsMode::kOff &&
-      has_capability(backend_->capabilities(), Capabilities::kSiteRepeats) &&
-      m_ > 0;
+      backend_->supports_site_repeats() && m_ > 0;
   if (repeats_enabled_) {
     repeats_ = SiteRepeats(data_, tree_);
   }
-
-  tip_kernels_enabled_ =
-      has_capability(backend_->capabilities(), Capabilities::kTipKernels);
 
   // Publish the CLV footprint gauges immediately: a --metrics-json snapshot
   // taken before the first evaluation must already see engine.clv_bytes.
@@ -303,7 +299,6 @@ void PlfEngine::rebuild_branch(int node) {
   if (tree_.node(node).is_leaf()) {
     st.tp[static_cast<std::size_t>(target)] =
         TipPartial(st.tm[static_cast<std::size_t>(target)]);
-    st.tp_stamp[static_cast<std::size_t>(target)] = ++tp_builds_;
   }
   if (target != st.active) {
     st.active = target;
@@ -525,38 +520,6 @@ void PlfEngine::build_plan() {
     op.cum.right = make_cum_child(n.right);
     op.cum.site_index = op.args.down.site_index;
 
-    // Tip specialization (docs/KERNELS.md): a cherry op becomes a pair-table
-    // gather. A one-tip op stays generic — the generic kernel reads a tip
-    // child's tip-partial row with no matvec. Root ops keep the generic
-    // three-way kernel (one per evaluation).
-    if (tip_kernels_enabled_ && !op.is_root) {
-      if (tree_.node(n.left).is_leaf() && tree_.node(n.right).is_leaf()) {
-        const BranchState& lb = branches_[static_cast<std::size_t>(n.left)];
-        const BranchState& rb = branches_[static_cast<std::size_t>(n.right)];
-        const std::uint64_t sl =
-            lb.tp_stamp[static_cast<std::size_t>(lb.active)];
-        const std::uint64_t sr =
-            rb.tp_stamp[static_cast<std::size_t>(rb.active)];
-        if (st.pair_stamp_l != sl || st.pair_stamp_r != sr) {
-          st.pair = TipPairTable(lb.tp[static_cast<std::size_t>(lb.active)],
-                                 rb.tp[static_cast<std::size_t>(rb.active)]);
-          st.pair_stamp_l = sl;
-          st.pair_stamp_r = sr;
-          ++stats_.tip_tables_built;
-        }
-        op.kind = PlfOpKind::kTipTip;
-        op.tt.left_mask = op.args.down.left.mask;
-        op.tt.right_mask = op.args.down.right.mask;
-        op.tt.pair_scaled = st.pair.scaled();
-        op.tt.pair_ln = st.pair.ln_factors();
-        op.tt.out = out;
-        op.tt.K = k_;
-        op.tt.table_categories = st.pair.n_categories();
-        op.tt.site_index = op.args.down.site_index;
-        op.tt.n_sites = m_;
-        ++stats_.tip_tt_ops;
-      }
-    }
     plan_.add(op, static_cast<std::size_t>(
                       levels[static_cast<std::size_t>(id)]));
 
@@ -732,9 +695,6 @@ void PlfEngine::publish_stats(obs::MetricsRegistry& registry) const {
   set(obs::kGaugeEnginePlanBuilds, static_cast<double>(stats_.plan_builds));
   set(obs::kGaugeEnginePlanOps, static_cast<double>(stats_.plan_ops));
   set(obs::kGaugeEnginePlanLevels, static_cast<double>(stats_.plan_levels));
-  set(obs::kGaugeEngineTipTtOps, static_cast<double>(stats_.tip_tt_ops));
-  set(obs::kGaugeEngineTipTablesBuilt,
-      static_cast<double>(stats_.tip_tables_built));
   publish_arena_gauges(registry);
 }
 
@@ -844,7 +804,6 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   // would be wrong, not just lazy — the first post-restore proposal's
   // reject() must flip back to real pre-proposal buffers, never to buffers
   // that are empty because they predate the checkpoint.
-  tp_builds_ = 0;
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     const phylo::TreeNode& n = tree_.node(static_cast<int>(id));
     if (n.parent == phylo::kNoNode) continue;
@@ -856,8 +815,6 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
         tree_.branch_length(static_cast<int>(id)));
     if (n.is_leaf()) {
       st.tp[0] = TipPartial(st.tm[0]);
-      st.tp_stamp[0] = ++tp_builds_;
-      st.tp_stamp[1] = 0;
     }
     ++stats_.tm_builds;
   }
@@ -885,8 +842,6 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
               "restore_state: scaler row size mismatch");
     st.cum[static_cast<std::size_t>(st.active)].assign(cum.begin(), cum.end());
     st.flip_epoch = 0;
-    st.pair_stamp_l = 0;  // pair tables revalidate against the new tp stamps
-    st.pair_stamp_r = 0;
     if (r.u8() != 0) {
       float* dst = arena_.acquire(clv_slot(static_cast<int>(id), st.active));
       const std::vector<float> cl = r.f32_array();

@@ -76,13 +76,6 @@ struct EngineStats {
   /// still report it.
   std::uint64_t scaler_resums = 0;
 
-  // Tip-specialized plan ops (docs/KERNELS.md): cherry ops dispatched to the
-  // pair-table gather, and how many 256-pair tables were (re)built — a
-  // rebuild is needed only when a cherry's child branch matrices changed
-  // since the cached table was computed.
-  std::uint64_t tip_tt_ops = 0;
-  std::uint64_t tip_tables_built = 0;
-
   /// Sites per computed class on the compacted calls (1.0 when none ran).
   double repeat_compression_ratio() const {
     return repeat_sites_computed == 0
@@ -178,13 +171,8 @@ class PlfEngine {
   /// policy, or with a row count of 0 or above m, is refused.
   void restore_state(util::BinaryReader& r);
 
-  /// True when plans mark cherry ops for the pair-table gather (the backend
-  /// advertises Capabilities::kTipKernels; PerCallBackend does not, so it
-  /// stays fully generic as the A/B baseline).
-  bool tip_kernels_enabled() const { return tip_kernels_enabled_; }
-
   /// Requested site-repeats policy (the effective path also depends on the
-  /// backend's Capabilities::kSiteRepeats and each node's compression).
+  /// backend's supports_site_repeats and each node's compression).
   SiteRepeatsMode site_repeats_mode() const { return repeats_mode_; }
   /// True when this engine can ever take the compacted path.
   bool site_repeats_enabled() const { return repeats_enabled_; }
@@ -249,13 +237,6 @@ class PlfEngine {
     /// valid pre-proposal buffer for reject() to flip back to, so reject
     /// must re-raise its dirty flag instead of trusting the restored buffer.
     std::uint64_t dirty_epoch = 0;
-    /// Cherry nodes only: cached tip×tip pair table and the tp build stamps
-    /// it was computed from (see BranchState::tp_stamp). Single-buffered on
-    /// purpose — the table is a pure function of the two stamped inputs, so
-    /// a stamp mismatch (proposal, reject, topology move) just rebuilds it.
-    TipPairTable pair;
-    std::uint64_t pair_stamp_l = 0;
-    std::uint64_t pair_stamp_r = 0;
   };
   struct BranchState {
     std::array<phylo::TransitionMatrices, 2> tm;
@@ -264,11 +245,6 @@ class PlfEngine {
     bool dirty = true;
     std::uint64_t flip_epoch = 0;   ///< see NodeState::flip_epoch
     std::uint64_t dirty_epoch = 0;  ///< see NodeState::dirty_epoch
-    /// Monotonic build stamp per tip-partial buffer (leaves only; 0 = never
-    /// built). Stamps are globally unique across branches, so a cherry's
-    /// cached pair table can be validated against its current children by
-    /// stamp equality alone, even after topology moves swap the children.
-    std::array<std::uint64_t, 2> tp_stamp{};
   };
 
   /// One entry of the recompute postorder: the node and the CLV buffer it
@@ -339,11 +315,6 @@ class PlfEngine {
   SiteRepeatsMode repeats_mode_ = SiteRepeatsMode::kAuto;
   bool repeats_enabled_ = false;  ///< mode != off && backend supports it
   SiteRepeats repeats_;
-
-  // Tip-specialized plan ops: enabled when the backend can dispatch them.
-  // tp_builds_ stamps every tip-partial rebuild (see BranchState::tp_stamp).
-  bool tip_kernels_enabled_ = false;
-  std::uint64_t tp_builds_ = 0;
 
   // Batched dispatch (core/plan.hpp). recompute_targets_ is the dirty
   // postorder with each node's resolved write target — the input of the plan

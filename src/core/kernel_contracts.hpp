@@ -84,40 +84,23 @@ inline void check_down(const DownArgs& a, std::size_t begin, std::size_t end,
   check_site_index(a.site_index, begin, end, a.n_sites);
   check_child(a.left, needs_transpose);
   check_child(a.right, needs_transpose);
+#if PLF_CONTRACTS_LEVEL
+  // A tip child's 4-bit state code indexes its tip-partial table, so an
+  // out-of-range code would read a foreign row.
+  for (const ChildArgs* ch : {&a.left, &a.right}) {
+    if (ch->mask == nullptr) continue;
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      PLF_DCHECK(ch->mask[a.site(idx)] < phylo::kNumMasks,
+                 "cond_like_down: tip-state code out of range");
+    }
+  }
+#endif
 }
 
 inline void check_down_aligned(const DownArgs& a) {
   PLF_DCHECK_ALIGNED(a.out, kKernelAlignBytes);
   check_child_aligned(a.left);
   check_child_aligned(a.right);
-}
-
-/// Tip×tip specialization: both children are tips and the rescaled output
-/// row is a pure gather from the per-pair table. The category count the
-/// table was built for must match K — a mismatch would stride the gather
-/// wrong, so it is rejected always (O(1)). Checked builds additionally validate every
-/// 4-bit tip-state code in the range: the gather indexes the table with
-/// mask * kNumMasks + mask, so an out-of-range code reads foreign memory.
-inline void check_down_tt(const TipTipArgs& a, std::size_t begin,
-                          std::size_t end) {
-  PLF_DCHECK(begin <= end, "tip-tip down: reversed pattern range");
-  PLF_DCHECK(a.K >= 1, "tip-tip down: needs at least one rate category");
-  PLF_DCHECK(a.out != nullptr, "tip-tip down: null output array");
-  PLF_DCHECK(a.left_mask != nullptr && a.right_mask != nullptr,
-             "tip-tip down: both children must provide tip masks");
-  PLF_DCHECK(a.pair_scaled != nullptr && a.pair_ln != nullptr,
-             "tip-tip down: null pair table");
-  PLF_CHECK(a.table_categories == a.K,
-            "tip-tip down: pair table/CLV rate-category mismatch");
-  check_site_index(a.site_index, begin, end, a.n_sites);
-#if PLF_CONTRACTS_LEVEL
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site(idx);
-    PLF_DCHECK(a.left_mask[c] < phylo::kNumMasks &&
-                   a.right_mask[c] < phylo::kNumMasks,
-               "tip-tip down: tip-state code out of range");
-  }
-#endif
 }
 
 /// Fused down/root + scale trust boundary: the scale block must alias the
@@ -214,16 +197,6 @@ inline void check_plan(const PlfPlan& plan) {
                      op.cum.site_index == op.args.down.site_index,
                  "run_plan: cum step must follow the op's own scale step");
       PLF_DCHECK(op.run_m <= plan.m(), "run_plan: op exceeds pattern count");
-      if (op.kind == PlfOpKind::kTipTip) {
-        PLF_DCHECK(!op.is_root,
-                   "run_plan: root ops must use the generic three-way kernel");
-        PLF_DCHECK(op.tt.out == op.args.down.out,
-                   "run_plan: tip-tip op must write the op's down output");
-        PLF_DCHECK(op.tt.table_categories == op.args.down.K,
-                   "run_plan: tip-tip pair table built for a different K");
-        PLF_DCHECK(op.tt.site_index == op.args.down.site_index,
-                   "run_plan: tip-tip op must share the op's site index");
-      }
       if (op.repeats != nullptr) {
         PLF_DCHECK(!op.is_root, "run_plan: the root op must stay dense");
         PLF_DCHECK(op.run_m == op.repeats->n_classes,

@@ -89,7 +89,7 @@ struct DownArgs {
   /// classes, so the compacted row holds exactly the dense row's bits.
   /// Entries are strictly increasing and bounded by n_sites (the contract
   /// layer verifies both). Backends that cannot honor the indirection must
-  /// refuse it (Capabilities::kSiteRepeats).
+  /// refuse it (ExecutionBackend::supports_site_repeats).
   const std::uint32_t* site_index = nullptr;
   std::size_t n_sites = 0;  ///< exclusive bound on site_index entries
 
@@ -105,35 +105,6 @@ struct RootArgs {
   DownArgs down;
   const StateMask* out_mask = nullptr;  ///< outgroup tip masks
   const float* out_tp = nullptr;        ///< outgroup tip-partial table
-};
-
-/// Arguments for the tip×tip (cherry) specialization of cond_like_down +
-/// cond_like_scaler. When BOTH children are tips, the per-site work
-/// collapses entirely: the rescaled output row depends only on the
-/// (left_mask, right_mask) pair, which takes at most 16×16 values. The
-/// engine precomputes a per-edge-pair table (core/tip_partial.hpp
-/// TipPairTable) holding each pair's prescaled K*4 output row and its log
-/// scale factor, so the fused down+scale entry is a pure gather. Layout:
-///   pair = left_mask * kNumMasks + right_mask
-///   pair_scaled[pair * K * 4 + k * 4 + i], pair_ln[pair]
-struct TipTipArgs {
-  const StateMask* left_mask = nullptr;   ///< left tip pattern masks
-  const StateMask* right_mask = nullptr;  ///< right tip pattern masks
-  const float* pair_scaled = nullptr;  ///< prescaled product rows
-  const float* pair_ln = nullptr;      ///< per-pair log scale factor
-  float* out = nullptr;                ///< clP, standard CLV layout
-  std::size_t K = 4;
-  /// Rate-category count the tables were built for; contract-checked == K so
-  /// a stale or foreign table cannot be gathered at the wrong row stride.
-  std::size_t table_categories = 0;
-  /// Masks of output row idx are read at site_index[idx] (see
-  /// DownArgs::site_index); the row written is idx.
-  const std::uint32_t* site_index = nullptr;
-  std::size_t n_sites = 0;
-
-  std::size_t site(std::size_t idx) const {
-    return site_index != nullptr ? site_index[idx] : idx;
-  }
 };
 
 /// Arguments for cond_like_scaler. Scales stored rows [begin, end) — dense
@@ -189,13 +160,10 @@ using RootReduceFn = double (*)(const RootReduceArgs&, std::size_t begin,
 /// is still in registers — one CLV sweep instead of two. Fused entries are
 /// per-site compositions of the unfused bodies (kernel_entries.hpp) and
 /// therefore bit-identical to calling down then scale over the same range.
-/// The tip×tip entry exists only fused: its table rows are prescaled.
 using DownScaleFn = void (*)(const DownArgs&, const ScaleArgs&,
                              std::size_t begin, std::size_t end);
 using RootScaleFn = void (*)(const RootArgs&, const ScaleArgs&,
                              std::size_t begin, std::size_t end);
-using DownTipTipScaleFn = void (*)(const TipTipArgs&, const ScaleArgs&,
-                                   std::size_t begin, std::size_t end);
 
 enum class KernelVariant { kScalar, kSimdRow, kSimdCol, kSimdSite };
 
@@ -204,17 +172,15 @@ enum class KernelVariant { kScalar, kSimdRow, kSimdCol, kSimdSite };
 std::string to_string(KernelVariant v);
 
 /// The kernels for one variant: the four generic entries plus the fused
-/// forms plan-capable backends dispatch to (docs/KERNELS.md). down_tt_scale
-/// is the variant-independent cherry gather shared by every set.
+/// forms plan-capable backends dispatch to (docs/KERNELS.md).
 struct KernelSet {
   KernelVariant variant;
   DownFn down;
   RootFn root;
   ScaleFn scale;
   RootReduceFn root_reduce;
-  DownScaleFn down_scale;          ///< fused generic down + rescale
-  DownTipTipScaleFn down_tt_scale; ///< fused tip×tip gather (prescaled table)
-  RootScaleFn root_scale;          ///< fused root + rescale
+  DownScaleFn down_scale;  ///< fused down + rescale
+  RootScaleFn root_scale;  ///< fused root + rescale
 };
 
 /// Fetch the kernel set for a variant (all variants are always available;
@@ -222,11 +188,6 @@ struct KernelSet {
 const KernelSet& kernels(KernelVariant v);
 
 namespace detail {
-/// Shared tip×tip gather kernel (kernels_tip.cpp). The gathered row depends
-/// only on the 8-bit mask pair — there is no arithmetic left for a SIMD
-/// variant to vectorize — so every KernelSet points at it.
-void down_tip_tip_scale(const TipTipArgs& a, const ScaleArgs& s,
-                        std::size_t begin, std::size_t end);
 /// The vector body kSimdSite runs at K = 4 in this build: "zmm", "ymm" or
 /// "sse" (kernels_simd_site.cpp).
 const char* simd_site_body();

@@ -125,7 +125,6 @@ const KernelSet kScalarKernels{KernelVariant::kScalar,
                                Scalar::scale,
                                root_reduce_scalar,
                                Scalar::down_scale,
-                               down_tip_tip_scale,
                                Scalar::root_scale};
 }  // namespace detail
 

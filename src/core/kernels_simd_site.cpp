@@ -293,7 +293,6 @@ const KernelSet kSimdSiteKernels{KernelVariant::kSimdSite,
                                  SiteKernels<Vec4Scale>::scale,
                                  vec4_root_reduce,
                                  down_scale_site,
-                                 down_tip_tip_scale,
                                  root_scale_site};
 }  // namespace detail
 

@@ -137,7 +137,6 @@ const KernelSet kSimdRowKernels{KernelVariant::kSimdRow,
                                 SiteKernels<Vec4Scale>::scale,
                                 vec4_root_reduce,
                                 SimdRow::down_scale,
-                                down_tip_tip_scale,
                                 SimdRow::root_scale};
 extern const KernelSet kSimdColKernels;
 const KernelSet kSimdColKernels{KernelVariant::kSimdCol,
@@ -146,7 +145,6 @@ const KernelSet kSimdColKernels{KernelVariant::kSimdCol,
                                 SiteKernels<Vec4Scale>::scale,
                                 vec4_root_reduce,
                                 SimdCol::down_scale,
-                                down_tip_tip_scale,
                                 SimdCol::root_scale};
 
 }  // namespace detail

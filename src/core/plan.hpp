@@ -34,16 +34,6 @@
 
 namespace plf::core {
 
-/// Which kernel entry recomputes an op fastest. The generic argument block
-/// (PlfOp::args) is ALWAYS fully populated regardless of kind, so executors
-/// without the pair-table path (the base per-call loop, Cell, GPU) simply
-/// ignore the hint and stay bit-identical; the gather itself is exact
-/// (docs/KERNELS.md).
-enum class PlfOpKind : std::uint8_t {
-  kGeneric,  ///< down/root with per-site child-kind dispatch
-  kTipTip,   ///< cherry: both children tips, pair-table gather (PlfOp::tt)
-};
-
 /// One child's cumulative log-scaler row, as the op that reads it sees it.
 struct CumChild {
   const double* cum = nullptr;            ///< nullptr: tip child (adds nothing)
@@ -86,10 +76,6 @@ struct PlfOp {
   /// args.down is always the kernel input; the outgroup members are set only
   /// when is_root.
   RootArgs args;
-  /// Tip specialization hint; `tt` is populated (and contract-checked
-  /// against args.down) only when kind == kTipTip.
-  PlfOpKind kind = PlfOpKind::kGeneric;
-  TipTipArgs tt;
   /// Fused rescale of the op's own output: scale.cl aliases args.down.out
   /// (contract-checked), so a backend may run it per site chunk immediately
   /// after the down/root kernel — rescaling is per-site.

@@ -29,35 +29,4 @@ class TipPartial {
   std::size_t k_ = 0;
 };
 
-/// Per-edge-pair tip×tip table for cherry nodes (docs/KERNELS.md): when both
-/// children of a node are tips, cond_like_down's output row is l_tp[lm] *
-/// r_tp[rm] elementwise — a function of the (left_mask, right_mask) pair
-/// alone, of which there are only kNumMasks² = 256. Precomputing all pairs
-/// turns the fused down+scale kernel into a gather (TipTipArgs). Each pair's
-/// row is stored prescaled, with its log scale factor: the scale-kernel body
-/// applied once per pair, so gathering it is bit-identical to rescaling the
-/// product row per site.
-///
-/// Memory: kNumMasks² × K × 4 floats + kNumMasks² factors per cherry
-/// (17 KiB at K=4) — independent of the pattern count.
-class TipPairTable {
- public:
-  TipPairTable() = default;
-
-  /// Build from the two child branches' tip-partial tables (equal K).
-  TipPairTable(const TipPartial& left, const TipPartial& right);
-
-  /// Prescaled product rows, pair-major: scaled()[pair * K * 4 + k * 4 + i]
-  /// with pair = left_mask * kNumMasks + right_mask.
-  const float* scaled() const { return scaled_.data(); }
-  /// Per-pair log scale factor, indexed by pair.
-  const float* ln_factors() const { return ln_.data(); }
-  std::size_t n_categories() const { return k_; }
-
- private:
-  aligned_vector<float> scaled_;
-  aligned_vector<float> ln_;
-  std::size_t k_ = 0;
-};
-
 }  // namespace plf::core

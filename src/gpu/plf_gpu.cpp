@@ -91,7 +91,7 @@ double GpuPlf::down_like(const core::DownArgs& a, std::size_t m,
   // Dense-only backend: the three-level grid partitioning and the coalesced
   // device layout address contiguous pattern blocks; a site-index or
   // child-row indirection would break both, so the engine must fall back
-  // (this backend does not advertise Capabilities::kSiteRepeats).
+  // (this backend does not override supports_site_repeats).
   PLF_CHECK(a.site_index == nullptr && a.left.row_of == nullptr &&
                 a.right.row_of == nullptr,
             "GpuPlf is a dense-only backend: site_index/row_of rejected");

@@ -64,10 +64,11 @@ class GpuPlf final : public core::ExecutionBackend {
 
   std::string name() const override;
 
-  // Capabilities: none. Dense-only (site-index indirection would break the
-  // three-level grid partitioning and the coalesced layout), but run_plan
-  // fuses each op's scale onto the device-resident down/root output and
-  // coalesces the PCIe round trips the per-call path pays between kernels.
+  // supports_site_repeats stays false: dense-only (site-index indirection
+  // would break the three-level grid partitioning and the coalesced layout),
+  // but run_plan fuses each op's scale onto the device-resident down/root
+  // output and coalesces the PCIe round trips the per-call path pays between
+  // kernels.
 
   void run_down(const core::KernelSet& ks, const core::DownArgs& a,
                 std::size_t m) override;

@@ -98,11 +98,6 @@ inline constexpr const char* kGaugeRepeatNodeRebuilds =
 inline constexpr const char* kGaugeEnginePlanBuilds = "engine.plan_builds";
 inline constexpr const char* kGaugeEnginePlanOps = "engine.plan_ops";
 inline constexpr const char* kGaugeEnginePlanLevels = "engine.plan_levels";
-// Tip-specialized plan ops (docs/KERNELS.md): cherry pair-table gathers and
-// the pair-table (re)builds this engine performed.
-inline constexpr const char* kGaugeEngineTipTtOps = "engine.tip_tt_ops";
-inline constexpr const char* kGaugeEngineTipTablesBuilt =
-    "engine.tip_tables_built";
 
 // GPU plan batching: PCIe bytes NOT transferred because a fused op kept its
 // CLV block device-resident between the down/root and scale kernels.

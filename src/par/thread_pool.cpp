@@ -59,7 +59,11 @@ bool spin_step(unsigned& spins) {
   return true;
 }
 
-/// The process's affinity set in ascending order (empty where unknown).
+/// The calling thread's affinity set in ascending order (empty where
+/// unknown). sched_getaffinity(0) reads the calling thread's mask, not the
+/// process's: helpers inherit their creator's mask anyway, and `taskset`
+/// sets every thread's, so a pool built on a thread pinned narrower than its
+/// process stays inside that thread's set.
 std::vector<int> affinity_cpus() {
   std::vector<int> cpus;
 #if defined(__linux__)

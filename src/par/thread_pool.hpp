@@ -30,11 +30,11 @@
 //     periodic yield) on the region's atomic `done` flag, which the last
 //     finisher publishes with release order as its final touch of the
 //     stack-owned Region.
-//   * Each helper is bound to one CPU of the process's affinity set: the
-//     pool's helpers take the set in order from one past the constructing
+//   * Each helper is bound to one CPU of the constructing thread's affinity
+//     set: the pool's helpers take the set in order from one past that
 //     thread's CPU, skipping that CPU (helper_cpu), so placement depends on
-//     no earlier pool; the submitting thread is never bound. On
-//     hosts whose cpusets disable scheduler load balancing
+//     no earlier pool; the submitting thread is never bound. On hosts whose
+//     cpusets disable scheduler load balancing
 //     (cpuset.sched_load_balance = 0), a thread woken by another lands on the
 //     waker's CPU and is never migrated back: unbound, a woken helper shares
 //     the submitter's CPU and every static block of a region runs on that
@@ -149,8 +149,8 @@ class ThreadPool {
   PoolStats stats_ PLF_GUARDED_BY(stats_m_);
 };
 
-/// CPU to bind helper `cursor` (0-based) of a pool to, given the process's
-/// affinity set `cpus` (ascending) and the CPU `own_cpu` of the thread that
+/// CPU to bind helper `cursor` (0-based) of a pool to, given the affinity
+/// set `cpus` (ascending) and the CPU `own_cpu` of the thread that
 /// constructs the pool: the set in order from one past `own_cpu`, skipping
 /// `own_cpu` itself, so no helper shares the constructing (submitting)
 /// thread's CPU while the set has another. An `own_cpu` outside the set

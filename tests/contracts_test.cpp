@@ -320,67 +320,19 @@ TEST(KernelContractDeathTest, NonIncreasingRepeatIndexTripsCheckedContract) {
                "strictly increasing");
 }
 
-/// Minimal valid tip×tip (cherry) argument pack: all 4-bit state codes in
-/// range, pair tables sized for the full 16×16 mask space.
-struct TipTipFixture {
-  static constexpr std::size_t kPatterns = 8;
-  static constexpr std::size_t kCats = 4;
-  std::vector<phylo::StateMask> ml, mr;
-  aligned_vector<float> pair_scaled, ln, out, scaler;
-
-  TipTipFixture()
-      : ml(kPatterns, phylo::StateMask{1}),
-        mr(kPatterns, phylo::StateMask{2}),
-        pair_scaled(phylo::kNumMasks * phylo::kNumMasks * kCats * 4, 1.0f),
-        ln(phylo::kNumMasks * phylo::kNumMasks, 0.0f),
-        out(kPatterns * kCats * 4, 0.0f),
-        scaler(kPatterns, 0.0f) {}
-
-  core::TipTipArgs args() {
-    core::TipTipArgs a;
-    a.left_mask = ml.data();
-    a.right_mask = mr.data();
-    a.pair_scaled = pair_scaled.data();
-    a.pair_ln = ln.data();
-    a.out = out.data();
-    a.K = kCats;
-    a.table_categories = kCats;
-    a.n_sites = kPatterns;
-    return a;
-  }
-  /// The fused scale block: aliases the gather's output.
-  core::ScaleArgs scale() {
-    return core::ScaleArgs{out.data(), scaler.data(), kCats};
-  }
-};
-
-TEST(TipKernelContractTest, ValidTipTipGatherRuns) {
-  TipTipFixture f;
-  core::TipTipArgs a = f.args();
-  core::kernels(KernelVariant::kScalar)
-      .down_tt_scale(a, f.scale(), 0, TipTipFixture::kPatterns);
-  for (float x : f.out) EXPECT_GT(x, 0.0f);
-}
-
-TEST(TipKernelContractTest, PairTableCategoryMismatchThrows) {
-  // PLF_CHECK, active in every build mode: a table built for a different K
-  // would stride the gather wrong, so it is rejected at the trust boundary
-  // rather than silently reading the wrong rows.
-  TipTipFixture f;
-  core::TipTipArgs a = f.args();
-  a.table_categories = 2;
-  EXPECT_THROW(core::kernels(KernelVariant::kScalar)
-                   .down_tt_scale(a, f.scale(), 0, TipTipFixture::kPatterns),
-               Error);
-}
-
 TEST(TipKernelContractDeathTest, OutOfRangeTipStateCodeTripsCheckedContract) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  TipTipFixture f;
-  // 16 is not a 4-bit ambiguity code; the gather would index a foreign row.
-  f.ml[3] = static_cast<phylo::StateMask>(phylo::kNumMasks);
-  core::TipTipArgs a = f.args();
-  EXPECT_DEATH(core::detail::check_down_tt(a, 0, TipTipFixture::kPatterns),
+  DownFixture f;
+  std::vector<phylo::StateMask> masks(DownFixture::kPatterns,
+                                      phylo::StateMask{1});
+  // 16 is not a 4-bit ambiguity code; the kernel would read a foreign
+  // tip-partial row.
+  masks[3] = static_cast<phylo::StateMask>(phylo::kNumMasks);
+  DownArgs a = f.args();
+  a.left.cl = nullptr;
+  a.left.mask = masks.data();
+  a.left.tp = f.p.data();
+  EXPECT_DEATH(core::detail::check_down(a, 0, DownFixture::kPatterns, false),
                "tip-state code out of range");
 }
 
@@ -511,69 +463,6 @@ TEST(PlanContractDeathTest, OversizedOpIsRejected) {
   plan.add(op, 0);
   plan.finalize();
   EXPECT_DEATH(core::detail::check_plan(plan), "exceeds pattern count");
-}
-
-TEST(PlanContractDeathTest, TipTipOpWritingForeignOutputIsRejected) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  PlanFixture f;
-  TipTipFixture t;
-  core::PlfPlan plan;
-  plan.reset(8, PlanFixture::kPatterns);
-  core::PlfOp op = f.op(1);
-  op.kind = core::PlfOpKind::kTipTip;
-  op.tt = t.args();  // t.out != f.out: the gather would bypass the op's CLV
-  plan.add(op, 0);
-  plan.finalize();
-  EXPECT_DEATH(core::detail::check_plan(plan),
-               "must write the op's down output");
-}
-
-TEST(PlanContractDeathTest, TipTipOpWithForeignTableStrideIsRejected) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  PlanFixture f;
-  TipTipFixture t;
-  core::PlfPlan plan;
-  plan.reset(8, PlanFixture::kPatterns);
-  core::PlfOp op = f.op(1);
-  op.kind = core::PlfOpKind::kTipTip;
-  op.tt = t.args();
-  op.tt.out = op.args.down.out;
-  op.tt.table_categories = 2;  // stale table from a different model K
-  plan.add(op, 0);
-  plan.finalize();
-  EXPECT_DEATH(core::detail::check_plan(plan),
-               "pair table built for a different K");
-}
-
-TEST(PlanContractDeathTest, SpecializedRootOpIsRejected) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  PlanFixture f;
-  core::PlfPlan plan;
-  plan.reset(8, PlanFixture::kPatterns);
-  core::PlfOp op = f.op(1);
-  op.is_root = true;
-  op.kind = core::PlfOpKind::kTipTip;
-  plan.add(op, 0);
-  plan.finalize();
-  EXPECT_DEATH(core::detail::check_plan(plan), "generic three-way kernel");
-}
-
-TEST(PlanContractDeathTest, TipTipOpWithForeignSiteIndexIsRejected) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  PlanFixture f;
-  TipTipFixture t;
-  core::PlfPlan plan;
-  plan.reset(8, PlanFixture::kPatterns);
-  core::PlfOp op = f.op(1);
-  op.kind = core::PlfOpKind::kTipTip;
-  op.tt = t.args();
-  op.tt.out = op.args.down.out;
-  const std::vector<std::uint32_t> sites{0, 2, 4, 6};
-  op.tt.site_index = sites.data();  // the op itself runs dense
-  plan.add(op, 0);
-  plan.finalize();
-  EXPECT_DEATH(core::detail::check_plan(plan),
-               "must share the op's site index");
 }
 
 /// Repeat classes {0,1}{2,3}{4,5}{6,7} over the fixture's 8 patterns, and an

@@ -19,11 +19,4 @@ void down_scale_ok(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
   }
 }
 
-void down_tt_ok(const TipTipArgs& a, std::size_t begin, std::size_t end) {
-  detail::check_down_tt(a, begin, end);
-  for (std::size_t i = begin; i < end; ++i) {
-    a.out[i] = 0;
-  }
-}
-
 }  // namespace plf::core

@@ -466,14 +466,14 @@ TEST(ParStressTest, BudgetedArenaHammeredWhileMetricsFlusherReads) {
 }
 
 TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
-  // The tip-specialized plan path adds two new cross-thread shapes: every
-  // worker gathers from the SAME read-only pair tables (NodeState::pair,
+  // Tip children add one cross-thread shape to the fused plan path: every
+  // worker reads the SAME read-only tip-partial tables (BranchState::tp,
   // rebuilt by the caller thread between evaluations when a tip branch
   // moves) while writing disjoint CLV/scaler chunks through the fused
-  // down+scale entries. Hammer exactly that — tip-branch moves force table
-  // rebuilds between regions, NNIs re-pair cherries — with a concurrent
+  // down+scale entries. Hammer exactly that — tip-branch moves rebuild
+  // tables between regions, NNIs re-pair cherries — with a concurrent
   // flusher snapshotting the global registry and the engine publishing its
-  // tip gauges each round. Under TSan this checks the rebuild/consume edge
+  // plan gauges each round. Under TSan this checks the rebuild/consume edge
   // across the region boundary; under plain presets it doubles as a
   // plan-vs-percall bitwise equivalence check of the tip kernels on a hot
   // oversubscribed pool.
@@ -494,14 +494,13 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
   core::PlfEngine percall(data, params, tree, per_call,
                           core::KernelVariant::kSimdCol,
                           core::SiteRepeatsMode::kOff);
-  ASSERT_TRUE(plan.tip_kernels_enabled());
 
   std::atomic<bool> stop{false};
   std::thread flusher([&] {
     while (!stop.load(std::memory_order_acquire)) {
       const obs::Snapshot snap = obs::MetricsRegistry::global().snapshot();
-      (void)snap.gauge_value(obs::kGaugeEngineTipTtOps);
-      (void)snap.gauge_value(obs::kGaugeEngineTipTablesBuilt);
+      (void)snap.gauge_value(obs::kGaugeEnginePlanOps);
+      (void)snap.gauge_value(obs::kGaugeEngineTmBuilds);
     }
   });
 
@@ -509,8 +508,8 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
   const auto edges = plan.tree().internal_edge_nodes();
   ASSERT_FALSE(edges.empty());
   for (int round = 0; round < 12; ++round) {
-    // Leaf-branch moves: each one invalidates a tip-partial buffer and, for
-    // cherry parents, forces a pair-table rebuild before the next region.
+    // Leaf-branch moves: each one rebuilds a tip-partial buffer before the
+    // next region reads it.
     const int leaf = plan.tree().leaf_of(round % 12);
     const double len = 0.02 + 0.01 * round;
     plan.set_branch_length(leaf, len);
@@ -531,9 +530,8 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
   stop.store(true, std::memory_order_release);
   flusher.join();
 
-  EXPECT_GT(plan.stats().tip_tt_ops, 0u);
-  EXPECT_GT(plan.stats().tip_tables_built, 0u);
-  EXPECT_EQ(percall.stats().tip_tt_ops, 0u);
+  EXPECT_GT(plan.stats().plan_ops, 0u);
+  EXPECT_EQ(plan.stats().plan_ops, percall.stats().plan_ops);
 }
 
 TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "par/thread_pool.hpp"
 #include "util/error.hpp"
@@ -163,6 +169,61 @@ TEST(HelperCpuTest, FewerThanTwoCpusLeaveHelpersUnbound) {
   EXPECT_EQ(helper_cpu({}, 0, 0), -1);
   EXPECT_EQ(helper_cpu({4}, 4, 0), -1);
   EXPECT_EQ(helper_cpu({4}, 0, 3), -1);
+}
+
+TEST(ThreadPoolTest, PoolBuiltOnAPinnedThreadStaysOnItsCpu) {
+#if defined(__linux__)
+  // A pool reads the affinity set of the thread that builds it, and its
+  // helpers inherit that thread's mask: built on a thread pinned to one CPU,
+  // every block runs on that CPU. Only the spawned thread's mask changes.
+  // Each block waits until both have started, so the helper runs one.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  if (CPU_COUNT(&allowed) < 2) {
+    GTEST_SKIP() << "affinity set has fewer than 2 CPUs";
+  }
+  int target = 0;
+  while (!CPU_ISSET(target, &allowed)) ++target;
+
+  bool pinned = false;
+  bool both_started = true;
+  std::vector<int> block_cpus;
+  std::thread t([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(target, &one);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) != 0) return;
+    pinned = true;
+    ThreadPool p(2);
+    std::vector<int> cpus(p.size(), -1);
+    std::atomic<std::size_t> started{0};
+    std::atomic<bool> timed_out{false};
+    p.parallel_for(0, 64, [&](Range, std::size_t block) {
+      started.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (started.load() < 2) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out.store(true);
+          break;
+        }
+        std::this_thread::yield();
+      }
+      cpus[block] = sched_getcpu();
+    });
+    both_started = !timed_out.load();
+    block_cpus = cpus;
+  });
+  t.join();
+  if (!pinned) GTEST_SKIP() << "pthread_setaffinity_np failed";
+  EXPECT_TRUE(both_started) << "the helper never ran a block";
+  for (std::size_t b = 0; b < block_cpus.size(); ++b) {
+    EXPECT_EQ(block_cpus[b], target) << "block " << b;
+  }
+#else
+  GTEST_SKIP() << "CPU affinity is Linux-only";
+#endif
 }
 
 TEST(DefaultPoolTest, IsSingleton) {

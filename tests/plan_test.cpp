@@ -242,7 +242,6 @@ void lockstep_storm(BackendKind kind, SiteRepeatsMode mode,
                     KernelVariant::kSimdCol, mode);
   PlfEngine plan(d.data, d.params, d.tree, *h_plan.backend,
                  KernelVariant::kSimdCol, mode);
-  ASSERT_FALSE(percall.tip_kernels_enabled());
 
   EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
 
@@ -325,31 +324,30 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- PerCallBackend: the paper's per-call structure as a backend ----------
 
-TEST(PerCallBackendTest, AdvertisesOnlySiteRepeatsAndTakesNoTipOps) {
+TEST(PerCallBackendTest, ForwardsInnerSiteRepeatsSupport) {
   par::ThreadPool pool(2);
   ThreadedBackend threaded(pool);
   PerCallBackend percall(threaded);
   EXPECT_EQ(percall.name(), "percall(" + threaded.name() + ")");
-  ASSERT_TRUE(
-      has_capability(threaded.capabilities(), Capabilities::kTipKernels));
-  EXPECT_FALSE(
-      has_capability(percall.capabilities(), Capabilities::kTipKernels));
-  EXPECT_TRUE(
-      has_capability(percall.capabilities(), Capabilities::kSiteRepeats));
+  ASSERT_TRUE(threaded.supports_site_repeats());
+  EXPECT_TRUE(percall.supports_site_repeats());
 
   // A dense-only backend stays dense-only behind the adapter.
   BackendHolder cell = BackendHolder::make(BackendKind::kCell);
   PerCallBackend percall_cell(*cell.backend);
-  EXPECT_EQ(percall_cell.capabilities(), Capabilities::kNone);
+  EXPECT_FALSE(percall_cell.supports_site_repeats());
 
   const Dataset d = make_dataset(19, 10);
   PlfEngine e(d.data, d.params, d.tree, percall, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff);
-  EXPECT_FALSE(e.tip_kernels_enabled());
+              SiteRepeatsMode::kOn);
+  PlfEngine e_cell(d.data, d.params, d.tree, percall_cell,
+                   KernelVariant::kSimdCol, SiteRepeatsMode::kOn);
+  EXPECT_TRUE(e.site_repeats_enabled());
+  EXPECT_FALSE(e_cell.site_repeats_enabled());
   e.log_likelihood();
-  EXPECT_GT(e.stats().plan_ops, 0u);
-  EXPECT_EQ(e.stats().tip_tt_ops, 0u);
-  EXPECT_EQ(e.stats().tip_tables_built, 0u);
+  e_cell.log_likelihood();
+  EXPECT_GT(e.stats().repeat_down_hits, 0u);
+  EXPECT_EQ(e_cell.stats().repeat_down_hits, 0u);
 }
 
 /// The leaf with the longest path to the root.
@@ -425,84 +423,6 @@ TEST(PlanEngineTest, PlanShapeMatchesTreeOnFirstEvaluation) {
   EXPECT_LT(e.stats().plan_levels, n_internals);
 }
 
-TEST(PlanEngineTest, TipOpKindsMatchTreeShape) {
-  // A caterpillar tree: every non-root internal node has exactly one tip
-  // child except the single deepest cherry, and only the cherry takes the
-  // pair-table gather. The engine's tip-op accounting must reproduce the
-  // tree shape exactly.
-  phylo::Tree tree = phylo::Tree::from_newick(
-      "(((((((A:0.2,B:0.2):0.2,C:0.2):0.2,D:0.2):0.2,E:0.2):0.2,F:0.2):0.2,"
-      "G:0.2):0.2,H:0.2);");
-  Rng rng(71);
-  phylo::GtrParams params = seqgen::default_gtr_params();
-  phylo::SubstitutionModel model(params);
-  seqgen::SequenceEvolver ev(tree, model);
-  const phylo::Alignment aln = ev.evolve(150, rng);
-  std::vector<std::vector<phylo::StateMask>> cols(aln.n_columns());
-  for (std::size_t c = 0; c < aln.n_columns(); ++c) {
-    cols[c].resize(aln.n_taxa());
-    for (std::size_t t = 0; t < aln.n_taxa(); ++t) cols[c][t] = aln.at(t, c);
-  }
-  const phylo::PatternMatrix data = phylo::PatternMatrix::from_patterns(
-      aln.names(), cols, std::vector<std::uint32_t>(cols.size(), 1));
-
-  SerialBackend backend;
-  PlfEngine e(data, params, tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff);
-  ASSERT_TRUE(e.tip_kernels_enabled());
-  e.log_likelihood();
-
-  std::size_t cherries = 0;
-  for (int id : e.tree().postorder_internals()) {
-    if (id == e.tree().root()) continue;  // root keeps the generic kernel
-    const phylo::TreeNode& n = e.tree().node(id);
-    if (e.tree().node(n.left).is_leaf() && e.tree().node(n.right).is_leaf()) {
-      ++cherries;
-    }
-  }
-  EXPECT_GT(cherries, 0u);
-  EXPECT_EQ(e.stats().tip_tt_ops, cherries);
-  EXPECT_EQ(e.stats().tip_tables_built, cherries);
-}
-
-TEST(PlanEngineTest, PairTablesRebuildOnlyWhenCherryBranchesChange) {
-  const Dataset d = make_dataset(29, 10);
-  SerialBackend backend;
-  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff);
-  e.log_likelihood();
-  const std::uint64_t built0 = e.stats().tip_tables_built;
-  const std::uint64_t tt0 = e.stats().tip_tt_ops;
-  EXPECT_GT(built0, 0u);
-
-  // Find one cherry and remember a leaf child of it.
-  int cherry_leaf = phylo::kNoNode;
-  for (int id : e.tree().postorder_internals()) {
-    if (id == e.tree().root()) continue;
-    const phylo::TreeNode& n = e.tree().node(id);
-    if (e.tree().node(n.left).is_leaf() && e.tree().node(n.right).is_leaf()) {
-      cherry_leaf = n.left;
-      break;
-    }
-  }
-  ASSERT_NE(cherry_leaf, phylo::kNoNode);
-
-  // Moving an inner branch dirties the path above it, never a cherry's tip
-  // branches: the stamp cache must keep every table.
-  const auto edges = e.tree().internal_edge_nodes();
-  ASSERT_FALSE(edges.empty());
-  e.set_branch_length(edges.front(), 0.33);
-  e.log_likelihood();
-  EXPECT_EQ(e.stats().tip_tables_built, built0);
-
-  // Moving a leaf branch under a cherry rebuilds exactly that cherry's
-  // table — its ancestors re-plan too, but they are not cherries.
-  e.set_branch_length(cherry_leaf, 0.44);
-  e.log_likelihood();
-  EXPECT_EQ(e.stats().tip_tables_built, built0 + 1);
-  EXPECT_EQ(e.stats().tip_tt_ops, tt0 + 1);
-}
-
 // --- cumulative scaler rows: history-free by construction ------------------
 
 using ScalerStormParam = std::tuple<SiteRepeatsMode, bool /*half budget*/>;
@@ -538,7 +458,6 @@ TEST_P(CumulativeScalerTest, StormMatchesFreshEngineBitForBit) {
   };
 
   std::unique_ptr<PlfEngine> e = make(d.data, d.params, d.tree);
-  ASSERT_TRUE(e->tip_kernels_enabled());
   expect_fresh(*e);
 
   Rng rng(4242);

@@ -1,7 +1,7 @@
-// Conformance suite for the tip-specialized and fused PLF kernels
-// (docs/KERNELS.md): the pair-table gather (down_tt_scale) and every fused
-// down/root+scale twin, with a tip child on either side, must reproduce the
-// generic unfused path to the last ULP — across all kernel variants, all 15×15 valid
+// Conformance suite for the fused PLF kernels with tip children
+// (docs/KERNELS.md): every fused down/root+scale entry, with a tip child on
+// either side or on both (a cherry), must reproduce the generic unfused path
+// to the last ULP — across all kernel variants, all 15×15 valid
 // ambiguity-mask pairs, K ∈ {1, 4}, with and without site-repeat compaction,
 // and at branch-length extremes. Under compaction, output row r is computed
 // from site site_index[r], internal children are read through their class
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -26,7 +25,6 @@
 #include "phylo/model.hpp"
 #include "test_support.hpp"
 #include "util/aligned.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace plf::core {
@@ -40,7 +38,7 @@ using phylo::TransitionMatrices;
 // All valid (nonzero) mask pairs, exhaustively: site c carries the pair
 // (1 + c / 15, 1 + c % 15). Mask 0 never occurs in data (patterns always
 // intersect at least one state), so 15×15 = 225 sites cover every reachable
-// table entry.
+// pair of tip-partial rows.
 constexpr std::size_t kValidMasks = phylo::kNumMasks - 1;
 constexpr std::size_t kPairSites = kValidMasks * kValidMasks;
 
@@ -51,7 +49,6 @@ struct TipFixture {
 
   TransitionMatrices tm_l, tm_r, tm_o;
   TipPartial tp_l, tp_r, tp_o;
-  TipPairTable pair;
   std::vector<StateMask> mask_l, mask_r, mask_o;
   aligned_vector<float> cl_r;          // internal child of tip×inner ops
   std::vector<std::uint32_t> repeats;  // strictly increasing site subset
@@ -69,7 +66,6 @@ struct TipFixture {
     tp_l = TipPartial(tm_l);
     tp_r = TipPartial(tm_r);
     tp_o = TipPartial(tm_o);
-    pair = TipPairTable(tp_l, tp_r);
     mask_l.resize(m);
     mask_r.resize(m);
     for (std::size_t c = 0; c < m; ++c) {
@@ -123,15 +119,12 @@ struct TipFixture {
     return dense;
   }
 
-  TipTipArgs tt_args(float* out, bool use_repeats) const {
-    TipTipArgs a;
-    a.left_mask = mask_l.data();
-    a.right_mask = mask_r.data();
-    a.pair_scaled = pair.scaled();
-    a.pair_ln = pair.ln_factors();
-    a.out = out;
+  /// A cherry op: both children tips, every valid mask pair over the sites.
+  DownArgs tip_tip(bool use_repeats) const {
+    DownArgs a;
+    a.left = tip_left();
+    a.right = tip_right();
     a.K = K;
-    a.table_categories = pair.n_categories();
     a.site_index = use_repeats ? repeats.data() : nullptr;
     a.n_sites = m;
     return a;
@@ -154,49 +147,6 @@ void expect_zero_from(const aligned_vector<float>& v, std::size_t first) {
   for (std::size_t i = first; i < v.size(); ++i) {
     ASSERT_EQ(v[i], 0.0f) << "entry " << i << " written past the run";
   }
-}
-
-// ---------------------------------------------------------------------------
-// TipPairTable construction conformance.
-
-TEST(TipPairTableTest, ScaledRowsMatchScaleKernelAppliedToProducts) {
-  // Each pair's row must be its tip-partial product rescaled by the scale
-  // kernel verbatim: running the real scale kernel over the product row
-  // must reproduce scaled() and ln_factors() bit for bit. This is what makes
-  // the fused tip×tip gather exact.
-  TipFixture fx(4, 1.0);
-  const std::size_t row = fx.K * 4;
-  aligned_vector<float> buf(row);
-  aligned_vector<float> ln(1);
-  for (std::size_t lm = 0; lm < phylo::kNumMasks; ++lm) {
-    for (std::size_t rm = 0; rm < phylo::kNumMasks; ++rm) {
-      const std::size_t pair = lm * phylo::kNumMasks + rm;
-      for (std::size_t v = 0; v < row; ++v) {
-        buf[v] = fx.tp_l.data()[lm * row + v] * fx.tp_r.data()[rm * row + v];
-      }
-      ln[0] = -1.0f;
-      ScaleArgs s;
-      s.cl = buf.data();
-      s.ln_scaler = ln.data();
-      s.K = fx.K;
-      kernels(KernelVariant::kScalar).scale(s, 0, 1);
-      EXPECT_EQ(std::memcmp(buf.data(), fx.pair.scaled() + pair * row,
-                            row * sizeof(float)),
-                0)
-          << "pair (" << lm << ", " << rm << ")";
-      EXPECT_EQ(ln[0], fx.pair.ln_factors()[pair])
-          << "pair (" << lm << ", " << rm << ")";
-    }
-  }
-}
-
-TEST(TipPairTableTest, CategoryCountMismatchThrows) {
-  Rng rng(5);
-  SubstitutionModel m1(test::random_gtr(rng, 1));
-  SubstitutionModel m4(test::random_gtr(rng, 4));
-  const TipPartial a(m1.transition_matrices(0.1));
-  const TipPartial b(m4.transition_matrices(0.1));
-  EXPECT_THROW(TipPairTable(a, b), plf::Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -361,51 +311,83 @@ TEST_P(TipKernelConformanceTest, FusedTipInnerScaleMatchesUnfusedPair) {
   expect_bitwise_equal(tip_right.ln_b, tip_left.ln_b);
 }
 
-TEST_P(TipKernelConformanceTest, TipTipGatherMatchesGenericDown) {
-  // The pair-table gather must give the bits of the generic fused down over
-  // the same two tip children: the path a backend without tip kernels runs.
+TEST_P(TipKernelConformanceTest, FusedTipTipScaleMatchesUnfusedPair) {
+  // The engine runs a cherry op through the generic fused down_scale; it
+  // must give the bits of the unfused pair, the generic down then scale,
+  // over the same two tip children and every valid mask pair.
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
   const std::size_t n = fx.run_m(use_repeats);
 
-  DownArgs generic;
-  generic.left = fx.tip_left();
-  generic.right = fx.tip_right();
-  generic.K = K;
-  generic.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  generic.n_sites = fx.m;
-
+  DownArgs args = fx.tip_tip(use_repeats);
   FusedPair fp(fx.m, K);
-  generic.out = fp.out_a.data();
-  ks.down_scale(generic, fp.scale_a(K), 0, n);
-  ks.down_tt_scale(fx.tt_args(fp.out_b.data(), use_repeats), fp.scale_b(K), 0,
-                   n);
+  args.out = fp.out_a.data();
+  ks.down(args, 0, n);
+  ks.scale(fp.scale_a(K), 0, n);
+  args.out = fp.out_b.data();
+  ks.down_scale(args, fp.scale_b(K), 0, n);
   fp.expect_match(n, K);
 }
 
-TEST_P(TipKernelConformanceTest, FusedTipTipScaleMatchesUnfusedPair) {
-  // The engine runs a cherry op as the pair-table gather; it must give the
-  // bits of the unfused pair, the generic down then scale, over the same
-  // two tip children.
+TEST_P(TipKernelConformanceTest, TipTipGatherMatchesGenericDown) {
+  // A cherry's rows depend only on its two tips' mask pair, so a reference
+  // built per pair — the product of the two tip-partial rows, rescaled by
+  // the variant's own scale entry — and gathered by each site's masks must
+  // give the bits of the generic fused down over the same two tips.
+  const auto [variant, K, scale, use_repeats] = GetParam();
+  TipFixture fx(K, scale);
+  const KernelSet& ks = kernels(variant);
+  const std::size_t n = fx.run_m(use_repeats);
+  const std::size_t row = K * 4;
+
+  aligned_vector<float> pair_rows(kPairSites * row);
+  aligned_vector<float> pair_ln(kPairSites, 0.0f);
+  for (std::size_t lm = 1; lm <= kValidMasks; ++lm) {
+    for (std::size_t rm = 1; rm <= kValidMasks; ++rm) {
+      const std::size_t pair = (lm - 1) * kValidMasks + (rm - 1);
+      for (std::size_t v = 0; v < row; ++v) {
+        pair_rows[pair * row + v] =
+            fx.tp_l.data()[lm * row + v] * fx.tp_r.data()[rm * row + v];
+      }
+    }
+  }
+  ScaleArgs table_scale;
+  table_scale.cl = pair_rows.data();
+  table_scale.ln_scaler = pair_ln.data();
+  table_scale.K = K;
+  ks.scale(table_scale, 0, kPairSites);
+
+  DownArgs args = fx.tip_tip(use_repeats);
+  FusedPair fp(fx.m, K);
+  args.out = fp.out_a.data();
+  ks.down_scale(args, fp.scale_a(K), 0, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t c = args.site(r);
+    const std::size_t pair =
+        (fx.mask_l[c] - 1u) * kValidMasks + (fx.mask_r[c] - 1u);
+    std::memcpy(fp.out_b.data() + r * row, pair_rows.data() + pair * row,
+                row * sizeof(float));
+    fp.ln_b[r] = pair_ln[pair];
+  }
+  fp.expect_match(n, K);
+}
+
+TEST_P(TipKernelConformanceTest, TipTipChildOrderGivesSameBits) {
+  // The two tip factors multiply elementwise, so a cherry's fused output
+  // must not depend on which tip the tree puts on the left.
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
   const std::size_t n = fx.run_m(use_repeats);
 
-  DownArgs generic;
-  generic.left = fx.tip_left();
-  generic.right = fx.tip_right();
-  generic.K = K;
-  generic.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  generic.n_sites = fx.m;
-
+  DownArgs args = fx.tip_tip(use_repeats);
   FusedPair fp(fx.m, K);
-  generic.out = fp.out_a.data();
-  ks.down(generic, 0, n);
-  ks.scale(fp.scale_a(K), 0, n);
-  ks.down_tt_scale(fx.tt_args(fp.out_b.data(), use_repeats), fp.scale_b(K), 0,
-                   n);
+  args.out = fp.out_a.data();
+  ks.down_scale(args, fp.scale_a(K), 0, n);
+  std::swap(args.left, args.right);
+  args.out = fp.out_b.data();
+  ks.down_scale(args, fp.scale_b(K), 0, n);
   fp.expect_match(n, K);
 }
 
@@ -493,19 +475,22 @@ TEST_P(TipKernelConformanceTest, CompactedRowsEqualDenseRowsOfTheirSites) {
 }
 
 TEST_P(TipKernelConformanceTest, TipTipRangeSplitEqualsWholeRange) {
+  // A threaded backend splits a cherry op into site chunks; the chunks must
+  // rebuild the whole-range output exactly.
   const auto [variant, K, scale, use_repeats] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
   const std::size_t n = fx.run_m(use_repeats);
 
+  DownArgs args = fx.tip_tip(use_repeats);
   FusedPair fp(fx.m, K);
-  ks.down_tt_scale(fx.tt_args(fp.out_a.data(), use_repeats), fp.scale_a(K), 0,
-                   n);
-  const TipTipArgs ts = fx.tt_args(fp.out_b.data(), use_repeats);
+  args.out = fp.out_a.data();
+  ks.down_scale(args, fp.scale_a(K), 0, n);
+  args.out = fp.out_b.data();
   const ScaleArgs ss = fp.scale_b(K);
-  ks.down_tt_scale(ts, ss, 0, n / 3);
-  ks.down_tt_scale(ts, ss, n / 3, n / 2 + 1);
-  ks.down_tt_scale(ts, ss, n / 2 + 1, n);
+  ks.down_scale(args, ss, 0, n / 3);
+  ks.down_scale(args, ss, n / 3, n / 2 + 1);
+  ks.down_scale(args, ss, n / 2 + 1, n);
   fp.expect_match(n, K);
 }
 

@@ -70,7 +70,7 @@ stage_checked() {
     cmake --build --preset checked -j "${JOBS}" &&
     note "preset 'checked': differential suite" &&
     ctest --preset checked \
-      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|PerCallBackend|CumulativeScaler|CompactedClv|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge|SimdSite'
+      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|PerCallBackend|CumulativeScaler|CompactedClv|TipKernel|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge|SimdSite'
 }
 
 # Quick bench-suite smoke: produces a schema-valid BENCH json and runs the

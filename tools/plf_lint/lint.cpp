@@ -265,7 +265,6 @@ const std::vector<KernelRule>& kernel_rules() {
       {"ScaleArgs", {"check_scale"}},
       {"RootReduceArgs", {"check_root_reduce"}},
       {"CumArgs", {"check_cum"}},
-      {"TipTipArgs", {"check_down_tt"}},
       {"PlfPlan", {"check_plan"}},
   };
   return rules;
