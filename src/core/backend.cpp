@@ -1,6 +1,5 @@
 #include "core/backend.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "core/kernel_contracts.hpp"
@@ -161,140 +160,93 @@ double ThreadedBackend::run_root_reduce(const KernelSet& ks,
 double ThreadedBackend::reduce_region(const KernelSet& ks,
                                       const RootReduceArgs& a, std::size_t m,
                                       ReducePartial* partials) {
-  // Deterministic for a fixed thread count: static partitioning with the
-  // partial sums combined in block order.
-  pool_.parallel_for(
-      0, m,
-      [&](par::Range r, std::size_t block) {
-        partials[block].value = run_reduce_step(ks, a, r.begin, r.end);
-      },
-      par::Schedule::kStatic);
+  // Deterministic for a fixed thread count: static blocks with the partial
+  // sums combined in block order.
+  pool_.parallel_for(0, m, [&](par::Range r, std::size_t block) {
+    partials[block].value = run_reduce_step(ks, a, r.begin, r.end);
+  });
   return sum_partials(partials, pool_.size());
 }
 
+namespace {
+
+/// Whether every op of `level` is dense and full-width.
+bool dense_level(const PlfPlan& plan, std::size_t level) {
+  for (std::size_t i = plan.level_begin(level); i < plan.level_end(level);
+       ++i) {
+    const PlfOp& op = plan.ops()[i];
+    if (op.repeats != nullptr || op.run_m != plan.m()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 double ThreadedBackend::run_plan(const KernelSet& ks, PlfPlan& plan) {
   detail::check_plan(plan);
-  // Two fusion regimes, both exact because every kernel is per-row
-  // elementwise: row r of an op's output depends only on one row of each
-  // child (and rescaling and the cumulative scaler step are per-row), so for
-  // a FIXED chunk partition any regrouping of (op, chunk) work onto workers
-  // computes bit-identical results, in any order that keeps each chunk's
-  // ops in level order.
+  // Every kernel is per-row elementwise: row r of an op's output depends
+  // only on one row of each child (rescaling and the cumulative scaler step
+  // are per-row too), so ANY fixed partition of each op's rows computes
+  // bit-identical results, in any order that keeps each row's ops in level
+  // order. Each region runs one body: static block b runs every op of the
+  // region over static_block(op.run_m, threads, b), in plan order. A dense
+  // op's block is the region's own block b of [0, m).
   //
-  //  - Vertical: a maximal run of levels whose ops are all dense and
-  //    full-width executes as ONE parallel region over [0, m): each worker
-  //    runs the entire op chain — down/root + scale + cum per op, in plan
-  //    order — over its own site chunk. A dense op reads a dense in-run
-  //    child at the same site, so no worker ever reads a chunk another
-  //    worker wrote and no intra-run barrier is needed at all: a k-node
-  //    dirty path costs 1 region instead of per-call's 2k, and a child's
-  //    chunk is still cache-hot when the parent op consumes it.
-  //  - Horizontal: a level containing repeat-compacted ops cannot cross the
-  //    next level without a barrier: a parent reads a compacted child's rows
-  //    through its class map (ChildArgs::row_of), which can land in any
-  //    worker's chunk, so the region's end-of-level barrier must complete
-  //    the child first. Such a level concatenates its ops into one iteration
-  //    space (prefix sums over run_m) and fuses down+scale+cum per segment —
-  //    1 region per level vs per-call's 2 per op.
+  // A region is a maximal run of dense full-width levels, or one level that
+  // holds a compacted (or partial-width) op:
   //
-  // The root reduction closes the plan. The root is dense and alone on the
-  // last level, so the last run is vertical, and its region also reduces
-  // each static block right after the root op wrote it: the same blocks and
-  // block-order combine as run_root_reduce, hence the same bits, without a
-  // region of its own. Only a plan with no ops opens a reduce-only region.
+  //  - A dense op reads a dense in-run child at the same site, which block b
+  //    itself wrote, so a run of dense levels needs no barrier inside it: a
+  //    k-node dirty path costs 1 region instead of per-call's 2k, and a
+  //    child's block is still cache-hot when the parent op consumes it.
+  //  - A parent reads a compacted child's rows through its class map
+  //    (ChildArgs::row_of), which can land in any block, so a level with a
+  //    compacted op ends its region: the barrier completes the child before
+  //    the next level starts.
+  //
+  // The root reduction closes the plan. The last region also reduces block b
+  // of [0, m): the root op is dense and on the last level, so block b wrote
+  // exactly the root rows it reduces, and no other op writes the root. These
+  // are the blocks and the block-order combine of run_root_reduce, hence the
+  // same bits, without a region of its own. Only a plan with no ops opens a
+  // reduce-only region.
   const std::vector<PlfOp>& ops = plan.ops();
-  ReducePartial* partials = plan.reduce_partials(pool_.size());
-  bool reduced = false;
-  std::vector<std::size_t> offs;
-  std::size_t level = 0;
-  while (level < plan.n_levels()) {
-    // Extend the vertical run [level, vend): dense full-width levels only.
-    std::size_t vend = level;
-    for (; vend < plan.n_levels(); ++vend) {
-      bool dense = true;
-      for (std::size_t i = plan.level_begin(vend); i < plan.level_end(vend);
-           ++i) {
-        if (ops[i].repeats != nullptr || ops[i].run_m != plan.m()) {
-          dense = false;
-          break;
-        }
-      }
-      if (!dense) break;
-    }
-
-    if (vend > level) {
-      const std::size_t ob = plan.level_begin(level);
-      const std::size_t oe = plan.level_end(vend - 1);
-      const bool last = vend == plan.n_levels();
-      for (std::size_t l = level; l < vend; ++l) {
-        PLF_PROF_COUNT(obs::kCounterPlanLevels, 1);
-        PLF_PROF_COUNT(obs::kCounterPlanOps,
-                       plan.level_end(l) - plan.level_begin(l));
-      }
-      // Per-call opens 2 regions per op (+1 for the reduction this run
-      // absorbs when it is the last).
-      PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved,
-                     2 * (oe - ob) - (last ? 0 : 1));
-      {
-        PLF_PROF_SCOPE(obs::kTimerPlanLevel);
-        pool_.parallel_for(
-            0, plan.m(),
-            [&](par::Range r, std::size_t block) {
-              for (std::size_t i = ob; i < oe; ++i) {
-                run_op_fused(ks, ops[i], r.begin, r.end);
-              }
-              if (last) {
-                partials[block].value =
-                    run_reduce_step(ks, plan.reduce(), r.begin, r.end);
-              }
-            },
-            par::Schedule::kStatic);
-      }
-      reduced = last;
-      level = vend;
-      continue;
-    }
-
-    // Horizontal: this level holds compacted (or partial-width) ops.
-    const std::size_t lb = plan.level_begin(level);
-    const std::size_t n_ops = plan.level_end(level) - lb;
-    offs.assign(n_ops + 1, 0);
-    for (std::size_t i = 0; i < n_ops; ++i) {
-      offs[i + 1] = offs[i] + ops[lb + i].run_m;
-    }
-    const std::size_t total = offs[n_ops];
-    PLF_PROF_COUNT(obs::kCounterPlanLevels, 1);
-    PLF_PROF_COUNT(obs::kCounterPlanOps, n_ops);
-    PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, 2 * n_ops - 1);
-    ++level;
-    if (total == 0) continue;
-
-    {
-      PLF_PROF_SCOPE(obs::kTimerPlanLevel);
-      pool_.parallel_for(0, total, [&](par::Range r, std::size_t) {
-        // First op whose [offs[i], offs[i+1]) range contains r.begin.
-        std::size_t i =
-            static_cast<std::size_t>(
-                std::upper_bound(offs.begin(), offs.end(), r.begin) -
-                offs.begin()) -
-            1;
-        for (std::size_t pos = r.begin; pos < r.end; ++i) {
-          const PlfOp& op = ops[lb + i];
-          const std::size_t seg_end = std::min(r.end, offs[i + 1]);
-          const std::size_t b = pos - offs[i];
-          const std::size_t e = seg_end - offs[i];
-          run_op_fused(ks, op, b, e);
-          pos = seg_end;
-        }
-      });
-    }
-  }
-
-  if (!reduced) {
+  const std::size_t threads = pool_.size();
+  ReducePartial* partials = plan.reduce_partials(threads);
+  if (plan.n_levels() == 0) {
     PLF_PROF_SCOPE(obs::kTimerRootReduce);
     return reduce_region(ks, plan.reduce(), plan.m(), partials);
   }
-  return sum_partials(partials, pool_.size());
+  for (std::size_t level = 0; level < plan.n_levels();) {
+    std::size_t lend = level;
+    while (lend < plan.n_levels() && dense_level(plan, lend)) ++lend;
+    if (lend == level) ++lend;
+    const std::size_t ob = plan.level_begin(level);
+    const std::size_t oe = plan.level_end(lend - 1);
+    const bool last = lend == plan.n_levels();
+    PLF_PROF_COUNT(obs::kCounterPlanLevels, lend - level);
+    PLF_PROF_COUNT(obs::kCounterPlanOps, oe - ob);
+    // Per-call opens 2 regions per op (+1 for the reduction the last region
+    // absorbs).
+    PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved,
+                   2 * (oe - ob) - (last ? 0 : 1));
+    {
+      PLF_PROF_SCOPE(obs::kTimerPlanLevel);
+      pool_.parallel_for(0, plan.m(), [&](par::Range r, std::size_t block) {
+        for (std::size_t i = ob; i < oe; ++i) {
+          const par::Range rows =
+              par::static_block(ops[i].run_m, threads, block);
+          if (!rows.empty()) run_op_fused(ks, ops[i], rows.begin, rows.end);
+        }
+        if (last) {
+          partials[block].value =
+              run_reduce_step(ks, plan.reduce(), r.begin, r.end);
+        }
+      });
+    }
+    level = lend;
+  }
+  return sum_partials(partials, threads);
 }
 
 std::string PerCallBackend::name() const {

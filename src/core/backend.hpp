@@ -97,9 +97,10 @@ class SerialBackend final : public ExecutionBackend {
 /// parallel region per PLF invocation with an implicit barrier at the end —
 /// the spawn/sync structure whose overhead drives Fig. 9. run_plan lifts
 /// that structure to one region per run of dense levels (or per level with
-/// compacted ops): each worker fuses down/root + scale + cumulative scalers
-/// on its chunk, and the last region also reduces the root over the same
-/// static blocks, so a dense evaluation is one region in all
+/// compacted ops), all through one body: static block b fuses down/root +
+/// scale + cumulative scalers of every op in the region over the op's
+/// static block b of its rows, and the last region also reduces the root
+/// over block b of [0, m), so a dense evaluation is one region in all
 /// (docs/EXECUTION_PLAN.md has the arithmetic).
 class ThreadedBackend final : public ExecutionBackend {
  public:

@@ -176,11 +176,6 @@ class PlfEngine {
   SiteRepeatsMode site_repeats_mode() const { return repeats_mode_; }
   /// True when this engine can ever take the compacted path.
   bool site_repeats_enabled() const { return repeats_enabled_; }
-  /// Sites-per-class averaged over internal nodes (identification must have
-  /// run, i.e. after the first log_likelihood() with repeats enabled).
-  double repeat_mean_compression() const {
-    return repeats_.initialized() ? repeats_.mean_compression() : 1.0;
-  }
   /// The engine's repeat classes (tests/diagnostics; uninitialized when
   /// site repeats are disabled).
   const SiteRepeats& site_repeats() const { return repeats_; }

@@ -17,11 +17,11 @@
 // backend executes the batch its own way: the base
 // ExecutionBackend::run_plan loops ops through the per-call entries
 // (the per-call structure; PerCallBackend pins it), the threaded backend
-// opens one parallel region per run of dense levels with down+scale+cum
-// fused per site chunk and the reduction folded into the last one, and the
-// GPU backend keeps each op's CLV block device-resident between the down
-// and scale kernels, coalescing the PCIe round trip. See
-// docs/EXECUTION_PLAN.md.
+// opens one parallel region per run of dense levels (or per level with
+// compacted ops) with down+scale+cum fused per static block and the
+// reduction folded into the last one, and the GPU backend keeps each op's
+// CLV block device-resident between the down and scale kernels, coalescing
+// the PCIe round trip. See docs/EXECUTION_PLAN.md.
 #pragma once
 
 #include <cstddef>

@@ -212,16 +212,7 @@ void SiteRepeats::rebuild_node(const phylo::Tree& tree, int id) {
   std::uint32_t nl = 0, nr_classes = 0;
   const std::uint32_t* lc = child_classes(tree, n.left, left_tip_, nl);
   const std::uint32_t* rc = child_classes(tree, n.right, right_tip_, nr_classes);
-  std::uint32_t n_groups = rank_pairs(lc, nl, rc, nr_classes);
-  if (id == tree.root()) {
-    // The root kernel is a three-way product: rank (pair group, outgroup
-    // mask) on top of the (left, right) ranking.
-    const int og = tree.outgroup();
-    const std::uint32_t* oc = widen_tip(
-        data_->row(static_cast<std::size_t>(tree.node(og).taxon)), out_tip_);
-    pairs_.swap(rank_);
-    n_groups = rank_pairs(pairs_.data(), n_groups, oc, kTipClasses);
-  }
+  const std::uint32_t n_groups = rank_pairs(lc, nl, rc, nr_classes);
   NodeRepeats& out = nodes_[static_cast<std::size_t>(id)];
   renumber(n_groups, out);
   PLF_CHECK(out.n_classes >= 1 || m_ == 0,
@@ -232,8 +223,9 @@ std::size_t SiteRepeats::refresh(const phylo::Tree& tree) {
   PLF_CHECK(initialized(), "SiteRepeats: refresh before construction");
   if (!any_stale_) return 0;
   std::size_t rebuilt = 0;
+  // The root is never identified: it stays stale, so node(root) throws.
   for (int id : tree.postorder_internals()) {
-    if (stale_[static_cast<std::size_t>(id)] != 0) {
+    if (id != tree.root() && stale_[static_cast<std::size_t>(id)] != 0) {
       rebuild_node(tree, id);
       stale_[static_cast<std::size_t>(id)] = 0;
       ++rebuilt;
@@ -249,18 +241,6 @@ const NodeRepeats& SiteRepeats::node(int id) const {
                 nr.class_of_site.size() == m_,
             "SiteRepeats: node classes are stale (refresh() first)");
   return nr;
-}
-
-double SiteRepeats::mean_compression() const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    if (stale_[id] == 0 && nodes_[id].class_of_site.size() == m_ && m_ > 0) {
-      sum += nodes_[id].compression();
-      ++n;
-    }
-  }
-  return n == 0 ? 1.0 : sum / static_cast<double>(n);
 }
 
 }  // namespace plf::core

@@ -10,8 +10,10 @@
 //
 //   tip t        class(site c) = state mask of t at c        (<= 16 classes)
 //   internal v   class(c) = id of the pair (class_left(c), class_right(c))
-//   root         additionally folds in the outgroup tip's mask, matching
-//                CondLikeRoot's three-way product
+//
+// The root is never identified: its CLV always stays dense (no parent reads
+// it through a class map), so refresh() skips it and it stays stale from
+// construction on; node(root) throws.
 //
 // ids are assigned in first-occurrence order, so each class's representative
 // site (its first member) is strictly increasing across classes — the kernels
@@ -121,19 +123,16 @@ class SiteRepeats {
   /// O(nodes touched), no re-identification.
   void reject();
 
-  /// Recompute every stale node's classes, children before parents; returns
-  /// how many nodes were rebuilt. The tree must have the same node-id space
-  /// as at construction.
+  /// Recompute every stale non-root node's classes, children before
+  /// parents; returns how many nodes were rebuilt. The tree must have the
+  /// same node-id space as at construction.
   std::size_t refresh(const phylo::Tree& tree);
 
-  /// Classes of internal node `id`. Must not be stale (refresh() first).
+  /// Classes of non-root internal node `id`. Must not be stale (refresh()
+  /// first); the root always throws.
   const NodeRepeats& node(int id) const;
 
   std::size_t n_patterns() const { return m_; }
-
-  /// Sites-per-class averaged over all internal nodes (diagnostic; the
-  /// engine's stats report the per-call ratios actually realized).
-  double mean_compression() const;
 
  private:
   void invalidate_node(int id);
@@ -172,13 +171,12 @@ class SiteRepeats {
 
   // Ranker scratch. Members, not thread_locals: concurrent MC3 chains each
   // own an engine, hence a SiteRepeats.
-  std::vector<std::uint32_t> left_tip_, right_tip_, out_tip_;
+  std::vector<std::uint32_t> left_tip_, right_tip_;
   std::vector<std::uint32_t> bucket_end_;  ///< per left class
   std::vector<std::uint32_t> order_;       ///< sites sorted by left class
   std::vector<std::uint32_t> stamp_, slot_;  ///< per right class
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> rank_;   ///< site -> group
-  std::vector<std::uint32_t> pairs_;  ///< root: site -> (left, right) group
   std::vector<std::uint32_t> remap_;  ///< group -> first-occurrence id
 };
 

@@ -11,7 +11,6 @@
 
 #include "obs/names.hpp"
 #include "obs/profile.hpp"
-#include "util/clock.hpp"
 #include "util/contracts.hpp"
 
 namespace plf::par {
@@ -115,20 +114,29 @@ struct ExecutingPoolScope {
 };
 }  // namespace
 
+Range static_block(std::size_t n, std::size_t parts, std::size_t b) {
+  PLF_DCHECK(b < parts, "static_block: block index past the partition");
+  const std::size_t base = n / parts;
+  const std::size_t extra = n % parts;
+  const std::size_t first = b * base + std::min(b, extra);
+  const Range r{first, first + base + (b < extra ? 1 : 0)};
+  // Consecutive blocks abut by construction; the last must end at n.
+  PLF_DCHECK(r.end <= n && (b + 1 < parts || r.end == n),
+             "static_block: blocks do not tile [0, n)");
+  return r;
+}
+
 struct ThreadPool::Region {
   std::size_t begin = 0;
   std::size_t end = 0;
-  Schedule schedule = Schedule::kStatic;
-  std::size_t chunk = 1;
-  std::size_t threads = 1;      ///< claim-slot space == static partition width
-  std::size_t total_units = 0;  ///< static: `threads` blocks; dynamic: chunks
+  std::size_t threads = 1;  ///< static partition width == block count
   const std::function<void(Range, std::size_t)>* body = nullptr;
 
   // Claim state, guarded by the owning pool's m_ (a nested struct cannot name
   // the outer instance's capability, so the proof lives in ThreadPool's
   // PLF_REQUIRES(m_) helpers that are the only accessors).
-  std::size_t next_unit = 0;  ///< units [0, next_unit) are claimed
-  std::size_t in_flight = 0;  ///< units claimed but not yet finished
+  std::size_t next_block = 0;  ///< blocks [0, next_block) are claimed
+  std::size_t in_flight = 0;   ///< blocks claimed but not yet finished
   /// Fully executed and unlinked from the queue. Stored (release) by the last
   /// finisher as its final touch of the Region; the submitter spins on it
   /// (acquire) and may destroy the Region as soon as it reads true.
@@ -151,28 +159,11 @@ struct ThreadPool::Region {
     return error;
   }
 
-  /// Index range of one unit. Static units are the contiguous per-thread
-  /// blocks (remainder spread over the first blocks) — the partition depends
-  /// only on (begin, end, threads), never on which thread claims the block.
-  Range unit_range(std::size_t unit) const {
-    const std::size_t total = end - begin;
-    if (schedule == Schedule::kStatic) {
-      const std::size_t base = total / threads;
-      const std::size_t extra = total % threads;
-      const std::size_t my_size = base + (unit < extra ? 1 : 0);
-      const std::size_t my_begin =
-          begin + unit * base + std::min(unit, extra);
-      return Range{my_begin, my_begin + my_size};
-    }
-    const std::size_t start = unit * chunk;
-    return Range{begin + start, begin + std::min(total, start + chunk)};
-  }
-
-  /// thread_index the body sees for this unit: the block index itself under
-  /// static scheduling (determinism contract), the claimer's stable slot
-  /// under dynamic.
-  std::size_t unit_thread_index(std::size_t unit, std::size_t slot) const {
-    return schedule == Schedule::kStatic ? unit : slot;
+  /// Index range of one block: depends only on (begin, end, threads), never
+  /// on which thread claims the block.
+  Range block_range(std::size_t block) const {
+    const Range r = static_block(end - begin, threads, block);
+    return Range{begin + r.begin, begin + r.end};
   }
 };
 
@@ -195,9 +186,9 @@ ThreadPool::ThreadPool(std::size_t threads) {
   workers_.reserve(n - 1);
   for (std::size_t i = 1; i < n; ++i) {
     const int cpu = helper_cpu(cpus, own_cpu, i - 1);
-    workers_.emplace_back([this, i, cpu] {
+    workers_.emplace_back([this, cpu] {
       bind_current_thread(cpu);
-      worker_loop(i);
+      worker_loop();
     });
   }
 }
@@ -214,35 +205,33 @@ ThreadPool::~ThreadPool() {
 
 ThreadPool::Region* ThreadPool::claimable_region() {
   for (Region* r : queue_) {
-    if (r->next_unit < r->total_units) return r;
+    if (r->next_block < r->threads) return r;
   }
   return nullptr;
 }
 
 void ThreadPool::finish_if_complete(Region& region) {
-  if (region.next_unit < region.total_units || region.in_flight != 0) return;
+  if (region.next_block < region.threads || region.in_flight != 0) return;
   queue_.erase(std::find(queue_.begin(), queue_.end(), &region));
   // Last touch: the submitter may destroy the Region as soon as it reads this.
   region.done.store(true, std::memory_order_release);
 }
 
-void ThreadPool::run_unit(Region& region, std::size_t unit, std::size_t slot) {
-  const Range r = region.unit_range(unit);
+void ThreadPool::run_block(Region& region, std::size_t block) {
+  const Range r = region.block_range(block);
   if (r.empty()) return;
-  // One span per executed unit; each thread records into its own registry
+  // One span per executed block; each thread records into its own registry
   // shard, so these show up as separate trace rows.
   PLF_PROF_SCOPE(obs::kTimerParWorker);
   ExecutingPoolScope scope(this);
   try {
-    (*region.body)(r, region.unit_thread_index(unit, slot));
+    (*region.body)(r, block);
   } catch (...) {
     region.record_error();
   }
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index) {
-  // worker_index in [1, size()) is this thread's stable dynamic-schedule
-  // claim slot; slot 0 belongs to whichever thread submitted the region.
+void ThreadPool::worker_loop() {
   m_.lock();
   while (!shutting_down_) {
     Region* region = claimable_region();
@@ -250,10 +239,10 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       idle_wait();
       continue;
     }
-    const std::size_t unit = region->next_unit++;
+    const std::size_t block = region->next_block++;
     ++region->in_flight;
     m_.unlock();
-    run_unit(*region, unit, worker_index);
+    run_block(*region, block);
     m_.lock();
     --region->in_flight;
     finish_if_complete(*region);
@@ -291,12 +280,11 @@ void ThreadPool::idle_wait() {
   --parked_;
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(Range, std::size_t)>& body,
-                              Schedule schedule, std::size_t chunk) {
+void ThreadPool::parallel_for(
+    std::size_t begin, std::size_t end,
+    const std::function<void(Range, std::size_t)>& body) {
   PLF_CHECK(begin <= end, "parallel_for: begin > end");
-  const std::size_t total = end - begin;
-  if (total == 0) return;
+  if (begin == end) return;
 
   // A region body must not submit to the pool executing it: the workers it
   // would wait on may be the ones running the outer region. Concurrent calls
@@ -305,107 +293,61 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
             "parallel_for: nested call from inside a region body on the same "
             "pool (submit from a different thread or pool)");
 
-  Stopwatch sw;
   PLF_PROF_COUNT(obs::kCounterParRegions, 1);
   PLF_PROF_SCOPE(obs::kTimerParRegion);
+
+  if (workers_.empty()) {
+    // Serial pool: the one block is the whole range; an exception propagates.
+    PLF_PROF_SCOPE(obs::kTimerParWorker);
+    ExecutingPoolScope scope(this);
+    body(Range{begin, end}, 0);
+    return;
+  }
 
   Region region;
   region.begin = begin;
   region.end = end;
-  region.schedule = schedule;
   region.threads = size();
   region.body = &body;
-  if (chunk == 0) {
-    // Default dynamic chunk: aim for ~4 chunks per thread.
-    chunk = std::max<std::size_t>(1, total / (4 * region.threads));
-  }
-  region.chunk = chunk;
-  region.total_units = schedule == Schedule::kStatic
-                           ? region.threads
-                           : (total + chunk - 1) / chunk;
-  PLF_DCHECK(region.chunk >= 1, "parallel_for: zero dynamic chunk");
-  PLF_DCHECK(region.threads >= 1, "parallel_for: pool has no threads");
 
-  if (workers_.empty()) {
-    // Serial pool: run every unit inline; the first exception propagates and
-    // abandons the rest, matching the single participant's old share.
-    for (std::size_t u = 0; u < region.total_units; ++u) {
-      const Range r = region.unit_range(u);
-      if (r.empty()) continue;
-      PLF_PROF_SCOPE(obs::kTimerParWorker);
-      ExecutingPoolScope scope(this);
-      (*region.body)(r, region.unit_thread_index(u, 0));
-    }
-  } else {
-    // Enqueue and claim our first unit in one critical section.
-    std::size_t unit = 0;
-    bool wake = false;
-    {
-      util::MutexLock lock(m_);
-      queue_.push_back(&region);
-      epoch_.fetch_add(1, std::memory_order_relaxed);
-      wake = parked_ != 0;
-      unit = region.next_unit++;
-      ++region.in_flight;
-    }
-    if (wake) cv_start_.notify_all();
-    // Participate in our own region only (claim slot 0): helping other
-    // queued regions would let their runtimes leak into this caller's
-    // latency. Workers drain whatever we leave unclaimed.
-    for (bool claimed = true; claimed;) {
-      run_unit(region, unit, 0);
-      util::MutexLock lock(m_);
-      --region.in_flight;
-      claimed = region.next_unit < region.total_units;
-      if (claimed) {
-        unit = region.next_unit++;
-        ++region.in_flight;
-      } else {
-        finish_if_complete(region);
-      }
-    }
-    // Every unit is claimed and running (or done): wait for the in-flight
-    // ones without sleeping, since they are already on their CPUs.
-    for (unsigned spins = 0; !region.done.load(std::memory_order_acquire);) {
-      spin_step(spins);
-    }
-    // TSA finding (docs/STATIC_ANALYSIS.md): this read used to access
-    // region.error bare — safe only via a happens-before edge invisible to
-    // the analysis and fragile under refactoring. Read it under error_m.
-    if (std::exception_ptr error = region.take_error()) {
-      std::rethrow_exception(error);
-    }
-  }
-
+  // Enqueue and claim our first block in one critical section.
+  std::size_t block = 0;
+  bool wake = false;
   {
-    util::MutexLock lock(stats_m_);
-    ++stats_.regions;
-    // The body time is included here; callers interested purely in overhead
-    // should time empty regions (see the calibration bench).
-    stats_.region_overhead_s += sw.seconds();
+    util::MutexLock lock(m_);
+    queue_.push_back(&region);
+    epoch_.fetch_add(1, std::memory_order_relaxed);
+    wake = parked_ != 0;
+    block = region.next_block++;
+    ++region.in_flight;
   }
-}
-
-void ThreadPool::parallel_for_each(std::size_t begin, std::size_t end,
-                                   const std::function<void(std::size_t)>& body) {
-  parallel_for(begin, end, [&body](Range r, std::size_t) {
-    for (std::size_t i = r.begin; i < r.end; ++i) body(i);
-  });
-}
-
-PoolStats ThreadPool::stats() const {
-  util::MutexLock lock(stats_m_);
-  return stats_;
-}
-
-void ThreadPool::reset_stats() {
-  util::MutexLock lock(stats_m_);
-  stats_ = PoolStats{};
-}
-
-ThreadPool& default_pool() {
-  static ThreadPool pool;
-  return pool;
+  if (wake) cv_start_.notify_all();
+  // Participate in our own region only: helping other queued regions would
+  // let their runtimes leak into this caller's latency. Workers drain
+  // whatever we leave unclaimed.
+  for (bool claimed = true; claimed;) {
+    run_block(region, block);
+    util::MutexLock lock(m_);
+    --region.in_flight;
+    claimed = region.next_block < region.threads;
+    if (claimed) {
+      block = region.next_block++;
+      ++region.in_flight;
+    } else {
+      finish_if_complete(region);
+    }
+  }
+  // Every block is claimed and running (or done): wait for the in-flight
+  // ones without sleeping, since they are already on their CPUs.
+  for (unsigned spins = 0; !region.done.load(std::memory_order_acquire);) {
+    spin_step(spins);
+  }
+  // TSA finding (docs/STATIC_ANALYSIS.md): this read used to access
+  // region.error bare — safe only via a happens-before edge invisible to
+  // the analysis and fragile under refactoring. Read it under error_m.
+  if (std::exception_ptr error = region.take_error()) {
+    std::rethrow_exception(error);
+  }
 }
 
 }  // namespace plf::par

@@ -6,14 +6,17 @@
 // grows (§4.1.1). We reproduce that structure: one pool is created up front,
 // each `parallel_for` is a "parallel region" whose entry/exit are counted and
 // timed so the multi-core timing model can be calibrated from measurements.
+// Every region splits its range with OpenMP's schedule(static): one
+// contiguous block per thread (static_block), the only schedule the pool
+// has.
 //
 // Multi-region sharing (docs/SHARDING.md): unlike an OpenMP team, the pool
 // accepts parallel_for calls from MANY external threads concurrently. Each
 // call enqueues a region; workers drain the region queue in FIFO order,
-// claiming work units from the oldest region that still has unclaimed units,
+// claiming blocks from the oldest region that still has unclaimed blocks,
 // so independent engine instances can batch their plans through one shared
 // pool without serializing on a single-region lock. A submitting thread only
-// executes units of its own region (and then waits until that region
+// executes blocks of its own region (and then waits until that region
 // completes), which bounds its latency by its own work plus whatever the
 // workers are already committed to. Nested calls — a region body invoking
 // parallel_for on the same pool — remain rejected: they could deadlock the
@@ -26,7 +29,7 @@
 //     parks on cv_start_. `parked_` counts parked helpers under m_, so a
 //     submitter skips notify_all entirely while every helper is spinning.
 //   * The submitter never sleeps on its own region. Once its claim loop
-//     exits, every unit is claimed and running somewhere, so it spins (with a
+//     exits, every block is claimed and running somewhere, so it spins (with a
 //     periodic yield) on the region's atomic `done` flag, which the last
 //     finisher publishes with release order as its final touch of the
 //     stack-owned Region.
@@ -42,8 +45,8 @@
 //     best-effort (Linux only; a failed call or a one-CPU set leaves the
 //     helper unbound).
 //
-// Determinism: the static schedule always partitions [begin, end) into
-// exactly `size()` contiguous blocks and passes the BLOCK index as the body's
+// Determinism: a region always partitions [begin, end) into exactly
+// `size()` contiguous blocks and passes the BLOCK index as the body's
 // thread_index, no matter which thread claims which block. Reductions that
 // combine per-thread_index partials in index order (ThreadedBackend::
 // run_root_reduce) therefore stay bit-identical under region interleaving.
@@ -69,18 +72,11 @@ struct Range {
   bool empty() const { return begin >= end; }
 };
 
-/// How parallel_for distributes iterations.
-enum class Schedule {
-  kStatic,   ///< one contiguous block per worker (OpenMP schedule(static))
-  kDynamic,  ///< workers pull fixed-size chunks from a shared counter
-};
-
-/// Counters describing pool activity since the last reset, used by the
-/// architecture model calibration.
-struct PoolStats {
-  std::uint64_t regions = 0;        ///< number of parallel regions executed
-  double region_overhead_s = 0.0;   ///< total wall time in spawn+join outside body
-};
+/// Block `b` of [0, n) split into `parts` contiguous blocks, the remainder
+/// spread over the first blocks (OpenMP schedule(static)). The blocks tile
+/// [0, n) in order and depend only on (n, parts, b); blocks b >= n are
+/// empty. Requires b < parts.
+Range static_block(std::size_t n, std::size_t parts, std::size_t b);
 
 class ThreadPool {
  public:
@@ -94,44 +90,38 @@ class ThreadPool {
   /// Number of threads that execute a region (workers + calling thread).
   std::size_t size() const { return workers_.size() + 1; }
 
-  /// Run `body(range, thread_index)` over [begin, end) across all threads.
-  /// Blocks until every iteration has completed (the implicit barrier at the
-  /// end of an OpenMP parallel-for). Safe to call repeatedly and from several
-  /// threads at once (regions from concurrent callers interleave on the
-  /// workers); NOT reentrant from inside a region body on the same pool.
+  /// Run `body(block_range, b)` for every nonempty static block b of
+  /// [begin, end) (b < size(); block_range is static_block of the range,
+  /// offset by begin). Blocks until every block has completed (the implicit
+  /// barrier at the end of an OpenMP parallel-for). Safe to call repeatedly
+  /// and from several threads at once (regions from concurrent callers
+  /// interleave on the workers); NOT reentrant from inside a region body on
+  /// the same pool. Each nonempty call counts one par.regions and times
+  /// par.region.
   void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(Range, std::size_t)>& body,
-                    Schedule schedule = Schedule::kStatic,
-                    std::size_t chunk = 0);
-
-  /// Convenience element-wise form: body(index).
-  void parallel_for_each(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body);
-
-  PoolStats stats() const PLF_EXCLUDES(stats_m_);
-  void reset_stats() PLF_EXCLUDES(stats_m_);
+                    const std::function<void(Range, std::size_t)>& body);
 
  private:
   struct Region;
-  void worker_loop(std::size_t worker_index) PLF_EXCLUDES(m_);
+  void worker_loop() PLF_EXCLUDES(m_);
   /// Idle helper with m_ held and nothing claimable: spin on epoch_ outside
   /// the lock, then park on cv_start_ if no enqueue arrived meanwhile.
   /// Returns with m_ held; the caller re-checks the queue and shutdown.
   void idle_wait() PLF_REQUIRES(m_);
-  /// Execute one claimed unit of `region` (block for static, chunk for
-  /// dynamic) as claim slot `slot`. Exceptions are captured into the region.
-  void run_unit(Region& region, std::size_t unit, std::size_t slot);
-  /// Mark `region` finished if all units are claimed and none is running:
+  /// Execute claimed block `block` of `region`. Exceptions are captured
+  /// into the region.
+  void run_block(Region& region, std::size_t block);
+  /// Mark `region` finished if all blocks are claimed and none is running:
   /// unlinks it from the queue and publishes its done flag.
   void finish_if_complete(Region& region) PLF_REQUIRES(m_);
-  /// Oldest enqueued region with unclaimed units, or nullptr.
+  /// Oldest enqueued region with unclaimed blocks, or nullptr.
   Region* claimable_region() PLF_REQUIRES(m_);
 
   std::vector<std::thread> workers_;  // immutable after construction
 
   // Region queue protocol: m_ guards the queue and every Region's claim state
   // (cursor / in-flight count). Idle helpers spin on epoch_ and then sleep on
-  // cv_start_ until some region has unclaimed units; each submitter spins on
+  // cv_start_ until some region has unclaimed blocks; each submitter spins on
   // its own (stack-owned) region's done flag. A Region is unlinked under m_
   // before its done flag is published, so queue pointers never dangle.
   util::Mutex m_;
@@ -144,9 +134,6 @@ class ThreadPool {
   /// it without the lock and take m_ before touching any region, so relaxed
   /// order suffices on both sides.
   std::atomic<std::uint64_t> epoch_{0};
-
-  mutable util::Mutex stats_m_;
-  PoolStats stats_ PLF_GUARDED_BY(stats_m_);
 };
 
 /// CPU to bind helper `cursor` (0-based) of a pool to, given the affinity
@@ -156,9 +143,5 @@ class ThreadPool {
 /// thread's CPU while the set has another. An `own_cpu` outside the set
 /// starts at its first CPU. -1 (leave unbound) for fewer than two CPUs.
 int helper_cpu(const std::vector<int>& cpus, int own_cpu, std::size_t cursor);
-
-/// Pool shared by library components that do not manage their own
-/// (constructed on first use with hardware concurrency).
-ThreadPool& default_pool();
 
 }  // namespace plf::par

@@ -58,26 +58,6 @@ TEST(ParStressTest, StaticScheduleCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ParStressTest, DynamicScheduleCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(kThreads);
-  const std::size_t n = 10'000;
-  // Tiny chunks maximize contention on the shared schedule cursor.
-  std::vector<std::atomic<std::uint32_t>> visits(n);
-  for (int region = 0; region < 10; ++region) {
-    pool.parallel_for(
-        0, n,
-        [&](Range r, std::size_t) {
-          for (std::size_t i = r.begin; i < r.end; ++i) {
-            visits[i].fetch_add(1, std::memory_order_relaxed);
-          }
-        },
-        Schedule::kDynamic, /*chunk=*/7);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(visits[i].load(), 10u) << "index " << i;
-  }
-}
-
 TEST(ParStressTest, ParallelForResultVisibleToNonParticipatingReader) {
   // The implicit end-of-region barrier must publish body writes to ANY thread
   // that observes parallel_for's return, not just the workers.
@@ -136,8 +116,8 @@ constexpr double kMaxGapUs = 400.0;
 /// One submitter's run of gapped regions: each region writes its index into
 /// a plain (non-atomic) slot per element, and the caller checks every slot
 /// after parallel_for returns — a lost, torn or unpublished block is a
-/// mismatch here and a data race under TSan. Static regions must also pass
-/// each block's own index as thread_index.
+/// mismatch here and a data race under TSan. Every region must also pass
+/// each block's own index as thread_index, exactly once.
 int run_gapped_regions(ThreadPool& pool, std::uint64_t seed, int regions) {
   Rng rng(seed);
   constexpr std::size_t kN = 257;  // not a multiple of the pool size
@@ -146,23 +126,16 @@ int run_gapped_regions(ThreadPool& pool, std::uint64_t seed, int regions) {
   for (int region = 1; region <= regions; ++region) {
     serial_gap(rng, kMaxGapUs);
     const auto stamp = static_cast<std::uint64_t>(region);
-    const bool dynamic = region % 3 == 0;
     std::vector<std::uint8_t> block_seen(pool.size(), 0);
-    pool.parallel_for(
-        0, kN,
-        [&](Range r, std::size_t t) {
-          if (!dynamic) block_seen[t] = 1;  // one static block per index
-          for (std::size_t i = r.begin; i < r.end; ++i) slot[i] = stamp;
-        },
-        dynamic ? Schedule::kDynamic : Schedule::kStatic,
-        dynamic ? 5 : 0);
+    pool.parallel_for(0, kN, [&](Range r, std::size_t t) {
+      ++block_seen[t];  // one static block per index
+      for (std::size_t i = r.begin; i < r.end; ++i) slot[i] = stamp;
+    });
     for (std::size_t i = 0; i < kN; ++i) {
       if (slot[i] != stamp) ++mismatches;
     }
-    if (!dynamic) {
-      for (std::uint8_t seen : block_seen) {
-        if (seen != 1) ++mismatches;
-      }
+    for (std::uint8_t seen : block_seen) {
+      if (seen != 1) ++mismatches;
     }
   }
   return mismatches;
@@ -760,17 +733,20 @@ TEST(ParStressTest, RegionExceptionRethrownWhileStatsReadersRace) {
   // edge (today the done flag's release/acquire pair), invisible to the
   // analysis and fragile under refactoring. It now goes through
   // Region::take_error() under error_m. This hammers that path with
-  // throwing bodies from every worker while a dedicated thread polls
-  // stats() (the stats_m_ discipline) the whole time; TSan checks both
-  // locks, the plain presets check no exception is ever lost or doubled.
+  // throwing bodies from every worker while a dedicated thread polls the
+  // metrics registry, where every region records its par.regions count and
+  // par.region span, the whole time; TSan checks both sides, the plain
+  // presets check no exception is ever lost or doubled.
   ThreadPool pool(kThreads);
   std::atomic<bool> stop{false};
   std::thread stats_reader([&] {
     std::uint64_t last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const PoolStats s = pool.stats();
-      EXPECT_GE(s.regions, last);  // counters only grow
-      last = s.regions;
+      const std::uint64_t regions =
+          obs::MetricsRegistry::global().snapshot().counter_value(
+              obs::kCounterParRegions);
+      EXPECT_GE(regions, last);  // counters only grow
+      last = regions;
     }
   });
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -11,6 +12,8 @@
 #include <sched.h>
 #endif
 
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "par/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -30,18 +33,6 @@ TEST(ThreadPoolTest, CoversAllIndicesExactlyOnceStatic) {
   p.parallel_for(0, hits.size(), [&](Range r, std::size_t) {
     for (std::size_t i = r.begin; i < r.end; ++i) hits[i].fetch_add(1);
   });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, CoversAllIndicesExactlyOnceDynamic) {
-  ThreadPool p(3);
-  std::vector<std::atomic<int>> hits(777);
-  p.parallel_for(
-      0, hits.size(),
-      [&](Range r, std::size_t) {
-        for (std::size_t i = r.begin; i < r.end; ++i) hits[i].fetch_add(1);
-      },
-      Schedule::kDynamic, 10);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -83,9 +74,26 @@ TEST(ThreadPoolTest, StaticPartitionIsContiguousPerThread) {
   for (std::size_t t = 0; t < 4; ++t) {
     if (ranges[t].first == ~0ull) continue;  // thread got no work
     EXPECT_EQ(ranges[t].first, cursor);
+    EXPECT_EQ(ranges[t].second, static_block(103, 4, t).end);
     cursor = ranges[t].second;
   }
   EXPECT_EQ(cursor, 103u);
+}
+
+TEST(ThreadPoolTest, StaticBlocksTileTheRangeInOrder) {
+  for (std::size_t parts = 1; parts <= 9; ++parts) {
+    for (std::size_t n = 0; n <= 40; ++n) {
+      std::size_t cursor = 0;
+      for (std::size_t b = 0; b < parts; ++b) {
+        const Range r = static_block(n, parts, b);
+        EXPECT_EQ(r.begin, cursor) << "n " << n << " parts " << parts;
+        // Sizes differ by at most one, larger blocks first.
+        EXPECT_EQ(r.size(), n / parts + (b < n % parts ? 1 : 0));
+        cursor = r.end;
+      }
+      EXPECT_EQ(cursor, n) << "n " << n << " parts " << parts;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, MoreThreadsThanWork) {
@@ -108,23 +116,24 @@ TEST(ThreadPoolTest, ManySmallRegionsDoNotDeadlock) {
   EXPECT_EQ(total.load(), 8000u);
 }
 
-TEST(ThreadPoolTest, ParallelForEach) {
-  ThreadPool p(3);
-  std::vector<std::atomic<int>> hits(50);
-  p.parallel_for_each(0, 50, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolTest, StatsCountRegions) {
+  // Every nonempty parallel_for is one par.regions count in the registry;
+  // an empty range opens no region.
   ThreadPool p(2);
-  p.reset_stats();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const std::uint64_t before =
+      reg.snapshot().counter_value(obs::kCounterParRegions);
   for (int i = 0; i < 5; ++i) {
     p.parallel_for(0, 10, [](Range, std::size_t) {});
   }
-  EXPECT_EQ(p.stats().regions, 5u);
-  EXPECT_GE(p.stats().region_overhead_s, 0.0);
-  p.reset_stats();
-  EXPECT_EQ(p.stats().regions, 0u);
+  p.parallel_for(3, 3, [](Range, std::size_t) {});
+  const std::uint64_t regions =
+      reg.snapshot().counter_value(obs::kCounterParRegions) - before;
+#if defined(PLF_PROFILING_ENABLED)
+  EXPECT_EQ(regions, 5u);
+#else
+  EXPECT_EQ(regions, 0u);
+#endif
 }
 
 TEST(ThreadPoolTest, ExceptionsInBodyDoNotCorruptPool) {
@@ -224,11 +233,6 @@ TEST(ThreadPoolTest, PoolBuiltOnAPinnedThreadStaysOnItsCpu) {
 #else
   GTEST_SKIP() << "CPU affinity is Linux-only";
 #endif
-}
-
-TEST(DefaultPoolTest, IsSingleton) {
-  EXPECT_EQ(&default_pool(), &default_pool());
-  EXPECT_GE(default_pool().size(), 1u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -403,6 +404,150 @@ TEST(PerCallBackendTest, LeafMoveOpensTwoRegionsPerOpPlusTheReduction) {
   EXPECT_EQ(percall_regions, 0u);
   EXPECT_EQ(fused_regions, 0u);
 #endif
+}
+
+/// Regions ThreadedBackend::run_plan opens for `plan`: one per maximal run
+/// of dense full-width levels, one per level holding a compacted (or
+/// partial-width) op, and a reduce-only region for a plan with no ops.
+std::uint64_t expected_regions(const PlfPlan& plan) {
+  if (plan.empty()) return 1;
+  std::uint64_t regions = 0;
+  bool in_dense_run = false;
+  for (std::size_t l = 0; l < plan.n_levels(); ++l) {
+    bool dense = true;
+    for (std::size_t i = plan.level_begin(l); i < plan.level_end(l); ++i) {
+      const PlfOp& op = plan.ops()[i];
+      if (op.repeats != nullptr || op.run_m != plan.m()) dense = false;
+    }
+    if (!dense || !in_dense_run) ++regions;
+    in_dense_run = dense;
+  }
+  return regions;
+}
+
+TEST(ThreadedPlanTest, RegionsAreDenseRunsPlusCompactedLevelsThroughAStorm) {
+  // Every region runs static block b of each op's rows. Site repeats run
+  // under the default auto policy over distinct, divergent columns: nodes
+  // that see most taxa have over 90% unique columns, stay dense and form
+  // dense runs, while a cherry whose two taxa take 2 distinct column pairs
+  // compacts to 2 rows, fewer than the pool's 3 blocks, so some blocks of
+  // its op are empty.
+  Rng rng(23);
+  Dataset d{seqgen::yule_tree(10, rng, 1.0, 1.0),
+            seqgen::default_gtr_params(), {}};
+  const phylo::Alignment aln =
+      seqgen::SequenceEvolver(d.tree, phylo::SubstitutionModel(d.params))
+          .evolve(180, rng);
+  int cherry = phylo::kNoNode;
+  for (int id : d.tree.postorder_internals()) {
+    const phylo::TreeNode& n = d.tree.node(id);
+    if (id != d.tree.root() && d.tree.node(n.left).is_leaf() &&
+        d.tree.node(n.right).is_leaf()) {
+      cherry = id;
+      break;
+    }
+  }
+  ASSERT_NE(cherry, phylo::kNoNode);
+  const auto tl = static_cast<std::size_t>(
+      d.tree.node(d.tree.node(cherry).left).taxon);
+  const auto tr = static_cast<std::size_t>(
+      d.tree.node(d.tree.node(cherry).right).taxon);
+  std::vector<std::vector<phylo::StateMask>> cols;
+  std::set<std::vector<phylo::StateMask>> seen;
+  for (std::size_t c = 0; c < aln.n_columns(); ++c) {
+    std::vector<phylo::StateMask> col(aln.n_taxa());
+    for (std::size_t t = 0; t < col.size(); ++t) col[t] = aln.at(t, c);
+    col[tl] = phylo::kMaskA;
+    col[tr] = c % 2 == 0 ? phylo::kMaskA : phylo::kMaskC;
+    if (seen.insert(col).second) cols.push_back(col);
+  }
+  const std::size_t m = cols.size();
+  d.data = phylo::PatternMatrix::from_patterns(
+      aln.names(), cols, std::vector<std::uint32_t>(m, 1));
+
+  // The twin runs the per-call structure over its own 3-thread pool, so the
+  // root reduction sums the same blocks in the same order: bit-equal lnL.
+  par::ThreadPool pool(3), twin_pool(3);
+  ThreadedBackend threaded(pool), twin_threaded(twin_pool);
+  PerCallBackend percall(twin_threaded);
+  PlfEngine plan(d.data, d.params, d.tree, threaded, KernelVariant::kSimdCol,
+                 SiteRepeatsMode::kAuto);
+  PlfEngine twin(d.data, d.params, d.tree, percall, KernelVariant::kSimdCol,
+                 SiteRepeatsMode::kAuto);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+
+  bool saw_small_compacted = false;
+  bool saw_compacted_level = false;
+  bool saw_dense_run = false;  // two consecutive dense levels in one region
+  const auto evaluate_and_check = [&] {
+    const std::uint64_t evals = plan.stats().reduce_calls;
+    const std::uint64_t before =
+        reg.snapshot().counter_value(obs::kCounterParRegions);
+    const double lnl = plan.log_likelihood();
+    const std::uint64_t regions =
+        reg.snapshot().counter_value(obs::kCounterParRegions) - before;
+    EXPECT_EQ(lnl, twin.log_likelihood());
+    const bool ran = plan.stats().reduce_calls != evals;
+    const PlfPlan& p = plan.last_plan();
+#if defined(PLF_PROFILING_ENABLED)
+    EXPECT_EQ(regions, ran ? expected_regions(p) : 0u);
+#else
+    EXPECT_EQ(regions, 0u);
+#endif
+    if (!ran) return;
+    for (const PlfOp& op : p.ops()) {
+      if (op.repeats == nullptr) continue;
+      saw_compacted_level = true;
+      if (op.run_m < pool.size()) saw_small_compacted = true;
+    }
+    if (p.n_levels() > expected_regions(p)) saw_dense_run = true;
+  };
+
+  evaluate_and_check();
+  EXPECT_TRUE(saw_small_compacted) << "the cherry must compact below 3 rows";
+
+  for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    for (PlfEngine* e : {&plan, &twin}) e->begin_proposal();
+    const phylo::Tree& t = plan.tree();
+    const double u = rng.uniform();
+    if (u < 0.35) {
+      int node;
+      do {
+        node = static_cast<int>(rng.below(t.n_nodes()));
+      } while (node == t.root());
+      const double len = rng.uniform(0.01, 1.2);
+      for (PlfEngine* e : {&plan, &twin}) e->set_branch_length(node, len);
+    } else if (u < 0.7) {
+      const auto edges = t.internal_edge_nodes();
+      const int v = edges[rng.below(edges.size())];
+      const bool swap_left = rng.uniform() < 0.5;
+      for (PlfEngine* e : {&plan, &twin}) e->apply_nni(v, swap_left);
+    } else {
+      int s = phylo::kNoNode;
+      std::vector<int> targets;
+      while (targets.empty()) {
+        s = static_cast<int>(rng.below(t.n_nodes()));
+        targets = t.spr_valid_targets(s);
+      }
+      const int target = targets[rng.below(targets.size())];
+      const double x = t.branch_length(target) * rng.uniform(0.1, 0.9);
+      for (PlfEngine* e : {&plan, &twin}) e->apply_spr(s, target, x);
+    }
+    evaluate_and_check();
+    if (rng.uniform() < 0.5) {
+      for (PlfEngine* e : {&plan, &twin}) e->accept();
+    } else {
+      for (PlfEngine* e : {&plan, &twin}) e->reject();
+    }
+    evaluate_and_check();  // cached: no region
+  }
+  EXPECT_TRUE(saw_compacted_level);
+  EXPECT_TRUE(saw_dense_run);
+  EXPECT_EQ(std::memcmp(plan.node_cl(plan.tree().root()),
+                        twin.node_cl(twin.tree().root()),
+                        m * 4 * 4 * sizeof(float)),
+            0);
 }
 
 TEST(PlanEngineTest, PlanShapeMatchesTreeOnFirstEvaluation) {

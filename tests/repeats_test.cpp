@@ -5,11 +5,12 @@
 // under the mutations an MCMC run performs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -42,9 +43,9 @@ phylo::PatternMatrix make_data(
       std::vector<std::uint32_t>(columns.size(), 1));
 }
 
-/// Brute-force reference identification: a node's class for a site is the
-/// first-occurrence rank of (left class, right class, outgroup mask at the
-/// root) in a std::map. Tips' classes are their masks.
+/// Brute-force reference identification: a non-root node's class for a site
+/// is the first-occurrence rank of (left class, right class) in a std::map.
+/// Tips' classes are their masks; the root gets none.
 struct RefClasses {
   std::vector<std::uint32_t> class_of_site;
   std::vector<std::uint32_t> unique_sites;
@@ -65,19 +66,14 @@ std::vector<RefClasses> reference_classes(const phylo::PatternMatrix& data,
                : out[static_cast<std::size_t>(node)].class_of_site;
   };
   for (int id : tree.postorder_internals()) {
+    if (id == tree.root()) continue;
     const std::vector<std::uint32_t> l = classes_of(tree.node(id).left);
     const std::vector<std::uint32_t> r = classes_of(tree.node(id).right);
-    const std::vector<std::uint32_t> og =
-        id == tree.root() ? tip_row(tree.outgroup())
-                          : std::vector<std::uint32_t>(m, 0);
-    std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-             std::uint32_t>
-        ids;
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> ids;
     RefClasses& rc = out[static_cast<std::size_t>(id)];
     for (std::size_t c = 0; c < m; ++c) {
       const auto [it, inserted] = ids.emplace(
-          std::make_tuple(l[c], r[c], og[c]),
-          static_cast<std::uint32_t>(ids.size()));
+          std::make_pair(l[c], r[c]), static_cast<std::uint32_t>(ids.size()));
       if (inserted) rc.unique_sites.push_back(static_cast<std::uint32_t>(c));
       rc.class_of_site.push_back(it->second);
     }
@@ -85,13 +81,15 @@ std::vector<RefClasses> reference_classes(const phylo::PatternMatrix& data,
   return out;
 }
 
-/// Assert `sr` (refreshed) matches the reference on every internal node,
-/// and that its ids are first-occurrence ids.
+/// Assert `sr` (refreshed) matches the reference on every non-root internal
+/// node, that its ids are first-occurrence ids, and that the root has none.
 void expect_matches_reference(const SiteRepeats& sr,
                               const phylo::PatternMatrix& data,
                               const phylo::Tree& tree) {
   const std::vector<RefClasses> ref = reference_classes(data, tree);
+  EXPECT_THROW(sr.node(tree.root()), Error);
   for (int id : tree.postorder_internals()) {
+    if (id == tree.root()) continue;
     const NodeRepeats& nr = sr.node(id);
     const RefClasses& rc = ref[static_cast<std::size_t>(id)];
     ASSERT_EQ(std::vector<std::uint32_t>(nr.class_of_site.begin(),
@@ -147,6 +145,7 @@ TEST(SiteRepeatsTest, AllIdenticalColumnsCollapseToOneClass) {
   ASSERT_FALSE(sr.any_stale());
 
   for (int id : tree.postorder_internals()) {
+    if (id == tree.root()) continue;
     const NodeRepeats& nr = sr.node(id);
     EXPECT_EQ(nr.n_classes, 1u) << "node " << id;
     ASSERT_EQ(nr.unique_sites.size(), 1u);
@@ -154,7 +153,6 @@ TEST(SiteRepeatsTest, AllIdenticalColumnsCollapseToOneClass) {
     for (std::uint32_t cls : nr.class_of_site) EXPECT_EQ(cls, 0u);
     EXPECT_DOUBLE_EQ(nr.compression(), 8.0);
   }
-  EXPECT_DOUBLE_EQ(sr.mean_compression(), 8.0);
 }
 
 TEST(SiteRepeatsTest, AllUniqueColumnsStayFullyDense) {
@@ -172,6 +170,7 @@ TEST(SiteRepeatsTest, AllUniqueColumnsStayFullyDense) {
   SiteRepeats sr(data, tree);
   sr.refresh(tree);
   for (int id : tree.postorder_internals()) {
+    if (id == tree.root()) continue;
     const NodeRepeats& nr = sr.node(id);
     EXPECT_EQ(nr.n_classes, cols.size()) << "node " << id;
     for (std::size_t c = 0; c < cols.size(); ++c) {
@@ -184,9 +183,8 @@ TEST(SiteRepeatsTest, AllUniqueColumnsStayFullyDense) {
 
 TEST(SiteRepeatsTest, InnerClassesComposeTipClasses) {
   const phylo::Tree tree = four_taxon_tree();
-  // Cherry (C,D): pairs (1,4),(1,4),(2,4),(2,4) -> 2 classes.
-  // Root (B, cherry) + outgroup A: (1,cls0),(2,cls0),(1,cls1),(2,cls1)
-  // with constant A -> 4 classes.
+  // Cherry (C,D): pairs (1,4),(1,4),(2,4),(2,4) -> 2 classes. The root
+  // (B, cherry) is never identified: its CLV stays dense.
   const auto data = make_data({
       {1, 1, 1, 4},
       {1, 2, 1, 4},
@@ -210,55 +208,42 @@ TEST(SiteRepeatsTest, InnerClassesComposeTipClasses) {
   EXPECT_EQ(ch.class_of_site[2], ch.class_of_site[3]);
   EXPECT_NE(ch.class_of_site[0], ch.class_of_site[2]);
 
-  const NodeRepeats& rt = sr.node(tree.root());
-  EXPECT_EQ(rt.n_classes, 4u);  // B's mask splits each cherry class
-}
-
-TEST(SiteRepeatsTest, RootClassFoldsOutgroupMask) {
-  const phylo::Tree tree = four_taxon_tree();
-  // B, C, D identical on both sites; only the outgroup A differs. The cherry
-  // sees one class, but the root's three-way product includes A's tip, so
-  // its classes must split.
-  const auto data = make_data({
-      {1, 1, 1, 1},
-      {2, 1, 1, 1},
-  });
-
-  SiteRepeats sr(data, tree);
-  sr.refresh(tree);
-
-  for (int id : tree.postorder_internals()) {
-    const NodeRepeats& nr = sr.node(id);
-    if (id == tree.root()) {
-      EXPECT_EQ(nr.n_classes, 2u);
-    } else {
-      EXPECT_EQ(nr.n_classes, 1u);
-    }
-  }
+  EXPECT_THROW(sr.node(tree.root()), Error);
 }
 
 TEST(SiteRepeatsTest, StaleAccessThrowsAndNniInvalidatesOnlyItsNode) {
-  const phylo::Tree tree = four_taxon_tree();
-  const std::vector<phylo::StateMask> col = {1, 2, 4, 8};
-  const auto data = make_data(std::vector<std::vector<phylo::StateMask>>(4, col));
+  // Five taxa rooted at outgroup A: internals are the (D,E) cherry, its
+  // parent (C, cherry) and the root joining B with that parent.
+  const phylo::Tree tree = phylo::Tree::from_newick(
+      "(A:0.1,B:0.1,(C:0.1,(D:0.1,E:0.1):0.1):0.1);",
+      {"A", "B", "C", "D", "E"});
+  const std::vector<phylo::StateMask> col = {1, 2, 4, 8, 1};
+  const auto data = phylo::PatternMatrix::from_patterns(
+      tree.taxon_names(), std::vector<std::vector<phylo::StateMask>>(4, col),
+      std::vector<std::uint32_t>(4, 1));
+  const auto inner_child = [&](int id) {
+    const phylo::TreeNode& n = tree.node(id);
+    return tree.node(n.left).is_leaf() ? n.right : n.left;
+  };
+  const int cde = inner_child(tree.root());
+  const int de = inner_child(cde);
+  ASSERT_FALSE(tree.node(cde).is_leaf());
+  ASSERT_FALSE(tree.node(de).is_leaf());
 
   SiteRepeats sr(data, tree);
-  EXPECT_THROW(sr.node(tree.root()), Error);  // refresh() not called yet
-  sr.refresh(tree);
-  EXPECT_NO_THROW(sr.node(tree.root()));
+  EXPECT_THROW(sr.node(cde), Error);  // refresh() not called yet
+  EXPECT_EQ(sr.refresh(tree), 2u);    // every internal node but the root
+  EXPECT_NO_THROW(sr.node(cde));
+  EXPECT_THROW(sr.node(tree.root()), Error);  // never identified
 
   // An NNI at the cherry changes only the cherry's taxa: it goes stale and
-  // throws until the next refresh, while the root (same taxa) stays valid.
-  int cherry = phylo::kNoNode;
-  for (int id : tree.postorder_internals()) {
-    if (id != tree.root()) cherry = id;
-  }
-  sr.invalidate_nni(cherry);
+  // throws until the next refresh, while its parent (same taxa) stays valid.
+  sr.invalidate_nni(de);
   EXPECT_TRUE(sr.any_stale());
-  EXPECT_THROW(sr.node(cherry), Error);
-  EXPECT_NO_THROW(sr.node(tree.root()));
+  EXPECT_THROW(sr.node(de), Error);
+  EXPECT_NO_THROW(sr.node(cde));
   EXPECT_EQ(sr.refresh(tree), 1u);
-  EXPECT_EQ(sr.node(cherry).n_classes, 1u);
+  EXPECT_EQ(sr.node(de).n_classes, 1u);
 }
 
 // The classes must track every mutation an MCMC chain performs: branch
@@ -284,7 +269,7 @@ TEST(SiteRepeatsEngineTest, TracksMutationsMidMcmc) {
 
   EXPECT_EQ(on.log_likelihood(), off.log_likelihood());
   EXPECT_GT(on.stats().repeat_down_hits, 0u);
-  EXPECT_GT(on.repeat_mean_compression(), 1.0);
+  EXPECT_GT(on.stats().repeat_compression_ratio(), 1.0);
 
   // Branch-length change: classes are invariant, CLVs are not.
   const int leaf = on.tree().leaf_of(3);
@@ -352,6 +337,15 @@ TEST(SiteRepeatsRankerTest, MatchesReferenceWithAmbiguityAndGapMasks) {
       {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, phylo::kGapMask}, 1308);
 }
 
+/// Taxa below `id`; the root's outgroup is not one of its children, so
+/// every root reads the same set.
+std::set<int> taxa_below(const phylo::Tree& tree, int id) {
+  if (tree.node(id).is_leaf()) return {tree.node(id).taxon};
+  std::set<int> out = taxa_below(tree, tree.node(id).left);
+  out.merge(taxa_below(tree, tree.node(id).right));
+  return out;
+}
+
 TEST(SiteRepeatsRankerTest, AllIdenticalAndAllDistinctColumns) {
   Rng rng(5);
   const phylo::Tree tree = seqgen::yule_tree(9, rng, 1.0, 0.1);
@@ -367,53 +361,37 @@ TEST(SiteRepeatsRankerTest, AllIdenticalAndAllDistinctColumns) {
   sr_same.refresh(tree);
   expect_matches_reference(sr_same, same, tree);
   for (int id : tree.postorder_internals()) {
+    if (id == tree.root()) continue;
     EXPECT_EQ(sr_same.node(id).n_classes, 1u);
   }
 
-  // All distinct: column c spells c in base 4 over the taxa, so the root
-  // (which sees every taxon) has one class per site.
-  constexpr std::size_t kM = 4096;
+  // All distinct: column c spells c in base 4 over the taxa below the
+  // root's larger child x, so x (which sees all of them) has one class per
+  // site.
+  const phylo::TreeNode& root = tree.node(tree.root());
+  const int x = taxa_below(tree, root.left).size() >=
+                        taxa_below(tree, root.right).size()
+                    ? root.left
+                    : root.right;
+  const std::set<int> below = taxa_below(tree, x);
+  ASSERT_GE(below.size(), 4u);
+  const std::size_t m = std::size_t{1} << (2 * std::min<std::size_t>(
+                                              below.size(), 6));
   std::vector<std::vector<phylo::StateMask>> cols(
-      kM, std::vector<phylo::StateMask>(n, 1));
-  for (std::size_t c = 0; c < kM; ++c) {
+      m, std::vector<phylo::StateMask>(n, 1));
+  for (std::size_t c = 0; c < m; ++c) {
     std::size_t v = c;
-    for (std::size_t t = 0; t < n && v > 0; ++t, v /= 4) {
-      cols[c][t] = static_cast<phylo::StateMask>(1u << (v % 4));
+    for (auto t = below.begin(); t != below.end() && v > 0; ++t, v /= 4) {
+      cols[c][static_cast<std::size_t>(*t)] =
+          static_cast<phylo::StateMask>(1u << (v % 4));
     }
   }
   const auto distinct = phylo::PatternMatrix::from_patterns(
-      tree.taxon_names(), cols, std::vector<std::uint32_t>(kM, 1));
+      tree.taxon_names(), cols, std::vector<std::uint32_t>(m, 1));
   SiteRepeats sr_distinct(distinct, tree);
   sr_distinct.refresh(tree);
   expect_matches_reference(sr_distinct, distinct, tree);
-  EXPECT_EQ(sr_distinct.node(tree.root()).n_classes, kM);
-}
-
-// Only the outgroup varies: every non-root node has one class, and the root's
-// second ranking pass splits by the outgroup's (possibly ambiguous) mask.
-TEST(SiteRepeatsRankerTest, RootFoldsOutgroupMaskOnTopOfPairRanks) {
-  Rng rng(8);
-  const phylo::Tree tree = seqgen::yule_tree(7, rng, 1.0, 0.1);
-  const int og_taxon = tree.node(tree.outgroup()).taxon;
-  std::vector<std::vector<phylo::StateMask>> cols;
-  std::set<phylo::StateMask> og_masks;
-  for (int c = 0; c < 200; ++c) {
-    std::vector<phylo::StateMask> col(tree.n_taxa(), phylo::kMaskG);
-    col[static_cast<std::size_t>(og_taxon)] =
-        static_cast<phylo::StateMask>(1 + rng.below(15));
-    og_masks.insert(col[static_cast<std::size_t>(og_taxon)]);
-    cols.push_back(col);
-  }
-  const auto data = phylo::PatternMatrix::from_patterns(
-      tree.taxon_names(), cols, std::vector<std::uint32_t>(cols.size(), 1));
-  SiteRepeats sr(data, tree);
-  sr.refresh(tree);
-  expect_matches_reference(sr, data, tree);
-  for (int id : tree.postorder_internals()) {
-    EXPECT_EQ(sr.node(id).n_classes,
-              id == tree.root() ? og_masks.size() : std::size_t{1})
-        << "node " << id;
-  }
+  EXPECT_EQ(sr_distinct.node(x).n_classes, m);
 }
 
 // The proposal double buffer on its own: invalidate inside a proposal,
@@ -424,7 +402,7 @@ TEST(SiteRepeatsTest, RejectSwapsClassesBackWithoutRebuilding) {
   phylo::Tree tree = seqgen::yule_tree(10, rng, 1.0, 0.1);
   const auto data = random_data(tree, 300, {1, 2, 4, 8}, rng);
   SiteRepeats sr(data, tree);
-  EXPECT_EQ(sr.refresh(tree), tree.postorder_internals().size());
+  EXPECT_EQ(sr.refresh(tree), tree.postorder_internals().size() - 1);
   const std::vector<RefClasses> before = reference_classes(data, tree);
 
   const auto edges = tree.internal_edge_nodes();
@@ -443,6 +421,7 @@ TEST(SiteRepeatsTest, RejectSwapsClassesBackWithoutRebuilding) {
   EXPECT_EQ(sr.refresh(tree), 0u);
   expect_matches_reference(sr, data, tree);
   for (int id : tree.postorder_internals()) {
+    if (id == tree.root()) continue;
     EXPECT_EQ(sr.node(id).n_classes,
               before[static_cast<std::size_t>(id)].unique_sites.size());
   }
@@ -454,15 +433,6 @@ TEST(SiteRepeatsTest, RejectSwapsClassesBackWithoutRebuilding) {
   sr.accept();
   EXPECT_EQ(sr.refresh(tree), 0u);
   expect_matches_reference(sr, data, tree);
-}
-
-/// Taxa below `id`; the root's outgroup is not one of its children, so
-/// every root reads the same set.
-std::set<int> taxa_below(const phylo::Tree& tree, int id) {
-  if (tree.node(id).is_leaf()) return {tree.node(id).taxon};
-  std::set<int> out = taxa_below(tree, tree.node(id).left);
-  out.merge(taxa_below(tree, tree.node(id).right));
-  return out;
 }
 
 /// Internal nodes whose descendant taxa differ between `before` and `after`:
@@ -482,6 +452,7 @@ void expect_rebuilds_exactly(SiteRepeats& sr, const phylo::PatternMatrix& data,
                              const phylo::Tree& tree,
                              const std::set<int>& expected) {
   for (int id : tree.postorder_internals()) {
+    if (id == tree.root()) continue;
     if (expected.count(id) != 0) {
       EXPECT_THROW(sr.node(id), Error) << "node " << id << " not invalidated";
     } else {
@@ -576,7 +547,8 @@ TEST(SiteRepeatsEngineTest, TopologyMovesRebuildOnlyTheirRootPaths) {
                SiteRepeatsMode::kOn);
   PlfEngine off(data, params, start, b_off, KernelVariant::kSimdCol,
                 SiteRepeatsMode::kOff);
-  const std::size_t n_internal = start.postorder_internals().size();
+  // Every internal node but the root is identified.
+  const std::size_t n_internal = start.postorder_internals().size() - 1;
   const auto rebuilds = [&] { return on.stats().repeat_node_rebuilds; };
 
   const auto check = [&](int step) {
@@ -585,6 +557,7 @@ TEST(SiteRepeatsEngineTest, TopologyMovesRebuildOnlyTheirRootPaths) {
     SiteRepeats fresh(on.data(), on.tree());
     fresh.refresh(on.tree());
     for (int id : on.tree().postorder_internals()) {
+      if (id == on.tree().root()) continue;
       const NodeRepeats& got = on.site_repeats().node(id);
       const NodeRepeats& want = fresh.node(id);
       ASSERT_EQ(got.n_classes, want.n_classes) << "node " << id;
