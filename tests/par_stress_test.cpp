@@ -162,6 +162,47 @@ TEST(ParStressTest, GappedRegionsFromFourConcurrentSubmitters) {
   for (int m : mismatches) EXPECT_EQ(m, 0);
 }
 
+/// One submitter's run of regions of random length and offset, many shorter
+/// than the pool: every call must get exactly begin + static_block(n, size,
+/// b) as block b, each nonempty block once and no empty block at all, even
+/// while other submitters' regions interleave on the same workers.
+int run_exact_blocks(ThreadPool& pool, std::uint64_t seed, int regions) {
+  Rng rng(seed);
+  int mismatches = 0;
+  for (int region = 0; region < regions; ++region) {
+    const std::size_t begin = rng.below(50);
+    const std::size_t n = 1 + rng.below(3 * pool.size());
+    std::vector<Range> got(pool.size());
+    std::vector<std::uint8_t> calls(pool.size(), 0);
+    pool.parallel_for(begin, begin + n, [&](Range r, std::size_t b) {
+      ++calls[b];
+      got[b] = r;
+    });
+    for (std::size_t b = 0; b < pool.size(); ++b) {
+      const Range want = static_block(n, pool.size(), b);
+      if (calls[b] != (want.empty() ? 0 : 1)) ++mismatches;
+      if (!want.empty() && (got[b].begin != begin + want.begin ||
+                            got[b].end != begin + want.end)) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(ParStressTest, ConcurrentSubmittersGetExactStaticBlocks) {
+  ThreadPool pool(4);
+  std::vector<int> mismatches(3, 0);
+  std::vector<std::thread> submitters;
+  for (std::size_t s = 0; s < mismatches.size(); ++s) {
+    submitters.emplace_back([&, s] {
+      mismatches[s] = run_exact_blocks(pool, 300 + s, 400);
+    });
+  }
+  for (auto& th : submitters) th.join();
+  for (int m : mismatches) EXPECT_EQ(m, 0);
+}
+
 TEST(ParStressTest, ThrowingGappedRegionsPropagateExactlyOnce) {
   // A throwing block must still count as finished (the region completes and
   // is unlinked), the exception reaches only its own submitter, and the

@@ -105,6 +105,25 @@ TEST(ThreadPoolTest, MoreThreadsThanWork) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPoolTest, EmptyBlocksAreNeverRun) {
+  // Three indices over five threads: blocks 0..2 hold one index each,
+  // offset by begin, and the empty blocks 3 and 4 never reach the body.
+  ThreadPool p(5);
+  std::vector<std::atomic<int>> calls(p.size());
+  std::vector<Range> got(p.size());
+  p.parallel_for(10, 13, [&](Range r, std::size_t b) {
+    calls[b].fetch_add(1);
+    got[b] = r;
+  });
+  for (std::size_t b = 0; b < p.size(); ++b) {
+    const Range want = static_block(3, p.size(), b);
+    EXPECT_EQ(calls[b].load(), want.empty() ? 0 : 1) << "block " << b;
+    if (want.empty()) continue;
+    EXPECT_EQ(got[b].begin, 10 + want.begin) << "block " << b;
+    EXPECT_EQ(got[b].end, 10 + want.end) << "block " << b;
+  }
+}
+
 TEST(ThreadPoolTest, ManySmallRegionsDoNotDeadlock) {
   ThreadPool p(4);
   std::atomic<std::size_t> total{0};

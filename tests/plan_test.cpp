@@ -550,6 +550,70 @@ TEST(ThreadedPlanTest, RegionsAreDenseRunsPlusCompactedLevelsThroughAStorm) {
             0);
 }
 
+TEST(ThreadedPlanTest, ClvsAreBitIdenticalAcrossPoolSizes) {
+  // Every kernel is per-row elementwise, so how run_plan splits an op's
+  // rows into static blocks cannot change a CLV bit: every internal node's
+  // rows, dense and compacted, equal the serial backend's over pools of 1,
+  // 2, 3 and 5 threads (5 exceeds the rows of some compacted ops).
+  const Dataset d = make_dataset(29, 10);
+  SerialBackend serial;
+  PlfEngine ref(d.data, d.params, d.tree, serial, KernelVariant::kSimdCol,
+                SiteRepeatsMode::kOn);
+  std::vector<std::unique_ptr<par::ThreadPool>> pools;
+  std::vector<std::unique_ptr<ThreadedBackend>> backends;
+  std::vector<std::unique_ptr<PlfEngine>> engines;
+  for (std::size_t threads : {1, 2, 3, 5}) {
+    pools.push_back(std::make_unique<par::ThreadPool>(threads));
+    backends.push_back(std::make_unique<ThreadedBackend>(*pools.back()));
+    engines.push_back(std::make_unique<PlfEngine>(
+        d.data, d.params, d.tree, *backends.back(), KernelVariant::kSimdCol,
+        SiteRepeatsMode::kOn));
+  }
+
+  bool saw_small_compacted = false;
+  const auto check = [&] {
+    (void)ref.log_likelihood();
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << pools[i]->size() << " threads");
+      PlfEngine* e = engines[i].get();
+      (void)e->log_likelihood();
+      for (int id : ref.tree().postorder_internals()) {
+        const std::size_t rows = ref.node_rows(id);
+        if (rows < 5) saw_small_compacted = true;
+        ASSERT_EQ(e->node_rows(id), rows) << "node " << id;
+        ASSERT_EQ(std::memcmp(e->node_cl(id), ref.node_cl(id),
+                              rows * 4 * 4 * sizeof(float)),
+                  0)
+            << "node " << id;
+      }
+    }
+  };
+
+  check();
+  Rng rng(37);
+  for (int step = 0; step < 20; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const phylo::Tree& t = ref.tree();
+    if (step % 2 == 0) {
+      const auto edges = t.internal_edge_nodes();
+      const int v = edges[rng.below(edges.size())];
+      const bool swap_left = rng.uniform() < 0.5;
+      ref.apply_nni(v, swap_left);
+      for (const auto& e : engines) e->apply_nni(v, swap_left);
+    } else {
+      int node;
+      do {
+        node = static_cast<int>(rng.below(t.n_nodes()));
+      } while (node == t.root());
+      const double len = rng.uniform(0.01, 1.2);
+      ref.set_branch_length(node, len);
+      for (const auto& e : engines) e->set_branch_length(node, len);
+    }
+    check();
+  }
+  EXPECT_TRUE(saw_small_compacted) << "no op had fewer rows than 5 threads";
+}
+
 TEST(PlanEngineTest, PlanShapeMatchesTreeOnFirstEvaluation) {
   const Dataset d = make_dataset(5, 12);
   SerialBackend backend;

@@ -435,6 +435,41 @@ TEST(SiteRepeatsTest, RejectSwapsClassesBackWithoutRebuilding) {
   expect_matches_reference(sr, data, tree);
 }
 
+TEST(SiteRepeatsTest, InvalidateAllRebuildsEveryNodeButTheRoot) {
+  // A checkpoint restore calls invalidate_all(): every non-root node goes
+  // stale and re-identifies to the same classes, and the root, which is
+  // never identified, is not rebuilt.
+  Rng rng(31);
+  const phylo::Tree tree = seqgen::yule_tree(9, rng, 1.0, 0.1);
+  const auto data = random_data(tree, 200, {1, 2, 4, 8}, rng);
+  const std::size_t n_identified = tree.postorder_internals().size() - 1;
+  SiteRepeats sr(data, tree);
+  EXPECT_EQ(sr.refresh(tree), n_identified);
+  std::map<int, std::vector<std::uint32_t>> first;
+  for (int id : tree.postorder_internals()) {
+    if (id == tree.root()) continue;
+    const NodeRepeats& nr = sr.node(id);
+    first[id].assign(nr.class_of_site.begin(), nr.class_of_site.end());
+  }
+
+  sr.invalidate_all();
+  EXPECT_TRUE(sr.any_stale());
+  for (int id : tree.postorder_internals()) {
+    EXPECT_THROW(sr.node(id), Error) << "node " << id;
+  }
+  EXPECT_EQ(sr.refresh(tree), n_identified);
+  EXPECT_FALSE(sr.any_stale());
+  EXPECT_EQ(sr.refresh(tree), 0u);
+  expect_matches_reference(sr, data, tree);
+  for (const auto& [id, classes] : first) {
+    const NodeRepeats& nr = sr.node(id);
+    EXPECT_EQ(std::vector<std::uint32_t>(nr.class_of_site.begin(),
+                                         nr.class_of_site.end()),
+              classes)
+        << "node " << id;
+  }
+}
+
 /// Internal nodes whose descendant taxa differ between `before` and `after`:
 /// exactly the nodes whose repeat classes a topology move can change.
 std::set<int> nodes_with_new_taxa(const phylo::Tree& before,
