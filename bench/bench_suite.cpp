@@ -31,6 +31,8 @@
 //                               stand-in (real20) and on mrbayes_lite's
 //                               built-in demo data (demo), site repeats
 //                               {off,auto}
+//   mcmc.e2e.grid50x1k          the same on the paper's 50_1K grid cell
+//                               (perfbench's grid50x1k) on a 1-thread pool
 //
 // Noise discipline: every case value is the MINIMUM over --reps repetitions
 // of the identical deterministic workload — the least-disturbed observation —
@@ -125,7 +127,7 @@ struct Operands {
   phylo::TransitionMatrices tm_l, tm_r;
   aligned_vector<float> cl_l, cl_r, out;
   aligned_vector<float> ln_scaler;
-  aligned_vector<double> scaler_total;
+  aligned_vector<std::int32_t> scaler_count;
   aligned_vector<std::uint32_t> weights;
   std::vector<phylo::StateMask> mask_l;
   core::TipPartial tp_l;
@@ -143,7 +145,7 @@ struct Operands {
     for (auto& v : cl_l) v = static_cast<float>(rng.uniform(0.05, 1.0));
     for (auto& v : cl_r) v = static_cast<float>(rng.uniform(0.05, 1.0));
     ln_scaler.assign(m, 0.0f);
-    scaler_total.assign(m, -0.5);
+    scaler_count.assign(m, -1);
     weights.assign(m, 1);
     // Tip operand: realistic mask mix (mostly resolved bases, ~10%
     // ambiguity codes) and the per-branch lookup table the engine would
@@ -199,7 +201,7 @@ CaseStat kernel_case(const std::string& op_name,
   core::ScaleArgs scale_args{op.cl_l.data(), op.ln_scaler.data(), op.K};
   core::RootReduceArgs reduce_args;
   reduce_args.cl = op.cl_l.data();
-  reduce_args.ln_scaler_total = op.scaler_total.data();
+  reduce_args.scaler_count = op.scaler_count.data();
   reduce_args.weights = op.weights.data();
   reduce_args.K = op.K;
 
@@ -247,7 +249,7 @@ bool root_reduce_pinv_case(bool dirty_upper, std::uint64_t iters, int reps,
   for (std::size_t c = 0; c < 4; ++c) const_lik[c] = 0.25f;
   core::RootReduceArgs a;
   a.cl = op.cl_l.data();
-  a.ln_scaler_total = op.scaler_total.data();
+  a.scaler_count = op.scaler_count.data();
   a.weights = op.weights.data();
   a.K = op.K;
   a.const_lik = const_lik.data();
@@ -564,15 +566,16 @@ CaseStat telemetry_case(const phylo::PatternMatrix& data,
 }
 
 /// End-to-end MC3 on `data` from `start`: s/gen of mrbayes_lite's default
-/// run — 4 coupled chains on one 2-worker threaded pool, GTR+I+G, the
-/// NNI/eSPR/branch/model move mix — with only the site-repeats mode varied.
-/// Unlike the engine.* cases, which move branch lengths only, these exercise
-/// topology moves and hence repeat identification.
-CaseStat e2e_case(const std::string& workload, const phylo::PatternMatrix& data,
+/// run — 4 coupled chains on one `threads`-worker threaded pool, GTR+I+G,
+/// the NNI/eSPR/branch/model move mix — with only the site-repeats mode and
+/// the pool size varied. Unlike the engine.* cases, which move branch
+/// lengths only, these exercise topology moves and hence repeat
+/// identification.
+CaseStat e2e_case(const std::string& name, const phylo::PatternMatrix& data,
                   const phylo::Tree& start, core::SiteRepeatsMode repeats,
-                  std::uint64_t gens, int reps) {
+                  std::size_t threads, std::uint64_t gens, int reps) {
   CaseStat cs;
-  cs.name = "mcmc.e2e." + workload + ".sr-" + core::to_string(repeats);
+  cs.name = name;
   cs.unit = "s/gen";
   cs.iters = gens;
   cs.threshold = 0.40;
@@ -580,7 +583,7 @@ CaseStat e2e_case(const std::string& workload, const phylo::PatternMatrix& data,
   constexpr std::size_t kChains = 4;
   phylo::GtrParams params;
   params.p_invariant = 0.1;
-  par::ThreadPool pool(kPoolWorkers);
+  par::ThreadPool pool(threads);
   core::ThreadedBackend backend(pool);
   std::vector<std::unique_ptr<core::PlfEngine>> engines;
   for (std::size_t i = 0; i < kChains; ++i) {
@@ -877,8 +880,9 @@ int main(int argc, char** argv) {
     const std::uint64_t e2e_gens = quick ? 10 : 40;
     for (const core::SiteRepeatsMode sr :
          {core::SiteRepeatsMode::kOff, core::SiteRepeatsMode::kAuto}) {
-      cases.push_back(e2e_case("real20", real20.patterns, real20_start, sr,
-                               e2e_gens, reps));
+      cases.push_back(e2e_case(
+          "mcmc.e2e.real20.sr-" + core::to_string(sr), real20.patterns,
+          real20_start, sr, kPoolWorkers, e2e_gens, reps));
       std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
                 << " ms/gen (min of " << reps << ")\n";
     }
@@ -900,11 +904,25 @@ int main(int argc, char** argv) {
     const std::uint64_t demo_gens = quick ? 50 : 200;
     for (const core::SiteRepeatsMode sr :
          {core::SiteRepeatsMode::kOff, core::SiteRepeatsMode::kAuto}) {
-      cases.push_back(
-          e2e_case("demo", demo, demo_start, sr, demo_gens, reps));
+      cases.push_back(e2e_case("mcmc.e2e.demo.sr-" + core::to_string(sr),
+                               demo, demo_start, sr, kPoolWorkers, demo_gens,
+                               reps));
       std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
                 << " ms/gen (min of " << reps << ")\n";
     }
+
+    // The paper's 50_1K grid cell as perfbench's grid50x1k runs it: 50
+    // taxa over 1,000 distinct columns (data seed 42), started from the
+    // generating tree, on a 1-thread pool (its ops are too small to split),
+    // site repeats at the default.
+    const seqgen::Dataset grid = seqgen::make_grid_dataset({50, 1000}, 42);
+    const phylo::Tree grid_start = phylo::Tree::from_newick(
+        grid.tree.rerooted(0).to_newick(), grid.patterns.names());
+    cases.push_back(e2e_case("mcmc.e2e.grid50x1k", grid.patterns, grid_start,
+                             core::SiteRepeatsMode::kAuto, 1,
+                             quick ? 100 : 400, reps));
+    std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
+              << " ms/gen (min of " << reps << ")\n";
   }
   {
     phylo::SubstitutionModel model(params);

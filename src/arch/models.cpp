@@ -25,7 +25,7 @@ struct SyntheticJob {
   core::TipPartial tp_o;
   aligned_vector<float> cl_l, cl_r, out;
   aligned_vector<float> ln_scaler;
-  aligned_vector<double> scaler_total;
+  aligned_vector<std::int32_t> scaler_count;
   aligned_vector<std::uint32_t> weights;
   // aligned_vector, not std::vector: the Cell DMA rounds mask transfers up
   // to 16 bytes, so the backing allocation must be padded (the aligned
@@ -47,7 +47,7 @@ struct SyntheticJob {
     for (auto& v : cl_l) v = static_cast<float>(rng.uniform(0.05, 1.0));
     for (auto& v : cl_r) v = static_cast<float>(rng.uniform(0.05, 1.0));
     ln_scaler.assign(m, 0.0f);
-    scaler_total.assign(m, -0.5);
+    scaler_count.assign(m, -1);
     weights.assign(m, 1);
     out_mask.resize(m);
     for (auto& x : out_mask) x = phylo::state_to_mask(rng.below(4));
@@ -78,7 +78,7 @@ struct SyntheticJob {
   core::RootReduceArgs reduce_args() {
     core::RootReduceArgs a;
     a.cl = cl_l.data();
-    a.ln_scaler_total = scaler_total.data();
+    a.scaler_count = scaler_count.data();
     a.weights = weights.data();
     a.K = K;
     return a;

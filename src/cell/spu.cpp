@@ -334,14 +334,14 @@ SpuRunResult Spu::run_reduce(const SpuJob& job, double time) {
       job.reduce.const_lik != nullptr && job.reduce.p_invariant > 0.0f;
   const std::size_t ls_mark = ls_.mark();
   const std::size_t bytes_per_pattern =
-      K * 4 * sizeof(float) + sizeof(double) + sizeof(std::uint32_t) +
+      K * 4 * sizeof(float) + sizeof(std::int32_t) + sizeof(std::uint32_t) +
       (has_pinv ? sizeof(float) : 0);
   const std::size_t chunk = chunk_patterns(bytes_per_pattern, 0);
 
   LsRegion cl_region[2], sc_region[2], w_region[2], const_region[2];
   for (int b = 0; b < 2; ++b) {
     cl_region[b] = ls_.alloc(chunk * K * 4 * sizeof(float));
-    sc_region[b] = ls_.alloc(chunk * sizeof(double));
+    sc_region[b] = ls_.alloc(chunk * sizeof(std::int32_t));
     w_region[b] = ls_.alloc(chunk * sizeof(std::uint32_t));
     if (has_pinv) const_region[b] = ls_.alloc(chunk * sizeof(float));
   }
@@ -352,8 +352,8 @@ SpuRunResult Spu::run_reduce(const SpuJob& job, double time) {
                            job.reduce.cl + (job.begin + off) * K * 4,
                            cur * K * 4 * sizeof(float), issue);
     done = dma_.get(ls_, sc_region[buf],
-                    job.reduce.ln_scaler_total + job.begin + off,
-                    round_up(cur * sizeof(double), 16), issue);
+                    job.reduce.scaler_count + job.begin + off,
+                    round_up(cur * sizeof(std::int32_t), 16), issue);
     done = dma_.get(ls_, w_region[buf], job.reduce.weights + job.begin + off,
                     round_up(cur * sizeof(std::uint32_t), 16), issue);
     if (has_pinv) {
@@ -379,8 +379,8 @@ SpuRunResult Spu::run_reduce(const SpuJob& job, double time) {
 
     core::RootReduceArgs ra = job.reduce;
     ra.cl = ls_.as_floats(cl_region[buf]);
-    ra.ln_scaler_total =
-        reinterpret_cast<const double*>(ls_.at(sc_region[buf]));
+    ra.scaler_count =
+        reinterpret_cast<const std::int32_t*>(ls_.at(sc_region[buf]));
     ra.weights =
         reinterpret_cast<const std::uint32_t*>(ls_.at(w_region[buf]));
     if (has_pinv) ra.const_lik = ls_.as_floats(const_region[buf]);

@@ -38,21 +38,21 @@ double sum_partials(const ReducePartial* partials, std::size_t blocks) {
 
 void run_cum_step(const CumArgs& a, std::size_t begin, std::size_t end) {
   detail::check_cum(a, begin, end);
-  const float* sc = a.ln_scaler;
-  double* out = a.out;
+  const float* e = a.exponent;
+  std::int32_t* out = a.out;
   if (a.left.cum != nullptr && a.right.cum != nullptr) {
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t c = a.site(i);
-      out[i] = static_cast<double>(sc[i]) + a.left.at(c) + a.right.at(c);
+      out[i] = static_cast<std::int32_t>(e[i]) + a.left.at(c) + a.right.at(c);
     }
   } else if (a.left.cum != nullptr || a.right.cum != nullptr) {
     const CumChild& one = a.left.cum != nullptr ? a.left : a.right;
     for (std::size_t i = begin; i < end; ++i) {
-      out[i] = static_cast<double>(sc[i]) + one.at(a.site(i));
+      out[i] = static_cast<std::int32_t>(e[i]) + one.at(a.site(i));
     }
   } else {
     for (std::size_t i = begin; i < end; ++i) {
-      out[i] = static_cast<double>(sc[i]);
+      out[i] = static_cast<std::int32_t>(e[i]);
     }
   }
 }

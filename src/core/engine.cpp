@@ -22,7 +22,8 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
       tree_(std::move(tree)),
       backend_(&backend),
       kernels_(&kernels(variant)),
-      repeats_mode_(site_repeats) {
+      repeats_mode_(site_repeats),
+      saved_model_(params) {
   PLF_CHECK(data_.n_taxa() == tree_.n_taxa(),
             "pattern matrix and tree disagree on taxon count");
   m_ = data_.n_patterns();
@@ -76,7 +77,7 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
       const_mask_[c] = static_cast<phylo::StateMask>(const_mask_[c] & row[c]);
     }
   }
-  assign_model(params);  // const_lik_ needs const_mask_
+  refresh_const_lik();  // needs const_mask_
 
   // Site-repeat caching: identification is deferred to the first evaluation
   // (construction just marks every node stale).
@@ -136,7 +137,8 @@ void PlfEngine::begin_proposal() {
   old_lengths_.clear();
   nni_log_.clear();
   spr_log_.clear();
-  old_params_.reset();
+  model_saved_ = false;
+  const_lik_saved_ = false;
   if (repeats_enabled_) repeats_.begin_proposal();
 }
 
@@ -166,8 +168,10 @@ void PlfEngine::reject() {
   // invalidated gets its pre-proposal repeat classes swapped back in, like
   // the CLV flips below — nothing is re-identified.
   if (repeats_enabled_) repeats_.reject();
-  // Undo model change.
-  if (old_params_) assign_model(*old_params_);
+  // Undo a model change: swap the pre-proposal model (and invariant-site
+  // likelihoods) back in, rebuilding nothing.
+  if (model_saved_) std::swap(model_, saved_model_);
+  if (const_lik_saved_) const_lik_.swap(saved_const_lik_);
   // Flip buffers back (no recomputation — the MrBayes restore path).
   for (int id : flipped_nodes_) {
     nodes_[static_cast<std::size_t>(id)].active ^= 1;
@@ -237,19 +241,31 @@ void PlfEngine::apply_spr(int s, int target, double split_x) {
 void PlfEngine::set_model(const phylo::GtrParams& params) {
   PLF_CHECK(params.n_rate_categories == model_.n_rate_categories(),
             "set_model: rate category count is fixed at engine construction");
-  if (in_proposal_ && !old_params_) old_params_ = model_.params();
-  // p_invariant enters only the root reduction's +I mixture: no transition
-  // matrix or CLV depends on it, so a move of it alone dirties nothing and
-  // the next evaluation's plan holds only the reduction.
   const phylo::GtrParams& cur = model_.params();
-  const bool clvs_unchanged = params.rates == cur.rates &&
-                              params.pi == cur.pi &&
+  const bool pi_changed = params.pi != cur.pi;
+  const bool clvs_unchanged = params.rates == cur.rates && !pi_changed &&
                               params.gamma_shape == cur.gamma_shape;
-  assign_model(params);
+  // The first change in a proposal keeps the pre-proposal model and, when pi
+  // moves, its invariant-site likelihoods, for reject() to swap back.
+  if (in_proposal_ && !model_saved_) {
+    saved_model_ = model_;
+    model_saved_ = true;
+  }
+  if (in_proposal_ && pi_changed && !const_lik_saved_) {
+    const_lik_.swap(saved_const_lik_);
+    const_lik_saved_ = true;
+  }
+  // p_invariant enters only the root reduction's +I mixture: no transition
+  // matrix or CLV depends on it, so a move of it alone rebuilds no model and
+  // dirties nothing, and the next evaluation's plan holds only the
+  // reduction.
   if (clvs_unchanged) {
+    model_.set_p_invariant(params.p_invariant);
     lik_valid_ = false;
     return;
   }
+  model_ = phylo::SubstitutionModel(params);
+  if (pi_changed) refresh_const_lik();
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     if (tree_.node(static_cast<int>(id)).parent != phylo::kNoNode) {
       mark_branch_dirty(static_cast<int>(id));
@@ -265,8 +281,7 @@ void PlfEngine::set_model(const phylo::GtrParams& params) {
   lik_valid_ = false;
 }
 
-void PlfEngine::assign_model(const phylo::GtrParams& params) {
-  model_ = phylo::SubstitutionModel(params);
+void PlfEngine::refresh_const_lik() {
   // +I: a pattern's invariant-site likelihood is the pi mass of the states
   // every taxon could share, so it changes only with pi.
   const auto& pi = model_.pi();
@@ -294,11 +309,11 @@ void PlfEngine::rebuild_branch(int node) {
   if (in_proposal_ && st.flip_epoch == proposal_epoch_) {
     target = st.active;  // overwrite this proposal's own buffer
   }
-  st.tm[static_cast<std::size_t>(target)] =
-      model_.transition_matrices(tree_.branch_length(node));
+  // Both written into the target buffer's own storage: no allocation.
+  phylo::TransitionMatrices& tm = st.tm[static_cast<std::size_t>(target)];
+  model_.transition_matrices(tree_.branch_length(node), tm);
   if (tree_.node(node).is_leaf()) {
-    st.tp[static_cast<std::size_t>(target)] =
-        TipPartial(st.tm[static_cast<std::size_t>(target)]);
+    st.tp[static_cast<std::size_t>(target)].rebuild(tm);
   }
   if (target != st.active) {
     st.active = target;
@@ -486,7 +501,8 @@ void PlfEngine::build_plan() {
     float* out = arena_.data(clv_slot(id, target));
     float* ln_scaler = st.scaler.data();
     const NodeRepeats* nr = repeats_for(id);
-    aligned_vector<double>& cum = st.cum[static_cast<std::size_t>(target)];
+    aligned_vector<std::int32_t>& cum =
+        st.cum[static_cast<std::size_t>(target)];
     cum.resize(m_);  // allocated on first write
 
     PlfOp op;
@@ -513,9 +529,8 @@ void PlfEngine::build_plan() {
     op.scale.cl = out;
     op.scale.ln_scaler = ln_scaler;
     op.scale.K = k_;
-    // Children in tree order: the sum's order fixes its bits.
     op.cum.out = cum.data();
-    op.cum.ln_scaler = ln_scaler;
+    op.cum.exponent = ln_scaler;
     op.cum.left = make_cum_child(n.left);
     op.cum.right = make_cum_child(n.right);
     op.cum.site_index = op.args.down.site_index;
@@ -544,14 +559,14 @@ void PlfEngine::build_plan() {
 
   // The closing root reduction (with the +I mixture when enabled) reads the
   // root's rows as the plan leaves them. The root's cumulative row is the
-  // per-pattern total over all nodes.
+  // per-pattern scale-exponent total over all nodes.
   const int root = tree_.root();
   const NodeState& rs = nodes_[static_cast<std::size_t>(root)];
   const int root_target = plan_target_[static_cast<std::size_t>(root)];
   const int root_buf = root_target >= 0 ? root_target : rs.active;
   RootReduceArgs rr;
   rr.cl = arena_.data(clv_slot(root, root_buf));
-  rr.ln_scaler_total = rs.cum[static_cast<std::size_t>(root_buf)].data();
+  rr.scaler_count = rs.cum[static_cast<std::size_t>(root_buf)].data();
   rr.weights = data_.weights().data();
   const auto& pi = model_.pi();
   for (std::size_t i = 0; i < 4; ++i) rr.pi[i] = static_cast<float>(pi[i]);
@@ -740,8 +755,8 @@ void PlfEngine::save_state(util::BinaryWriter& w) const {
   // Internal nodes, in id order: the active buffer index, the dirty flag
   // (a move still pending evaluation must stay pending), the active
   // buffer's stored row count, the live rows of a clean node's active
-  // cumulative scaler row (exact f64 bits; a parent recomputed after the
-  // resume adds this row as is; a dirty node's row is stale and omitted),
+  // cumulative scaler-count row (i32; a parent recomputed after the resume
+  // adds this row as is; a dirty node's row is stale and omitted),
   // and the live rows of the active CLV when it is arena-resident. Evicted
   // CLVs are omitted on purpose: the recompute closure rematerializes them
   // bit-exactly from the tips, which is the same guarantee the budgeted
@@ -754,7 +769,7 @@ void PlfEngine::save_state(util::BinaryWriter& w) const {
     w.u8(static_cast<std::uint8_t>(st.active));
     w.u8(st.dirty ? 1 : 0);
     w.u64(rows);
-    w.f64_array(st.cum[static_cast<std::size_t>(st.active)].data(),
+    w.i32_array(st.cum[static_cast<std::size_t>(st.active)].data(),
                 st.dirty ? 0 : rows);
     const int slot = clv_slot(static_cast<int>(id), st.active);
     const bool resident = arena_.resident(slot);
@@ -797,7 +812,8 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   p.p_invariant = r.f64();
   PLF_CHECK(p.n_rate_categories == k_,
             "restore_state: rate category count is fixed at construction");
-  assign_model(p);
+  model_ = phylo::SubstitutionModel(p);
+  refresh_const_lik();
 
   // Branch matrices are pure functions of (model, branch length): rebuild
   // every branch eagerly and leave it CLEAN. Leaving branches dirty instead
@@ -811,11 +827,9 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
     st.active = 0;
     st.dirty = false;
     st.flip_epoch = 0;
-    st.tm[0] = model_.transition_matrices(
-        tree_.branch_length(static_cast<int>(id)));
-    if (n.is_leaf()) {
-      st.tp[0] = TipPartial(st.tm[0]);
-    }
+    model_.transition_matrices(tree_.branch_length(static_cast<int>(id)),
+                               st.tm[0]);
+    if (n.is_leaf()) st.tp[0].rebuild(st.tm[0]);
     ++stats_.tm_builds;
   }
 
@@ -837,7 +851,7 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
               "restore_state: CLV row count out of range");
     st.rows = {m_, m_};
     st.rows[static_cast<std::size_t>(st.active)] = rows;
-    const std::vector<double> cum = r.f64_array();
+    const std::vector<std::int32_t> cum = r.i32_array();
     PLF_CHECK(cum.size() == (st.dirty ? 0 : rows),
               "restore_state: scaler row size mismatch");
     st.cum[static_cast<std::size_t>(st.active)].assign(cum.begin(), cum.end());
@@ -872,7 +886,8 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   old_lengths_.clear();
   nni_log_.clear();
   spr_log_.clear();
-  old_params_.reset();
+  model_saved_ = false;
+  const_lik_saved_ = false;
 
   publish_arena_gauges(obs::MetricsRegistry::global());
 }
@@ -893,6 +908,14 @@ std::size_t PlfEngine::node_rows(int node) const {
   PLF_CHECK(!tree_.node(node).is_leaf(), "node_rows: leaf nodes carry no cl");
   const NodeState& st = nodes_[static_cast<std::size_t>(node)];
   return st.rows[static_cast<std::size_t>(st.active)];
+}
+
+const std::int32_t* PlfEngine::node_scaler_count(int node) const {
+  PLF_CHECK(!tree_.node(node).is_leaf(),
+            "node_scaler_count: leaf nodes carry no scaler row");
+  const NodeState& st = nodes_[static_cast<std::size_t>(node)];
+  PLF_CHECK(!st.dirty, "node_scaler_count: the node is dirty");
+  return st.cum[static_cast<std::size_t>(st.active)].data();
 }
 
 bool PlfEngine::node_resident(int node) const {

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -154,7 +153,7 @@ class PlfEngine {
   // --- checkpoint/restore (docs/SHARDING.md) ---
   /// Serialize everything a 0-ULP resume needs: tree (exact branch-length
   /// bits), model parameters, each internal node's dirty flag, the stored
-  /// row count of its active buffer, its live cumulative log-scaler rows
+  /// row count of its active buffer, its live cumulative scaler-count rows
   /// (clean nodes) and — when arena-resident — its live CLV rows, and the
   /// cached likelihood. Requires no open proposal. EngineStats are run-local
   /// and intentionally not saved.
@@ -189,6 +188,10 @@ class PlfEngine {
   const float* node_cl(int node) const;
   /// Stored rows of an internal node's active buffer (tests/diagnostics).
   std::size_t node_rows(int node) const;
+  /// An internal node's active cumulative scaler-count row, node_rows(node)
+  /// entries laid out like node_cl (tests/diagnostics). PLF_CHECKs that the
+  /// node is clean: a dirty node's row is stale.
+  const std::int32_t* node_scaler_count(int node) const;
 
   // --- budgeted CLV arena (docs/MEMORY.md) ---
   /// The arena that owns every internal node's CLV storage.
@@ -204,17 +207,18 @@ class PlfEngine {
 
  private:
   struct NodeState {
-    /// The scale kernel's per-row log scalers for the last op on this node:
+    /// The scale kernel's per-row exponents for the last op on this node:
     /// scratch that only the op's own cumulative step reads, so one buffer.
     aligned_vector<float> scaler;
-    /// Cumulative log scalers: per stored row, the sum of the scaler rows of
-    /// every internal node in this subtree. A pure function of the subtree,
-    /// double-buffered with the CLV (same `active` index and row layout), so
-    /// reject flips, topology moves, rematerializations and restores need no
-    /// special case. A buffer is allocated when a plan first targets it
-    /// (each op writes its row in the plan, right after its scale step);
-    /// only a dirty node's active buffer can still be empty.
-    std::array<aligned_vector<double>, 2> cum;
+    /// Cumulative scaler counts: per stored row, the integer sum of the
+    /// scale exponents of every internal node in this subtree. A pure
+    /// function of the subtree, double-buffered with the CLV (same `active`
+    /// index and row layout), so reject flips, topology moves,
+    /// rematerializations and restores need no special case. A buffer is
+    /// allocated when a plan first targets it (each op writes its row in the
+    /// plan, right after its scale step); only a dirty node's active buffer
+    /// can still be empty.
+    std::array<aligned_vector<std::int32_t>, 2> cum;
     /// Stored rows of each buffer (CLV and cum alike): the node's class
     /// count when build_plan compacted it, else m. Unwritten buffers are
     /// dense (zeroed CLVs). make_child checks it against the child's current
@@ -276,8 +280,8 @@ class PlfEngine {
   void build_plan() PLF_REQUIRES(checker_);
   /// Deferred flips + dirty clearing after a plan executes.
   void post_process_plan() PLF_REQUIRES(checker_);
-  /// The one place model_ is assigned: also refreshes const_lik_.
-  void assign_model(const phylo::GtrParams& params);
+  /// Recompute const_lik_ from model_'s pi.
+  void refresh_const_lik();
   /// Repeat classes to compact node `id` with, or nullptr for the dense path
   /// (mode/backend/compression gate; the root is always dense, because the
   /// root reduction reads its rows by site). Identification must be fresh.
@@ -328,7 +332,7 @@ class PlfEngine {
 
   /// +I support: per-pattern AND of all taxon masks (which states could be
   /// shared by every taxon; fixed by the data) and the resulting
-  /// invariant-site likelihoods under the current pi (see assign_model).
+  /// invariant-site likelihoods under the current pi (refresh_const_lik).
   std::vector<phylo::StateMask> const_mask_;
   aligned_vector<float> const_lik_;
 
@@ -355,7 +359,13 @@ class PlfEngine {
   std::vector<std::pair<int, double>> old_lengths_;
   std::vector<std::pair<int, bool>> nni_log_;
   std::vector<phylo::Tree::SprUndo> spr_log_;
-  std::optional<phylo::GtrParams> old_params_;
+  /// The pre-proposal model and invariant-site likelihoods, kept by the
+  /// proposal's first set_model (and, for const_lik_, its first pi change)
+  /// and swapped back by reject().
+  phylo::SubstitutionModel saved_model_;
+  aligned_vector<float> saved_const_lik_;
+  bool model_saved_ = false;
+  bool const_lik_saved_ = false;
 
   /// Thread confinement: one engine serves one MCMC chain on one thread
   /// (parallelism lives INSIDE the backend's kernel dispatch, never across

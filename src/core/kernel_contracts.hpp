@@ -139,14 +139,14 @@ inline void check_root_reduce(const RootReduceArgs& a, std::size_t begin,
                               std::size_t end) {
   PLF_DCHECK(begin <= end, "root_reduce: reversed pattern range");
   PLF_DCHECK(a.K >= 1, "root_reduce: needs at least one rate category");
-  PLF_DCHECK(a.cl != nullptr && a.ln_scaler_total != nullptr &&
+  PLF_DCHECK(a.cl != nullptr && a.scaler_count != nullptr &&
                  a.weights != nullptr,
              "root_reduce: null array");
 }
 
 inline void check_cum(const CumArgs& a, std::size_t begin, std::size_t end) {
   PLF_DCHECK(begin <= end, "cum step: reversed row range");
-  PLF_DCHECK(a.out != nullptr && a.ln_scaler != nullptr,
+  PLF_DCHECK(a.out != nullptr && a.exponent != nullptr,
              "cum step: null array");
 }
 
@@ -193,7 +193,7 @@ inline void check_plan(const PlfPlan& plan) {
       PLF_DCHECK(op.scale.ln_scaler != nullptr,
                  "run_plan: fused scale needs a scaler row");
       PLF_DCHECK(op.cum.out != nullptr &&
-                     op.cum.ln_scaler == op.scale.ln_scaler &&
+                     op.cum.exponent == op.scale.ln_scaler &&
                      op.cum.site_index == op.args.down.site_index,
                  "run_plan: cum step must follow the op's own scale step");
       PLF_DCHECK(op.run_m <= plan.m(), "run_plan: op exceeds pattern count");

@@ -21,12 +21,67 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "core/kernel_contracts.hpp"
 #include "core/kernels.hpp"
 #include "simd/vec4f.hpp"
 
 namespace plf::core::detail {
+
+/// The exact rescale (ScaleArgs), split so that the hot path is one branch
+/// and one multiply per entry.
+///
+/// fast_scale_exponent(mx) is e = ilogb(mx), read from the exponent bits,
+/// when mx is a positive normal float with e in [-126, 126], so that 2^-e
+/// (pow2_neg) is a normal float and one multiply scales each entry exactly.
+/// For any other maximum it returns kSlowScale, and the row goes through
+/// scale_row_slow.
+inline constexpr int kSlowScale = -1000;
+
+inline int fast_scale_exponent(float mx) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &mx, sizeof bits);
+  const std::uint32_t biased = bits >> 23;  // a set sign bit lands above 255
+  return biased - 1u < 253u ? static_cast<int>(biased) - 127 : kSlowScale;
+}
+
+/// 2^-e for an e that fast_scale_exponent returned, built from its bits.
+inline float pow2_neg(int e) {
+  const std::uint32_t bits = static_cast<std::uint32_t>(127 - e) << 23;
+  float f = 0.0f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+/// Every row fast_scale_exponent refuses, stored unscaled in row[0, n):
+/// a zero, negative, infinite or NaN maximum leaves it unscaled (returns
+/// 0); a subnormal maximum or one in [2^127, FLT_MAX] scales each entry by
+/// std::ldexp, exactly. Returns e. Out of line and cold, so the kernels'
+/// site loops carry no call on their hot path.
+[[gnu::cold, gnu::noinline]] inline int scale_row_slow(float* row,
+                                                      std::size_t n,
+                                                      float mx) {
+  if (!(mx > 0.0f) || !std::isfinite(mx)) return 0;
+  const int e = std::ilogb(mx);
+  for (std::size_t v = 0; v < n; ++v) row[v] = std::ldexp(row[v], -e);
+  return e;
+}
+
+/// The exact rescale of one row of n entries in place, maximum taken in
+/// index order; returns e. The scalar kernel's body and the GPU's.
+inline int scale_row(float* row, std::size_t n) {
+  float m = row[0];
+  for (std::size_t v = 1; v < n; ++v) {
+    if (row[v] > m) m = row[v];
+  }
+  const int e = fast_scale_exponent(m);
+  if (e == kSlowScale) return scale_row_slow(row, n, m);
+  const float f = pow2_neg(e);
+  for (std::size_t v = 0; v < n; ++v) row[v] *= f;
+  return e;
+}
 
 template <class Body>
 struct SiteKernels {
@@ -77,10 +132,10 @@ struct SiteKernels {
   }
 };
 
-/// The Vec4f per-site rescale. simd-row, simd-col and simd-site share its
-/// one scale entry, SiteKernels<Vec4Scale>::scale (an inline function, so
-/// one address in every translation unit that names it), and the fused
-/// simd-row and simd-col entries inline it.
+/// The Vec4f per-site exact rescale (ScaleArgs). simd-row, simd-col and
+/// simd-site share its one scale entry, SiteKernels<Vec4Scale>::scale (an
+/// inline function, so one address in every translation unit that names
+/// it), and the fused simd-row and simd-col entries inline it.
 struct Vec4Scale {
   static constexpr bool kAligned = true;
 
@@ -92,15 +147,16 @@ struct Vec4Scale {
       m = Vec4f::max(m, Vec4f::load(cl + k * 4));
     }
     const float mx = m.hmax();
-    if (mx > 0.0f) {
-      const Vec4f inv(1.0f / mx);
+    int e = fast_scale_exponent(mx);
+    if (e != kSlowScale) {
+      const Vec4f f(pow2_neg(e));
       for (std::size_t k = 0; k < a.K; ++k) {
-        (Vec4f::load(cl + k * 4) * inv).store(cl + k * 4);
+        (Vec4f::load(cl + k * 4) * f).store(cl + k * 4);
       }
-      a.ln_scaler[r] = std::log(mx);
     } else {
-      a.ln_scaler[r] = 0.0f;
+      e = scale_row_slow(cl, a.K * 4, mx);
     }
+    a.ln_scaler[r] = static_cast<float>(e);
   }
 };
 

@@ -6,7 +6,8 @@
 //   cond_like_down   clP[c][k][i] = (sum_j PL_k[i][j] clL[c][k][j])
 //                                 * (sum_j PR_k[i][j] clR[c][k][j])
 //   cond_like_root   same, times the third (outgroup) neighbor's factor
-//   cond_like_scaler per-site rescaling by the maximum entry (underflow guard)
+//   cond_like_scaler per-site rescaling by the power of two of the maximum
+//                    entry (underflow guard; exact, see ScaleArgs)
 //
 // plus the final root-likelihood reduction. All kernels operate on a
 // half-open pattern range so every backend (threads, simulated SPEs,
@@ -39,6 +40,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <numbers>
 #include <string>
 
 #include "phylo/dna.hpp"
@@ -109,16 +111,27 @@ struct RootArgs {
 
 /// Arguments for cond_like_scaler. Scales stored rows [begin, end) — dense
 /// or compacted alike, since rescaling reads and writes one row only.
+///
+/// The rescale is exact (docs/KERNELS.md, "The rescale"): a row whose
+/// maximum entry mx is a positive finite float is multiplied by 2^-e with
+/// e = ilogb(mx), so its maximum lands in [1, 2) and row × 2^e is the input
+/// again; any other maximum (zero, NaN, infinite) leaves the row unscaled
+/// with e = 0. Every variant and backend writes the same bits.
 struct ScaleArgs {
-  float* cl = nullptr;         ///< scaled in place
-  float* ln_scaler = nullptr;  ///< per-row log scale factor (overwritten)
+  float* cl = nullptr;  ///< scaled in place
+  /// Per-row scale exponent e (overwritten), held as an exactly
+  /// representable float: the row was scaled by 2^-e, so its log scale
+  /// factor is e × ln 2. The name predates the exponent form.
+  float* ln_scaler = nullptr;
   std::size_t K = 4;
 };
 
 /// Arguments for the root log-likelihood reduction.
 struct RootReduceArgs {
-  const float* cl = nullptr;              ///< root conditional likelihoods
-  const double* ln_scaler_total = nullptr;///< per-pattern summed log scalers
+  const float* cl = nullptr;  ///< root conditional likelihoods
+  /// Per-pattern total of the scale exponents of every internal node (the
+  /// root's cumulative row): the pattern's rows were scaled by 2^-count.
+  const std::int32_t* scaler_count = nullptr;
   const std::uint32_t* weights = nullptr; ///< per-pattern multiplicities
   float pi[4] = {0.25f, 0.25f, 0.25f, 0.25f};
   std::size_t K = 4;
@@ -130,11 +143,13 @@ struct RootReduceArgs {
 };
 
 /// Per-site log likelihood under the optional +I mixture. `site_mean` is the
-/// Γ-averaged (already /K) scaled site likelihood, `scaler` its summed log
-/// scale factor. Stable in log space: the invariant term is unscaled, so the
-/// two components are combined with log-sum-exp.
-inline double site_log_likelihood(double site_mean, double scaler,
+/// Γ-averaged (already /K) scaled site likelihood, `count` its total scale
+/// exponent, whose log factor count × ln 2 is added once here. Stable in log
+/// space: the invariant term is unscaled, so the two components are
+/// combined with log-sum-exp.
+inline double site_log_likelihood(double site_mean, std::int32_t count,
                                   const RootReduceArgs& a, std::size_t c) {
+  const double scaler = static_cast<double>(count) * std::numbers::ln2;
   if (a.const_lik == nullptr || a.p_invariant <= 0.0f) {
     return std::log(site_mean) + scaler;
   }

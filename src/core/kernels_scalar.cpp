@@ -74,21 +74,10 @@ struct ScalarBody {
   }
 
   static void scale_site(std::size_t r, const ScaleArgs& a) {
-    float* cl = a.cl + r * a.K * 4;
-    float m = cl[0];
-    for (std::size_t v = 1; v < a.K * 4; ++v) {
-      if (cl[v] > m) m = cl[v];
-    }
-    if (m > 0.0f) {
-      const float inv = 1.0f / m;
-      for (std::size_t v = 0; v < a.K * 4; ++v) cl[v] *= inv;
-      a.ln_scaler[r] = std::log(m);
-    } else {
-      // Fully underflowed site: leave values, record no scaling. The root
-      // reduction will produce -inf for this site, which is the honest
-      // answer.
-      a.ln_scaler[r] = 0.0f;
-    }
+    // A fully underflowed site (max 0) stays as it is with exponent 0: the
+    // root reduction will produce -inf for it, which is the honest answer.
+    a.ln_scaler[r] =
+        static_cast<float>(detail::scale_row(a.cl + r * a.K * 4, a.K * 4));
   }
 };
 
@@ -108,7 +97,7 @@ double root_reduce_scalar(const RootReduceArgs& a, std::size_t begin,
               static_cast<double>(a.pi[3]) * cl[k * 4 + 3];
     }
     partial += static_cast<double>(a.weights[c]) *
-               site_log_likelihood(site * inv_k, a.ln_scaler_total[c], a, c);
+               site_log_likelihood(site * inv_k, a.scaler_count[c], a, c);
   }
   return partial;
 }

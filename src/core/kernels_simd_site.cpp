@@ -7,16 +7,13 @@
 //
 // Every lane performs the IEEE sequence of approach (ii) in
 // kernels_vec4.cpp — mul, then FMAs in j order, then l * r, then * o at
-// the root, then max over the rate groups in k order and the 1 / max
-// multiply — with the same operand order, so CLV rows, ln_scaler entries and
-// hence lnL are bit-identical to simd-col (docs/KERNELS.md, "Whole-site
-// kernel").
+// the root, then max over the rate groups in k order — with the same operand
+// order, and rescales by the same exact power of two, so CLV rows, scale
+// exponents and hence lnL are bit-identical to simd-col (docs/KERNELS.md,
+// "Whole-site kernel").
 //
 // Bodies by ISA: zmm under AVX-512F, two ymm per row (two rates each) under
 // AVX2 + FMA, and otherwise — as for K != 4 — the simd-col entries.
-#include <algorithm>
-#include <cmath>
-
 #include "core/kernel_contracts.hpp"
 #include "core/kernel_entries.hpp"
 #include "core/kernels.hpp"
@@ -51,10 +48,6 @@ namespace {
 
 constexpr std::size_t kK = 4;               // rate categories of the body
 constexpr std::size_t kRowFloats = kK * 4;  // one CLV row
-/// Rows rescaled before their ln factors are taken in one batch: a logf
-/// call inside the site loop makes the compiler spill and reload every live
-/// vector register (both matrices and the row) around it.
-constexpr std::size_t kLogBlock = 64;
 
 #if defined(PLF_SITE_ZMM)
 /// One K = 4 CLV row in one zmm register, rate k in 128-bit lane k.
@@ -180,27 +173,24 @@ inline void store_rows(float* out, std::size_t begin, std::size_t end,
   }
 }
 
-/// store_rows with each row rescaled in its register before the store. The
-/// row maxima (1.0f for a row left unscaled, whose log is exactly +0.0f)
-/// are kept per block and their logs taken after the block.
+/// store_rows with each row rescaled exactly in its register before the
+/// store (ScaleArgs): one multiply by 2^-e, or, for the rare maximum that
+/// fast_scale_exponent refuses, the stored row is scaled in place.
 template <class RowFn>
 inline void store_scaled_rows(float* out, float* ln_scaler, std::size_t begin,
                               std::size_t end, RowFn row) {
-  float mx[kLogBlock] = {};
-  for (std::size_t b = begin; b < end; b += kLogBlock) {
-    const std::size_t n = std::min(kLogBlock, end - b);
-    for (std::size_t i = 0; i < n; ++i) {
-      Row r = row(b + i);
-      const float m = r.max();
-      if (m > 0.0f) {
-        r = r * (1.0f / m);
-        mx[i] = m;
-      } else {
-        mx[i] = 1.0f;
-      }
-      r.store(out + (b + i) * kRowFloats);
+  for (std::size_t idx = begin; idx < end; ++idx) {
+    Row r = row(idx);
+    const float m = r.max();
+    float* dst = out + idx * kRowFloats;
+    int e = detail::fast_scale_exponent(m);
+    if (e != detail::kSlowScale) {
+      (r * detail::pow2_neg(e)).store(dst);
+    } else {
+      r.store(dst);
+      e = detail::scale_row_slow(dst, kRowFloats, m);
     }
-    for (std::size_t i = 0; i < n; ++i) ln_scaler[b + i] = std::log(mx[i]);
+    ln_scaler[idx] = static_cast<float>(e);
   }
 }
 

@@ -125,7 +125,7 @@ double vec4_root_reduce(const RootReduceArgs& a, std::size_t begin,
     }
     const double site = static_cast<double>(acc.hsum());
     partial += static_cast<double>(a.weights[c]) *
-               site_log_likelihood(site * inv_k, a.ln_scaler_total[c], a, c);
+               site_log_likelihood(site * inv_k, a.scaler_count[c], a, c);
   }
   return partial;
 }

@@ -34,26 +34,27 @@
 
 namespace plf::core {
 
-/// One child's cumulative log-scaler row, as the op that reads it sees it.
+/// One child's cumulative scaler-count row, as the op that reads it sees it.
 struct CumChild {
-  const double* cum = nullptr;            ///< nullptr: tip child (adds nothing)
+  const std::int32_t* cum = nullptr;      ///< nullptr: tip child (adds nothing)
   const std::uint32_t* row_of = nullptr;  ///< nullptr: dense child
-  double at(std::size_t c) const {
+  std::int32_t at(std::size_t c) const {
     return cum[row_of != nullptr ? row_of[c] : c];
   }
 };
 
-/// The cumulative log-scaler step of one op (docs/EXECUTION_PLAN.md, "The
-/// plan tail"). For stored row i of site c = site(i):
-///   out[i] = double(ln_scaler[i]) + left.at(c) + right.at(c),
-/// summed in exactly that order, children in tree order. Every site of a
-/// repeat class shares both child classes, so a compacted row holds the
-/// dense sum of any of its sites, bit for bit. The step is per-row
+/// The cumulative scaler step of one op (docs/EXECUTION_PLAN.md, "The plan
+/// tail"). For stored row i of site c = site(i):
+///   out[i] = e[i] + left.at(c) + right.at(c),
+/// with e the op's scale exponents (ScaleArgs::ln_scaler). The counts are
+/// integers, so the sum is exact and does not depend on its order. Every
+/// site of a repeat class shares both child classes, so a compacted row
+/// holds the dense count of any of its sites. The step is per-row
 /// elementwise, like the scale step whose output it reads, so a backend runs
 /// it on the same chunk right after that step.
 struct CumArgs {
-  double* out = nullptr;             ///< the op's target cumulative row
-  const float* ln_scaler = nullptr;  ///< the op's scale-step output
+  std::int32_t* out = nullptr;      ///< the op's target cumulative row
+  const float* exponent = nullptr;  ///< the op's scale-step output
   CumChild left;
   CumChild right;
   /// Compacted op: row i is computed from site site_index[i].
@@ -80,7 +81,7 @@ struct PlfOp {
   /// (contract-checked), so a backend may run it per site chunk immediately
   /// after the down/root kernel — rescaling is per-site.
   ScaleArgs scale;
-  /// Cumulative scaler step after the scale step (cum.ln_scaler aliases
+  /// Cumulative scaler step after the scale step (cum.exponent aliases
   /// scale.ln_scaler; contract-checked).
   CumArgs cum;
   /// Rows the kernels compute and store: the compacted class count when

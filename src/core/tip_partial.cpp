@@ -4,9 +4,11 @@
 
 namespace plf::core {
 
-TipPartial::TipPartial(const phylo::TransitionMatrices& tm)
-    : table_(phylo::kNumMasks * tm.n_categories() * 4, 0.0f),
-      k_(tm.n_categories()) {
+TipPartial::TipPartial(const phylo::TransitionMatrices& tm) { rebuild(tm); }
+
+void TipPartial::rebuild(const phylo::TransitionMatrices& tm) {
+  k_ = tm.n_categories();
+  table_.resize(phylo::kNumMasks * k_ * 4);
   const float* p = tm.row_major();
   for (std::size_t mask = 0; mask < phylo::kNumMasks; ++mask) {
     for (std::size_t k = 0; k < k_; ++k) {

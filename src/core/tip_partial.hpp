@@ -21,6 +21,10 @@ class TipPartial {
   /// Build from a branch's transition matrices (row-major layout inside).
   explicit TipPartial(const phylo::TransitionMatrices& tm);
 
+  /// Rebuild from `tm` in place: the table keeps its storage when the
+  /// category count is unchanged, so a branch rebuild allocates nothing.
+  void rebuild(const phylo::TransitionMatrices& tm);
+
   const float* data() const { return table_.data(); }
   std::size_t n_categories() const { return k_; }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/kernel_contracts.hpp"
+#include "core/kernel_entries.hpp"
 #include "obs/names.hpp"
 #include "obs/profile.hpp"
 #include "phylo/dna.hpp"
@@ -296,24 +297,18 @@ double GpuPlf::scale_on_device(float* cl, float* sc, std::size_t m,
   launcher_.execute(config_.launch, [&](std::size_t b, std::size_t th) {
     for (std::size_t c = b * config_.launch.threads_per_block + th; c < m;
          c += total_threads) {
-      float* v = cl + c * K * 4;
-      float mx = v[0];
-      for (std::size_t x = 1; x < K * 4; ++x) {
-        if (v[x] > mx) mx = v[x];
-      }
-      if (mx > 0.0f) {
-        const float inv = 1.0f / mx;
-        for (std::size_t x = 0; x < K * 4; ++x) v[x] *= inv;
-        sc[c] = std::log(mx);
-      } else {
-        sc[c] = 0.0f;
-      }
+      // The exact rescale (core::ScaleArgs): the same bits as every host
+      // kernel.
+      sc[c] =
+          static_cast<float>(core::detail::scale_row(cl + c * K * 4, K * 4));
     }
   });
   // "The same parallelization approach is used in the three PLFs" (§3.4):
   // the reduction-parallel scheme pays its sync/divergence cost here too.
   KernelProfile prof;
-  prof.flops_per_elem = static_cast<double>(K) * 8.0 + 30.0;  // scan + log
+  // Scan + rescale, costed as the paper's per-row log (the timing model
+  // reproduces its 8800 GT).
+  prof.flops_per_elem = static_cast<double>(K) * 8.0 + 30.0;
   prof.bytes_per_elem = static_cast<double>(K) * 32.0 + 4.0;
   if (config_.scheme == ThreadScheme::kReductionParallel) {
     prof.syncs_per_elem = 0.25;
@@ -359,10 +354,10 @@ double GpuPlf::run_root_reduce(const core::KernelSet& /*ks*/,
 
   const std::size_t cl_bytes = m * K * 4 * sizeof(float);
   DevPtr dev_cl = mem_.malloc(cl_bytes);
-  DevPtr dev_sc = mem_.malloc(m * sizeof(double));
+  DevPtr dev_sc = mem_.malloc(m * sizeof(std::int32_t));
   DevPtr dev_w = mem_.malloc(m * sizeof(std::uint32_t));
   t = mem_.h2d(dev_cl, 0, a.cl, cl_bytes, t);
-  t = mem_.h2d(dev_sc, 0, a.ln_scaler_total, m * sizeof(double), t);
+  t = mem_.h2d(dev_sc, 0, a.scaler_count, m * sizeof(std::int32_t), t);
   t = mem_.h2d(dev_w, 0, a.weights, m * sizeof(std::uint32_t), t);
   DevPtr dev_const;
   const bool has_pinv = a.const_lik != nullptr && a.p_invariant > 0.0f;
@@ -375,7 +370,8 @@ double GpuPlf::run_root_reduce(const core::KernelSet& /*ks*/,
   // partials copied back and summed on the host in block order
   // (deterministic for a fixed launch config).
   const float* cl = mem_.as_floats(dev_cl);
-  const double* sc = reinterpret_cast<const double*>(mem_.bytes(dev_sc));
+  const std::int32_t* sc =
+      reinterpret_cast<const std::int32_t*>(mem_.bytes(dev_sc));
   const std::uint32_t* w =
       reinterpret_cast<const std::uint32_t*>(mem_.bytes(dev_w));
   core::RootReduceArgs dev_args = a;  // +I parameters, device const_lik

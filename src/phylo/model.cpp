@@ -70,15 +70,13 @@ num::Matrix4 TransitionMatrices::matrix(std::size_t k) const {
   return m;
 }
 
-void TransitionMatrices::assign(const std::vector<num::Matrix4>& per_category) {
-  PLF_CHECK(per_category.size() == k_, "category count mismatch");
-  for (std::size_t k = 0; k < k_; ++k) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      for (std::size_t j = 0; j < 4; ++j) {
-        const float v = static_cast<float>(per_category[k](i, j));
-        rm_[k * 16 + i * 4 + j] = v;
-        cm_[k * 16 + j * 4 + i] = v;
-      }
+void TransitionMatrices::set(std::size_t k, const num::Matrix4& p) {
+  PLF_CHECK(k < k_, "rate category out of range");
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      const float v = static_cast<float>(p(i, j));
+      rm_[k * 16 + i * 4 + j] = v;
+      cm_[k * 16 + j * 4 + i] = v;
     }
   }
 }
@@ -89,18 +87,29 @@ SubstitutionModel::SubstitutionModel(const GtrParams& params)
       spectral_(q_, params.pi),
       category_rates_(num::discrete_gamma_rates(params.gamma_shape,
                                                 params.n_rate_categories)) {
-  PLF_CHECK(params.p_invariant >= 0.0 && params.p_invariant < 1.0,
+  set_p_invariant(params.p_invariant);
+}
+
+void SubstitutionModel::set_p_invariant(double p_invariant) {
+  PLF_CHECK(p_invariant >= 0.0 && p_invariant < 1.0,
             "p_invariant must be in [0, 1)");
+  params_.p_invariant = p_invariant;
 }
 
 TransitionMatrices SubstitutionModel::transition_matrices(double t) const {
   TransitionMatrices out(n_rate_categories());
-  std::vector<num::Matrix4> per_cat(n_rate_categories());
-  for (std::size_t k = 0; k < n_rate_categories(); ++k) {
-    per_cat[k] = spectral_.transition_matrix(t * category_rates_[k]);
-  }
-  out.assign(per_cat);
+  transition_matrices(t, out);
   return out;
+}
+
+void SubstitutionModel::transition_matrices(double t,
+                                            TransitionMatrices& out) const {
+  if (out.n_categories() != n_rate_categories()) {
+    out = TransitionMatrices(n_rate_categories());
+  }
+  for (std::size_t k = 0; k < n_rate_categories(); ++k) {
+    out.set(k, spectral_.transition_matrix(t * category_rates_[k]));
+  }
 }
 
 num::Matrix4 SubstitutionModel::transition_matrix(double t,

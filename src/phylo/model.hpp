@@ -49,8 +49,8 @@ class TransitionMatrices {
   /// P for category k as a double-precision matrix (test/diagnostic use).
   num::Matrix4 matrix(std::size_t k) const;
 
-  /// Fill both layouts from the double-precision per-category matrices.
-  void assign(const std::vector<num::Matrix4>& per_category);
+  /// Write category k of both layouts from its double-precision matrix.
+  void set(std::size_t k, const num::Matrix4& p);
 
  private:
   std::size_t k_ = 0;
@@ -65,6 +65,8 @@ class SubstitutionModel {
   explicit SubstitutionModel(const GtrParams& params);
 
   const GtrParams& params() const { return params_; }
+  /// Change p_invariant alone: nothing else of the model depends on it.
+  void set_p_invariant(double p_invariant);
   const num::Matrix4& q() const { return q_; }
   const std::array<double, 4>& pi() const { return params_.pi; }
   std::size_t n_rate_categories() const { return params_.n_rate_categories; }
@@ -72,6 +74,10 @@ class SubstitutionModel {
 
   /// Transition matrices P(r_k * t) for all categories at branch length t.
   TransitionMatrices transition_matrices(double t) const;
+  /// The same matrices written into `out`, whose storage is reused when it
+  /// already holds n_rate_categories() categories: a rebuild into an
+  /// existing buffer allocates nothing. The one code path of both forms.
+  void transition_matrices(double t, TransitionMatrices& out) const;
 
   /// Double-precision P(t) for one category (test/diagnostic use).
   num::Matrix4 transition_matrix(double t, std::size_t category) const;

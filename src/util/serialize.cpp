@@ -69,6 +69,10 @@ void BinaryWriter::f64_array(const double* data, std::size_t n) {
   u64(n);
   if (n != 0) raw(data, n * sizeof(double));
 }
+void BinaryWriter::i32_array(const std::int32_t* data, std::size_t n) {
+  u64(n);
+  if (n != 0) raw(data, n * sizeof(std::int32_t));
+}
 void BinaryWriter::u64_array(const std::uint64_t* data, std::size_t n) {
   u64(n);
   if (n != 0) raw(data, n * sizeof(std::uint64_t));
@@ -155,6 +159,12 @@ std::vector<double> BinaryReader::f64_array() {
   const std::uint64_t n = u64();
   std::vector<double> v(n);
   if (n != 0) raw(v.data(), n * sizeof(double));
+  return v;
+}
+std::vector<std::int32_t> BinaryReader::i32_array() {
+  const std::uint64_t n = u64();
+  std::vector<std::int32_t> v(n);
+  if (n != 0) raw(v.data(), n * sizeof(std::int32_t));
   return v;
 }
 std::vector<std::uint64_t> BinaryReader::u64_array() {

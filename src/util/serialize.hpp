@@ -38,7 +38,10 @@ inline constexpr std::uint64_t kCheckpointMagic = 0x00545048'43464C50ull;
 ///       (u64) and only that many cumulative-scaler and CLV rows — one per
 ///       repeat class when the node is compacted; ENGI gains the effective
 ///       site-repeats policy (u8) those row layouts follow.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+///   v5: engine NODE entries carry the cumulative scaler-count row as i32
+///       (the exact power-of-two rescale counts exponents) instead of f64
+///       log scalers.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Writes length-prefixed, tag-framed little-endian binary. All `u64`/`f64`
 /// writes are exact bit copies; the header (magic + version) is written by
@@ -62,6 +65,7 @@ class BinaryWriter {
 
   void f32_array(const float* data, std::size_t n);
   void f64_array(const double* data, std::size_t n);
+  void i32_array(const std::int32_t* data, std::size_t n);
   void u64_array(const std::uint64_t* data, std::size_t n);
 
  private:
@@ -88,6 +92,7 @@ class BinaryReader {
 
   std::vector<float> f32_array();
   std::vector<double> f64_array();
+  std::vector<std::int32_t> i32_array();
   std::vector<std::uint64_t> u64_array();
 
   /// Container format version read from the header.

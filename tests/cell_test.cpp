@@ -316,15 +316,15 @@ TEST(SpuTest, ReduceJobMatchesHost) {
   const std::size_t m = 2500, K = 4;
   Rng rng(2);
   aligned_vector<float> cl = test::random_cl(m, K, rng);
-  aligned_vector<double> scaler(m);
+  aligned_vector<std::int32_t> scaler(m);
   aligned_vector<std::uint32_t> weights(m);
   for (std::size_t c = 0; c < m; ++c) {
-    scaler[c] = rng.uniform(-2.0, 0.0);
+    scaler[c] = -static_cast<std::int32_t>(rng.below(30));
     weights[c] = static_cast<std::uint32_t>(1 + rng.below(5));
   }
   core::RootReduceArgs args;
   args.cl = cl.data();
-  args.ln_scaler_total = scaler.data();
+  args.scaler_count = scaler.data();
   args.weights = weights.data();
   args.K = K;
 

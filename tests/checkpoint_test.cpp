@@ -296,6 +296,12 @@ TEST(CheckpointTest, RefusesVersion3Stream) {
   expect_version_refused(3);
 }
 
+TEST(CheckpointTest, RefusesVersion4Stream) {
+  // Version 4 NODE entries held f64 cumulative log-scaler rows, not the i32
+  // scale-exponent counts of the exact rescale.
+  expect_version_refused(4);
+}
+
 /// Checkpoint of an engine under `mode` after a short seeded MCMC run.
 std::string checkpoint_after_run(const Instance& inst,
                                  core::ExecutionBackend& backend,

@@ -373,7 +373,7 @@ struct PlanFixture {
   static constexpr std::size_t kPatterns = 8;
   aligned_vector<float> out{kPatterns * 4 * 4, 0.0f};
   aligned_vector<float> scaler{kPatterns, 0.0f};
-  aligned_vector<double> cum{kPatterns, 0.0};
+  aligned_vector<std::int32_t> cum{kPatterns, 0};
 
   core::PlfOp op(int node, int left = phylo::kNoNode,
                  int right = phylo::kNoNode) {
@@ -387,7 +387,7 @@ struct PlanFixture {
     o.scale.ln_scaler = scaler.data();
     o.scale.K = 4;
     o.cum.out = cum.data();
-    o.cum.ln_scaler = scaler.data();
+    o.cum.exponent = scaler.data();
     o.run_m = kPatterns;
     return o;
   }
@@ -446,7 +446,7 @@ TEST(PlanContractDeathTest, CumStepOnAForeignScalerRowIsRejected) {
   plan.reset(8, PlanFixture::kPatterns);
   core::PlfOp op = f.op(1);
   aligned_vector<float> other(PlanFixture::kPatterns, 0.0f);
-  op.cum.ln_scaler = other.data();  // not the row this op's scale writes
+  op.cum.exponent = other.data();  // not the row this op's scale writes
   plan.add(op, 0);
   plan.finalize();
   EXPECT_DEATH(core::detail::check_plan(plan),

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 
 #include "cell/machine.hpp"
 #include "core/backend.hpp"
@@ -42,27 +43,29 @@ Instance make_instance(double pinv, std::size_t taxa = 8,
 
 TEST(InvariantSitesTest, SiteLogLikelihoodHelper) {
   RootReduceArgs a;
+  // A total scale exponent of -3 is a log scale factor of -3 ln 2.
+  const double scaler = -3.0 * std::numbers::ln2;
   // Disabled: plain log + scaler.
-  EXPECT_DOUBLE_EQ(site_log_likelihood(0.5, -2.0, a, 0),
-                   std::log(0.5) - 2.0);
+  EXPECT_DOUBLE_EQ(site_log_likelihood(0.5, -3, a, 0),
+                   std::log(0.5) + scaler);
   // Enabled with a variable pattern (const_lik == 0): only the scaled term.
   // Expectations use the float-rounded pinv exactly as the kernel sees it.
   float cl0[1] = {0.0f};
   a.const_lik = cl0;
   a.p_invariant = 0.3f;
   const double pinv = static_cast<double>(a.p_invariant);
-  EXPECT_DOUBLE_EQ(site_log_likelihood(0.5, -2.0, a, 0),
-                   std::log((1.0 - pinv) * 0.5) - 2.0);
+  EXPECT_DOUBLE_EQ(site_log_likelihood(0.5, -3, a, 0),
+                   std::log((1.0 - pinv) * 0.5) + scaler);
   // Constant-capable pattern: exact two-term mixture.
   float cl1[1] = {0.25f};
   a.const_lik = cl1;
   const double expect =
-      std::log(pinv * 0.25 + (1.0 - pinv) * 0.5 * std::exp(-2.0));
-  EXPECT_NEAR(site_log_likelihood(0.5, -2.0, a, 0), expect, 1e-12);
-  // Deep scaling must not overflow: scaler -500 in the variable part.
+      std::log(pinv * 0.25 + (1.0 - pinv) * 0.5 * std::exp(scaler));
+  EXPECT_NEAR(site_log_likelihood(0.5, -3, a, 0), expect, 1e-12);
+  // Deep scaling must not overflow: 2^-720 in the variable part.
   float cl2[1] = {0.2f};
   a.const_lik = cl2;
-  const double v = site_log_likelihood(0.5, -500.0, a, 0);
+  const double v = site_log_likelihood(0.5, -720, a, 0);
   EXPECT_NEAR(v, std::log(pinv * static_cast<double>(0.2f)), 1e-9);
   EXPECT_TRUE(std::isfinite(v));
 }
@@ -263,19 +266,19 @@ TEST(InvariantSitesTest, ReduceBitsDoNotDependOnTheUpperStateAtEntry) {
   constexpr std::size_t kSites = 64;
   constexpr std::size_t kK = 4;
   aligned_vector<float> cl(kSites * kK * 4);
-  aligned_vector<double> scalers(kSites);
+  aligned_vector<std::int32_t> scalers(kSites);
   aligned_vector<std::uint32_t> weights(kSites);
   aligned_vector<float> const_lik(kSites, 0.0f);
   Rng rng(5);
   for (float& v : cl) v = static_cast<float>(rng.uniform(0.05, 1.0));
   for (std::size_t c = 0; c < kSites; ++c) {
-    scalers[c] = -rng.uniform(0.0, 3.0);
+    scalers[c] = -static_cast<std::int32_t>(rng.below(5));
     weights[c] = 1 + static_cast<std::uint32_t>(rng.below(4));
   }
   for (std::size_t c = 0; c < 4; ++c) const_lik[c] = 0.25f;  // constant
   RootReduceArgs a;
   a.cl = cl.data();
-  a.ln_scaler_total = scalers.data();
+  a.scaler_count = scalers.data();
   a.weights = weights.data();
   a.K = kK;
   a.const_lik = const_lik.data();

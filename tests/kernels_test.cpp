@@ -176,13 +176,13 @@ INSTANTIATE_TEST_SUITE_P(
 class ScaleKernelTest
     : public ::testing::TestWithParam<std::tuple<KernelVariant, std::size_t>> {};
 
-TEST_P(ScaleKernelTest, NormalizesToUnitMaxAndRecordsLog) {
+TEST_P(ScaleKernelTest, ScalesExactlyByPowerOfTwo) {
   const auto [variant, K] = GetParam();
   const std::size_t m = 97;
   Rng rng(5);
   aligned_vector<float> cl = test::random_cl(m, K, rng, 1e-6f, 0.3f);
   aligned_vector<float> original = cl;
-  aligned_vector<float> ln_scaler(m, -1.0f);
+  aligned_vector<float> ln_scaler(m, -1000.0f);
 
   ScaleArgs args{cl.data(), ln_scaler.data(), K};
   kernels(variant).scale(args, 0, m);
@@ -194,12 +194,16 @@ TEST_P(ScaleKernelTest, NormalizesToUnitMaxAndRecordsLog) {
       mx = std::max(mx, cl[c * K * 4 + v]);
       mx_orig = std::max(mx_orig, original[c * K * 4 + v]);
     }
-    EXPECT_NEAR(mx, 1.0f, 1e-6f);
-    EXPECT_NEAR(ln_scaler[c], std::log(mx_orig), 1e-5f);
-    // Ratios preserved.
+    // The exponent is ilogb of the row max, recorded as an exact integer,
+    // and the scaled max lies in [1, 2).
+    const float e = ln_scaler[c];
+    ASSERT_EQ(e, static_cast<float>(std::ilogb(mx_orig))) << "site " << c;
+    EXPECT_GE(mx, 1.0f);
+    EXPECT_LT(mx, 2.0f);
+    // row × 2^e is the input, bit for bit.
     for (std::size_t v = 0; v < K * 4; ++v) {
-      EXPECT_NEAR(cl[c * K * 4 + v] * mx_orig, original[c * K * 4 + v],
-                  2e-6f * mx_orig);
+      EXPECT_EQ(std::ldexp(cl[c * K * 4 + v], static_cast<int>(e)),
+                original[c * K * 4 + v]);
     }
   }
 }
@@ -214,8 +218,12 @@ TEST_P(ScaleKernelTest, AllZeroSiteLeftIntact) {
   kernels(variant).scale(args, 0, m);
   EXPECT_EQ(ln_scaler[0], 0.0f);
   EXPECT_EQ(ln_scaler[2], 0.0f);
-  EXPECT_NEAR(ln_scaler[1], std::log(0.5f), 1e-6f);
-  EXPECT_EQ(cl[0], 0.0f);
+  EXPECT_EQ(ln_scaler[1], -1.0f);  // 0.5 = 2^-1, scaled to exactly 1
+  for (std::size_t v = 0; v < K * 4; ++v) {
+    EXPECT_EQ(cl[0 * K * 4 + v], 0.0f);
+    EXPECT_EQ(cl[1 * K * 4 + v], v == 2 ? 1.0f : 0.0f);
+    EXPECT_EQ(cl[2 * K * 4 + v], 0.0f);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -230,15 +238,15 @@ TEST(RootReduceTest, VariantsAgreeWithScalar) {
   const std::size_t m = 301, K = 4;
   Rng rng(9);
   aligned_vector<float> cl = test::random_cl(m, K, rng);
-  std::vector<double> scaler(m);
+  std::vector<std::int32_t> scaler(m);
   std::vector<std::uint32_t> weights(m);
   for (std::size_t c = 0; c < m; ++c) {
-    scaler[c] = rng.uniform(-3.0, 0.0);
+    scaler[c] = -static_cast<std::int32_t>(rng.below(40));
     weights[c] = static_cast<std::uint32_t>(1 + rng.below(10));
   }
   RootReduceArgs args;
   args.cl = cl.data();
-  args.ln_scaler_total = scaler.data();
+  args.scaler_count = scaler.data();
   args.weights = weights.data();
   args.K = K;
   const float pis[4] = {0.3f, 0.2f, 0.26f, 0.24f};
@@ -256,11 +264,11 @@ TEST(RootReduceTest, PartialSumsCompose) {
   const std::size_t m = 100, K = 4;
   Rng rng(10);
   aligned_vector<float> cl = test::random_cl(m, K, rng);
-  std::vector<double> scaler(m, 0.0);
+  std::vector<std::int32_t> scaler(m, 0);
   std::vector<std::uint32_t> weights(m, 1);
   RootReduceArgs args;
   args.cl = cl.data();
-  args.ln_scaler_total = scaler.data();
+  args.scaler_count = scaler.data();
   args.weights = weights.data();
   args.K = K;
 
@@ -276,10 +284,10 @@ TEST(RootReduceTest, WeightsScaleContribution) {
   const std::size_t K = 4;
   Rng rng(11);
   aligned_vector<float> cl = test::random_cl(1, K, rng);
-  std::vector<double> scaler(1, -1.25);
+  std::vector<std::int32_t> scaler(1, -3);
   RootReduceArgs args;
   args.cl = cl.data();
-  args.ln_scaler_total = scaler.data();
+  args.scaler_count = scaler.data();
   args.K = K;
   std::vector<std::uint32_t> w1{1}, w5{5};
   args.weights = w1.data();

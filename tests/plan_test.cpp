@@ -639,7 +639,7 @@ using ScalerStormParam = std::tuple<SiteRepeatsMode, bool /*half budget*/>;
 class CumulativeScalerTest
     : public ::testing::TestWithParam<ScalerStormParam> {};
 
-/// Each node's cumulative log-scaler row is a pure function of its subtree,
+/// Each node's cumulative scaler-count row is a pure function of its subtree,
 /// so an engine's cached lnL after ANY history must equal, to the last bit, a
 /// fresh engine's on the same tree and parameters. The storm mixes branch,
 /// NNI, SPR and model moves (with +I on and off), accepts and rejects at
@@ -753,6 +753,117 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<0>(info.param) == SiteRepeatsMode::kOn ? "on" : "off") +
              (std::get<1>(info.param) ? "_budget_half" : "_budget_unlimited");
     });
+
+/// The root's count row against an oracle that shares none of the cum step:
+/// after every evaluation of a branch/NNI/SPR/model storm, each internal
+/// node's exponent row is recomputed from its children's stored CLVs with
+/// the engine's own unscaled down (root) kernel, e = ilogb(row max), and the
+/// per-site integer sum of those rows over every internal node must be the
+/// engine's root count row exactly.
+TEST(CumulativeScalerCountTest, RootCountIsTheSumOfEveryNodesExponents) {
+  const Dataset d = make_dataset(31, 12);
+  SerialBackend backend;
+  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdSite,
+              SiteRepeatsMode::kOff);
+  const std::size_t m = d.data.n_patterns();
+  const std::size_t K = d.params.n_rate_categories;
+  const KernelSet& ks = kernels(e.variant());
+
+  const auto check = [&] {
+    e.log_likelihood();
+    const phylo::Tree& t = e.tree();
+    const phylo::SubstitutionModel& model = e.model();
+    // Per child: matrices, and for a tip its partial table.
+    std::vector<phylo::TransitionMatrices> tm(t.n_nodes());
+    std::vector<TipPartial> tp(t.n_nodes());
+    for (std::size_t id = 0; id < t.n_nodes(); ++id) {
+      const int v = static_cast<int>(id);
+      if (t.node(v).parent == phylo::kNoNode) continue;
+      tm[id] = model.transition_matrices(t.branch_length(v));
+      if (t.node(v).is_leaf()) tp[id] = TipPartial(tm[id]);
+    }
+    const auto child = [&](int v) {
+      ChildArgs ch;
+      const std::size_t id = static_cast<std::size_t>(v);
+      if (t.node(v).is_leaf()) {
+        ch.mask = d.data.row(static_cast<std::size_t>(t.node(v).taxon));
+        ch.tp = tp[id].data();
+      } else {
+        ch.cl = e.node_cl(v);
+      }
+      ch.p = tm[id].row_major();
+      ch.pt = tm[id].col_major();
+      return ch;
+    };
+    std::vector<std::int64_t> want(m, 0);
+    aligned_vector<float> row(m * K * 4);
+    for (int v : t.postorder_internals()) {
+      RootArgs a;
+      a.down.left = child(t.node(v).left);
+      a.down.right = child(t.node(v).right);
+      a.down.out = row.data();
+      a.down.K = K;
+      if (v == t.root()) {
+        const int og = t.outgroup();
+        a.out_mask = d.data.row(static_cast<std::size_t>(t.node(og).taxon));
+        a.out_tp = tp[static_cast<std::size_t>(og)].data();
+        ks.root(a, 0, m);
+      } else {
+        ks.down(a.down, 0, m);
+      }
+      for (std::size_t c = 0; c < m; ++c) {
+        const float* r = row.data() + c * K * 4;
+        float mx = r[0];
+        for (std::size_t i = 1; i < K * 4; ++i) mx = std::max(mx, r[i]);
+        ASSERT_TRUE(mx > 0.0f && std::isfinite(mx));
+        want[c] += std::ilogb(mx);
+      }
+    }
+    const std::int32_t* got = e.node_scaler_count(t.root());
+    for (std::size_t c = 0; c < m; ++c) {
+      ASSERT_EQ(got[c], want[c]) << "site " << c;
+    }
+  };
+
+  check();
+  Rng rng(2929);
+  for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const phylo::Tree& t = e.tree();
+    e.begin_proposal();
+    const double u = rng.uniform();
+    if (u < 0.3) {
+      int node;
+      do {
+        node = static_cast<int>(rng.below(t.n_nodes()));
+      } while (node == t.root());
+      e.set_branch_length(node, rng.uniform(0.01, 1.5));
+    } else if (u < 0.55) {
+      const auto edges = t.internal_edge_nodes();
+      e.apply_nni(edges[rng.below(edges.size())], rng.uniform() < 0.5);
+    } else if (u < 0.8) {
+      std::vector<int> prunable;
+      for (std::size_t id = 0; id < t.n_nodes(); ++id) {
+        if (!t.spr_valid_targets(static_cast<int>(id)).empty()) {
+          prunable.push_back(static_cast<int>(id));
+        }
+      }
+      const int s = prunable[rng.below(prunable.size())];
+      const auto targets = t.spr_valid_targets(s);
+      const int target = targets[rng.below(targets.size())];
+      e.apply_spr(s, target, t.branch_length(target) * rng.uniform(0.2, 0.8));
+    } else {
+      e.set_model(test::random_gtr(rng, K));
+    }
+    check();
+    if (rng.uniform() < 0.5) {
+      e.accept();
+    } else {
+      e.reject();
+    }
+    check();
+  }
+}
 
 // --- budgeted arena x plan: eviction-driven recompute scheduling ------------
 

@@ -6,10 +6,9 @@
 //
 // Coverage: K ∈ {1, 2, 4, 8} (K != 4 runs the simd-col fallback), dense and
 // compacted operands (site_index + per-child row_of maps), ranges of 0 and 1
-// rows and ranges whose lengths and edges are not multiples of the fused
-// entries' 64-row log block, and extreme child rows: all zero, subnormal,
-// one +inf, one NaN lane. Comparisons are memcmp, so NaN payloads and the
-// sign of zero count.
+// rows and ranges of odd lengths and edges, and extreme child rows: all
+// zero, subnormal, one +inf, one NaN lane. Comparisons are memcmp, so NaN
+// payloads and the sign of zero count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -203,8 +202,8 @@ TEST_P(SimdSiteConformanceTest, EveryEntryMatchesSimdColBitForBit) {
   const auto [K, compact, ltip, rtip] = GetParam();
   const SiteFixture fx(K, compact);
   const std::size_t n = fx.n_out();
-  // Single ranges (empty, one row, edges and lengths off the 64-row log
-  // block) and one chunked sweep of the whole range.
+  // Single ranges (empty, one row, odd edges and lengths) and one chunked
+  // sweep of the whole range.
   const std::vector<std::vector<std::pair<std::size_t, std::size_t>>> plans = {
       {{0, 0}},       {{n / 2, n / 2}}, {{0, 1}},   {{n - 1, n}},
       {{5, 6}},       {{0, n}},         {{1, 66}},  {{63, 192}},
@@ -240,10 +239,10 @@ TEST_P(SimdSiteConformanceTest, RootReductionOfFusedRootRowsMatches) {
   auto lnl = [&](const KernelSet& ks) {
     Result r(n, K);
     run(ks, Entry::kRootScale, fx, ltip, rtip, {{0, n}}, r);
-    std::vector<double> total(r.ln.begin(), r.ln.end());
+    std::vector<std::int32_t> total(r.ln.begin(), r.ln.end());
     RootReduceArgs a;
     a.cl = r.out.data();
-    a.ln_scaler_total = total.data();
+    a.scaler_count = total.data();
     a.weights = weights.data();
     a.K = K;
     return ks.root_reduce(a, 0, n);

@@ -60,10 +60,10 @@ stage_v3() {
 
 # Checked-contract build running the site-repeat, plan-dispatch, and
 # tip-kernel differential suites: every backend x repeats on/off x
-# PerCallBackend/native-executor cross-check plus the repeat-class, plan, and tip-kernel
-# conformance tests and the thread-pool suites, with the PLF_DCHECK-level
-# contracts (index monotonicity, plan leveling, tip-state range, static
-# block tiling etc.) armed.
+# PerCallBackend/native-executor cross-check plus the repeat-class, plan,
+# tip-kernel and exact-rescale conformance tests and the thread-pool suites,
+# with the PLF_DCHECK-level contracts (index monotonicity, plan leveling,
+# tip-state range, static block tiling etc.) armed.
 stage_checked() {
   note "preset 'checked': configure" &&
     cmake --preset checked &&
@@ -71,7 +71,7 @@ stage_checked() {
     cmake --build --preset checked -j "${JOBS}" &&
     note "preset 'checked': differential suite" &&
     ctest --preset checked \
-      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|PerCallBackend|CumulativeScaler|CompactedClv|TipKernel|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge|SimdSite|ThreadPool|ParStress'
+      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|PerCallBackend|CumulativeScaler|CompactedClv|TipKernel|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge|SimdSite|ScaleConformance|ThreadPool|ParStress'
 }
 
 # Quick bench-suite smoke: produces a schema-valid BENCH json and runs the
