@@ -63,7 +63,6 @@
 #include "core/kernels.hpp"
 #include "core/tip_partial.hpp"
 #include "exec/partitioned.hpp"
-#include "exec/scheduler.hpp"
 #include "mcmc/coupled.hpp"
 #include "obs/exporter.hpp"
 #include "obs/json_util.hpp"
@@ -461,41 +460,30 @@ CaseStat engine_case(const phylo::PatternMatrix& data,
 // ---------------------------------------------------------------------------
 // multi-instance runtime cases (exec/scheduler.hpp, docs/SHARDING.md)
 
-/// 4-chain MC3 stepping cost. per-pool: each chain's engine submits to its
-/// own 2-worker pool and the chains step sequentially (the pre-runtime
-/// shape). shared-pool: all four engines share ONE 2-worker pool and step
-/// concurrently through the InstanceScheduler. On a single hardware thread
-/// both are honest serializations; the pair of cases exists so the gate
-/// tracks the scheduler's overhead against the sequential baseline.
+/// 4-chain MC3 stepping cost: all four engines share ONE 2-worker pool and
+/// step concurrently, chain 0 on the caller and chains 1-3 on the coupler's
+/// driver threads.
 CaseStat coupled_case(const phylo::PatternMatrix& data,
                       const phylo::Tree& tree,
-                      const phylo::GtrParams& params, bool shared_pool,
-                      std::uint64_t gens, int reps) {
+                      const phylo::GtrParams& params, std::uint64_t gens,
+                      int reps) {
   CaseStat cs;
-  cs.name = shared_pool ? "coupled.4chain.shared-pool"
-                        : "coupled.4chain.per-pool";
+  cs.name = "coupled.4chain.shared-pool";
   cs.unit = "s/gen";
   cs.iters = gens;
   cs.threshold = 0.40;
 
   constexpr std::size_t kChains = 4;
-  std::vector<std::unique_ptr<par::ThreadPool>> pools;
-  std::vector<std::unique_ptr<core::ThreadedBackend>> backends;
-  const std::size_t n_pools = shared_pool ? 1 : kChains;
-  for (std::size_t i = 0; i < n_pools; ++i) {
-    pools.push_back(std::make_unique<par::ThreadPool>(kPoolWorkers));
-    backends.push_back(std::make_unique<core::ThreadedBackend>(*pools[i]));
-  }
+  par::ThreadPool pool(kPoolWorkers);
+  core::ThreadedBackend backend(pool);
   std::vector<std::unique_ptr<core::PlfEngine>> engines;
   for (std::size_t i = 0; i < kChains; ++i) {
-    engines.push_back(std::make_unique<core::PlfEngine>(
-        data, params, tree, *backends[shared_pool ? 0 : i]));
+    engines.push_back(
+        std::make_unique<core::PlfEngine>(data, params, tree, backend));
   }
   mcmc::CoupledOptions opts;
   opts.chain.seed = 4242;
-  std::unique_ptr<exec::InstanceScheduler> sched;
-  if (shared_pool) sched = std::make_unique<exec::InstanceScheduler>(kChains);
-  mcmc::CoupledChains mc3(std::move(engines), opts, sched.get());
+  mcmc::CoupledChains mc3(std::move(engines), opts);
 
   std::uint64_t target = 5;  // warm-up: plans, driver rebind
   mc3.run(target);
@@ -509,8 +497,8 @@ CaseStat coupled_case(const phylo::PatternMatrix& data,
   return cs;
 }
 
-/// Telemetry overhead (docs/OBSERVABILITY.md): the same sequential 4-chain
-/// MC3 stepping loop with live telemetry off vs exporting a full record —
+/// Telemetry overhead (docs/OBSERVABILITY.md): the same 4-chain MC3 stepping
+/// loop with live telemetry off vs exporting a full record —
 /// gauges, JSONL append, atomic status rewrite — EVERY generation, the
 /// worst-case cadence (real runs default to every 100). The gate holds the
 /// "on" case to the same relative threshold as the other MC3 cases, keeping
@@ -610,7 +598,8 @@ CaseStat e2e_case(const std::string& name, const phylo::PatternMatrix& data,
 }
 
 /// Partitioned model: 4 uniform partitions of one alignment, each with its
-/// own engine, summed per-evaluation through the shared-pool scheduler.
+/// own engine, evaluated concurrently (partition 0 on the caller, 1-3 on the
+/// engine's driver threads) and summed per evaluation.
 CaseStat partitioned_case(const phylo::Alignment& aln,
                           const phylo::Tree& tree,
                           const phylo::GtrParams& params, std::uint64_t evals,
@@ -623,10 +612,8 @@ CaseStat partitioned_case(const phylo::Alignment& aln,
 
   par::ThreadPool pool(kPoolWorkers);
   core::ThreadedBackend backend(pool);
-  exec::InstanceScheduler sched(4);
   const auto spec = phylo::PartitionSpec::uniform(aln.n_columns(), 4);
-  exec::PartitionedEngine pe(aln, spec, {params}, tree, backend,
-                             exec::PartitionedConfig{}, &sched);
+  exec::PartitionedEngine pe(aln, spec, {params}, tree, backend);
   pe.log_likelihood();  // warm-up
   const int n_leaves = static_cast<int>(aln.n_taxa());
   for (int rep = 0; rep < reps; ++rep) {
@@ -853,15 +840,11 @@ int main(int argc, char** argv) {
   }
 
   // Multi-instance runtime cases (docs/SHARDING.md): 4-chain MC3 stepping
-  // cost sequential-per-pool vs shared-pool-scheduled, and a 4-partition
-  // model batched through the scheduler.
+  // cost on one shared pool, and a 4-partition model.
   const std::uint64_t coupled_gens = quick ? 3 : 10;
-  for (const bool shared : {false, true}) {
-    cases.push_back(
-        coupled_case(data, tree, params, shared, coupled_gens, reps));
-    std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
-              << " ms/gen (min of " << reps << ")\n";
-  }
+  cases.push_back(coupled_case(data, tree, params, coupled_gens, reps));
+  std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
+            << " ms/gen (min of " << reps << ")\n";
   // Telemetry overhead pair: off vs a full record every generation.
   for (const bool telemetry_on : {false, true}) {
     cases.push_back(

@@ -19,9 +19,8 @@
 // continuation appends bit-consistently. --stop-at-ess=N ends the run early
 // once the cold chain's streaming lnL ESS reaches N (docs/OBSERVABILITY.md).
 //
-// --shared-pool steps all chains concurrently through an
-// exec::InstanceScheduler (DRIVERS driver threads, default one per chain) on
-// the one shared ThreadPool — bit-identical to the sequential default.
+// The chains step concurrently, each on its own thread, over one shared
+// ThreadPool (docs/SHARDING.md).
 // --checkpoint-every=N writes a versioned checkpoint every N generations to
 // the --checkpoint path (default mrbayes_lite.ckpt); --resume=FILE restores
 // it and continues to the requested generation total, reproducing the
@@ -46,7 +45,6 @@
 #include "core/backend.hpp"
 #include "core/engine.hpp"
 #include "exec/partitioned.hpp"
-#include "exec/scheduler.hpp"
 #include "mcmc/chain.hpp"
 #include "mcmc/consensus.hpp"
 #include "mcmc/coupled.hpp"
@@ -54,6 +52,7 @@
 #include "obs/exporter.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "phylo/nexus.hpp"
@@ -94,7 +93,6 @@ plf::phylo::Alignment load_or_simulate(const char* path, std::uint64_t seed) {
 constexpr const char* kUsage =
     "usage: mrbayes_lite [--site-repeats=on|off|auto] [--clv-budget=BYTES|FRACTION]\n"
     "                    [--profile[=FILE]] [--metrics-json[=FILE]]\n"
-    "                    [--shared-pool[=DRIVERS]]\n"
     "                    [--checkpoint-every=N] [--checkpoint=FILE]\n"
     "                    [--resume=FILE] [--partitions=N|SPEC]\n"
     "                    [--telemetry[=FILE]] [--telemetry-every=N]\n"
@@ -110,8 +108,6 @@ int run_main(int argc, char** argv) {
   core::ClvBudget clv_budget;  // default: unlimited
   std::string profile_path;   // empty: profiling report/trace off
   std::string metrics_path;   // empty: metrics JSON off
-  bool shared_pool = false;
-  std::size_t n_drivers = 0;        // 0: one per chain
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_path = "mrbayes_lite.ckpt";
   std::string resume_path;          // empty: fresh run
@@ -138,12 +134,6 @@ int run_main(int argc, char** argv) {
       metrics_path = "plf_metrics.json";
     } else if (arg.rfind("--metrics-json=", 0) == 0) {
       metrics_path = arg.substr(std::strlen("--metrics-json="));
-    } else if (arg == "--shared-pool") {
-      shared_pool = true;
-    } else if (arg.rfind("--shared-pool=", 0) == 0) {
-      shared_pool = true;
-      n_drivers = std::strtoul(arg.c_str() + std::strlen("--shared-pool="),
-                               nullptr, 10);
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
       checkpoint_every = std::strtoull(
           arg.c_str() + std::strlen("--checkpoint-every="), nullptr, 10);
@@ -229,15 +219,9 @@ int run_main(int argc, char** argv) {
     exec::PartitionedEngine::Config pcfg;
     pcfg.site_repeats = repeats;
     pcfg.clv_budget = clv_budget;
-    std::unique_ptr<exec::InstanceScheduler> psched;
-    if (shared_pool) {
-      psched = std::make_unique<exec::InstanceScheduler>(spec.n_parts());
-    }
     exec::PartitionedEngine parts(aln, spec, {start_params},
-                                  engines.front()->tree(), backend, pcfg,
-                                  psched.get());
+                                  engines.front()->tree(), backend, pcfg);
     const double total = parts.log_likelihood();
-    parts.detach_threads();
     std::cout << "partitioned lnL at the starting state ("
               << spec.n_parts() << " parts):\n";
     for (std::size_t i = 0; i < spec.n_parts(); ++i) {
@@ -271,14 +255,7 @@ int run_main(int argc, char** argv) {
     if (!status_path.empty()) std::cout << ", status " << status_path;
     std::cout << "\n";
   }
-  std::unique_ptr<exec::InstanceScheduler> scheduler;
-  if (shared_pool) {
-    scheduler = std::make_unique<exec::InstanceScheduler>(
-        n_drivers == 0 ? n_chains : n_drivers);
-    std::cout << "shared pool: " << scheduler->n_drivers()
-              << " instance drivers over one thread pool\n\n";
-  }
-  mcmc::CoupledChains mc3(std::move(engines), opts, scheduler.get());
+  mcmc::CoupledChains mc3(std::move(engines), opts);
   if (!resume_path.empty()) {
     mc3.restore_checkpoint_file(resume_path);
     std::cout << "resumed from " << resume_path << " at generation "
@@ -359,8 +336,12 @@ int run_main(int argc, char** argv) {
     mc3.engine(mc3.cold_index()).publish_stats(reg);
     const obs::Snapshot snap = reg.snapshot();
     if (!profile_path.empty()) {
-      const obs::Breakdown b =
-          obs::build_breakdown(snap, result.cold.wall_seconds, backend.name());
+      // The kernel timers sum over every chain's thread, so normalize against
+      // the chains' summed generation time (chain-seconds), not wall time:
+      // with the chains overlapping, PLF seconds exceed the wall clock.
+      const obs::Breakdown b = obs::build_breakdown(
+          snap, snap.timer_total_s(obs::kTimerMcmcGeneration),
+          backend.name());
       std::cout << "\n" << obs::format_breakdown(b) << "\n";
       std::ofstream trace_out(profile_path);
       if (!trace_out) throw Error("cannot open trace file: " + profile_path);

@@ -15,9 +15,8 @@ PartitionedEngine::PartitionedEngine(const phylo::Alignment& aln,
                                      const std::vector<phylo::GtrParams>& params,
                                      const phylo::Tree& tree,
                                      core::ExecutionBackend& backend,
-                                     const Config& config,
-                                     InstanceScheduler* scheduler)
-    : spec_(spec), scheduler_(scheduler) {
+                                     const Config& config)
+    : spec_(spec), drivers_(spec.n_parts()) {
   PLF_CHECK(params.size() == 1 || params.size() == spec.n_parts(),
             "partitioned engine: pass one GtrParams or one per partition");
   const std::vector<phylo::Alignment> parts = spec_.split(aln);
@@ -26,28 +25,17 @@ PartitionedEngine::PartitionedEngine(const phylo::Alignment& aln,
     engines_.push_back(std::make_unique<core::PlfEngine>(
         phylo::PatternMatrix::compress(parts[i]), p, tree, backend,
         config.variant, config.site_repeats, config.clv_budget));
-    if (scheduler_ != nullptr) {
-      instance_ids_.push_back(
-          scheduler_->register_instance(*engines_.back(), spec_.range(i).name));
-    } else {
-      // Multiple engines share the caller's registry either way: label them
-      // so their engine.*/arena.* gauges don't collide.
-      engines_.back()->set_instance_label(spec_.range(i).name);
-    }
+    // The engines share the caller's registry: label them so their
+    // engine.*/arena.* gauges don't collide.
+    engines_.back()->set_instance_label(spec_.range(i).name);
   }
 }
 
 void PartitionedEngine::for_each_part(
     const std::function<void(std::size_t, core::PlfEngine&)>& fn) const {
-  if (scheduler_ != nullptr) {
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      core::PlfEngine* engine = engines_[i].get();
-      scheduler_->submit(instance_ids_[i], [&fn, i, engine] { fn(i, *engine); });
-    }
-    scheduler_->barrier();
-  } else {
-    for (std::size_t i = 0; i < engines_.size(); ++i) fn(i, *engines_[i]);
-  }
+  detach_threads();
+  drivers_.for_each([&](std::size_t i) { fn(i, *engines_[i]); });
+  detach_threads();
 }
 
 double PartitionedEngine::log_likelihood() {
@@ -56,7 +44,7 @@ double PartitionedEngine::log_likelihood() {
     per_part[i] = e.log_likelihood();
   });
   // Fixed reduction order (partition index): the sum is bit-stable across
-  // runs and identical between scheduled and inline execution.
+  // runs, whichever partition finishes first.
   double total = 0.0;
   for (const double v : per_part) total += v;
   return total;
@@ -89,14 +77,8 @@ void PartitionedEngine::apply_nni(int v, bool swap_left) {
 void PartitionedEngine::set_model(std::size_t part,
                                   const phylo::GtrParams& params) {
   PLF_CHECK(part < engines_.size(), "partitioned engine: part out of range");
-  core::PlfEngine* engine = engines_[part].get();
-  if (scheduler_ != nullptr) {
-    scheduler_->submit(instance_ids_[part],
-                       [engine, params] { engine->set_model(params); });
-    scheduler_->barrier();
-  } else {
-    engine->set_model(params);
-  }
+  // Between fan-outs every engine is released, so the caller may update it.
+  engines_[part]->set_model(params);
 }
 
 void PartitionedEngine::save_state(util::BinaryWriter& w) const {
@@ -144,8 +126,8 @@ void PartitionedEngine::publish_stats(obs::MetricsRegistry& registry) const {
   });
 }
 
-void PartitionedEngine::detach_threads() {
-  for (auto& e : engines_) e->detach_thread();
+void PartitionedEngine::detach_threads() const {
+  for (const auto& e : engines_) e->detach_thread();
 }
 
 }  // namespace plf::exec

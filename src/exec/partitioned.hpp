@@ -6,13 +6,12 @@
 // owns one PlfEngine per partition and fans the engine protocol out:
 // topology/branch moves go to every partition (the tree is shared), model
 // moves to one, and log_likelihood() sums per-partition results in partition
-// order (a fixed reduction order — the sum is bit-stable across runs and
-// across serial/scheduled execution).
+// order (a fixed reduction order — the sum is bit-stable across runs).
 //
-// With an InstanceScheduler, every engine-touching operation is routed
-// through the partition's pinned driver thread, so all partitions evaluate
-// concurrently on the shared thread pool; without one, everything runs
-// inline on the calling thread. The two modes are bit-identical.
+// Every engine-touching operation fans out through an InstanceScheduler:
+// partition 0 on the calling thread, partition i >= 1 on its own driver
+// thread, so all partitions evaluate concurrently on the shared thread pool.
+// Each engine computes exactly what it would alone.
 #pragma once
 
 #include <cstddef>
@@ -46,18 +45,20 @@ class PartitionedEngine {
   /// Build one engine per range of `spec` over `aln`'s columns. `params`
   /// holds either one entry (every partition starts from the same model) or
   /// exactly spec.n_parts() entries. Every engine gets its own copy of
-  /// `tree` and is labeled with its partition's name. With a scheduler,
-  /// instances are registered and all subsequent operations run on their
-  /// pinned drivers.
+  /// `tree` and is labeled with its partition's name; the driver threads
+  /// start at the first fan-out. The backend must accept concurrent
+  /// run_plan calls (Serial, Threaded and PerCall do; the thread-confined
+  /// Cell and GPU simulators do not).
   PartitionedEngine(const phylo::Alignment& aln,
                     const phylo::PartitionSpec& spec,
                     const std::vector<phylo::GtrParams>& params,
                     const phylo::Tree& tree, core::ExecutionBackend& backend,
-                    const Config& config = Config{},
-                    InstanceScheduler* scheduler = nullptr);
+                    const Config& config = Config{});
 
   std::size_t n_parts() const { return engines_.size(); }
   const phylo::PartitionSpec& spec() const { return spec_; }
+  /// Engine of partition `i`. Safe to touch from the caller between
+  /// PartitionedEngine calls: every call hands the engines back on return.
   core::PlfEngine& part(std::size_t i) { return *engines_[i]; }
 
   /// Sum of per-partition log likelihoods, accumulated in partition order.
@@ -86,20 +87,19 @@ class PartitionedEngine {
   /// Publish every partition's stats under its partition-name label.
   void publish_stats(obs::MetricsRegistry& registry) const;
 
-  /// Release every engine's thread confinement (serial handoff back to the
-  /// caller, e.g. for post-run stats reads without the scheduler).
-  void detach_threads();
-
  private:
-  /// Run `fn(part, engine)` for every partition: through the pinned drivers
-  /// (with a trailing barrier) when scheduled, inline otherwise.
+  /// Run `fn(part, engine)` for every partition on its fixed thread. The
+  /// engines are released before and after, so the caller may touch them
+  /// between calls.
   void for_each_part(
       const std::function<void(std::size_t, core::PlfEngine&)>& fn) const;
+  void detach_threads() const;
 
   phylo::PartitionSpec spec_;
   std::vector<std::unique_ptr<core::PlfEngine>> engines_;
-  std::vector<int> instance_ids_;  ///< scheduler ids, parallel to engines_
-  InstanceScheduler* scheduler_ = nullptr;
+  /// Declared last so its drivers stop before the engines are destroyed.
+  /// Mutable: fanning out is not a change to the partitioned engine.
+  mutable InstanceScheduler drivers_;
 };
 
 }  // namespace plf::exec

@@ -2,110 +2,99 @@
 
 #include <utility>
 
-#include "util/contracts.hpp"
-
 namespace plf::exec {
 
-InstanceScheduler::InstanceScheduler(std::size_t n_drivers) {
-  PLF_CHECK(n_drivers >= 1, "instance scheduler needs at least one driver");
-  drivers_.reserve(n_drivers);
-  for (std::size_t i = 0; i < n_drivers; ++i) {
-    auto d = std::make_unique<Driver>();
-    Driver* dp = d.get();
-    d->thread = std::thread([this, dp] { driver_loop(*dp); });
-    drivers_.push_back(std::move(d));
-  }
-}
+InstanceScheduler::InstanceScheduler(std::size_t n_instances)
+    : n_instances_(n_instances) {}
 
-InstanceScheduler::~InstanceScheduler() {
-  for (auto& d : drivers_) {
-    {
-      util::MutexLock lock(d->m);
-      d->stop = true;
+void InstanceScheduler::start_drivers() {
+  drivers_.reserve(n_instances_ - 1);
+  try {
+    for (std::size_t i = 1; i < n_instances_; ++i) {
+      drivers_.emplace_back([this, i] { driver_loop(i); });
     }
-    d->cv.notify_all();
+  } catch (...) {
+    // Leave no thread running, and the scheduler as if never started.
+    stop_drivers();
+    drivers_.clear();
+    util::MutexLock lock(m_);
+    stop_ = false;
+    throw;
   }
-  for (auto& d : drivers_) d->thread.join();
 }
 
-int InstanceScheduler::register_instance(core::PlfEngine& engine,
-                                         std::string label) {
-  const int id = static_cast<int>(instances_.size());
-  engine.set_instance_label(label);
-  // The engine may be bound to the registering thread (construction runs its
-  // first evaluation there); release it so the pinned driver rebinds.
-  engine.detach_thread();
-  instances_.push_back(
-      {std::move(label), &engine, static_cast<std::size_t>(id) % n_drivers()});
-  return id;
-}
+InstanceScheduler::~InstanceScheduler() { stop_drivers(); }
 
-void InstanceScheduler::submit(int id, std::function<void()> fn) {
-  PLF_CHECK(id >= 0 && static_cast<std::size_t>(id) < instances_.size(),
-            "instance scheduler: unknown instance id");
-  Driver& d = *drivers_[instances_[static_cast<std::size_t>(id)].driver];
+void InstanceScheduler::stop_drivers() {
   {
-    util::MutexLock lock(done_m_);
-    ++pending_;
+    util::MutexLock lock(m_);
+    stop_ = true;
   }
+  start_cv_.notify_all();
+  for (std::thread& t : drivers_) t.join();
+}
+
+void InstanceScheduler::for_each(
+    const std::function<void(std::size_t)>& fn) {
+  if (n_instances_ <= 1) {
+    if (n_instances_ == 1) fn(0);
+    return;
+  }
+  if (drivers_.empty()) start_drivers();
   {
-    util::MutexLock lock(d.m);
-    d.queue.push_back(std::move(fn));
+    util::MutexLock lock(m_);
+    job_ = &fn;
+    ++round_;
+    pending_ = drivers_.size();
   }
-  d.cv.notify_one();
+  start_cv_.notify_all();
+  try {
+    fn(0);
+  } catch (...) {
+    // The driver calls hold references into the caller's frame: let them
+    // finish before the exception unwinds it.
+    (void)wait_drivers();
+    throw;
+  }
+  if (std::exception_ptr error = wait_drivers()) {
+    std::rethrow_exception(error);
+  }
 }
 
-void InstanceScheduler::barrier() {
-  std::exception_ptr error;
-  {
-    util::MutexLock lock(done_m_);
-    // Predicate runs with done_m_ held by the wait loop itself; TSA analyzes
-    // the lambda without that context, hence the exemption.
-    done_cv_.wait(done_m_, [&]() PLF_NO_TSA { return pending_ == 0; });
-    error = error_;
-    error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
+std::exception_ptr InstanceScheduler::wait_drivers() {
+  util::MutexLock lock(m_);
+  // Predicate runs with m_ held by the wait loop itself; TSA analyzes the
+  // lambda without that context, hence the exemption.
+  done_cv_.wait(m_, [&]() PLF_NO_TSA { return pending_ == 0; });
+  job_ = nullptr;
+  return std::exchange(error_, nullptr);
 }
 
-void InstanceScheduler::for_each_instance(
-    const std::function<void(int, core::PlfEngine&)>& fn) {
-  for (std::size_t id = 0; id < instances_.size(); ++id) {
-    core::PlfEngine* engine = instances_[id].engine;
-    const int iid = static_cast<int>(id);
-    submit(iid, [&fn, iid, engine] { fn(iid, *engine); });
-  }
-  barrier();
-}
-
-void InstanceScheduler::finish_task(std::exception_ptr error) {
-  {
-    util::MutexLock lock(done_m_);
-    if (error && !error_) error_ = error;
-    --pending_;
-  }
-  // notify_all: barrier() may be re-entered while another thread also waits.
-  done_cv_.notify_all();
-}
-
-void InstanceScheduler::driver_loop(Driver& d) {
+void InstanceScheduler::driver_loop(std::size_t index) {
+  std::uint64_t seen = 0;
   for (;;) {
-    std::function<void()> task;
+    const std::function<void(std::size_t)>* job = nullptr;
     {
-      util::MutexLock lock(d.m);
-      // Predicate runs with d.m held by the wait loop itself (see barrier()).
-      d.cv.wait(d.m, [&]() PLF_NO_TSA { return d.stop || !d.queue.empty(); });
-      if (d.queue.empty()) return;  // stop requested and fully drained
-      task = std::move(d.queue.front());
-      d.queue.pop_front();
+      util::MutexLock lock(m_);
+      // Predicate runs with m_ held by the wait loop itself (see above).
+      start_cv_.wait(m_,
+                     [&]() PLF_NO_TSA { return stop_ || round_ != seen; });
+      if (stop_) return;
+      seen = round_;
+      job = job_;
     }
     std::exception_ptr error;
     try {
-      task();
+      (*job)(index);
     } catch (...) {
       error = std::current_exception();
     }
-    finish_task(error);
+    util::MutexLock lock(m_);
+    // Hand the exception over, or drop it, under the lock: once pending_
+    // reaches 0 the caller may rethrow and destroy it.
+    if (!error_) error_ = std::move(error);
+    error = nullptr;
+    if (--pending_ == 0) done_cv_.notify_one();
   }
 }
 

@@ -1,5 +1,4 @@
-// Multi-instance engine runtime: registry + cooperative scheduler
-// (docs/SHARDING.md).
+// Multi-instance engine runtime: fixed-driver fork/join (docs/SHARDING.md).
 //
 // The paper accelerates ONE likelihood evaluation; production phylogenetics
 // runs many at once — MrBayes steps N Metropolis-coupled chains, partitioned
@@ -7,21 +6,17 @@
 // split shows the winning shape: independent likelihood instances sharing a
 // fixed hardware pool. This layer is that runtime for plf:
 //
-//   InstanceScheduler  owns a small set of DRIVER threads. Each registered
-//                      PlfEngine instance is pinned to driver
-//                      (instance_id % n_drivers), so the engine's
-//                      ThreadChecker binds exactly once and every operation
-//                      on that instance executes in submission order, on one
-//                      thread, forever. Drivers run the engines' evaluations,
-//                      whose backends submit parallel regions to the SHARED
-//                      ThreadPool concurrently — the pool's FIFO region
-//                      queue (par/thread_pool.hpp) interleaves the instances'
-//                      plans at region granularity.
-//
-// Fairness: the scheduler itself is work-conserving and per-instance FIFO;
-// cross-instance fairness comes from the thread pool's region queue, which
-// serves whole regions in arrival order (no starvation: every enqueued
-// region is eventually at the head).
+//   InstanceScheduler  for_each(fn) runs fn(i) for every i in [0, N): i = 0
+//                      on the calling thread, each i >= 1 on its own DRIVER
+//                      thread, then waits for all of them. Index i always
+//                      lands on the same thread, so an engine stepped only by
+//                      fn(i) stays confined to one thread (its ThreadChecker
+//                      binds once per handoff). The instances' backends
+//                      submit parallel regions to the SHARED ThreadPool
+//                      concurrently — the pool's FIFO region queue
+//                      (par/thread_pool.hpp) interleaves the instances' plans
+//                      at region granularity, so one instance's serial phase
+//                      no longer leaves the pool idle.
 //
 // The driver threads below are the reason src/exec/ is exempt from the
 // plf_lint raw-thread rule alongside src/par/: this layer IS the threading
@@ -29,91 +24,56 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace plf::exec {
 
-/// One registered engine: the label its gauges are prefixed with, the engine
-/// itself, and the driver it is pinned to.
-struct EngineInstance {
-  std::string label;
-  core::PlfEngine* engine = nullptr;
-  std::size_t driver = 0;
-};
-
 class InstanceScheduler {
  public:
-  /// Start `n_drivers` driver threads (>= 1; one per concurrently-stepping
-  /// instance is the useful maximum — excess drivers just idle).
-  explicit InstanceScheduler(std::size_t n_drivers);
+  /// A scheduler for `n_instances` instances. Its `n_instances - 1` driver
+  /// threads start at the first for_each, so whatever the owner does before
+  /// its first fan-out (building and first evaluating its engines) runs
+  /// alone; a single instance never starts one.
+  explicit InstanceScheduler(std::size_t n_instances);
   ~InstanceScheduler();
 
   InstanceScheduler(const InstanceScheduler&) = delete;
   InstanceScheduler& operator=(const InstanceScheduler&) = delete;
 
-  /// Register `engine` under `label`: sets the engine's instance label (so
-  /// its engine.*/arena.* gauges stop colliding with other instances') and
-  /// releases its thread confinement so the pinned driver binds it on first
-  /// use. The engine must outlive the scheduler (or at least every task
-  /// submitted for it). Returns the instance id.
-  int register_instance(core::PlfEngine& engine, std::string label);
-
-  std::size_t n_instances() const { return instances_.size(); }
-  std::size_t n_drivers() const { return drivers_.size(); }
-  const EngineInstance& instance(int id) const {
-    return instances_[static_cast<std::size_t>(id)];
-  }
-  core::PlfEngine& engine(int id) const {
-    return *instances_[static_cast<std::size_t>(id)].engine;
-  }
-
-  /// Enqueue `fn` on instance `id`'s pinned driver. Tasks for one instance
-  /// run in submission order; tasks for instances pinned to different
-  /// drivers run concurrently. fn must not call submit()/barrier() on this
-  /// scheduler (drivers never wait on other drivers — no deadlock by
-  /// construction).
-  void submit(int id, std::function<void()> fn);
-
-  /// Block until every previously submitted task has finished. Rethrows the
-  /// first task exception, if any (remaining queued tasks still ran — an
-  /// engine whose task threw is in whatever state the throw left it).
-  void barrier();
-
-  /// submit() the same callable for every registered instance, then
-  /// barrier(). `fn` receives (instance id, engine).
-  void for_each_instance(
-      const std::function<void(int, core::PlfEngine&)>& fn);
+  /// Run fn(i) for every i in [0, n_instances): i = 0 on the calling thread,
+  /// each i >= 1 on its own driver. Returns once every call has finished,
+  /// also when fn(0) throws, since the driver calls may reference the
+  /// caller's frame. Rethrows fn(0)'s exception if it threw, else the first
+  /// driver's. One caller at a time; fn must not call for_each on this
+  /// scheduler.
+  void for_each(const std::function<void(std::size_t)>& fn);
 
  private:
-  struct Driver {
-    util::Mutex m;
-    util::CondVar cv;
-    std::deque<std::function<void()>> queue PLF_GUARDED_BY(m);
-    bool stop PLF_GUARDED_BY(m) = false;
-    std::thread thread;
-  };
+  void start_drivers();
+  void driver_loop(std::size_t index);
+  /// Stop and join every started driver.
+  void stop_drivers();
+  /// Block until every driver finished the current round; returns (and
+  /// clears) the first exception a driver call threw.
+  std::exception_ptr wait_drivers();
 
-  void driver_loop(Driver& d);
-  void finish_task(std::exception_ptr error);
-
-  std::vector<std::unique_ptr<Driver>> drivers_;
-  std::vector<EngineInstance> instances_;
-
-  /// Completion accounting for barrier(): outstanding task count and the
-  /// first captured task exception.
-  mutable util::Mutex done_m_;
-  util::CondVar done_cv_;
-  std::size_t pending_ PLF_GUARDED_BY(done_m_) = 0;
-  std::exception_ptr error_ PLF_GUARDED_BY(done_m_);
+  util::Mutex m_;
+  util::CondVar start_cv_;  ///< drivers wait here for the next round
+  util::CondVar done_cv_;   ///< the caller waits here for pending_ == 0
+  const std::function<void(std::size_t)>* job_ PLF_GUARDED_BY(m_) = nullptr;
+  std::uint64_t round_ PLF_GUARDED_BY(m_) = 0;
+  std::size_t pending_ PLF_GUARDED_BY(m_) = 0;
+  std::exception_ptr error_ PLF_GUARDED_BY(m_);
+  bool stop_ PLF_GUARDED_BY(m_) = false;
+  const std::size_t n_instances_;
+  std::vector<std::thread> drivers_;
 };
 
 }  // namespace plf::exec

@@ -17,13 +17,12 @@ namespace plf::mcmc {
 
 CoupledChains::CoupledChains(
     std::vector<std::unique_ptr<core::PlfEngine>> engines,
-    const CoupledOptions& options, exec::InstanceScheduler* scheduler)
+    const CoupledOptions& options)
     : options_(options),
-      scheduler_(scheduler),
-      rng_(options.chain.seed ^ 0xC0FFEEull) {
+      rng_(options.chain.seed ^ 0xC0FFEEull),
+      drivers_(engines.size()) {
   PLF_CHECK(!engines.empty(), "coupled chains need at least one engine");
   PLF_CHECK(options.heat >= 0.0, "heat must be nonnegative");
-  options_.n_chains = engines.size();
 
   for (std::size_t i = 0; i < engines.size(); ++i) {
     ChainState cs;
@@ -34,17 +33,12 @@ CoupledChains::CoupledChains(
     chain_opts.likelihood_power = beta(i);
     chain_opts.sample_every = 0;  // sampling is driven by the coupler
     // The chain constructor evaluates the initial likelihood on THIS thread;
-    // scheduler registration below detaches the engine so its pinned driver
-    // rebinds on the first scheduled step.
+    // run() detaches the engine so its driver rebinds on the first step.
     cs.chain = std::make_unique<McmcChain>(*cs.engine, chain_opts);
-    const std::string label = "chain" + std::to_string(i);
-    if (scheduler_ != nullptr) {
-      cs.instance_id = scheduler_->register_instance(*cs.engine, label);
-    } else if (engines.size() > 1) {
-      // Unscheduled multi-chain runs still label each engine so per-instance
-      // gauges ("chain1.engine.down_calls", ...) don't collide in the
-      // metrics registry. Single-chain runs keep the legacy bare names.
-      cs.engine->set_instance_label(label);
+    if (engines.size() > 1) {
+      // Per-instance gauges ("chain1.engine.down_calls", ...) must not
+      // collide in the shared registry. A single chain keeps the bare names.
+      cs.engine->set_instance_label("chain" + std::to_string(i));
     }
     chains_.push_back(std::move(cs));
   }
@@ -63,15 +57,7 @@ void CoupledChains::detach_engines() {
 
 void CoupledChains::for_each_chain(
     const std::function<void(std::size_t, ChainState&)>& fn) {
-  if (scheduler_ == nullptr) {
-    for (std::size_t i = 0; i < chains_.size(); ++i) fn(i, chains_[i]);
-    return;
-  }
-  for (std::size_t i = 0; i < chains_.size(); ++i) {
-    ChainState& cs = chains_[i];
-    scheduler_->submit(cs.instance_id, [&fn, i, &cs] { fn(i, cs); });
-  }
-  scheduler_->barrier();
+  drivers_.for_each([&](std::size_t i) { fn(i, chains_[i]); });
 }
 
 void CoupledChains::step_all() {
@@ -160,7 +146,7 @@ void CoupledChains::export_telemetry(std::uint64_t gen, double wall_s) {
   if (obs::MetricsRegistry* reg = exporter->registry(); reg != nullptr) {
     // Refresh the gauges the embedded metrics snapshot carries. Engine
     // stats publishing is thread-confined (it PLF_CHECKs the binding), so
-    // route it through the pinned drivers like every other engine touch.
+    // route it through the drivers like every other engine touch.
     for_each_chain(
         [reg](std::size_t, ChainState& cs) { cs.engine->publish_stats(*reg); });
     publish_proposal_gauges(*reg, agg);
@@ -182,8 +168,8 @@ CoupledResult CoupledChains::run(std::uint64_t target_generation) {
   Stopwatch wall;
   CoupledResult result;
   // The caller may have bound the engines to its own thread (construction,
-  // restore, stats reads); release them so the pinned drivers can rebind.
-  if (scheduler_ != nullptr) detach_engines();
+  // restore, stats reads); release them so the drivers can rebind.
+  detach_engines();
 
   const std::uint64_t sample_every =
       options_.chain.sample_every == 0 ? 100 : options_.chain.sample_every;
@@ -269,15 +255,14 @@ CoupledResult CoupledChains::run(std::uint64_t target_generation) {
     result.final_ln_likelihoods.push_back(cs->chain->ln_likelihood());
   }
   // Hand the engines back to the caller for stats reads / gauge publishing.
-  if (scheduler_ != nullptr) detach_engines();
+  detach_engines();
   return result;
 }
 
 void CoupledChains::save_checkpoint(std::ostream& os) {
-  if (scheduler_ != nullptr) detach_engines();
+  detach_engines();
   // Engine state is serialized on each chain's confinement thread into a
-  // per-chain blob, then framed into the single stream — same wire format in
-  // both execution modes.
+  // per-chain blob, then framed into the single stream.
   std::vector<std::string> blobs(chains_.size());
   for_each_chain([&blobs](std::size_t i, ChainState& cs) {
     std::ostringstream buf;
@@ -312,11 +297,11 @@ void CoupledChains::save_checkpoint(std::ostream& os) {
     w.u64(st.proposed);
     w.u64(st.accepted);
   }
-  if (scheduler_ != nullptr) detach_engines();
+  detach_engines();
 }
 
 void CoupledChains::restore_checkpoint(std::istream& is) {
-  if (scheduler_ != nullptr) detach_engines();
+  detach_engines();
   util::BinaryReader r(is);
   r.section("MC3C");
   const std::uint64_t n = r.u64();
@@ -354,7 +339,7 @@ void CoupledChains::restore_checkpoint(std::istream& is) {
     util::BinaryReader br(buf);
     cs.engine->restore_state(br);
   });
-  if (scheduler_ != nullptr) detach_engines();
+  detach_engines();
 }
 
 void CoupledChains::save_checkpoint_file(const std::string& path) {

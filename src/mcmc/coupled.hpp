@@ -14,15 +14,13 @@
 // Swapping exchanges chain HEATS rather than engine states (the standard
 // pointer-swap implementation).
 //
-// Execution modes (docs/SHARDING.md):
-//   - sequential (default): each generation steps the chains one after
-//     another on the calling thread;
-//   - scheduled: with an exec::InstanceScheduler, each generation submits
-//     every chain's step to its pinned driver thread and barriers before
-//     the swap attempt. Chains only interact at those barriers, so the two
-//     modes produce bit-identical trajectories — the scheduled one just
-//     keeps the shared thread pool busy while other chains are in their
-//     serial phases.
+// Execution (docs/SHARDING.md): the coupler owns an exec::InstanceScheduler
+// with one driver thread per chain beyond the first. Each generation steps
+// chain 0 on the calling thread and chain i >= 1 on driver i, concurrently,
+// then barriers before the swap attempt. Chains only interact at those
+// barriers, so every trajectory is the one a sequential loop would produce —
+// the concurrency just keeps the shared thread pool busy while other chains
+// are in their serial phases.
 //
 // Checkpointing: save_checkpoint/restore_checkpoint serialize the complete
 // coupler state (generation, swap counters, coupler RNG, per-chain heat
@@ -32,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -50,7 +49,6 @@ class TelemetryExporter;
 namespace plf::mcmc {
 
 struct CoupledOptions {
-  std::size_t n_chains = 4;       ///< MrBayes default
   double heat = 0.2;              ///< MrBayes "temp" default
   std::uint64_t swap_every = 10;  ///< generations between swap attempts
   McmcOptions chain;              ///< per-chain options (seed is the base)
@@ -91,14 +89,15 @@ class CoupledChains {
   /// Takes OWNERSHIP of the engines (the former raw-pointer signature was a
   /// lifetime footgun: chains hold their engine for the coupler's whole
   /// life, so the coupler owns them now). engines.size() defines the chain
-  /// count (options.n_chains is then ignored); all engines must evaluate the
-  /// same data/model family. With `scheduler`, each engine is registered as
-  /// an instance labeled "chain<i>" and all stepping runs on the pinned
-  /// drivers; engines are labeled (but not scheduled) without one whenever
-  /// there is more than one chain, so their gauges don't collide.
+  /// count (MrBayes runs 4); all engines must evaluate the same data/model
+  /// family. Each chain's initial evaluation runs on the constructing thread;
+  /// the driver threads start at the first step. With more than one chain, engine i
+  /// is labeled "chain<i>" so its gauges don't collide with the others'.
+  /// The engines' backend must accept concurrent run_plan calls (Serial,
+  /// Threaded and PerCall do; the thread-confined Cell and GPU simulators do
+  /// not).
   CoupledChains(std::vector<std::unique_ptr<core::PlfEngine>> engines,
-                const CoupledOptions& options,
-                exec::InstanceScheduler* scheduler = nullptr);
+                const CoupledOptions& options);
 
   /// Step all chains until the coupler's generation counter reaches
   /// `target_generation`, attempting swaps and writing checkpoints on
@@ -115,9 +114,9 @@ class CoupledChains {
   /// chain.
   std::size_t cold_index() const;
 
-  /// Engine of chain `i` (engine-list order, not heat order). When running
-  /// scheduled, entry points that touch confined engine state are only safe
-  /// after run() returned or detach_engines() was called.
+  /// Engine of chain `i` (engine-list order, not heat order). Safe to touch
+  /// from the caller between coupler calls: run() and the checkpoint calls
+  /// hand every engine back before returning.
   core::PlfEngine& engine(std::size_t i) { return *chains_[i].engine; }
 
   double beta(std::size_t heat_rank) const {
@@ -132,11 +131,6 @@ class CoupledChains {
   void save_checkpoint_file(const std::string& path);
   void restore_checkpoint_file(const std::string& path);
 
-  /// Release every engine's thread confinement so the caller's thread can
-  /// read stats/publish gauges after a scheduled run. run() does this
-  /// automatically before returning.
-  void detach_engines();
-
   /// Streaming diagnostics over the cold chain's sampled lnL series (fed at
   /// the sampling cadence; survives checkpoint/restore bit-exactly).
   const StreamingEss& cold_ess() const { return cold_ess_; }
@@ -146,11 +140,9 @@ class CoupledChains {
     std::unique_ptr<core::PlfEngine> engine;
     std::unique_ptr<McmcChain> chain;
     std::size_t heat_rank;   ///< 0 = cold
-    int instance_id = -1;    ///< scheduler id; -1 when unscheduled
   };
 
-  /// One generation for every chain: submitted to the pinned drivers (then
-  /// barriered) when scheduled, sequential otherwise.
+  /// One generation for every chain, concurrently (see the file comment).
   void step_all();
   void attempt_swap();
   /// Aggregate per-proposal-type tallies over every chain (the MC^3 totals
@@ -159,14 +151,15 @@ class CoupledChains {
   /// Publish the mcmc.*/mc3.* gauges and write one telemetry record for
   /// generation `gen` (options_.telemetry != nullptr).
   void export_telemetry(std::uint64_t gen, double wall_s);
-  /// Run `fn(index, chain state)` for every chain on its pinned driver
-  /// (inline when unscheduled).
+  /// Run `fn(index, chain state)` for every chain on its fixed thread.
   void for_each_chain(
       const std::function<void(std::size_t, ChainState&)>& fn);
+  /// Release every engine's thread confinement, so the next touch (a
+  /// driver's, or the caller's between coupler calls) rebinds it.
+  void detach_engines();
 
   CoupledOptions options_;
   std::vector<ChainState> chains_;
-  exec::InstanceScheduler* scheduler_ = nullptr;
   Rng rng_;
   std::uint64_t generation_ = 0;
   std::uint64_t swaps_proposed_ = 0;
@@ -175,6 +168,8 @@ class CoupledChains {
   std::map<std::string, ProposalStats> swap_pair_stats_;
   /// Streaming ESS over the cold chain's sampled lnL, checkpoint state too.
   StreamingEss cold_ess_;
+  /// Declared last so its drivers stop before the chains are destroyed.
+  exec::InstanceScheduler drivers_;
 };
 
 }  // namespace plf::mcmc

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "numerics/special.hpp"
 #include "util/error.hpp"
 
 namespace plf::mcmc {
@@ -20,9 +21,9 @@ double dirichlet_log_pdf(const std::vector<double>& alpha,
     PLF_CHECK(alpha[i] > 0.0, "dirichlet_log_pdf: alpha must be positive");
     if (x[i] <= 0.0) return kNegInf;
     sum_a += alpha[i];
-    lp += (alpha[i] - 1.0) * std::log(x[i]) - std::lgamma(alpha[i]);
+    lp += (alpha[i] - 1.0) * std::log(x[i]) - num::log_gamma(alpha[i]);
   }
-  return lp + std::lgamma(sum_a);
+  return lp + num::log_gamma(sum_a);
 }
 
 double BranchLengthMultiplier::propose(core::PlfEngine& engine,

@@ -8,6 +8,11 @@
 
 namespace plf::num {
 
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);  // the reentrant form: no global state
+}
+
 namespace {
 
 // Series expansion of P(a, x), valid/fast for x < a + 1. The iteration count
@@ -15,7 +20,7 @@ namespace {
 // refinement probes), so the limit scales with the shape.
 double gamma_p_series(double a, double x) {
   const int itmax = 500 + static_cast<int>(10.0 * std::sqrt(a));
-  const double lga = std::lgamma(a);
+  const double lga = log_gamma(a);
   double ap = a;
   double sum = 1.0 / a;
   double del = sum;
@@ -32,7 +37,7 @@ double gamma_p_series(double a, double x) {
 
 // Continued fraction for Q(a, x) = 1 - P(a, x), valid/fast for x >= a + 1.
 double gamma_q_contfrac(double a, double x) {
-  const double lga = std::lgamma(a);
+  const double lga = log_gamma(a);
   const double kTiny = 1e-300;
   double b = x + 1.0 - a;
   double c = 1.0 / kTiny;
@@ -114,7 +119,7 @@ double chi_square_quantile(double p, double df) {
   PLF_CHECK(df > 0.0, "chi_square_quantile: df must be positive");
 
   // AS 91-style starting value.
-  const double g = std::lgamma(df / 2.0);
+  const double g = log_gamma(df / 2.0);
   const double xx = df / 2.0;
   const double c = xx - 1.0;
   const double aa = std::log(2.0);

@@ -6,6 +6,10 @@
 
 namespace plf::num {
 
+/// ln|Gamma(x)|. Use this, not std::lgamma: that one also writes the global
+/// `signgam`, a data race once MC3 chains step on several threads.
+double log_gamma(double x);
+
 /// Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a),
 /// computed by series (x < a+1) or continued fraction (otherwise).
 double incomplete_gamma_p(double a, double x);

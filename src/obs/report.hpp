@@ -35,7 +35,7 @@ struct LatencyRow {
 /// Fig. 12-shaped decomposition of one run.
 struct Breakdown {
   std::string backend;     ///< label printed in the header
-  double total_s = 0.0;    ///< wall time the sections are normalized against
+  double total_s = 0.0;    ///< time the sections are normalized against
 
   std::vector<KernelShare> kernels;  ///< the three PLFs + root reduction
   double engine_serial_s = 0.0;      ///< TiProbs + scaler sum + repeat work
@@ -64,8 +64,10 @@ struct Breakdown {
   std::uint64_t hist_samples_dropped = 0;
 };
 
-/// Assemble the breakdown from a snapshot. `total_s` is the run's wall time
-/// (measured by the caller around the whole analysis); `backend` is a label.
+/// Assemble the breakdown from a snapshot. `total_s` is the run's time on
+/// the clock the kernel timers sum over: wall time for one thread of work,
+/// summed per-thread time (e.g. MC3 chain-seconds) when instances overlap;
+/// `backend` is a label.
 /// If total_s is smaller than the measured PLF time (clock jitter on very
 /// short runs), it is raised to it so percentages stay in [0, 100].
 Breakdown build_breakdown(const Snapshot& snapshot, double total_s,

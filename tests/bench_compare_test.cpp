@@ -70,6 +70,20 @@ TEST(BenchCompare, NewCaseIsInformational) {
   EXPECT_EQ(find_case(r, "kernel.shiny")->status, CaseStatus::kNew);
 }
 
+TEST(BenchCompare, NewCaseReportsItsOwnThreshold) {
+  // A new case has no baseline entry: the threshold shown is the one its
+  // own run recorded, not the default.
+  const auto base = doc(one_case("kernel.down", 1.0e-4));
+  const auto cur = doc(one_case("kernel.down", 1.0e-4) + "," +
+                       one_case("kernel.shiny", 2.0e-4,
+                                ", \"threshold\": 0.4"));
+  CompareOptions opts;
+  opts.default_threshold = 0.15;
+  const CompareReport r = compare_benches(base, cur, opts);
+  EXPECT_EQ(find_case(r, "kernel.shiny")->threshold, 0.4);
+  EXPECT_EQ(find_case(r, "kernel.down")->threshold, 0.15);
+}
+
 TEST(BenchCompare, MissingCaseFailsTheGate) {
   // A case silently vanishing from the suite must fail: otherwise deleting
   // a slow bench "fixes" a regression.

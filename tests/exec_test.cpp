@@ -1,14 +1,16 @@
 // Tests for the multi-instance runtime (src/exec/): the InstanceScheduler's
-// ordering/barrier/error contracts, PartitionSpec parsing and splitting, and
+// fixed-thread and error contracts, PartitionSpec parsing and splitting, and
 // PartitionedEngine's fan-out protocol — including the headline property
-// that scheduled (driver-threaded) and inline execution are bit-identical.
+// that concurrently evaluated partitions match standalone engines bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -45,83 +47,82 @@ Instance make_instance(std::size_t taxa, std::size_t cols, std::uint64_t seed) {
   return Instance{std::move(tree), params, std::move(aln), std::move(data)};
 }
 
-TEST(InstanceSchedulerTest, RegistersAndLabelsInstances) {
-  core::SerialBackend backend;
-  const Instance inst = make_instance(6, 80, 11);
-  core::PlfEngine e0(inst.data, inst.params, inst.tree, backend);
-  core::PlfEngine e1(inst.data, inst.params, inst.tree, backend);
-
-  InstanceScheduler sched(2);
-  const int id0 = sched.register_instance(e0, "alpha");
-  const int id1 = sched.register_instance(e1, "beta");
-  EXPECT_EQ(id0, 0);
-  EXPECT_EQ(id1, 1);
-  EXPECT_EQ(sched.n_instances(), 2u);
-  EXPECT_EQ(sched.instance(id0).label, "alpha");
-  EXPECT_EQ(sched.instance(id1).label, "beta");
-  EXPECT_EQ(&sched.engine(id0), &e0);
-  EXPECT_EQ(e0.instance_label(), "alpha");
-  // Instances round-robin over drivers.
-  EXPECT_NE(sched.instance(id0).driver, sched.instance(id1).driver);
-}
-
-TEST(InstanceSchedulerTest, TasksForOneInstanceRunInSubmissionOrder) {
-  core::SerialBackend backend;
-  const Instance inst = make_instance(6, 80, 12);
-  core::PlfEngine e(inst.data, inst.params, inst.tree, backend);
-  InstanceScheduler sched(1);
-  const int id = sched.register_instance(e, "only");
-
-  std::vector<int> order;
-  for (int i = 0; i < 64; ++i) {
-    sched.submit(id, [&order, i] { order.push_back(i); });
-  }
-  sched.barrier();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(InstanceSchedulerTest, BarrierRethrowsFirstTaskError) {
-  core::SerialBackend backend;
-  const Instance inst = make_instance(6, 80, 13);
-  core::PlfEngine e(inst.data, inst.params, inst.tree, backend);
-  InstanceScheduler sched(2);
-  const int id = sched.register_instance(e, "x");
-
-  sched.submit(id, [] { throw Error("task boom"); });
-  sched.submit(id, [] {});  // queued behind the throwing task: still runs
-  try {
-    sched.barrier();
-    FAIL() << "barrier() swallowed the task exception";
-  } catch (const Error& err) {
-    EXPECT_NE(std::string(err.what()).find("task boom"), std::string::npos);
-  }
-
-  // The scheduler stays usable after a failed barrier.
-  std::atomic<int> ran{0};
-  sched.submit(id, [&ran] { ran.fetch_add(1); });
-  sched.barrier();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(InstanceSchedulerTest, ForEachInstanceVisitsEveryEngineConcurrently) {
-  core::SerialBackend b0, b1, b2;
-  const Instance inst = make_instance(6, 80, 14);
-  core::PlfEngine e0(inst.data, inst.params, inst.tree, b0);
-  core::PlfEngine e1(inst.data, inst.params, inst.tree, b1);
-  core::PlfEngine e2(inst.data, inst.params, inst.tree, b2);
-  InstanceScheduler sched(3);
-  sched.register_instance(e0, "p0");
-  sched.register_instance(e1, "p1");
-  sched.register_instance(e2, "p2");
-
-  std::vector<double> lnl(3, 0.0);
-  sched.for_each_instance([&lnl](int id, core::PlfEngine& e) {
-    lnl[static_cast<std::size_t>(id)] = e.log_likelihood();
+TEST(InstanceSchedulerTest, EachIndexRunsOnItsOwnFixedThread) {
+  constexpr std::size_t kN = 4;
+  InstanceScheduler sched(kN);
+  std::vector<std::thread::id> first(kN);
+  sched.for_each([&first](std::size_t i) {
+    first[i] = std::this_thread::get_id();
   });
-  // Identical engines on identical data: identical bits.
-  EXPECT_EQ(lnl[0], lnl[1]);
-  EXPECT_EQ(lnl[1], lnl[2]);
+  // Index 0 runs on the caller; the others each on a distinct driver.
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t j = i + 1; j < kN; ++j) EXPECT_NE(first[i], first[j]);
+  }
+  for (int round = 0; round < 16; ++round) {
+    std::vector<std::thread::id> seen(kN);
+    sched.for_each([&seen](std::size_t i) {
+      seen[i] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(seen, first) << "round " << round;
+  }
+}
+
+TEST(InstanceSchedulerTest, SingleInstanceRunsInline) {
+  InstanceScheduler sched(1);
+  int calls = 0;
+  sched.for_each([&calls](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(InstanceSchedulerTest, InlineThrowWaitsForEveryDriver) {
+  // The driver calls reference the caller's frame, so an exception from
+  // index 0 may reach the caller only after every driver index finished.
+  constexpr std::size_t kN = 4;
+  InstanceScheduler sched(kN);
+  std::atomic<bool> thrown{false};
+  std::vector<std::atomic<bool>> finished(kN);
+  try {
+    sched.for_each([&](std::size_t i) {
+      if (i == 0) {
+        thrown.store(true);
+        throw Error("inline boom");
+      }
+      // Still running when index 0 throws.
+      while (!thrown.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished[i].store(true);
+    });
+    FAIL() << "for_each swallowed the inline exception";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("inline boom"), std::string::npos);
+    for (std::size_t i = 1; i < kN; ++i) {
+      EXPECT_TRUE(finished[i].load()) << "driver index " << i;
+    }
+  }
+}
+
+TEST(InstanceSchedulerTest, DriverThrowPropagates) {
+  InstanceScheduler sched(3);
+  std::atomic<int> ran{0};
+  try {
+    sched.for_each([&ran](std::size_t i) {
+      ran.fetch_add(1);
+      if (i == 2) throw Error("driver boom");
+    });
+    FAIL() << "for_each swallowed the driver exception";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("driver boom"), std::string::npos);
+  }
+  EXPECT_EQ(ran.load(), 3);
+
+  // The scheduler stays usable after a failed round.
+  ran.store(0);
+  sched.for_each([&ran](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(PartitionSpecTest, UniformCoversAndNames) {
@@ -186,47 +187,65 @@ TEST(PartitionedEngineTest, SumOfPartsMatchesMonolithicLikelihood) {
   EXPECT_NEAR(parts.log_likelihood(), mono_lnl, 1e-8 * std::abs(mono_lnl));
 }
 
-TEST(PartitionedEngineTest, ScheduledAndInlineAreBitIdentical) {
+TEST(PartitionedEngineTest, ConcurrentPartsMatchStandaloneEngines) {
+  // The partitions evaluate concurrently on one shared pool; each must
+  // compute exactly what a standalone engine on its columns computes, and
+  // the total is their sum in partition order.
   par::ThreadPool pool(4);
   core::ThreadedBackend backend(pool);
   const Instance inst = make_instance(8, 240, 17);
   const auto spec = phylo::PartitionSpec::uniform(240, 3);
 
-  PartitionedEngine inline_pe(inst.aln, spec, {inst.params}, inst.tree,
-                              backend);
-  InstanceScheduler sched(3);
-  PartitionedEngine sched_pe(inst.aln, spec, {inst.params}, inst.tree,
-                             backend, PartitionedEngine::Config{}, &sched);
-
-  EXPECT_EQ(sched_pe.log_likelihood(), inline_pe.log_likelihood());
+  PartitionedEngine pe(inst.aln, spec, {inst.params}, inst.tree, backend);
+  std::vector<std::unique_ptr<core::PlfEngine>> alone;
+  for (const phylo::Alignment& part : spec.split(inst.aln)) {
+    alone.push_back(std::make_unique<core::PlfEngine>(
+        phylo::PatternMatrix::compress(part), inst.params, inst.tree,
+        backend));
+  }
+  auto expect_match = [&](const char* where) {
+    const double total = pe.log_likelihood();
+    double sum = 0.0;
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      const double lnl = alone[i]->log_likelihood();
+      EXPECT_EQ(pe.part(i).log_likelihood(), lnl) << where << " part " << i;
+      sum += lnl;
+    }
+    EXPECT_EQ(total, sum) << where;
+  };
+  expect_match("start");
+  for (std::size_t i = 0; i < spec.n_parts(); ++i) {
+    EXPECT_EQ(pe.part(i).instance_label(), spec.range(i).name);
+  }
 
   // Same move sequence through both: branch moves, an NNI proposal cycle,
   // and a per-partition model change.
-  const auto edges = inline_pe.tree().internal_edge_nodes();
+  const auto edges = pe.tree().internal_edge_nodes();
   ASSERT_FALSE(edges.empty());
   for (int round = 0; round < 6; ++round) {
-    const int leaf = inline_pe.tree().leaf_of(round % 8);
+    const int leaf = pe.tree().leaf_of(round % 8);
     const double len = 0.05 + 0.02 * round;
-    inline_pe.set_branch_length(leaf, len);
-    sched_pe.set_branch_length(leaf, len);
+    pe.set_branch_length(leaf, len);
+    for (auto& e : alone) e->set_branch_length(leaf, len);
     if (round % 2 == 0) {
       const int v = edges[static_cast<std::size_t>(round) % edges.size()];
-      inline_pe.begin_proposal();
-      sched_pe.begin_proposal();
-      inline_pe.apply_nni(v, round % 4 == 0);
-      sched_pe.apply_nni(v, round % 4 == 0);
-      EXPECT_EQ(sched_pe.log_likelihood(), inline_pe.log_likelihood());
-      inline_pe.reject();
-      sched_pe.reject();
+      pe.begin_proposal();
+      pe.apply_nni(v, round % 4 == 0);
+      for (auto& e : alone) {
+        e->begin_proposal();
+        e->apply_nni(v, round % 4 == 0);
+      }
+      expect_match("proposal");
+      pe.reject();
+      for (auto& e : alone) e->reject();
     }
-    EXPECT_EQ(sched_pe.log_likelihood(), inline_pe.log_likelihood());
+    expect_match("round");
   }
   phylo::GtrParams hot = inst.params;
   hot.gamma_shape *= 1.5;
-  inline_pe.set_model(1, hot);
-  sched_pe.set_model(1, hot);
-  EXPECT_EQ(sched_pe.log_likelihood(), inline_pe.log_likelihood());
-  sched_pe.detach_threads();
+  pe.set_model(1, hot);
+  alone[1]->set_model(hot);
+  expect_match("model");
 }
 
 TEST(PartitionedEngineTest, ModelMoveTouchesOnlyItsPartition) {

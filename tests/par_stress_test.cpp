@@ -550,14 +550,15 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
 
 TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
   // The multi-instance runtime (exec/scheduler.hpp) adds the last cross-
-  // thread shape: four engines pinned to four driver threads all submit
-  // regions to ONE oversubscribed pool concurrently, while a flusher thread
-  // snapshots the global registry the engines publish their per-instance
-  // gauges into between evaluations. Under TSan this checks the region
-  // queue's cross-submitter edges and the driver handoff (ThreadChecker
-  // detach/rebind); under plain presets it checks the scheduled engines stay
-  // bit-identical to an unscheduled twin stepped inline through the same
-  // moves on the same backend (scheduling must not change the arithmetic).
+  // thread shape: four engines, one on the caller and three on fixed driver
+  // threads, all submit regions to ONE oversubscribed pool concurrently,
+  // while a flusher thread snapshots the global registry the engines publish
+  // their per-instance gauges into between evaluations. Under TSan this
+  // checks the region queue's cross-submitter edges and the driver handoff
+  // (ThreadChecker detach/rebind); under plain presets it checks the
+  // concurrent engines stay bit-identical to a twin stepped inline through
+  // the same moves on the same backend (concurrency must not change the
+  // arithmetic).
   ThreadPool pool(kThreads);
   core::ThreadedBackend threaded(pool);
 
@@ -592,7 +593,9 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
   {
     exec::InstanceScheduler sched(kInstances);
     for (std::size_t i = 0; i < kInstances; ++i) {
-      sched.register_instance(*engines[i], "inst" + std::to_string(i));
+      engines[i]->set_instance_label("inst" + std::to_string(i));
+      // Built (and first evaluated) here: hand off to the fixed threads.
+      engines[i]->detach_thread();
     }
     const auto edges = reference.tree().internal_edge_nodes();
     ASSERT_FALSE(edges.empty());
@@ -602,7 +605,8 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
       const double len = 0.02 + 0.01 * round;
       const int v = edges[static_cast<std::size_t>(round) % edges.size()];
       const bool nni_round = round % 3 == 0;
-      sched.for_each_instance([&](int id, core::PlfEngine& e) {
+      sched.for_each([&](std::size_t id) {
+        core::PlfEngine& e = *engines[id];
         e.set_branch_length(leaf, len);
         if (nni_round) {
           e.begin_proposal();
@@ -610,7 +614,7 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
           e.log_likelihood();
           e.reject();
         }
-        lnl[static_cast<std::size_t>(id)] = e.log_likelihood();
+        lnl[id] = e.log_likelihood();
         e.publish_stats(obs::MetricsRegistry::global());
       });
       reference.set_branch_length(leaf, len);
@@ -620,7 +624,7 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
         reference.log_likelihood();
         reference.reject();
       }
-      // Scheduled engines match the inline twin bit-for-bit, and
+      // Concurrent engines match the inline twin bit-for-bit, and
       // each other (all four ran the identical move sequence).
       const double expect = reference.log_likelihood();
       for (std::size_t i = 0; i < kInstances; ++i) {

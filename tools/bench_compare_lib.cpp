@@ -119,7 +119,7 @@ CompareReport compare_benches(const json::Value& baseline,
     r.baseline_min = kNan;
     r.current_min = case_min(cur_case, name, "current");
     r.ratio = kNan;
-    r.threshold = opts.default_threshold;
+    r.threshold = cur_case.number_or("threshold", opts.default_threshold);
     ++report.new_cases;
     report.cases.push_back(std::move(r));
   }
