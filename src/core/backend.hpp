@@ -44,6 +44,12 @@ class ExecutionBackend {
   /// run_* entries reject indexed arguments outright.
   virtual bool supports_site_repeats() const { return false; }
 
+  /// Whether engines on different threads may call this backend at the same
+  /// time, as the chains of an MC^3 coupler and the parts of a partitioned
+  /// engine do (exec::InstanceScheduler). The Cell and GPU simulators model
+  /// one device owned by one thread, so they refuse.
+  virtual bool supports_concurrent_callers() const { return false; }
+
   virtual void run_down(const KernelSet& ks, const DownArgs& args,
                         std::size_t m) = 0;
   virtual void run_root(const KernelSet& ks, const RootArgs& args,
@@ -83,6 +89,7 @@ class SerialBackend final : public ExecutionBackend {
  public:
   std::string name() const override { return "serial"; }
   bool supports_site_repeats() const override { return true; }
+  bool supports_concurrent_callers() const override { return true; }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;
   void run_scale(const KernelSet& ks, const ScaleArgs& a, std::size_t m) override;
@@ -108,6 +115,8 @@ class ThreadedBackend final : public ExecutionBackend {
 
   std::string name() const override;
   bool supports_site_repeats() const override { return true; }
+  /// The pool runs regions from many submitting threads at once.
+  bool supports_concurrent_callers() const override { return true; }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;
   void run_scale(const KernelSet& ks, const ScaleArgs& a, std::size_t m) override;
@@ -132,7 +141,8 @@ class ThreadedBackend final : public ExecutionBackend {
 /// more — on a ThreadedBackend 2·ops + 1 parallel regions, the Fig. 9
 /// spawn/sync overhead. Bit-identical to `inner` by the run_plan contract;
 /// the A/B reference for the fusion ablation and the 0-ULP twins. Forwards
-/// inner's supports_site_repeats unchanged. `inner` must outlive it.
+/// inner's supports_site_repeats and supports_concurrent_callers unchanged.
+/// `inner` must outlive it.
 class PerCallBackend final : public ExecutionBackend {
  public:
   explicit PerCallBackend(ExecutionBackend& inner) : inner_(inner) {}
@@ -140,6 +150,9 @@ class PerCallBackend final : public ExecutionBackend {
   std::string name() const override;
   bool supports_site_repeats() const override {
     return inner_.supports_site_repeats();
+  }
+  bool supports_concurrent_callers() const override {
+    return inner_.supports_concurrent_callers();
   }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;

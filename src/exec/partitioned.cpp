@@ -19,6 +19,9 @@ PartitionedEngine::PartitionedEngine(const phylo::Alignment& aln,
     : spec_(spec), drivers_(spec.n_parts()) {
   PLF_CHECK(params.size() == 1 || params.size() == spec.n_parts(),
             "partitioned engine: pass one GtrParams or one per partition");
+  PLF_CHECK(spec.n_parts() == 1 || backend.supports_concurrent_callers(),
+            "partitioned engine evaluates parts concurrently, but backend '" +
+                backend.name() + "' takes calls from one thread only");
   const std::vector<phylo::Alignment> parts = spec_.split(aln);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const phylo::GtrParams& p = params[params.size() == 1 ? 0 : i];
@@ -31,11 +34,19 @@ PartitionedEngine::PartitionedEngine(const phylo::Alignment& aln,
   }
 }
 
+core::PlfEngine& PartitionedEngine::part(std::size_t i) {
+  engines_[i]->detach_thread();
+  on_caller_ = true;
+  return *engines_[i];
+}
+
 void PartitionedEngine::for_each_part(
     const std::function<void(std::size_t, core::PlfEngine&)>& fn) const {
-  detach_threads();
+  if (on_caller_) {
+    for (const auto& e : engines_) e->detach_thread();
+    on_caller_ = false;
+  }
   drivers_.for_each([&](std::size_t i) { fn(i, *engines_[i]); });
-  detach_threads();
 }
 
 double PartitionedEngine::log_likelihood() {
@@ -77,8 +88,9 @@ void PartitionedEngine::apply_nni(int v, bool swap_left) {
 void PartitionedEngine::set_model(std::size_t part,
                                   const phylo::GtrParams& params) {
   PLF_CHECK(part < engines_.size(), "partitioned engine: part out of range");
-  // Between fan-outs every engine is released, so the caller may update it.
-  engines_[part]->set_model(params);
+  for_each_part([part, &params](std::size_t i, core::PlfEngine& e) {
+    if (i == part) e.set_model(params);
+  });
 }
 
 void PartitionedEngine::save_state(util::BinaryWriter& w) const {
@@ -124,10 +136,6 @@ void PartitionedEngine::publish_stats(obs::MetricsRegistry& registry) const {
   for_each_part([&registry](std::size_t, core::PlfEngine& e) {
     e.publish_stats(registry);
   });
-}
-
-void PartitionedEngine::detach_threads() const {
-  for (const auto& e : engines_) e->detach_thread();
 }
 
 }  // namespace plf::exec

@@ -46,9 +46,10 @@ class PartitionedEngine {
   /// holds either one entry (every partition starts from the same model) or
   /// exactly spec.n_parts() entries. Every engine gets its own copy of
   /// `tree` and is labeled with its partition's name; the driver threads
-  /// start at the first fan-out. The backend must accept concurrent
-  /// run_plan calls (Serial, Threaded and PerCall do; the thread-confined
-  /// Cell and GPU simulators do not).
+  /// start at the first fan-out. With more than one partition the backend
+  /// must supports_concurrent_callers() (Serial, Threaded and PerCall over
+  /// either do); the thread-confined Cell and GPU simulators are refused
+  /// with plf::Error.
   PartitionedEngine(const phylo::Alignment& aln,
                     const phylo::PartitionSpec& spec,
                     const std::vector<phylo::GtrParams>& params,
@@ -57,9 +58,9 @@ class PartitionedEngine {
 
   std::size_t n_parts() const { return engines_.size(); }
   const phylo::PartitionSpec& spec() const { return spec_; }
-  /// Engine of partition `i`. Safe to touch from the caller between
-  /// PartitionedEngine calls: every call hands the engines back on return.
-  core::PlfEngine& part(std::size_t i) { return *engines_[i]; }
+  /// Engine of partition `i`, handed to the caller until the next
+  /// PartitionedEngine call takes it back.
+  core::PlfEngine& part(std::size_t i);
 
   /// Sum of per-partition log likelihoods, accumulated in partition order.
   double log_likelihood();
@@ -88,15 +89,16 @@ class PartitionedEngine {
   void publish_stats(obs::MetricsRegistry& registry) const;
 
  private:
-  /// Run `fn(part, engine)` for every partition on its fixed thread. The
-  /// engines are released before and after, so the caller may touch them
-  /// between calls.
+  /// Run `fn(part, engine)` for every partition on its fixed thread, first
+  /// releasing the engines if the caller has held them.
   void for_each_part(
       const std::function<void(std::size_t, core::PlfEngine&)>& fn) const;
-  void detach_threads() const;
 
   phylo::PartitionSpec spec_;
   std::vector<std::unique_ptr<core::PlfEngine>> engines_;
+  /// The caller may have bound engines to its thread (construction, part()),
+  /// so the next fan-out must release them for the drivers to rebind.
+  mutable bool on_caller_ = true;
   /// Declared last so its drivers stop before the engines are destroyed.
   /// Mutable: fanning out is not a change to the partitioned engine.
   mutable InstanceScheduler drivers_;

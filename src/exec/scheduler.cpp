@@ -45,7 +45,7 @@ void InstanceScheduler::for_each(
     util::MutexLock lock(m_);
     job_ = &fn;
     ++round_;
-    pending_ = drivers_.size();
+    pending_.store(drivers_.size(), std::memory_order_relaxed);
   }
   start_cv_.notify_all();
   try {
@@ -62,10 +62,14 @@ void InstanceScheduler::for_each(
 }
 
 std::exception_ptr InstanceScheduler::wait_drivers() {
+  // Spin rather than sleep, as the pool's submitter does on its region: a
+  // sleeping caller is woken on whichever CPU the last driver finished on,
+  // so over a run it wanders across CPUs, and the single-threaded work it
+  // does after the run (perfbench's next set-up) ran up to a third slower.
+  for (unsigned spins = 0; pending_.load(std::memory_order_acquire) != 0;) {
+    util::spin_step(spins);
+  }
   util::MutexLock lock(m_);
-  // Predicate runs with m_ held by the wait loop itself; TSA analyzes the
-  // lambda without that context, hence the exemption.
-  done_cv_.wait(m_, [&]() PLF_NO_TSA { return pending_ == 0; });
   job_ = nullptr;
   return std::exchange(error_, nullptr);
 }
@@ -89,12 +93,14 @@ void InstanceScheduler::driver_loop(std::size_t index) {
     } catch (...) {
       error = std::current_exception();
     }
-    util::MutexLock lock(m_);
-    // Hand the exception over, or drop it, under the lock: once pending_
-    // reaches 0 the caller may rethrow and destroy it.
-    if (!error_) error_ = std::move(error);
-    error = nullptr;
-    if (--pending_ == 0) done_cv_.notify_one();
+    {
+      util::MutexLock lock(m_);
+      // Hand the exception over, or drop it, under the lock: once pending_
+      // reaches 0 the caller may rethrow and destroy it.
+      if (!error_) error_ = std::move(error);
+      error = nullptr;
+    }
+    pending_.fetch_sub(1, std::memory_order_release);
   }
 }
 

@@ -8,7 +8,8 @@
 //
 //   InstanceScheduler  for_each(fn) runs fn(i) for every i in [0, N): i = 0
 //                      on the calling thread, each i >= 1 on its own DRIVER
-//                      thread, then waits for all of them. Index i always
+//                      thread, then spin-waits for all of them (the caller
+//                      never sleeps, so it keeps its CPU). Index i always
 //                      lands on the same thread, so an engine stepped only by
 //                      fn(i) stays confined to one thread (its ThreadChecker
 //                      binds once per handoff). The instances' backends
@@ -23,6 +24,7 @@
 // substrate other code should use instead of raw std::thread.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -50,7 +52,8 @@ class InstanceScheduler {
   /// Run fn(i) for every i in [0, n_instances): i = 0 on the calling thread,
   /// each i >= 1 on its own driver. Returns once every call has finished,
   /// also when fn(0) throws, since the driver calls may reference the
-  /// caller's frame. Rethrows fn(0)'s exception if it threw, else the first
+  /// caller's frame. The caller spin-waits for the drivers and never
+  /// sleeps, so it stays on its CPU. Rethrows fn(0)'s exception if it threw, else the first
   /// driver's. One caller at a time; fn must not call for_each on this
   /// scheduler.
   void for_each(const std::function<void(std::size_t)>& fn);
@@ -66,10 +69,10 @@ class InstanceScheduler {
 
   util::Mutex m_;
   util::CondVar start_cv_;  ///< drivers wait here for the next round
-  util::CondVar done_cv_;   ///< the caller waits here for pending_ == 0
   const std::function<void(std::size_t)>* job_ PLF_GUARDED_BY(m_) = nullptr;
   std::uint64_t round_ PLF_GUARDED_BY(m_) = 0;
-  std::size_t pending_ PLF_GUARDED_BY(m_) = 0;
+  /// Drivers still running the current round; the caller spins on it.
+  std::atomic<std::size_t> pending_{0};
   std::exception_ptr error_ PLF_GUARDED_BY(m_);
   bool stop_ PLF_GUARDED_BY(m_) = false;
   const std::size_t n_instances_;

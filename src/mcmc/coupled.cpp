@@ -23,6 +23,11 @@ CoupledChains::CoupledChains(
       drivers_(engines.size()) {
   PLF_CHECK(!engines.empty(), "coupled chains need at least one engine");
   PLF_CHECK(options.heat >= 0.0, "heat must be nonnegative");
+  for (const auto& e : engines) {
+    PLF_CHECK(engines.size() == 1 || e->backend().supports_concurrent_callers(),
+              "coupled chains step concurrently, but backend '" +
+                  e->backend().name() + "' takes calls from one thread only");
+  }
 
   for (std::size_t i = 0; i < engines.size(); ++i) {
     ChainState cs;

@@ -93,9 +93,10 @@ class CoupledChains {
   /// family. Each chain's initial evaluation runs on the constructing thread;
   /// the driver threads start at the first step. With more than one chain, engine i
   /// is labeled "chain<i>" so its gauges don't collide with the others'.
-  /// The engines' backend must accept concurrent run_plan calls (Serial,
-  /// Threaded and PerCall do; the thread-confined Cell and GPU simulators do
-  /// not).
+  /// With more than one chain, every engine's backend must
+  /// supports_concurrent_callers() (Serial, Threaded and PerCall over
+  /// either do); the thread-confined Cell and GPU simulators are refused
+  /// with plf::Error.
   CoupledChains(std::vector<std::unique_ptr<core::PlfEngine>> engines,
                 const CoupledOptions& options);
 

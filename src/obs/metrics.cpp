@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -32,35 +33,63 @@ struct MetricsRegistry::Shard {
   std::vector<LatencyHistogram> hists PLF_GUARDED_BY(m);  // with timers
   std::vector<TraceEvent> events PLF_GUARDED_BY(m);
   std::uint32_t tid = 0;  // shard index (immutable once registered)
+  /// Held by a live thread. Cleared when that thread exits, so make_shard
+  /// hands the shard, totals and all, to the next new thread.
+  std::atomic<bool> leased{true};
 };
 
 MetricsRegistry::MetricsRegistry() : serial_(next_registry_serial()) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
-MetricsRegistry::Shard& MetricsRegistry::make_shard() {
+std::shared_ptr<MetricsRegistry::Shard> MetricsRegistry::make_shard() {
   util::MutexLock lock(mutex_);
-  shards_.push_back(std::make_unique<Shard>());
+  // Reuse an exited thread's shard: a process that starts threads over and
+  // over (one coupler's drivers after another's) keeps one shard per live
+  // thread, not one per thread it ever ran.
+  for (const std::shared_ptr<Shard>& s : shards_) {
+    bool free = false;
+    if (s->leased.compare_exchange_strong(free, true,
+                                          std::memory_order_acquire)) {
+      return s;
+    }
+  }
+  shards_.push_back(std::make_shared<Shard>());
   shards_.back()->tid = static_cast<std::uint32_t>(shards_.size() - 1);
-  return *shards_.back();
+  return shards_.back();
+}
+
+std::size_t MetricsRegistry::n_shards() const {
+  util::MutexLock lock(mutex_);
+  return shards_.size();
 }
 
 MetricsRegistry::Shard& MetricsRegistry::shard_for_this_thread() {
-  // Thread-local shard cache: (registry serial -> shard). Entries for dead
-  // registries are never dereferenced (lookup is by serial, which is never
-  // reused), so stale entries are harmless; the vector stays tiny because
-  // few registries exist at once.
-  struct CacheEntry {
+  // A thread's hold on its shard of one registry, released at thread exit.
+  // Sharing the shard keeps it alive past its registry, so the release
+  // never needs the registry itself.
+  struct Lease {
     std::uint64_t serial;
-    Shard* shard;
+    std::shared_ptr<Shard> shard;
+
+    Lease(std::uint64_t r, std::shared_ptr<Shard> s)
+        : serial(r), shard(std::move(s)) {}
+    Lease(Lease&&) noexcept = default;  // for the cache's growth
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() {
+      if (shard) shard->leased.store(false, std::memory_order_release);
+    }
   };
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
+  // Thread-local shard cache: (registry serial -> lease). Entries for dead
+  // registries are never looked up again (serials are never reused). The
+  // vector stays tiny because few registries exist at once.
+  thread_local std::vector<Lease> cache;
+  for (const Lease& e : cache) {
     if (e.serial == serial_) return *e.shard;
   }
-  Shard& shard = make_shard();
-  cache.push_back(CacheEntry{serial_, &shard});
-  return shard;
+  cache.emplace_back(serial_, make_shard());
+  return *cache.back().shard;
 }
 
 MetricId MetricsRegistry::intern(std::string_view name, MetricKind kind) {

@@ -9,7 +9,8 @@
 // reassembles the paper-shaped breakdown.
 //
 // Concurrency design: each thread writes to its own shard (created on first
-// touch, owned by the registry), so the hot path never contends with other
+// touch, owned by the registry, and handed to the next new thread once its
+// thread exits), so the hot path never contends with other
 // writers. A shard carries one mutex that is taken per record; it is
 // uncontended except while a reader flushes, which makes the design
 // race-free under TSan without atomics on the OnlineStats state. Gauges are
@@ -45,7 +46,8 @@ using MetricId = std::uint32_t;
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kTimer };
 
 /// One completed PLF_PROF_SCOPE span, recorded only while tracing is
-/// enabled. tid is the shard index (one per recording thread).
+/// enabled. tid is the shard index (one per live recording thread; a thread
+/// started after another exited may reuse its index).
 struct TraceEvent {
   MetricId name_id = 0;
   std::uint64_t start_ns = 0;
@@ -136,6 +138,10 @@ class MetricsRegistry {
   /// and ids survive (handles held by callers stay valid).
   void reset() PLF_EXCLUDES(mutex_);
 
+  /// Per-thread shards held: one per thread alive at once that recorded
+  /// here. A shard outlives its thread and goes to the next new one.
+  std::size_t n_shards() const PLF_EXCLUDES(mutex_);
+
   /// Process-wide registry the PLF_PROF_* macros record into.
   static MetricsRegistry& global();
 
@@ -144,7 +150,7 @@ class MetricsRegistry {
 
   MetricId intern(std::string_view name, MetricKind kind) PLF_EXCLUDES(mutex_);
   Shard& shard_for_this_thread() PLF_EXCLUDES(mutex_);
-  Shard& make_shard() PLF_EXCLUDES(mutex_);
+  std::shared_ptr<Shard> make_shard() PLF_EXCLUDES(mutex_);
 
   /// Serial number distinguishing registries that reuse an address (the
   /// thread-local shard cache is keyed on it).
@@ -163,7 +169,7 @@ class MetricsRegistry {
   std::vector<NameEntry> names_ PLF_GUARDED_BY(mutex_);
   /// Indexed by id (0.0 for non-gauges).
   std::vector<double> gauge_values_ PLF_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Shard>> shards_ PLF_GUARDED_BY(mutex_);
+  std::vector<std::shared_ptr<Shard>> shards_ PLF_GUARDED_BY(mutex_);
 
   std::atomic<bool> tracing_{false};
   mutable std::atomic<std::uint64_t> trace_count_{0};

@@ -29,35 +29,6 @@ namespace {
 /// millisecond.
 constexpr std::chrono::microseconds kSpinBeforePark{200};
 
-/// Spin iterations between sched_yield calls (and, for idle helpers, between
-/// clock reads). Keeps a spinner that shares its CPU with the thread it
-/// waits for (oversubscribed pools, sanitizer runs) from starving it for a
-/// whole time slice, at a few microseconds per yield otherwise.
-constexpr unsigned kSpinsPerYield = 128;
-
-/// Hint to the CPU that we are in a spin-wait loop. On x86 this is the
-/// `pause` instruction (reduces the memory-order-violation flush on loop
-/// exit and yields pipeline resources to the sibling hyperthread); elsewhere
-/// it is a no-op and the periodic yield provides the backoff.
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#endif
-}
-
-/// One step of a spin-wait: cpu_relax, and every kSpinsPerYield steps a
-/// yield instead. Returns true on the yield steps.
-bool spin_step(unsigned& spins) {
-  if (++spins % kSpinsPerYield != 0) {
-    cpu_relax();
-    return false;
-  }
-  std::this_thread::yield();
-  return true;
-}
-
 /// The calling thread's affinity set in ascending order (empty where
 /// unknown). sched_getaffinity(0) reads the calling thread's mask, not the
 /// process's: helpers inherit their creator's mask anyway, and `taskset`
@@ -262,7 +233,7 @@ void ThreadPool::idle_wait() {
       woken = true;
       break;
     }
-    if (spin_step(spins) && std::chrono::steady_clock::now() >= deadline) {
+    if (util::spin_step(spins) && std::chrono::steady_clock::now() >= deadline) {
       break;
     }
   }
@@ -340,7 +311,7 @@ void ThreadPool::parallel_for(
   // Every block is claimed and running (or done): wait for the in-flight
   // ones without sleeping, since they are already on their CPUs.
   for (unsigned spins = 0; !region.done.load(std::memory_order_acquire);) {
-    spin_step(spins);
+    util::spin_step(spins);
   }
   // TSA finding (docs/STATIC_ANALYSIS.md): this read used to access
   // region.error bare — safe only via a happens-before edge invisible to

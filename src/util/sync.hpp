@@ -19,6 +19,8 @@
 //                 thread and aborts if any other thread ever calls in — the
 //                 compile-time proof and the runtime tripwire come from one
 //                 annotation. Release builds: check() is empty.
+//   spin_step     one step of a bounded-latency spin-wait (pause, with a
+//                 periodic yield) for waiters that must not sleep.
 #pragma once
 
 #include <atomic>
@@ -30,6 +32,29 @@
 #include "util/thread_annotations.hpp"
 
 namespace plf::util {
+
+/// Spin iterations between sched_yield calls. Keeps a spinner that shares
+/// its CPU with the thread it waits for (oversubscribed pools, sanitizer
+/// runs) from starving it for a whole time slice, at a few microseconds per
+/// yield otherwise.
+inline constexpr unsigned kSpinsPerYield = 128;
+
+/// One step of a spin-wait: a CPU pause hint (on x86 `pause`, which eases
+/// the loop-exit memory-order flush and yields pipeline resources to a
+/// sibling hyperthread), and every kSpinsPerYield steps a yield instead.
+/// Returns true on the yield steps.
+inline bool spin_step(unsigned& spins) {
+  if (++spins % kSpinsPerYield != 0) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+    return false;
+  }
+  std::this_thread::yield();
+  return true;
+}
 
 class PLF_CAPABILITY("mutex") Mutex {
  public:

@@ -4,11 +4,14 @@
 #include <memory>
 #include <string>
 
+#include "cell/machine.hpp"
 #include "core/backend.hpp"
 #include "core/engine.hpp"
+#include "gpu/plf_gpu.hpp"
 #include "par/thread_pool.hpp"
 #include "mcmc/coupled.hpp"
 #include "mcmc/diagnostics.hpp"
+#include "obs/metrics.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
@@ -190,6 +193,48 @@ TEST(CoupledTest, RejectsEmptyEngineList) {
   EXPECT_THROW(
       CoupledChains(std::vector<std::unique_ptr<core::PlfEngine>>{}, opts),
       Error);
+}
+
+TEST(CoupledTest, RejectsThreadConfinedBackends) {
+  const Instance inst = make_instance(8, 150, 5);
+  cell::CellMachine cell{cell::CellConfig{}};
+  gpu::GpuPlf gpu{gpu::GpuPlfConfig{}};
+  core::PerCallBackend percall_cell(cell);
+  for (core::ExecutionBackend* backend :
+       {static_cast<core::ExecutionBackend*>(&cell),
+        static_cast<core::ExecutionBackend*>(&gpu),
+        static_cast<core::ExecutionBackend*>(&percall_cell)}) {
+    EXPECT_FALSE(backend->supports_concurrent_callers()) << backend->name();
+    std::vector<std::unique_ptr<core::PlfEngine>> engines;
+    for (int i = 0; i < 2; ++i) {
+      engines.push_back(std::make_unique<core::PlfEngine>(
+          inst.data, inst.params, inst.tree, *backend,
+          core::KernelVariant::kScalar));
+    }
+    EXPECT_THROW(CoupledChains(std::move(engines), CoupledOptions{}), Error)
+        << backend->name();
+  }
+  // One chain runs inline on the caller, so any backend serves it.
+  std::vector<std::unique_ptr<core::PlfEngine>> one;
+  one.push_back(std::make_unique<core::PlfEngine>(
+      inst.data, inst.params, inst.tree, gpu, core::KernelVariant::kScalar));
+  CoupledChains single(std::move(one), CoupledOptions{});
+  EXPECT_EQ(single.run(2).final_ln_likelihoods.size(), 1u);
+}
+
+TEST(CoupledTest, RepeatedCouplersKeepTheShardCountBounded) {
+  // Every coupler starts fresh driver threads that record into the global
+  // registry; an exited driver's shard goes to the next one.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  auto run_coupler = [] {
+    CoupledFixture fx(4, 91);
+    CoupledChains mc3(fx.take(), CoupledOptions{});
+    (void)mc3.run(3);
+  };
+  run_coupler();
+  const std::size_t shards = reg.n_shards();
+  for (int i = 0; i < 5; ++i) run_coupler();
+  EXPECT_LE(reg.n_shards(), shards);
 }
 
 TEST(DiagnosticsTest, AutocorrelationBasics) {

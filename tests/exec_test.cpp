@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "cell/machine.hpp"
 #include "core/backend.hpp"
 #include "core/engine.hpp"
 #include "exec/partitioned.hpp"
@@ -246,6 +247,18 @@ TEST(PartitionedEngineTest, ConcurrentPartsMatchStandaloneEngines) {
   pe.set_model(1, hot);
   alone[1]->set_model(hot);
   expect_match("model");
+}
+
+TEST(PartitionedEngineTest, RejectsThreadConfinedBackends) {
+  const Instance inst = make_instance(8, 240, 18);
+  cell::CellMachine cell{cell::CellConfig{}};
+  EXPECT_THROW(PartitionedEngine(inst.aln, phylo::PartitionSpec::uniform(240, 3),
+                                 {inst.params}, inst.tree, cell),
+               Error);
+  // One partition runs inline on the caller, so any backend serves it.
+  PartitionedEngine one(inst.aln, phylo::PartitionSpec::uniform(240, 1),
+                        {inst.params}, inst.tree, cell);
+  EXPECT_EQ(one.n_parts(), 1u);
 }
 
 TEST(PartitionedEngineTest, ModelMoveTouchesOnlyItsPartition) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <latch>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -172,6 +173,53 @@ TEST(MetricsRegistry, ThreadShardsMergeExactly) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_NEAR(timer->stats.total(), kThreads * kPerThread * 0.001, 1e-9);
   EXPECT_NEAR(timer->stats.stddev(), 0.0, 1e-12);  // identical samples
+}
+
+TEST(MetricsRegistry, ExitedThreadsShardsAreReused) {
+  MetricsRegistry reg;
+  const MetricId c = reg.counter("reuse.counter");
+  const MetricId t = reg.timer("reuse.timer");
+  constexpr int kAlive = 3;
+  constexpr int kRounds = 5;
+  // Rounds of kAlive threads alive at once (each records, then waits for
+  // the others), each round started after the last one exited: the shard
+  // count is the live-thread count, not the number of threads ever started.
+  for (int round = 0; round < kRounds; ++round) {
+    std::latch all_recorded(kAlive);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kAlive; ++i) {
+      threads.emplace_back([&reg, &all_recorded, c, t] {
+        reg.add(c);
+        reg.record_seconds(t, 0.5);
+        all_recorded.arrive_and_wait();
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(reg.n_shards(), static_cast<std::size_t>(kAlive)) << round;
+  }
+  // A reused shard keeps the exited threads' totals.
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("reuse.counter"),
+            static_cast<std::uint64_t>(kAlive * kRounds));
+  EXPECT_EQ(snap.find_timer("reuse.timer")->stats.count(),
+            static_cast<std::uint64_t>(kAlive * kRounds));
+  // A thread that outlives its registry releases its shard safely (the
+  // asan-ubsan preset checks that the release touches no freed memory).
+  std::latch recorded(1);
+  std::latch registry_gone(1);
+  std::thread late;
+  {
+    MetricsRegistry short_lived;
+    const MetricId id = short_lived.counter("late");
+    late = std::thread([&short_lived, &recorded, &registry_gone, id] {
+      short_lived.add(id);
+      recorded.count_down();
+      registry_gone.wait();
+    });
+    recorded.wait();
+  }
+  registry_gone.count_down();
+  late.join();
 }
 
 // --- ScopedTimer with the fake clock --------------------------------------
