@@ -34,12 +34,14 @@
 // trace to FILE (default plf_trace.json). --metrics-json dumps the full
 // metrics snapshot (counters, gauges, timer stats) as JSON to FILE (default
 // plf_metrics.json).
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -99,6 +101,30 @@ constexpr const char* kUsage =
     "                    [--status-file=FILE] [--stop-at-ess=N]\n"
     "                    [alignment-file] [generations] [chains] [seed]\n";
 
+// Numeric arguments must be a number and nothing else: "5k", "2O" and "-5"
+// are refused rather than read as 5, 2 and 2^64-5.
+bool parse_count(std::string_view text, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+bool parse_nonnegative(std::string_view text, double& out) {
+  const char* end = text.data() + text.size();
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) || value < 0.0) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+int bad_number(std::string_view arg) {
+  std::cerr << "mrbayes_lite: malformed number in '" << arg << "'\n" << kUsage;
+  return 2;
+}
+
 }  // namespace
 
 int run_main(int argc, char** argv) {
@@ -112,6 +138,7 @@ int run_main(int argc, char** argv) {
   std::string checkpoint_path = "mrbayes_lite.ckpt";
   std::string resume_path;          // empty: fresh run
   std::string partitions_spec;      // empty: unpartitioned
+  std::uint64_t n_parts = 0;        // --partitions=N (a spec without ':')
   std::string telemetry_path;       // empty: no JSONL telemetry
   std::string status_path;          // empty: no latest-status file
   std::uint64_t telemetry_every = 100;
@@ -135,26 +162,36 @@ int run_main(int argc, char** argv) {
     } else if (arg.rfind("--metrics-json=", 0) == 0) {
       metrics_path = arg.substr(std::strlen("--metrics-json="));
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      checkpoint_every = std::strtoull(
-          arg.c_str() + std::strlen("--checkpoint-every="), nullptr, 10);
+      if (!parse_count(arg.substr(std::strlen("--checkpoint-every=")),
+                       checkpoint_every)) {
+        return bad_number(arg);
+      }
     } else if (arg.rfind("--checkpoint=", 0) == 0) {
       checkpoint_path = arg.substr(std::strlen("--checkpoint="));
     } else if (arg.rfind("--resume=", 0) == 0) {
       resume_path = arg.substr(std::strlen("--resume="));
     } else if (arg.rfind("--partitions=", 0) == 0) {
       partitions_spec = arg.substr(std::strlen("--partitions="));
+      if (partitions_spec.find(':') == std::string::npos &&
+          !parse_count(partitions_spec, n_parts)) {
+        return bad_number(arg);
+      }
     } else if (arg == "--telemetry") {
       telemetry_path = "plf_telemetry.jsonl";
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_path = arg.substr(std::strlen("--telemetry="));
     } else if (arg.rfind("--telemetry-every=", 0) == 0) {
-      telemetry_every = std::strtoull(
-          arg.c_str() + std::strlen("--telemetry-every="), nullptr, 10);
+      if (!parse_count(arg.substr(std::strlen("--telemetry-every=")),
+                       telemetry_every)) {
+        return bad_number(arg);
+      }
     } else if (arg.rfind("--status-file=", 0) == 0) {
       status_path = arg.substr(std::strlen("--status-file="));
     } else if (arg.rfind("--stop-at-ess=", 0) == 0) {
-      stop_at_ess = std::strtod(
-          arg.c_str() + std::strlen("--stop-at-ess="), nullptr);
+      if (!parse_nonnegative(arg.substr(std::strlen("--stop-at-ess=")),
+                             stop_at_ess)) {
+        return bad_number(arg);
+      }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << kUsage;
       return 0;
@@ -169,12 +206,12 @@ int run_main(int argc, char** argv) {
     obs::MetricsRegistry::global().enable_tracing(true);
   }
   const char* path = (!pos.empty() && pos[0][0] != '\0') ? pos[0] : nullptr;
-  const std::uint64_t gens =
-      pos.size() > 1 ? std::strtoull(pos[1], nullptr, 10) : 5000;
-  const std::size_t n_chains =
-      pos.size() > 2 ? std::strtoul(pos[2], nullptr, 10) : 4;
-  const std::uint64_t seed =
-      pos.size() > 3 ? std::strtoull(pos[3], nullptr, 10) : 1;
+  std::uint64_t gens = 5000;
+  std::uint64_t n_chains = 4;
+  std::uint64_t seed = 1;
+  if (pos.size() > 1 && !parse_count(pos[1], gens)) return bad_number(pos[1]);
+  if (pos.size() > 2 && !parse_count(pos[2], n_chains)) return bad_number(pos[2]);
+  if (pos.size() > 3 && !parse_count(pos[3], seed)) return bad_number(pos[3]);
 
   std::cout << "== mrbayes_lite ==\n";
   const phylo::Alignment aln = load_or_simulate(path, seed);
@@ -211,9 +248,7 @@ int run_main(int argc, char** argv) {
     // into per-range model instances whose lnLs sum to the joint lnL.
     const bool numeric = partitions_spec.find(':') == std::string::npos;
     const phylo::PartitionSpec spec =
-        numeric ? phylo::PartitionSpec::uniform(
-                      aln.n_columns(),
-                      std::strtoul(partitions_spec.c_str(), nullptr, 10))
+        numeric ? phylo::PartitionSpec::uniform(aln.n_columns(), n_parts)
                 : phylo::PartitionSpec::parse(partitions_spec,
                                               aln.n_columns());
     exec::PartitionedEngine::Config pcfg;

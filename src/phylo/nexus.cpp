@@ -1,10 +1,8 @@
 #include "phylo/nexus.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <map>
-#include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -66,13 +64,6 @@ class Scanner {
       ++pos_;
     }
     return word;
-  }
-
-  std::string peek() {
-    const std::size_t save = pos_;
-    std::string t = next();
-    pos_ = save;
-    return t;
   }
 
   /// Everything up to (not including) the next ';', raw.
@@ -220,76 +211,6 @@ void parse_data_block(Scanner& sc, NexusFile& out) {
   out.has_alignment = true;
 }
 
-/// Replace translate-table labels inside a Newick string.
-std::string apply_translate(const std::string& newick,
-                            const std::map<std::string, std::string>& table) {
-  if (table.empty()) return newick;
-  std::string out;
-  std::string label;
-  auto flush = [&] {
-    if (label.empty()) return;
-    const auto it = table.find(label);
-    out += (it != table.end()) ? it->second : label;
-    label.clear();
-  };
-  bool in_length = false;  // after ':' labels are numbers, never translated
-  for (char c : newick) {
-    if (c == '(' || c == ')' || c == ',' || c == ';') {
-      flush();
-      in_length = false;
-      out += c;
-    } else if (c == ':') {
-      flush();
-      in_length = true;
-      out += c;
-    } else if (std::isspace(static_cast<unsigned char>(c))) {
-      flush();
-    } else if (in_length) {
-      out += c;
-    } else {
-      label += c;
-    }
-  }
-  flush();
-  return out;
-}
-
-void parse_trees_block(Scanner& sc, NexusFile& out) {
-  std::map<std::string, std::string> translate;
-  for (;;) {
-    const std::string cmd = upper(sc.next());
-    if (cmd == "END" || cmd == "ENDBLOCK") {
-      if (sc.next() != ";") throw ParseError("NEXUS: END without ';'");
-      break;
-    }
-    if (cmd == "TRANSLATE") {
-      const std::string body = sc.until_semicolon();
-      std::istringstream is(body);
-      std::string key, value;
-      while (is >> key >> value) {
-        if (!value.empty() && value.back() == ',') value.pop_back();
-        translate[key] = value;
-      }
-    } else if (cmd == "TREE" || cmd == "UTREE") {
-      std::string name = sc.next();
-      if (name == "=") throw ParseError("NEXUS: TREE without a name");
-      if (sc.next() != "=") throw ParseError("NEXUS: TREE missing '='");
-      std::string newick = sc.until_semicolon();
-      // Trim whitespace; comments ([&U] etc.) were stripped globally.
-      newick.erase(std::remove_if(newick.begin(), newick.end(),
-                                  [](char c) {
-                                    return c == '\n' || c == '\r';
-                                  }),
-                   newick.end());
-      const auto first = newick.find_first_not_of(" \t");
-      if (first != std::string::npos) newick = newick.substr(first);
-      out.trees.emplace_back(name, apply_translate(newick, translate) + ";");
-    } else {
-      sc.until_semicolon();
-    }
-  }
-}
-
 }  // namespace
 
 NexusFile parse_nexus(const std::string& text) {
@@ -307,8 +228,6 @@ NexusFile parse_nexus(const std::string& text) {
     if (sc.next() != ";") throw ParseError("NEXUS: BEGIN without ';'");
     if (block == "DATA" || block == "CHARACTERS") {
       parse_data_block(sc, out);
-    } else if (block == "TREES") {
-      parse_trees_block(sc, out);
     } else {
       skip_block(sc);
     }
@@ -322,26 +241,6 @@ NexusFile read_nexus_file(const std::string& path) {
   std::ostringstream buf;
   buf << f.rdbuf();
   return parse_nexus(buf.str());
-}
-
-void write_nexus(std::ostream& os, const Alignment& alignment,
-                 const std::vector<std::pair<std::string, std::string>>& trees) {
-  os << "#NEXUS\n\nBEGIN DATA;\n";
-  os << "  DIMENSIONS NTAX=" << alignment.n_taxa() << " NCHAR="
-     << alignment.n_columns() << ";\n";
-  os << "  FORMAT DATATYPE=DNA MISSING=? GAP=-;\n";
-  os << "  MATRIX\n";
-  for (std::size_t t = 0; t < alignment.n_taxa(); ++t) {
-    os << "    " << alignment.name(t) << ' ' << alignment.sequence(t) << '\n';
-  }
-  os << "  ;\nEND;\n";
-  if (!trees.empty()) {
-    os << "\nBEGIN TREES;\n";
-    for (const auto& [name, newick] : trees) {
-      os << "  TREE " << name << " = " << newick << '\n';
-    }
-    os << "END;\n";
-  }
 }
 
 }  // namespace plf::phylo

@@ -3,27 +3,19 @@
 // A tolerant subset sufficient for phylogenetic data interchange:
 //   * DATA/CHARACTERS block: DIMENSIONS, FORMAT (datatype/missing/gap,
 //     interleaved), MATRIX (sequential or interleaved);
-//   * TREES block: optional TRANSLATE table, TREE statements (rooted [&R] /
-//     unrooted [&U] comments ignored);
+//   * every other block (TREES, MRBAYES, ...) is skipped to its END;
 //   * bracket comments `[...]` anywhere, case-insensitive keywords.
 #pragma once
 
-#include <iosfwd>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "phylo/alignment.hpp"
-#include "phylo/tree.hpp"
 
 namespace plf::phylo {
 
 struct NexusFile {
-  Alignment alignment;                    ///< from the DATA block (if present)
+  Alignment alignment;  ///< from the DATA block (if present)
   bool has_alignment = false;
-  /// TREE statements: (name, Newick-with-taxon-names) after TRANSLATE
-  /// resolution.
-  std::vector<std::pair<std::string, std::string>> trees;
 };
 
 /// Parse NEXUS text. Throws plf::ParseError on malformed input.
@@ -31,9 +23,5 @@ NexusFile parse_nexus(const std::string& text);
 
 /// Read a NEXUS file from disk.
 NexusFile read_nexus_file(const std::string& path);
-
-/// Write a DATA block (and optionally a TREES block) in NEXUS format.
-void write_nexus(std::ostream& os, const Alignment& alignment,
-                 const std::vector<std::pair<std::string, std::string>>& trees = {});
 
 }  // namespace plf::phylo

@@ -18,61 +18,29 @@ std::string column_key(const Alignment& aln, std::size_t c) {
   return key;
 }
 
-struct Builder {
-  std::unordered_map<std::string, std::size_t> index;
-  std::vector<std::string> patterns;  // in first-occurrence order
-  std::vector<std::uint32_t> weights;
-
-  /// Returns true if the column was new.
-  bool add(const Alignment& aln, std::size_t c) {
-    std::string key = column_key(aln, c);
-    auto [it, inserted] = index.try_emplace(std::move(key), patterns.size());
-    if (inserted) {
-      patterns.push_back(it->first);
-      weights.push_back(1);
-      return true;
-    }
-    ++weights[it->second];
-    return false;
-  }
-};
-
 }  // namespace
 
 PatternMatrix PatternMatrix::compress(const Alignment& aln) {
-  Builder b;
-  for (std::size_t c = 0; c < aln.n_columns(); ++c) b.add(aln, c);
-
-  PatternMatrix out;
-  out.names_ = aln.names();
-  out.weights_.assign(b.weights.begin(), b.weights.end());
-  out.init_storage(aln.n_taxa(), b.patterns.size());
-  for (std::size_t p = 0; p < out.n_patterns_; ++p) {
-    for (std::size_t t = 0; t < aln.n_taxa(); ++t) {
-      out.cell(t, p) = static_cast<StateMask>(b.patterns[p][t]);
+  std::unordered_map<std::string, std::size_t> index;
+  std::vector<std::string> patterns;  // in first-occurrence order
+  std::vector<std::uint32_t> weights;
+  for (std::size_t c = 0; c < aln.n_columns(); ++c) {
+    auto [it, inserted] = index.try_emplace(column_key(aln, c), patterns.size());
+    if (inserted) {
+      patterns.push_back(it->first);
+      weights.push_back(1);
+    } else {
+      ++weights[it->second];
     }
   }
-  return out;
-}
-
-PatternMatrix PatternMatrix::distinct_prefix(const Alignment& aln,
-                                             std::size_t count) {
-  Builder b;
-  for (std::size_t c = 0; c < aln.n_columns() && b.patterns.size() < count; ++c) {
-    b.add(aln, c);
-  }
-  PLF_CHECK(b.patterns.size() == count,
-            "alignment has fewer distinct patterns than requested (" +
-                std::to_string(b.patterns.size()) + " < " +
-                std::to_string(count) + ")");
 
   PatternMatrix out;
   out.names_ = aln.names();
-  out.weights_.assign(count, 1);  // extracted columns count once, as in the paper
-  out.init_storage(aln.n_taxa(), count);
-  for (std::size_t p = 0; p < count; ++p) {
+  out.weights_.assign(weights.begin(), weights.end());
+  out.init_storage(aln.n_taxa(), patterns.size());
+  for (std::size_t p = 0; p < out.n_patterns_; ++p) {
     for (std::size_t t = 0; t < aln.n_taxa(); ++t) {
-      out.cell(t, p) = static_cast<StateMask>(b.patterns[p][t]);
+      out.cell(t, p) = static_cast<StateMask>(patterns[p][t]);
     }
   }
   return out;

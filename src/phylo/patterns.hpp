@@ -4,9 +4,9 @@
 // ML, which are then assigned a respective higher per-pattern weight. Hence,
 // in our experiments the number of columns corresponds exactly to the number
 // of patterns and thus to the length of the compute-intensive for loops"
-// (§4). This module performs that compression and also reproduces the
-// paper's dataset-preparation step of extracting a fixed number of *distinct*
-// columns from a longer simulated alignment.
+// (§4). This module performs that compression; the paper's extraction of a
+// fixed number of *distinct* columns is seqgen::make_grid_dataset, which
+// deduplicates while it simulates and assembles through from_patterns.
 #pragma once
 
 #include <cstddef>
@@ -29,11 +29,6 @@ class PatternMatrix {
   /// Compress a full alignment into distinct patterns with multiplicities.
   /// Patterns keep first-occurrence order, matching how MrBayes compresses.
   static PatternMatrix compress(const Alignment& aln);
-
-  /// Extract the first `count` distinct patterns of `aln`, all with weight 1
-  /// (the paper's sub-alignment extraction; throws if the alignment has
-  /// fewer distinct patterns than requested).
-  static PatternMatrix distinct_prefix(const Alignment& aln, std::size_t count);
 
   /// Assemble directly from per-pattern columns (each of length n_taxa) and
   /// weights. Used by the dataset generator, which deduplicates on the fly.

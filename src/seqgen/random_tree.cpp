@@ -8,7 +8,7 @@ namespace plf::seqgen {
 
 namespace {
 
-/// Growing-tree node for the simulators.
+/// Growing-tree node for the simulator.
 struct BNode {
   double length = 0.0;  // branch to parent, accumulated while the lineage is active
   int left = -1;
@@ -42,7 +42,7 @@ phylo::Tree finish(std::vector<BNode>& nodes, int root,
   os.precision(12);
   write_newick(nodes, names, root, scale, os);
   os << ';';
-  // The simulators produce a rooted bifurcating top; from_newick unroots it.
+  // The Yule process grows a rooted bifurcating top; from_newick unroots it.
   return phylo::Tree::from_newick(os.str(), names);
 }
 
@@ -92,46 +92,6 @@ phylo::Tree yule_tree(std::size_t n_taxa, Rng& rng, double birth_rate,
   for (int id : active) nodes[static_cast<std::size_t>(id)].length += dt;
 
   return finish(nodes, root, active, scale);
-}
-
-phylo::Tree coalescent_tree(std::size_t n_taxa, Rng& rng, double theta,
-                            double scale) {
-  PLF_CHECK(n_taxa >= 3, "coalescent_tree: need at least 3 taxa");
-  PLF_CHECK(theta > 0.0 && scale > 0.0, "coalescent_tree: bad parameters");
-
-  std::vector<BNode> nodes;
-  std::vector<int> active;
-  std::vector<int> leaves;
-  auto make_node = [&nodes]() {
-    nodes.emplace_back();
-    return static_cast<int>(nodes.size()) - 1;
-  };
-
-  for (std::size_t i = 0; i < n_taxa; ++i) {
-    const int id = make_node();
-    active.push_back(id);
-    leaves.push_back(id);
-  }
-
-  while (active.size() > 1) {
-    const double k = static_cast<double>(active.size());
-    const double rate = k * (k - 1.0) / (2.0 * theta);
-    const double dt = rng.exponential(rate);
-    for (int id : active) nodes[static_cast<std::size_t>(id)].length += dt;
-
-    const std::size_t i = rng.below(active.size());
-    std::size_t j = rng.below(active.size() - 1);
-    if (j >= i) ++j;
-    const int parent = make_node();
-    nodes[static_cast<std::size_t>(parent)].left = active[i];
-    nodes[static_cast<std::size_t>(parent)].right = active[j];
-    const std::size_t lo = i < j ? i : j;
-    const std::size_t hi = i < j ? j : i;
-    active[lo] = parent;
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(hi));
-  }
-
-  return finish(nodes, active.front(), leaves, scale);
 }
 
 }  // namespace plf::seqgen

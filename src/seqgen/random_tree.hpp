@@ -2,10 +2,9 @@
 //
 // The paper's inputs were "trees with 10, 20, 50, and 100 leaves obtained
 // from analyses of real data sets"; lacking those exact trees, we generate
-// them from standard stochastic models of diversification — a Yule
-// (pure-birth) process and the Kingman coalescent — which produce the
-// realistic tree shapes and branch-length distributions phylogenetics
-// software is exercised with.
+// them from a standard stochastic model of diversification, the Yule
+// (pure-birth) process, which produces the realistic tree shapes and
+// branch-length distributions phylogenetics software is exercised with.
 #pragma once
 
 #include <cstddef>
@@ -22,10 +21,6 @@ namespace plf::seqgen {
 /// substitutions after multiplying by `scale`.
 phylo::Tree yule_tree(std::size_t n_taxa, Rng& rng, double birth_rate = 1.0,
                       double scale = 0.1);
-
-/// Kingman coalescent tree: pairs of lineages merge at rate C(k,2)/theta.
-phylo::Tree coalescent_tree(std::size_t n_taxa, Rng& rng, double theta = 1.0,
-                            double scale = 0.1);
 
 /// Default taxon names "t1".."tN".
 std::vector<std::string> default_taxon_names(std::size_t n);

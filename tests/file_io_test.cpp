@@ -1,6 +1,6 @@
 // On-disk I/O paths (the string-based parsers are covered elsewhere):
 // Alignment::read_file format sniffing and read_nexus_file, including the
-// bundled sample data set when running from the repository root.
+// bundled sample data set data/sample_8taxa.nex.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -42,38 +42,24 @@ TEST(FileIoTest, ReadFileMissingPathThrows) {
   EXPECT_THROW(read_nexus_file("/definitely/not/here.nex"), Error);
 }
 
-TEST(FileIoTest, NexusFileRoundTrip) {
-  const std::string path = temp_path("round.nex");
-  {
-    Alignment a({"x", "y", "z"}, {"ACGTA", "AC-TA", "ANGTA"});
-    std::ofstream f(path);
-    write_nexus(f, a, {{"t", "(x:0.1,y:0.1,z:0.2);"}});
-  }
+TEST(FileIoTest, ReadNexusFile) {
+  const std::string path = temp_path("read.nex");
+  write_file(path,
+             "#NEXUS\nBEGIN DATA;\n  DIMENSIONS NTAX=3 NCHAR=5;\n"
+             "  MATRIX\n    x ACGTA\n    y AC-TA\n    z ANGTA\n  ;\nEND;\n");
   const NexusFile nx = read_nexus_file(path);
   ASSERT_TRUE(nx.has_alignment);
   EXPECT_EQ(nx.alignment.n_taxa(), 3u);
   EXPECT_EQ(nx.alignment.sequence(1), "AC-TA");
-  ASSERT_EQ(nx.trees.size(), 1u);
 }
 
-TEST(FileIoTest, BundledSampleParsesWhenPresent) {
-  // Best-effort: the repo ships data/sample_8taxa.nex; when the test runs
-  // from the build tree the path resolves one level up.
-  for (const char* candidate :
-       {"data/sample_8taxa.nex", "../data/sample_8taxa.nex",
-        "../../data/sample_8taxa.nex"}) {
-    std::ifstream probe(candidate);
-    if (!probe.good()) continue;
-    const NexusFile nx = read_nexus_file(candidate);
-    EXPECT_TRUE(nx.has_alignment);
-    EXPECT_EQ(nx.alignment.n_taxa(), 8u);
-    EXPECT_EQ(nx.alignment.n_columns(), 800u);
-    ASSERT_EQ(nx.trees.size(), 1u);
-    const Tree t = Tree::from_newick(nx.trees[0].second, nx.alignment.names());
-    EXPECT_EQ(t.n_taxa(), 8u);
-    return;
-  }
-  GTEST_SKIP() << "sample data file not reachable from this cwd";
+TEST(FileIoTest, BundledSampleDataBlock) {
+  // The bundled sample also carries a TREES block, which the reader skips.
+  const NexusFile nx = read_nexus_file(PLF_SAMPLE_NEXUS);
+  ASSERT_TRUE(nx.has_alignment);
+  EXPECT_EQ(nx.alignment.n_taxa(), 8u);
+  EXPECT_EQ(nx.alignment.n_columns(), 800u);
+  EXPECT_EQ(nx.alignment.name(7), "t8");
 }
 
 }  // namespace

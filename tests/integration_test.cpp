@@ -5,7 +5,7 @@
 // not of the hardware).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <string>
 
 #include "cell/machine.hpp"
 #include "core/backend.hpp"
@@ -106,34 +106,28 @@ TEST(IntegrationTest, WorkloadCountsIdenticalAcrossBackends) {
 }
 
 TEST(IntegrationTest, NexusRoundTripThroughFullAnalysis) {
-  // Simulate -> write NEXUS -> parse -> analyze: formats and engine agree.
-  auto p = Pipeline::make(9);
-  std::ostringstream os;
-  // Rebuild the alignment from patterns is lossy (weights); simulate anew.
+  // Simulate -> NEXUS text -> parse -> analyze: the parsed alignment gives
+  // the simulated one's likelihood to the last bit.
   Rng rng(9);
-  phylo::Tree tree = seqgen::yule_tree(6, rng, 1.0, 0.15);
-  phylo::SubstitutionModel model(seqgen::default_gtr_params());
-  seqgen::SequenceEvolver ev(tree, model);
-  auto aln = ev.evolve(120, rng);
-  phylo::write_nexus(os, aln, {{"truth", tree.to_newick()}});
+  const phylo::Tree tree = seqgen::yule_tree(6, rng, 1.0, 0.15);
+  const phylo::SubstitutionModel model(seqgen::default_gtr_params());
+  const seqgen::SequenceEvolver ev(tree, model);
+  const auto aln = ev.evolve(120, rng);
+  std::string text = "#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=6 NCHAR=120;\nMATRIX\n";
+  for (std::size_t t = 0; t < aln.n_taxa(); ++t) {
+    text += aln.name(t) + ' ' + aln.sequence(t) + '\n';
+  }
+  text += ";\nEND;\n";
 
-  const auto nx = phylo::parse_nexus(os.str());
+  const auto nx = phylo::parse_nexus(text);
   ASSERT_TRUE(nx.has_alignment);
-  const auto data = phylo::PatternMatrix::compress(nx.alignment);
-  const phylo::Tree parsed_tree =
-      phylo::Tree::from_newick(nx.trees[0].second, nx.alignment.names());
-  EXPECT_TRUE(parsed_tree.same_topology(tree));
-
   core::SerialBackend backend;
-  core::PlfEngine from_nexus(data, seqgen::default_gtr_params(), parsed_tree,
-                             backend);
+  core::PlfEngine from_nexus(phylo::PatternMatrix::compress(nx.alignment),
+                             seqgen::default_gtr_params(), tree, backend);
   core::SerialBackend backend2;
   core::PlfEngine direct(phylo::PatternMatrix::compress(aln),
                          seqgen::default_gtr_params(), tree, backend2);
-  // Newick serialization carries 6 significant digits of branch length,
-  // so the round-tripped likelihood agrees to that precision only.
-  EXPECT_NEAR(from_nexus.log_likelihood(), direct.log_likelihood(),
-              std::abs(direct.log_likelihood()) * 1e-6);
+  EXPECT_EQ(from_nexus.log_likelihood(), direct.log_likelihood());
 }
 
 TEST(IntegrationTest, ConsensusFromChainOnSimulatedBackend) {

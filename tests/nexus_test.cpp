@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "phylo/nexus.hpp"
-#include "phylo/tree.hpp"
 #include "util/error.hpp"
 
 namespace plf::phylo {
@@ -29,7 +26,6 @@ TEST(NexusTest, ParsesBasicDataBlock) {
   EXPECT_EQ(nx.alignment.name(0), "human");
   EXPECT_EQ(nx.alignment.sequence(1), "ACGTACGA");
   EXPECT_EQ(nx.alignment.at(2, 3), kGapMask);
-  EXPECT_TRUE(nx.trees.empty());
 }
 
 TEST(NexusTest, CaseInsensitiveKeywordsAndComments) {
@@ -68,40 +64,20 @@ END;
   EXPECT_EQ(nx.alignment.sequence(1), "TTTTCCCC");
 }
 
-TEST(NexusTest, TreesBlockWithTranslate) {
-  const char* text = R"(#NEXUS
-BEGIN TREES;
-  TRANSLATE
-    1 human,
-    2 chimp,
-    3 gorilla,
-    4 orang;
-  TREE best = [&U] ((1:0.1,2:0.2):0.05,3:0.3,4:0.4);
-  TREE alt = (1:1,3:1,(2:1,4:1):1);
-END;
-)";
-  const NexusFile nx = parse_nexus(text);
-  ASSERT_EQ(nx.trees.size(), 2u);
-  EXPECT_EQ(nx.trees[0].first, "best");
-  const Tree t = Tree::from_newick(nx.trees[0].second);
-  EXPECT_EQ(t.n_taxa(), 4u);
-  EXPECT_EQ(t.taxon_name(0), "human");
-  EXPECT_NEAR(t.total_length(), 1.05, 1e-9);
-  const Tree alt = Tree::from_newick(nx.trees[1].second, t.taxon_names());
-  EXPECT_FALSE(t.same_topology(alt));
-}
-
-TEST(NexusTest, DataAndTreesTogether) {
+TEST(NexusTest, MalformedTreeStatementSkipped) {
+  // TREES blocks are skipped like any unknown block, so a TREE statement
+  // that is not valid Newick does not stop the DATA block from parsing.
   const std::string text = std::string(kBasic) + R"(
 BEGIN TREES;
-  TREE t1 = (human:0.1,chimp:0.1,gorilla:0.2);
+  TRANSLATE 1 human, 2 chimp;
+  TREE broken = ((1:0.1,2:;
+  TREE = ;
 END;
 )";
   const NexusFile nx = parse_nexus(text);
-  EXPECT_TRUE(nx.has_alignment);
-  ASSERT_EQ(nx.trees.size(), 1u);
-  const Tree t = Tree::from_newick(nx.trees[0].second, nx.alignment.names());
-  EXPECT_EQ(t.n_taxa(), 3u);
+  ASSERT_TRUE(nx.has_alignment);
+  EXPECT_EQ(nx.alignment.n_taxa(), 3u);
+  EXPECT_EQ(nx.alignment.sequence(2), "ACG-ACGA");
 }
 
 TEST(NexusTest, UnknownBlocksSkipped) {
@@ -128,22 +104,32 @@ TEST(NexusTest, Errors) {
                ParseError);
 }
 
-TEST(NexusTest, WriteReadRoundTrip) {
-  Alignment aln({"tax1", "tax2", "tax3"}, {"ACGTAC", "AC--AC", "ANRYAC"});
-  std::vector<std::pair<std::string, std::string>> trees{
-      {"sample", "(tax1:0.1,tax2:0.2,tax3:0.3);"}};
-  std::ostringstream os;
-  write_nexus(os, aln, trees);
+TEST(NexusTest, DataBeforeTreesBlock) {
+  // The DATA block of a file that also carries a TREES block (the layout of
+  // data/sample_8taxa.nex) keeps every gap and ambiguity code.
+  const char* text = R"(#NEXUS
+BEGIN DATA;
+  DIMENSIONS NTAX=3 NCHAR=6;
+  FORMAT DATATYPE=DNA MISSING=? GAP=-;
+  MATRIX
+    tax1 ACGTAC
+    tax2 AC--AC
+    tax3 ANRYAC
+  ;
+END;
 
-  const NexusFile nx = parse_nexus(os.str());
+BEGIN TREES;
+  TREE sample = (tax1:0.1,tax2:0.2,tax3:0.3);
+END;
+)";
+  const NexusFile nx = parse_nexus(text);
   ASSERT_TRUE(nx.has_alignment);
-  EXPECT_EQ(nx.alignment.n_taxa(), 3u);
+  const Alignment expected({"tax1", "tax2", "tax3"},
+                           {"ACGTAC", "AC--AC", "ANRYAC"});
+  ASSERT_EQ(nx.alignment.n_taxa(), 3u);
   for (std::size_t t = 0; t < 3; ++t) {
-    EXPECT_EQ(nx.alignment.sequence(t), aln.sequence(t));
+    EXPECT_EQ(nx.alignment.sequence(t), expected.sequence(t));
   }
-  ASSERT_EQ(nx.trees.size(), 1u);
-  const Tree t = Tree::from_newick(nx.trees[0].second, aln.names());
-  EXPECT_NEAR(t.total_length(), 0.6, 1e-9);
 }
 
 }  // namespace

@@ -120,21 +120,6 @@ TEST(PatternTest, CompressMergesIdenticalColumns) {
   EXPECT_EQ(pm.at(1, 1), kMaskA);
 }
 
-TEST(PatternTest, DistinctPrefixTakesFirstN) {
-  Alignment a({"x", "y"}, {"AACCGG", "ACACAC"});
-  // Columns: AA, AC, AC, CA, GA, GC -> distinct: AA, AC, CA, GA, GC
-  const PatternMatrix pm = PatternMatrix::distinct_prefix(a, 3);
-  EXPECT_EQ(pm.n_patterns(), 3u);
-  for (auto w : pm.weights()) EXPECT_EQ(w, 1u);
-  EXPECT_EQ(pm.at(0, 2), kMaskC);
-  EXPECT_EQ(pm.at(1, 2), kMaskA);
-}
-
-TEST(PatternTest, DistinctPrefixThrowsWhenTooFew) {
-  Alignment a({"x", "y"}, {"AAAA", "CCCC"});
-  EXPECT_THROW(PatternMatrix::distinct_prefix(a, 2), Error);
-}
-
 TEST(PatternTest, AmbiguityDistinguishesPatterns) {
   // 'N' and 'A' in the same row are different patterns.
   Alignment a({"x", "y"}, {"AN", "CC"});

@@ -24,15 +24,6 @@ TEST(RandomTreeTest, YuleProducesValidTrees) {
   }
 }
 
-TEST(RandomTreeTest, CoalescentProducesValidTrees) {
-  Rng rng(2);
-  for (std::size_t n : {3u, 8u, 40u}) {
-    const phylo::Tree t = coalescent_tree(n, rng);
-    EXPECT_EQ(t.n_taxa(), n);
-    t.validate();
-  }
-}
-
 TEST(RandomTreeTest, DeterministicPerSeed) {
   Rng a(7), b(7);
   EXPECT_EQ(yule_tree(20, a).to_newick(), yule_tree(20, b).to_newick());

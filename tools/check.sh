@@ -7,6 +7,7 @@
 #   tools/check.sh asan         # ASan+UBSan preset + ctest
 #   tools/check.sh tsan         # TSan preset + ctest
 #   tools/check.sh v3           # x86-64-v3 build (AVX2, no AVX-512) + ctest
+#   tools/check.sh baseline     # SSE2-only build (CI's baseline-isa leg) + ctest
 #   tools/check.sh tidy         # clang-tidy over src/ (skipped if absent)
 #   tools/check.sh lint         # plf_lint project invariants over src/
 #   tools/check.sh tsa          # Clang Thread Safety build (skipped if no clang)
@@ -56,6 +57,18 @@ stage_v3() {
     cmake --build build-v3 -j "${JOBS}" &&
     note "x86-64-v3: ctest" &&
     ctest --test-dir build-v3 --output-on-failure
+}
+
+# CI's baseline-isa leg: no -march at all, so the compiler targets plain
+# x86-64 (SSE2). simd-site runs its (sse) body and Vec4f::fma is unfused.
+stage_baseline() {
+  note "baseline ISA: configure" &&
+    cmake -S . -B build-baseline -G Ninja -DPLF_ENABLE_NATIVE=OFF \
+      -DPLF_WERROR=ON &&
+    note "baseline ISA: build" &&
+    cmake --build build-baseline -j "${JOBS}" &&
+    note "baseline ISA: ctest" &&
+    ctest --test-dir build-baseline --output-on-failure
 }
 
 # Checked-contract build running the site-repeat, plan-dispatch, and
@@ -139,13 +152,13 @@ run_stage() {
 
 STAGES=("$@")
 if [[ ${#STAGES[@]} -eq 0 ]]; then
-  STAGES=(plain checked asan tsan v3 tidy lint tsa bench)
+  STAGES=(plain checked asan tsan v3 baseline tidy lint tsa bench)
 fi
 
 for s in "${STAGES[@]}"; do
   case "$s" in
-    plain|checked|asan|tsan|v3|tidy|lint|tsa|bench) run_stage "$s" ;;
-    *) echo "unknown stage '$s' (expected plain|checked|asan|tsan|v3|tidy|lint|tsa|bench)" >&2
+    plain|checked|asan|tsan|v3|baseline|tidy|lint|tsa|bench) run_stage "$s" ;;
+    *) echo "unknown stage '$s' (expected plain|checked|asan|tsan|v3|baseline|tidy|lint|tsa|bench)" >&2
        exit 2 ;;
   esac
 done
