@@ -2,6 +2,9 @@
 
 #include <utility>
 
+#include "obs/names.hpp"
+#include "obs/profile.hpp"
+
 namespace plf::exec {
 
 InstanceScheduler::InstanceScheduler(std::size_t n_instances)
@@ -36,6 +39,7 @@ void InstanceScheduler::stop_drivers() {
 
 void InstanceScheduler::for_each(
     const std::function<void(std::size_t)>& fn) {
+  PLF_PROF_COUNT(obs::kCounterExecRounds, 1);
   if (n_instances_ <= 1) {
     if (n_instances_ == 1) fn(0);
     return;

@@ -6,18 +6,22 @@
 // split shows the winning shape: independent likelihood instances sharing a
 // fixed hardware pool. This layer is that runtime for plf:
 //
-//   InstanceScheduler  for_each(fn) runs fn(i) for every i in [0, N): i = 0
-//                      on the calling thread, each i >= 1 on its own DRIVER
-//                      thread, then spin-waits for all of them (the caller
-//                      never sleeps, so it keeps its CPU). Index i always
-//                      lands on the same thread, so an engine stepped only by
-//                      fn(i) stays confined to one thread (its ThreadChecker
-//                      binds once per handoff). The instances' backends
-//                      submit parallel regions to the SHARED ThreadPool
-//                      concurrently — the pool's FIFO region queue
-//                      (par/thread_pool.hpp) interleaves the instances' plans
-//                      at region granularity, so one instance's serial phase
-//                      no longer leaves the pool idle.
+//   InstanceScheduler  for_each(fn) is one fork/join round: it runs fn(i)
+//                      for every i in [0, N), i = 0 on the calling thread and
+//                      each i >= 1 on its own DRIVER thread, then spin-waits
+//                      for all of them (the caller never sleeps, so it keeps
+//                      its CPU). A round is as long as its owner makes it:
+//                      the MC3 coupler steps its chains through a whole swap
+//                      interval in one, a partitioned engine evaluates once.
+//                      Index i always lands on the same thread, so an engine
+//                      touched only by fn(i) stays confined to one thread
+//                      (its ThreadChecker binds once per handoff). The
+//                      instances' backends submit parallel regions to the
+//                      SHARED ThreadPool concurrently — the pool's FIFO
+//                      region queue (par/thread_pool.hpp) interleaves the
+//                      instances' plans at region granularity, so one
+//                      instance's serial phase no longer leaves the pool
+//                      idle. Every round counts once in `exec.rounds`.
 //
 // The driver threads below are the reason src/exec/ is exempt from the
 // plf_lint raw-thread rule alongside src/par/: this layer IS the threading

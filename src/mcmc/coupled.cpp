@@ -65,10 +65,6 @@ void CoupledChains::for_each_chain(
   drivers_.for_each([&](std::size_t i) { fn(i, chains_[i]); });
 }
 
-void CoupledChains::step_all() {
-  for_each_chain([](std::size_t, ChainState& cs) { cs.chain->step(); });
-}
-
 void CoupledChains::attempt_swap() {
   if (chains_.size() < 2) return;
   ++swaps_proposed_;
@@ -172,80 +168,134 @@ void CoupledChains::export_telemetry(std::uint64_t gen, double wall_s) {
 CoupledResult CoupledChains::run(std::uint64_t target_generation) {
   Stopwatch wall;
   CoupledResult result;
+  McmcResult& cold_out = result.cold;
   // The caller may have bound the engines to its own thread (construction,
   // restore, stats reads); release them so the drivers can rebind.
   detach_engines();
 
   const std::uint64_t sample_every =
       options_.chain.sample_every == 0 ? 100 : options_.chain.sample_every;
+  const bool checkpointing =
+      options_.checkpoint_every != 0 && !options_.checkpoint_path.empty();
+  // The next generation after generation_ at which the caller acts between
+  // rounds: a swap, checkpoint, telemetry record or (with stop_at_ess) stop
+  // check. Capped at the target.
+  auto round_end = [&] {
+    std::uint64_t end = target_generation;
+    auto clip = [&](std::uint64_t every) {
+      if (every != 0) end = std::min(end, (generation_ / every + 1) * every);
+    };
+    clip(options_.swap_every);
+    if (checkpointing) clip(options_.checkpoint_every);
+    if (options_.telemetry != nullptr) {
+      clip(options_.telemetry->options().every_generations);
+    }
+    if (options_.stop_at_ess > 0.0) clip(sample_every);
+    return end;
+  };
 
-  auto sample_cold = [&](std::uint64_t gen) {
-    const ChainState& cold = chains_[cold_index()];
-    result.cold.samples.push_back(
-        McmcSample{gen, cold.chain->ln_likelihood(),
-                   cold.engine->tree().total_length(),
-                   cold.engine->model_params().gamma_shape});
+  // The cold driver appends samples during a round, so size the storage
+  // here: a vector grown on a driver would be freed into its malloc arena.
+  const std::size_t expected_samples =
+      target_generation > generation_
+          ? static_cast<std::size_t>((target_generation - generation_) /
+                                     sample_every) + 2
+          : 1;
+  cold_out.samples.reserve(expected_samples);
+  if (options_.chain.collect_trees) {
+    cold_out.sampled_trees.reserve(expected_samples);
+  }
+  cold_out.best_ln_likelihood = chains_[cold_index()].chain->ln_likelihood();
+
+  // Reading the tree touches confined engine state, so samples are taken on
+  // the cold chain's driver.
+  auto take_sample = [&](const ChainState& cs, std::uint64_t gen) {
+    cold_out.samples.push_back(McmcSample{gen, cs.chain->ln_likelihood(),
+                                          cs.engine->tree().total_length(),
+                                          cs.engine->model_params().gamma_shape});
     if (options_.chain.collect_trees) {
-      result.cold.sampled_trees.push_back(cold.engine->tree().to_newick());
+      cold_out.sampled_trees.push_back(cs.engine->tree().to_newick());
     }
   };
-  // Reading the cold tree touches confined engine state, so route the
-  // initial sample through the drivers like everything else.
-  for_each_chain([&](std::size_t i, ChainState&) {
-    if (i == cold_index()) sample_cold(generation_);
-  });
-  result.cold.best_ln_likelihood = chains_[cold_index()].chain->ln_likelihood();
+  // Feed the streaming diagnostics exactly at the (absolute-generation)
+  // sampling cadence, so a resumed run continues the estimator sequence the
+  // uninterrupted run would have produced.
+  auto feed_ess = [&](double ln_likelihood) {
+    cold_ess_.add(ln_likelihood);
+    if (options_.stop_at_ess > 0.0 && cold_ess_.count() >= 8 &&
+        cold_ess_.ess() >= options_.stop_at_ess) {
+      result.stopped_at_ess = true;
+    }
+  };
 
-  for (std::uint64_t g = generation_ + 1; g <= target_generation; ++g) {
-    generation_ = g;
-    step_all();
-    if (options_.swap_every != 0 && g % options_.swap_every == 0) {
-      attempt_swap();
-    }
-    if (g % sample_every == 0) {
-      for_each_chain([&](std::size_t i, ChainState&) {
-        if (i == cold_index()) sample_cold(g);
-      });
-      // Feed the streaming diagnostics exactly at the (absolute-generation)
-      // sampling cadence, so a resumed run continues the estimator sequence
-      // the uninterrupted run would have produced.
-      cold_ess_.add(chains_[cold_index()].chain->ln_likelihood());
-      if (options_.stop_at_ess > 0.0 && cold_ess_.count() >= 8 &&
-          cold_ess_.ess() >= options_.stop_at_ess) {
-        result.stopped_at_ess = true;
+  // A sample due where the caller acts is taken from the post-swap cold
+  // chain by the next round's cold driver, before its first step. The
+  // opening sample is the first such.
+  bool sample_pending = true;
+  for (;;) {
+    // This round steps generations first+1..last; none when the run is over
+    // and the round only closes it.
+    const std::uint64_t first = generation_;
+    const std::uint64_t last =
+        result.stopped_at_ess || first >= target_generation ? first
+                                                            : round_end();
+    const bool swap_at_last = last > first && options_.swap_every != 0 &&
+                              last % options_.swap_every == 0;
+    // Unless a swap may hand the cold heat to another chain, the cold chain
+    // after the run's last step is final: read it inside the round.
+    const bool closes =
+        last == first || (last == target_generation && !swap_at_last);
+    const std::size_t cold_i = cold_index();
+    // The cold index cannot change inside a round, so the cold chain's
+    // driver does the cold bookkeeping of every generation but the last.
+    for_each_chain([&](std::size_t i, ChainState& cs) {
+      const bool cold = i == cold_i;
+      if (cold && sample_pending) take_sample(cs, first);
+      for (std::uint64_t g = first + 1; g <= last; ++g) {
+        cs.chain->step();
+        if (!cold || g == last) continue;
+        if (g % sample_every == 0) {
+          take_sample(cs, g);
+          feed_ess(cs.chain->ln_likelihood());
+        }
+        cold_out.best_ln_likelihood =
+            std::max(cold_out.best_ln_likelihood, cs.chain->ln_likelihood());
       }
-    }
-    result.cold.best_ln_likelihood =
-        std::max(result.cold.best_ln_likelihood,
-                 chains_[cold_index()].chain->ln_likelihood());
-    if (options_.checkpoint_every != 0 && !options_.checkpoint_path.empty() &&
-        g % options_.checkpoint_every == 0) {
+      if (cold && closes) {
+        if (last > first && last % sample_every == 0) take_sample(cs, last);
+        cold_out.final_tree_newick = cs.engine->tree().to_newick();
+      }
+    });
+    if (last == first) break;
+
+    // The round's last generation, as a one-generation round: the swap
+    // first, then the post-swap cold chain is sampled.
+    generation_ = last;
+    if (swap_at_last) attempt_swap();
+    const double cold_ln = chains_[cold_index()].chain->ln_likelihood();
+    sample_pending = !closes && last % sample_every == 0;
+    if (last % sample_every == 0) feed_ess(cold_ln);
+    cold_out.best_ln_likelihood =
+        std::max(cold_out.best_ln_likelihood, cold_ln);
+    if (checkpointing && last % options_.checkpoint_every == 0) {
       save_checkpoint_file(options_.checkpoint_path);
     }
     // Telemetry last, after the generation's state is final: it only READS
     // lnL doubles and counters, never the RNG streams or engine float
     // state, so trajectories are bit-identical with telemetry on or off.
     if (options_.telemetry != nullptr &&
-        (options_.telemetry->due(g) || result.stopped_at_ess)) {
-      export_telemetry(g, wall.seconds());
+        (options_.telemetry->due(last) || result.stopped_at_ess)) {
+      export_telemetry(last, wall.seconds());
     }
-    if (result.stopped_at_ess) break;
+    if (closes) break;
   }
 
-  // Final newick read also touches confined tree state.
-  const std::size_t cold_i = cold_index();
-  for_each_chain([&](std::size_t i, ChainState& cs) {
-    if (i == cold_i) {
-      result.cold.final_tree_newick = cs.engine->tree().to_newick();
-    }
-  });
-  const ChainState& cold = chains_[cold_i];
-  result.cold.final_ln_likelihood = cold.chain->ln_likelihood();
-  result.cold.wall_seconds = wall.seconds();
+  cold_out.final_ln_likelihood = chains_[cold_index()].chain->ln_likelihood();
+  cold_out.wall_seconds = wall.seconds();
   // Aggregate proposal statistics over all chains (the PLF workload of an
   // (MC)^3 run is the SUM over chains — how MrBayes multiplies the paper's
   // kernel invocations).
-  result.cold.proposals = aggregate_proposal_stats();
+  cold_out.proposals = aggregate_proposal_stats();
   result.swaps_proposed = swaps_proposed_;
   result.swaps_accepted = swaps_accepted_;
   result.swap_pair_stats = swap_pair_stats_;

@@ -15,12 +15,16 @@
 // pointer-swap implementation).
 //
 // Execution (docs/SHARDING.md): the coupler owns an exec::InstanceScheduler
-// with one driver thread per chain beyond the first. Each generation steps
-// chain 0 on the calling thread and chain i >= 1 on driver i, concurrently,
-// then barriers before the swap attempt. Chains only interact at those
-// barriers, so every trajectory is the one a sequential loop would produce —
-// the concurrency just keeps the shared thread pool busy while other chains
-// are in their serial phases.
+// with one driver thread per chain beyond the first. Chains interact only at
+// swaps, so one fork/join round runs chain 0 on the calling thread and chain
+// i >= 1 on driver i through every generation up to the next one where the
+// caller must act: a swap, a checkpoint, a telemetry record, the target, and
+// with stop_at_ess every sampled generation. The cold chain's driver takes
+// the samples, ESS feed and best lnL of the generations before the round's
+// last one; the caller handles the last one after the barrier, swap first,
+// as a loop stepping one generation at a time would. Every trajectory is
+// that loop's, bit for bit; the concurrency keeps the shared thread pool
+// busy while other chains are in their serial phases.
 //
 // Checkpointing: save_checkpoint/restore_checkpoint serialize the complete
 // coupler state (generation, swap counters, coupler RNG, per-chain heat
@@ -106,6 +110,9 @@ class CoupledChains {
   /// `target_generation` generations; after restore_checkpoint it runs only
   /// the remainder — the resumed trajectory is bit-identical to the
   /// uninterrupted one.
+  /// If a chain throws, the others finish their round and run() rethrows
+  /// the first error. The chains may then stand at different generations:
+  /// restore a checkpoint before the next run().
   CoupledResult run(std::uint64_t target_generation);
 
   std::size_t n_chains() const { return chains_.size(); }
@@ -143,8 +150,6 @@ class CoupledChains {
     std::size_t heat_rank;   ///< 0 = cold
   };
 
-  /// One generation for every chain, concurrently (see the file comment).
-  void step_all();
   void attempt_swap();
   /// Aggregate per-proposal-type tallies over every chain (the MC^3 totals
   /// the telemetry and result report).

@@ -117,6 +117,9 @@ void StreamingEss::restore_state(util::BinaryReader& r) {
   batches_ = r.f64_array();
   PLF_CHECK(batches_.size() < max_batches_,
             "checkpoint: StreamingEss batch table overflow");
+  // Full capacity, as the constructor reserves: add() never reallocates,
+  // also where it runs on another thread than the restore.
+  batches_.reserve(max_batches_);
 }
 
 double split_rhat(const std::vector<std::vector<double>>& series) {

@@ -26,9 +26,10 @@
 //     two halves of a single chain's batch means (StreamingEss::split_rhat).
 //
 // Everything here is plain single-threaded value semantics: the coupler owns
-// the estimators and updates them from its own control thread; cross-thread
-// publication goes through the metrics registry / telemetry exporter, never
-// through these objects.
+// the estimators and updates them from one thread at a time (its control
+// thread, or the cold chain's driver inside a round, handed over at the
+// round's barrier); cross-thread publication goes through the metrics
+// registry / telemetry exporter, never through these objects.
 #pragma once
 
 #include <cstddef>

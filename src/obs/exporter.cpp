@@ -63,8 +63,6 @@ TelemetryExporter::TelemetryExporter(TelemetryOptions options,
   PLF_CHECK(!options_.include_metrics || registry_ != nullptr ||
                 (options_.jsonl_path.empty() && options_.status_path.empty()),
             "telemetry: include_metrics requires a registry");
-  util::MutexLock lock(m_);
-  last_export_ns_ = now_ns();
 }
 
 void TelemetryExporter::prepare_resume(std::uint64_t resume_generation) {
@@ -106,16 +104,8 @@ void TelemetryExporter::prepare_resume(std::uint64_t resume_generation) {
 bool TelemetryExporter::due(std::uint64_t generation) const {
   util::MutexLock lock(m_);
   if (any_exported_ && generation <= last_generation_) return false;
-  if (options_.every_generations != 0 &&
-      generation % options_.every_generations == 0) {
-    return true;
-  }
-  if (options_.every_wall_s > 0.0) {
-    const double since_s =
-        static_cast<double>(now_ns() - last_export_ns_) * 1e-9;
-    if (since_s >= options_.every_wall_s) return true;
-  }
-  return false;
+  return options_.every_generations != 0 &&
+         generation % options_.every_generations == 0;
 }
 
 void TelemetryExporter::write_record_json(std::ostream& os,
@@ -176,7 +166,6 @@ void TelemetryExporter::export_record(const TelemetryRecord& record) {
   ++records_;
   last_generation_ = record.generation;
   any_exported_ = true;
-  last_export_ns_ = now_ns();
   if (registry_ != nullptr) {
     registry_->add(registry_->counter(kCounterTelemetryRecords));
     registry_->record_seconds(registry_->timer(kTimerTelemetryExport),

@@ -74,12 +74,8 @@ struct TelemetryRecord {
 struct TelemetryOptions {
   std::string jsonl_path;   ///< empty: no history file
   std::string status_path;  ///< empty: no latest-status file
-  /// Export every N generations (0 disables the generation cadence).
+  /// Export every N generations (0: never on a cadence).
   std::uint64_t every_generations = 100;
-  /// Also export when this much wall time passed since the last record
-  /// (0 disables — wall-triggered records are nondeterministic, so
-  /// bit-consistency tests keep this off).
-  double every_wall_s = 0.0;
   /// Embed the full metrics snapshot (obs::write_metrics_json shape) in
   /// each record under "metrics". Requires a registry at construction.
   bool include_metrics = true;
@@ -104,8 +100,8 @@ class TelemetryExporter {
   /// run's would. Call once, after restore and before run.
   void prepare_resume(std::uint64_t resume_generation) PLF_EXCLUDES(m_);
 
-  /// True when a record for `generation` is due under either cadence and
-  /// none was already written for it.
+  /// True when `generation` is on the cadence and no record was already
+  /// written for it or a later generation.
   bool due(std::uint64_t generation) const PLF_EXCLUDES(m_);
 
   /// Format and write one record (JSONL append + atomic status rewrite).
@@ -126,8 +122,6 @@ class TelemetryExporter {
   std::uint64_t records_ PLF_GUARDED_BY(m_) = 0;
   std::uint64_t last_generation_ PLF_GUARDED_BY(m_) = 0;
   bool any_exported_ PLF_GUARDED_BY(m_) = false;
-  /// plf::now_ns() at the last export (wall cadence); 0 until primed.
-  std::uint64_t last_export_ns_ PLF_GUARDED_BY(m_) = 0;
 };
 
 }  // namespace plf::obs

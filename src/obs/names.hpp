@@ -39,6 +39,9 @@ inline constexpr const char* kTimerParRegion = "par.region";
 inline constexpr const char* kTimerParWorker = "par.worker";
 inline constexpr const char* kCounterParRegions = "par.regions";
 
+// Multi-instance runtime: one InstanceScheduler::for_each fork/join round.
+inline constexpr const char* kCounterExecRounds = "exec.rounds";
+
 // MCMC application layer.
 inline constexpr const char* kTimerMcmcGeneration = "mcmc.generation";
 inline constexpr const char* kCounterMcmcGenerations = "mcmc.generations";

@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cell/machine.hpp"
 #include "core/backend.hpp"
@@ -11,7 +21,9 @@
 #include "par/thread_pool.hpp"
 #include "mcmc/coupled.hpp"
 #include "mcmc/diagnostics.hpp"
+#include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
@@ -185,6 +197,240 @@ TEST(CoupledTest, ConcurrentStepsMatchHandSteppedChains) {
         << "chain " << i;
     // Multi-chain engines carry per-chain gauge labels.
     EXPECT_EQ(mc3.engine(i).instance_label(), "chain" + std::to_string(i));
+  }
+}
+
+bool bits_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// `line` without its `"key":value,` member (a JSONL record's wall-clock
+/// fields, which differ between any two runs).
+std::string drop_field(std::string line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":");
+  if (at != std::string::npos) line.erase(at, line.find(',', at) + 1 - at);
+  return line;
+}
+
+/// Everything a coupler run leaves behind that the round boundaries could
+/// change, gathered over one or more run() calls.
+struct Trajectory {
+  std::vector<double> final_ln_likelihoods;
+  std::vector<std::string> final_newicks;  ///< per engine, then the cold one
+  std::uint64_t generation = 0;
+  std::uint64_t swaps_proposed = 0;
+  std::uint64_t swaps_accepted = 0;
+  std::map<std::string, ProposalStats> swap_pairs;
+  std::map<std::string, ProposalStats> proposals;
+  double best_ln_likelihood = -std::numeric_limits<double>::infinity();
+  std::uint64_t ess_count = 0;
+  double ess_mean = 0.0;
+  double ess = 0.0;
+  bool stopped_at_ess = false;
+  std::vector<McmcSample> samples;  ///< without each call's opening sample
+  std::vector<std::string> trees;
+  std::vector<std::string> telemetry;  ///< JSONL, wall-clock fields removed
+};
+
+/// Runs 4 coupled chains to `gens` (or to the ESS stop) with cadences that
+/// do not line up: in one run() call, or in one call per generation, where
+/// every round covers one generation.
+Trajectory run_trajectory(bool one_call_per_generation, double stop_at_ess,
+                          std::uint64_t gens) {
+  const std::string prefix =
+      ::testing::TempDir() + "plf" + std::to_string(::getpid()) + "_rounds" +
+      (one_call_per_generation ? "_each" : "_once");
+  std::filesystem::remove(prefix + ".jsonl");
+  obs::TelemetryOptions topts;
+  topts.jsonl_path = prefix + ".jsonl";
+  topts.every_generations = 3;
+  topts.include_metrics = false;
+  obs::TelemetryExporter exporter(topts, nullptr);
+
+  CoupledFixture fx(4, 93);
+  CoupledOptions opts;
+  opts.chain.seed = 17;
+  opts.chain.sample_every = 7;
+  opts.chain.collect_trees = true;
+  opts.swap_every = 10;
+  opts.checkpoint_every = 4;
+  opts.checkpoint_path = prefix + ".ckpt";
+  opts.telemetry = &exporter;
+  opts.stop_at_ess = stop_at_ess;
+  CoupledChains mc3(fx.take(), opts);
+
+  Trajectory t;
+  CoupledResult r;
+  auto collect = [&t](const CoupledResult& call) {
+    // Drop the call's opening sample: it repeats the previous call's last.
+    t.samples.insert(t.samples.end(), call.cold.samples.begin() + 1,
+                     call.cold.samples.end());
+    t.trees.insert(t.trees.end(), call.cold.sampled_trees.begin() + 1,
+                   call.cold.sampled_trees.end());
+    t.best_ln_likelihood =
+        std::max(t.best_ln_likelihood, call.cold.best_ln_likelihood);
+  };
+  if (one_call_per_generation) {
+    for (std::uint64_t g = 1; g <= gens && !r.stopped_at_ess; ++g) {
+      r = mc3.run(g);
+      collect(r);
+    }
+  } else {
+    r = mc3.run(gens);
+    collect(r);
+  }
+  t.final_ln_likelihoods = r.final_ln_likelihoods;
+  for (std::size_t i = 0; i < mc3.n_chains(); ++i) {
+    t.final_newicks.push_back(mc3.engine(i).tree().to_newick(17));
+  }
+  t.final_newicks.push_back(r.cold.final_tree_newick);
+  t.generation = mc3.generation();
+  t.swaps_proposed = r.swaps_proposed;
+  t.swaps_accepted = r.swaps_accepted;
+  t.swap_pairs = r.swap_pair_stats;
+  t.proposals = r.cold.proposals;
+  t.ess_count = mc3.cold_ess().count();
+  t.ess_mean = mc3.cold_ess().mean();
+  t.ess = mc3.cold_ess().ess();
+  t.stopped_at_ess = r.stopped_at_ess;
+
+  std::ifstream in(topts.jsonl_path);
+  for (std::string line; std::getline(in, line);) {
+    t.telemetry.push_back(
+        drop_field(drop_field(line, "wall_s"), "ess_per_sec"));
+  }
+  std::filesystem::remove(topts.jsonl_path);
+  std::filesystem::remove(opts.checkpoint_path);
+  return t;
+}
+
+void expect_same_trajectory(const Trajectory& a, const Trajectory& b) {
+  EXPECT_EQ(a.generation, b.generation);
+  EXPECT_EQ(a.stopped_at_ess, b.stopped_at_ess);
+  ASSERT_EQ(a.final_ln_likelihoods.size(), b.final_ln_likelihoods.size());
+  for (std::size_t i = 0; i < a.final_ln_likelihoods.size(); ++i) {
+    EXPECT_TRUE(bits_equal(a.final_ln_likelihoods[i],
+                           b.final_ln_likelihoods[i]))
+        << "chain " << i;
+  }
+  EXPECT_EQ(a.final_newicks, b.final_newicks);
+  EXPECT_EQ(a.swaps_proposed, b.swaps_proposed);
+  EXPECT_EQ(a.swaps_accepted, b.swaps_accepted);
+  ASSERT_EQ(a.swap_pairs.size(), b.swap_pairs.size());
+  for (const auto& [name, st] : a.swap_pairs) {
+    ASSERT_EQ(b.swap_pairs.count(name), 1u) << name;
+    EXPECT_EQ(st.proposed, b.swap_pairs.at(name).proposed) << name;
+    EXPECT_EQ(st.accepted, b.swap_pairs.at(name).accepted) << name;
+  }
+  ASSERT_EQ(a.proposals.size(), b.proposals.size());
+  for (const auto& [name, st] : a.proposals) {
+    ASSERT_EQ(b.proposals.count(name), 1u) << name;
+    EXPECT_EQ(st.proposed, b.proposals.at(name).proposed) << name;
+    EXPECT_EQ(st.accepted, b.proposals.at(name).accepted) << name;
+  }
+  EXPECT_TRUE(bits_equal(a.best_ln_likelihood, b.best_ln_likelihood));
+  EXPECT_EQ(a.ess_count, b.ess_count);
+  EXPECT_TRUE(bits_equal(a.ess_mean, b.ess_mean));
+  EXPECT_TRUE(bits_equal(a.ess, b.ess));
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    EXPECT_EQ(a.samples[i].generation, b.samples[i].generation);
+    EXPECT_TRUE(
+        bits_equal(a.samples[i].ln_likelihood, b.samples[i].ln_likelihood));
+    EXPECT_TRUE(bits_equal(a.samples[i].tree_length, b.samples[i].tree_length));
+    EXPECT_TRUE(bits_equal(a.samples[i].gamma_shape, b.samples[i].gamma_shape));
+  }
+  EXPECT_EQ(a.trees, b.trees);
+  EXPECT_EQ(a.telemetry, b.telemetry);
+}
+
+TEST(CoupledTest, FreeRunningRoundsMatchOneGenerationRounds) {
+  // One run(N) steps the chains free between the generations where the
+  // coupler acts (swaps every 10, checkpoints every 4, telemetry every 3).
+  // N calls of one generation each make every round one generation long.
+  // Both must leave the same bits behind; sampling every 7 puts samples
+  // inside rounds, on swap generations and on each call's last generation.
+  constexpr std::uint64_t kGens = 150;
+  const Trajectory once = run_trajectory(false, 0.0, kGens);
+  const Trajectory each = run_trajectory(true, 0.0, kGens);
+  EXPECT_EQ(once.generation, kGens);
+  EXPECT_EQ(once.samples.size(), kGens / 7);
+  EXPECT_EQ(once.telemetry.size(), kGens / 3);
+  expect_same_trajectory(once, each);
+}
+
+TEST(CoupledTest, FreeRunningRoundsStopAtTheSameEssGeneration) {
+  // With stop_at_ess every sampled generation ends a round; the stop must
+  // land on the same generation as in one-generation rounds.
+  constexpr std::uint64_t kGens = 2000;
+  const Trajectory once = run_trajectory(false, 6.0, kGens);
+  const Trajectory each = run_trajectory(true, 6.0, kGens);
+  EXPECT_TRUE(once.stopped_at_ess);
+  EXPECT_LT(once.generation, kGens);
+  expect_same_trajectory(once, each);
+}
+
+TEST(CoupledTest, OneRoundPerSwapInterval) {
+  // With telemetry and checkpoints off, the chains meet only at swaps: a
+  // run of N generations takes at most ceil(N / swap_every) + 2 rounds
+  // (the closing one included), not one per generation.
+  CoupledFixture fx(4, 94);
+  CoupledOptions opts;
+  opts.chain.seed = 19;
+  opts.chain.sample_every = 7;
+  opts.swap_every = 10;
+  CoupledChains mc3(fx.take(), opts);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  for (std::uint64_t n : {1u, 10u, 95u, 200u}) {
+    const std::uint64_t before =
+        reg.snapshot().counter_value(obs::kCounterExecRounds);
+    (void)mc3.run(mc3.generation() + n);
+    const std::uint64_t rounds =
+        reg.snapshot().counter_value(obs::kCounterExecRounds) - before;
+#if defined(PLF_PROFILING_ENABLED)
+    EXPECT_GE(rounds, 1u) << n << " generations";
+    EXPECT_LE(rounds, (n + opts.swap_every - 1) / opts.swap_every + 2)
+        << n << " generations";
+#else
+    EXPECT_EQ(rounds, 0u);
+#endif
+  }
+}
+
+TEST(CoupledTest, SwapGenerationsSampleThePostSwapColdChain) {
+  // On a swap generation the swap comes first: the sample, the ESS feed and
+  // the best lnL all read the chain that holds the cold heat after it.
+  // Swapping and sampling every 2 generations puts every sample on one.
+  CoupledFixture fx(4, 95);
+  CoupledOptions opts;
+  opts.chain.seed = 23;
+  opts.chain.sample_every = 2;
+  opts.chain.collect_trees = true;
+  opts.swap_every = 2;
+  CoupledChains mc3(fx.take(), opts);
+  const CoupledResult r = mc3.run(200);
+  std::uint64_t cold_swaps = 0;
+  for (const auto& [pair, st] : r.swap_pair_stats) {
+    if (pair.rfind("0-", 0) == 0) cold_swaps += st.accepted;
+  }
+  ASSERT_GT(cold_swaps, 0u) << "no swap moved the cold heat";
+
+  // The ESS estimator saw exactly the sampled lnLs (the opening one aside).
+  ASSERT_EQ(r.cold.samples.size(), 101u);
+  StreamingEss fed;
+  for (std::size_t k = 1; k < r.cold.samples.size(); ++k) {
+    fed.add(r.cold.samples[k].ln_likelihood);
+  }
+  EXPECT_EQ(mc3.cold_ess().count(), fed.count());
+  EXPECT_TRUE(bits_equal(mc3.cold_ess().mean(), fed.mean()));
+  EXPECT_TRUE(bits_equal(mc3.cold_ess().ess(), fed.ess()));
+  // The last sample is the final cold chain.
+  EXPECT_TRUE(bits_equal(r.cold.samples.back().ln_likelihood,
+                         r.cold.final_ln_likelihood));
+  EXPECT_EQ(r.cold.sampled_trees.back(), r.cold.final_tree_newick);
+  for (const McmcSample& s : r.cold.samples) {
+    EXPECT_GE(r.cold.best_ln_likelihood, s.ln_likelihood);
   }
 }
 

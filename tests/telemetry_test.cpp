@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -14,7 +13,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -196,20 +194,6 @@ TEST(TelemetryTest, DueFollowsGenerationCadenceWithoutDuplicates) {
   EXPECT_FALSE(exporter.due(99)) << "never re-export behind the tail";
   EXPECT_TRUE(exporter.due(200));
   EXPECT_EQ(exporter.records_written(), 1u);
-}
-
-TEST(TelemetryTest, WallClockCadenceTriggersBetweenGenerationMarks) {
-  obs::TelemetryOptions topts;
-  topts.every_generations = 0;
-  topts.every_wall_s = 1e-6;
-  obs::TelemetryExporter exporter(topts);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(exporter.due(7));  // not on any generation cadence
-  obs::TelemetryRecord rec;
-  rec.generation = 7;
-  exporter.export_record(rec);
-  EXPECT_FALSE(exporter.due(7));
-  EXPECT_FALSE(exporter.due(3)) << "wall cadence never goes backwards";
 }
 
 TEST(TelemetryTest, PrepareResumeTruncatesTailAndTornLine) {
