@@ -62,7 +62,6 @@
 #include "core/engine.hpp"
 #include "core/kernels.hpp"
 #include "core/tip_partial.hpp"
-#include "exec/partitioned.hpp"
 #include "mcmc/coupled.hpp"
 #include "obs/exporter.hpp"
 #include "obs/json_util.hpp"
@@ -71,7 +70,6 @@
 #include "par/thread_pool.hpp"
 #include "phylo/alignment.hpp"
 #include "phylo/model.hpp"
-#include "phylo/partition.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
@@ -597,39 +595,6 @@ CaseStat e2e_case(const std::string& name, const phylo::PatternMatrix& data,
   return cs;
 }
 
-/// Partitioned model: 4 uniform partitions of one alignment, each with its
-/// own engine, evaluated concurrently (partition 0 on the caller, 1-3 on the
-/// engine's driver threads) and summed per evaluation.
-CaseStat partitioned_case(const phylo::Alignment& aln,
-                          const phylo::Tree& tree,
-                          const phylo::GtrParams& params, std::uint64_t evals,
-                          int reps) {
-  CaseStat cs;
-  cs.name = "partitioned.4part";
-  cs.unit = "s/eval";
-  cs.iters = evals;
-  cs.threshold = 0.40;
-
-  par::ThreadPool pool(kPoolWorkers);
-  core::ThreadedBackend backend(pool);
-  const auto spec = phylo::PartitionSpec::uniform(aln.n_columns(), 4);
-  exec::PartitionedEngine pe(aln, spec, {params}, tree, backend);
-  pe.log_likelihood();  // warm-up
-  const int n_leaves = static_cast<int>(aln.n_taxa());
-  for (int rep = 0; rep < reps; ++rep) {
-    const double t0 = now_s();
-    for (std::uint64_t i = 0; i < evals; ++i) {
-      pe.set_branch_length(
-          pe.tree().leaf_of(static_cast<int>(i) % n_leaves),
-          0.05 + 0.001 * static_cast<double>(i % 7));
-      pe.log_likelihood();
-    }
-    const double t1 = now_s();
-    cs.values.push_back((t1 - t0) / static_cast<double>(evals));
-  }
-  return cs;
-}
-
 // ---------------------------------------------------------------------------
 // output
 
@@ -840,7 +805,7 @@ int main(int argc, char** argv) {
   }
 
   // Multi-instance runtime cases (docs/SHARDING.md): 4-chain MC3 stepping
-  // cost on one shared pool, and a 4-partition model.
+  // cost on one shared pool.
   const std::uint64_t coupled_gens = quick ? 3 : 10;
   cases.push_back(coupled_case(data, tree, params, coupled_gens, reps));
   std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
@@ -906,15 +871,6 @@ int main(int argc, char** argv) {
                              quick ? 100 : 400, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
               << " ms/gen (min of " << reps << ")\n";
-  }
-  {
-    phylo::SubstitutionModel model(params);
-    seqgen::SequenceEvolver ev(tree, model);
-    Rng aln_rng(777);
-    const phylo::Alignment aln = ev.evolve(quick ? 400 : 2000, aln_rng);
-    cases.push_back(partitioned_case(aln, tree, params, engine_evals, reps));
-    std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
-              << " ms/eval (min of " << reps << ")\n";
   }
 
   // Last: each pool binds its helpers to CPUs round-robin from a process-wide

@@ -27,7 +27,8 @@
 // uninterrupted run's trajectory to the last bit (docs/SHARDING.md).
 // --partitions demos the partitioned likelihood: the starting state's lnL is
 // decomposed over N uniform column ranges (or an explicit
-// "name:first-last,..." spec) evaluated as independent model instances.
+// "name:first-last,..." spec), each evaluated by an engine of its own on this
+// thread, one after another.
 //
 // --profile enables span tracing, prints the paper-style (Fig. 12) time
 // breakdown after the run, and writes a chrome://tracing / Perfetto-loadable
@@ -46,7 +47,6 @@
 
 #include "core/backend.hpp"
 #include "core/engine.hpp"
-#include "exec/partitioned.hpp"
 #include "mcmc/chain.hpp"
 #include "mcmc/consensus.hpp"
 #include "mcmc/coupled.hpp"
@@ -58,6 +58,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "phylo/nexus.hpp"
+#include "phylo/partition.hpp"
 #include "util/error.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
@@ -245,24 +246,26 @@ int run_main(int argc, char** argv) {
 
   if (!partitions_spec.empty()) {
     // Partitioned-likelihood demo on the starting state: the same data split
-    // into per-range model instances whose lnLs sum to the joint lnL.
+    // into per-range engines whose lnLs sum, in partition order, to the
+    // joint lnL. Each engine is built, evaluated and dropped in turn.
     const bool numeric = partitions_spec.find(':') == std::string::npos;
     const phylo::PartitionSpec spec =
         numeric ? phylo::PartitionSpec::uniform(aln.n_columns(), n_parts)
                 : phylo::PartitionSpec::parse(partitions_spec,
                                               aln.n_columns());
-    exec::PartitionedEngine::Config pcfg;
-    pcfg.site_repeats = repeats;
-    pcfg.clv_budget = clv_budget;
-    exec::PartitionedEngine parts(aln, spec, {start_params},
-                                  engines.front()->tree(), backend, pcfg);
-    const double total = parts.log_likelihood();
+    const std::vector<phylo::Alignment> parts = spec.split(aln);
     std::cout << "partitioned lnL at the starting state ("
               << spec.n_parts() << " parts):\n";
-    for (std::size_t i = 0; i < spec.n_parts(); ++i) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      const double lnl =
+          core::PlfEngine(phylo::PatternMatrix::compress(parts[i]),
+                          start_params, engines.front()->tree(), backend,
+                          core::KernelVariant::kSimdSite, repeats, clv_budget)
+              .log_likelihood();
+      total += lnl;
       std::cout << "  " << spec.range(i).name << " [" << spec.range(i).begin
-                << ", " << spec.range(i).end
-                << "): " << parts.part(i).log_likelihood() << "\n";
+                << ", " << spec.range(i).end << "): " << lnl << "\n";
     }
     std::cout << "  total: " << total << "\n\n";
   }

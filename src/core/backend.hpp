@@ -45,8 +45,7 @@ class ExecutionBackend {
   virtual bool supports_site_repeats() const { return false; }
 
   /// Whether engines on different threads may call this backend at the same
-  /// time, as the chains of an MC^3 coupler and the parts of a partitioned
-  /// engine do (exec::InstanceScheduler). The Cell and GPU simulators model
+  /// time, as the chains of an MC^3 coupler do (exec::InstanceScheduler). The Cell and GPU simulators model
   /// one device owned by one thread, so they refuse.
   virtual bool supports_concurrent_callers() const { return false; }
 

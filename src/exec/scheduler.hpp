@@ -1,18 +1,17 @@
 // Multi-instance engine runtime: fixed-driver fork/join (docs/SHARDING.md).
 //
 // The paper accelerates ONE likelihood evaluation; production phylogenetics
-// runs many at once — MrBayes steps N Metropolis-coupled chains, partitioned
-// analyses evaluate P models over one tree — and BEAGLE's instance/resource
-// split shows the winning shape: independent likelihood instances sharing a
-// fixed hardware pool. This layer is that runtime for plf:
+// runs many at once — MrBayes steps N Metropolis-coupled chains — and
+// BEAGLE's instance/resource split shows the winning shape: independent
+// likelihood instances sharing a fixed hardware pool. This layer is that
+// runtime for plf:
 //
 //   InstanceScheduler  for_each(fn) is one fork/join round: it runs fn(i)
 //                      for every i in [0, N), i = 0 on the calling thread and
 //                      each i >= 1 on its own DRIVER thread, then spin-waits
 //                      for all of them (the caller never sleeps, so it keeps
-//                      its CPU). A round is as long as its owner makes it:
-//                      the MC3 coupler steps its chains through a whole swap
-//                      interval in one, a partitioned engine evaluates once.
+//                      its CPU). Its one owner, the MC3 coupler, steps its
+//                      chains through a whole swap interval in one round.
 //                      Index i always lands on the same thread, so an engine
 //                      touched only by fn(i) stays confined to one thread
 //                      (its ThreadChecker binds once per handoff). The

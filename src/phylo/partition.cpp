@@ -1,5 +1,10 @@
 #include "phylo/partition.hpp"
 
+#include <charconv>
+#include <limits>
+#include <string_view>
+#include <system_error>
+
 #include "util/error.hpp"
 
 namespace plf::phylo {
@@ -50,26 +55,39 @@ PartitionSpec PartitionSpec::parse(const std::string& text,
                                    std::size_t n_columns) {
   std::vector<PartitionRange> ranges;
   std::size_t pos = 0;
-  while (pos < text.size()) {
+  for (;;) {
     std::size_t comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
     const std::string entry = text.substr(pos, comma - pos);
+    if (entry.empty()) {
+      throw Error("partition spec '" + text + "' has an empty entry");
+    }
     const std::size_t colon = entry.find(':');
     const std::size_t dash = entry.find('-', colon + 1);
     if (colon == std::string::npos || dash == std::string::npos) {
       throw Error("partition entry '" + entry +
                   "' is not of the form name:first-last");
     }
+    // A column number is decimal digits and nothing else: "4x", " 0" and
+    // "+0" are refused, as is SIZE_MAX, whose half-open end would wrap to 0.
+    const auto column = [&entry](std::string_view digits) {
+      std::size_t value = 0;
+      const char* end = digits.data() + digits.size();
+      const auto [ptr, ec] = std::from_chars(digits.data(), end, value);
+      if (ec != std::errc{} || ptr != end ||
+          value == std::numeric_limits<std::size_t>::max()) {
+        throw Error("partition entry '" + entry + "' has a bad column number");
+      }
+      return value;
+    };
+    const std::string_view fields(entry);
     PartitionRange r;
     r.name = entry.substr(0, colon);
-    try {
-      r.begin = std::stoul(entry.substr(colon + 1, dash - colon - 1));
-      // Inclusive last column on the command line -> half-open internally.
-      r.end = std::stoul(entry.substr(dash + 1)) + 1;
-    } catch (const std::exception&) {
-      throw Error("partition entry '" + entry + "' has a bad column number");
-    }
+    r.begin = column(fields.substr(colon + 1, dash - colon - 1));
+    // Inclusive last column on the command line -> half-open internally.
+    r.end = column(fields.substr(dash + 1)) + 1;
     ranges.push_back(std::move(r));
+    if (comma == text.size()) break;
     pos = comma + 1;
   }
   return PartitionSpec(std::move(ranges), n_columns);

@@ -1,12 +1,11 @@
-// Alignment partitioning for multi-model analyses (docs/SHARDING.md).
+// Alignment partitioning (docs/SHARDING.md, "Partition specs").
 //
 // Production phylogenetics rarely runs one model over one matrix: alignments
 // are split into partitions (genes, codon positions) that evolve under
 // independent substitution models, and the run's log likelihood is the sum of
 // the per-partition log likelihoods. A PartitionSpec names contiguous column
-// ranges of one alignment; exec::PartitionedEngine gives each range its own
-// PlfEngine + GtrParams and batches all of their plans through the shared
-// scheduler.
+// ranges of one alignment; split() cuts the alignment into one Alignment per
+// range, and `mrbayes_lite --partitions` evaluates one PlfEngine on each.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +39,9 @@ class PartitionSpec {
 
   /// Parse "name1:0-499,name2:500-1203" (half-open would be unnatural on the
   /// command line, so the textual form is INCLUSIVE: 0-499 means columns
-  /// [0, 500)). Ranges must arrive in order and cover the alignment.
+  /// [0, 500)). Column numbers are plain decimal digits; an empty entry, a
+  /// sign, a space or a trailing character is refused with plf::Error.
+  /// Ranges must arrive in order and cover the alignment.
   static PartitionSpec parse(const std::string& text, std::size_t n_columns);
 
   std::size_t n_parts() const { return ranges_.size(); }

@@ -1,22 +1,18 @@
 // Tests for the multi-instance runtime (src/exec/): the InstanceScheduler's
-// fixed-thread and error contracts, PartitionSpec parsing and splitting, and
-// PartitionedEngine's fan-out protocol — including the headline property
-// that concurrently evaluated partitions match standalone engines bit-for-bit.
+// fixed-thread and error contracts; and for PartitionSpec parsing and
+// splitting, including the property that engines over the split parts sum
+// to the unsplit alignment's likelihood.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cell/machine.hpp"
 #include "core/backend.hpp"
 #include "core/engine.hpp"
-#include "exec/partitioned.hpp"
 #include "exec/scheduler.hpp"
 #include "phylo/partition.hpp"
 #include "phylo/patterns.hpp"
@@ -25,7 +21,6 @@
 #include "seqgen/random_tree.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/serialize.hpp"
 
 namespace plf::exec {
 namespace {
@@ -156,6 +151,29 @@ TEST(PartitionSpecTest, RejectsGapsOverlapsAndShortCoverage) {
   EXPECT_THROW(phylo::PartitionSpec::uniform(2, 3), Error);
 }
 
+TEST(PartitionSpecTest, RejectsMalformedEntries) {
+  const auto message = [](const std::string& text) -> std::string {
+    try {
+      phylo::PartitionSpec::parse(text, 10);
+    } catch (const Error& err) {
+      return err.what();
+    }
+    return "accepted";
+  };
+  // Column numbers are plain decimal digits.
+  for (const char* text : {"a:0-4x,b:5-9", "a: 0-9", "a:+0-+9", "a:0x-9",
+                           "a:0-4-5,b:6-9",
+                           // Its half-open end would wrap to 0.
+                           "a:0-18446744073709551615"}) {
+    EXPECT_NE(message(text).find("bad column number"), std::string::npos)
+        << text << ": " << message(text);
+  }
+  for (const char* text : {"a:0-9,", ",a:0-9", "a:0-4,,b:5-9", ""}) {
+    EXPECT_NE(message(text).find("empty entry"), std::string::npos)
+        << "'" << text << "': " << message(text);
+  }
+}
+
 TEST(PartitionSpecTest, SplitRoundTripsColumns) {
   const Instance inst = make_instance(5, 30, 15);
   const auto spec = phylo::PartitionSpec::uniform(30, 4);
@@ -175,186 +193,22 @@ TEST(PartitionSpecTest, SplitRoundTripsColumns) {
   EXPECT_EQ(total, inst.aln.n_columns());
 }
 
-TEST(PartitionedEngineTest, SumOfPartsMatchesMonolithicLikelihood) {
+TEST(PartitionSpecTest, SplitPartsSumToMonolithicLikelihood) {
   // Per-site lnL terms are independent, so partitioning only changes the
   // floating-point summation grouping — the totals agree to tight tolerance
   // (not bitwise: pattern compression differs per part).
   core::SerialBackend backend;
   const Instance inst = make_instance(8, 240, 16);
   core::PlfEngine mono(inst.data, inst.params, inst.tree, backend);
-  PartitionedEngine parts(inst.aln, phylo::PartitionSpec::uniform(240, 3),
-                          {inst.params}, inst.tree, backend);
+  double parts_lnl = 0.0;
+  for (const phylo::Alignment& part :
+       phylo::PartitionSpec::uniform(240, 3).split(inst.aln)) {
+    parts_lnl += core::PlfEngine(phylo::PatternMatrix::compress(part),
+                                 inst.params, inst.tree, backend)
+                     .log_likelihood();
+  }
   const double mono_lnl = mono.log_likelihood();
-  EXPECT_NEAR(parts.log_likelihood(), mono_lnl, 1e-8 * std::abs(mono_lnl));
-}
-
-TEST(PartitionedEngineTest, ConcurrentPartsMatchStandaloneEngines) {
-  // The partitions evaluate concurrently on one shared pool; each must
-  // compute exactly what a standalone engine on its columns computes, and
-  // the total is their sum in partition order.
-  par::ThreadPool pool(4);
-  core::ThreadedBackend backend(pool);
-  const Instance inst = make_instance(8, 240, 17);
-  const auto spec = phylo::PartitionSpec::uniform(240, 3);
-
-  PartitionedEngine pe(inst.aln, spec, {inst.params}, inst.tree, backend);
-  std::vector<std::unique_ptr<core::PlfEngine>> alone;
-  for (const phylo::Alignment& part : spec.split(inst.aln)) {
-    alone.push_back(std::make_unique<core::PlfEngine>(
-        phylo::PatternMatrix::compress(part), inst.params, inst.tree,
-        backend));
-  }
-  auto expect_match = [&](const char* where) {
-    const double total = pe.log_likelihood();
-    double sum = 0.0;
-    for (std::size_t i = 0; i < alone.size(); ++i) {
-      const double lnl = alone[i]->log_likelihood();
-      EXPECT_EQ(pe.part(i).log_likelihood(), lnl) << where << " part " << i;
-      sum += lnl;
-    }
-    EXPECT_EQ(total, sum) << where;
-  };
-  expect_match("start");
-  for (std::size_t i = 0; i < spec.n_parts(); ++i) {
-    EXPECT_EQ(pe.part(i).instance_label(), spec.range(i).name);
-  }
-
-  // Same move sequence through both: branch moves, an NNI proposal cycle,
-  // and a per-partition model change.
-  const auto edges = pe.tree().internal_edge_nodes();
-  ASSERT_FALSE(edges.empty());
-  for (int round = 0; round < 6; ++round) {
-    const int leaf = pe.tree().leaf_of(round % 8);
-    const double len = 0.05 + 0.02 * round;
-    pe.set_branch_length(leaf, len);
-    for (auto& e : alone) e->set_branch_length(leaf, len);
-    if (round % 2 == 0) {
-      const int v = edges[static_cast<std::size_t>(round) % edges.size()];
-      pe.begin_proposal();
-      pe.apply_nni(v, round % 4 == 0);
-      for (auto& e : alone) {
-        e->begin_proposal();
-        e->apply_nni(v, round % 4 == 0);
-      }
-      expect_match("proposal");
-      pe.reject();
-      for (auto& e : alone) e->reject();
-    }
-    expect_match("round");
-  }
-  phylo::GtrParams hot = inst.params;
-  hot.gamma_shape *= 1.5;
-  pe.set_model(1, hot);
-  alone[1]->set_model(hot);
-  expect_match("model");
-}
-
-TEST(PartitionedEngineTest, RejectsThreadConfinedBackends) {
-  const Instance inst = make_instance(8, 240, 18);
-  cell::CellMachine cell{cell::CellConfig{}};
-  EXPECT_THROW(PartitionedEngine(inst.aln, phylo::PartitionSpec::uniform(240, 3),
-                                 {inst.params}, inst.tree, cell),
-               Error);
-  // One partition runs inline on the caller, so any backend serves it.
-  PartitionedEngine one(inst.aln, phylo::PartitionSpec::uniform(240, 1),
-                        {inst.params}, inst.tree, cell);
-  EXPECT_EQ(one.n_parts(), 1u);
-}
-
-TEST(PartitionedEngineTest, ModelMoveTouchesOnlyItsPartition) {
-  core::SerialBackend backend;
-  const Instance inst = make_instance(8, 240, 18);
-  PartitionedEngine pe(inst.aln, phylo::PartitionSpec::uniform(240, 3),
-                       {inst.params}, inst.tree, backend);
-  (void)pe.log_likelihood();
-  const double p0 = pe.part(0).log_likelihood();
-  const double p2 = pe.part(2).log_likelihood();
-
-  phylo::GtrParams hot = inst.params;
-  hot.gamma_shape *= 2.0;
-  pe.set_model(1, hot);
-  (void)pe.log_likelihood();
-  EXPECT_EQ(pe.part(0).log_likelihood(), p0);
-  EXPECT_EQ(pe.part(2).log_likelihood(), p2);
-  EXPECT_EQ(pe.part(1).model_params().gamma_shape, hot.gamma_shape);
-}
-
-TEST(PartitionedEngineTest, ProposalProtocolFansOut) {
-  core::SerialBackend backend;
-  const Instance inst = make_instance(8, 160, 19);
-  PartitionedEngine pe(inst.aln, phylo::PartitionSpec::uniform(160, 2),
-                       {inst.params}, inst.tree, backend);
-  const double before = pe.log_likelihood();
-  const int leaf = pe.tree().leaf_of(0);
-  const double len = pe.tree().branch_length(leaf);
-
-  pe.begin_proposal();
-  pe.set_branch_length(leaf, len * 3.0);
-  EXPECT_NE(pe.log_likelihood(), before);
-  pe.reject();
-  // Reject is the engines' pointer-flip undo: same bits as before.
-  EXPECT_EQ(pe.log_likelihood(), before);
-
-  pe.begin_proposal();
-  pe.set_branch_length(leaf, len * 3.0);
-  const double moved = pe.log_likelihood();
-  pe.accept();
-  EXPECT_EQ(pe.log_likelihood(), moved);
-  EXPECT_EQ(pe.tree().branch_length(leaf), len * 3.0);
-}
-
-TEST(PartitionedEngineTest, CheckpointRoundTripIsBitExact) {
-  core::SerialBackend backend;
-  const Instance inst = make_instance(8, 240, 20);
-  const auto spec = phylo::PartitionSpec::uniform(240, 3);
-  std::vector<phylo::GtrParams> per_part(3, inst.params);
-  per_part[1].gamma_shape *= 1.7;  // distinct models must round-trip
-  PartitionedEngine a(inst.aln, spec, per_part, inst.tree, backend);
-  const int leaf = a.tree().leaf_of(2);
-  a.set_branch_length(leaf, 0.3);
-  const double lnl = a.log_likelihood();
-
-  std::ostringstream os;
-  {
-    util::BinaryWriter w(os);
-    a.save_state(w);
-  }
-  PartitionedEngine b(inst.aln, spec, {inst.params}, inst.tree, backend);
-  std::istringstream is(os.str());
-  {
-    util::BinaryReader r(is);
-    b.restore_state(r);
-  }
-  EXPECT_EQ(b.log_likelihood(), lnl);
-  EXPECT_EQ(b.part(1).model_params().gamma_shape, per_part[1].gamma_shape);
-  EXPECT_EQ(b.tree().branch_length(leaf), 0.3);
-}
-
-TEST(PartitionedEngineTest, RestoreRejectsDifferentPartitionLayout) {
-  core::SerialBackend backend;
-  const Instance inst = make_instance(6, 120, 21);
-  PartitionedEngine a(inst.aln, phylo::PartitionSpec::uniform(120, 3),
-                      {inst.params}, inst.tree, backend);
-  std::ostringstream os;
-  {
-    util::BinaryWriter w(os);
-    a.save_state(w);
-  }
-  PartitionedEngine b(inst.aln, phylo::PartitionSpec::uniform(120, 2),
-                      {inst.params}, inst.tree, backend);
-  std::istringstream is(os.str());
-  util::BinaryReader r(is);
-  EXPECT_THROW(b.restore_state(r), Error);
-}
-
-TEST(PartitionedEngineTest, RejectsBadParamsCount) {
-  core::SerialBackend backend;
-  const Instance inst = make_instance(6, 120, 22);
-  std::vector<phylo::GtrParams> two(2, inst.params);
-  EXPECT_THROW(PartitionedEngine(inst.aln,
-                                 phylo::PartitionSpec::uniform(120, 3), two,
-                                 inst.tree, backend),
-               Error);
+  EXPECT_NEAR(parts_lnl, mono_lnl, 1e-8 * std::abs(mono_lnl));
 }
 
 }  // namespace
